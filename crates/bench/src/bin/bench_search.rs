@@ -1,27 +1,21 @@
 //! Machine-readable allocation-search perf snapshot — the
 //! `BENCH_search.json` artifact CI archives on every run, and the
-//! ISSUE 5/6 acceptance gates.
+//! search-engine acceptance gates.
 //!
 //! For each bundled benchmark it runs the *full-sweep* `search_best`
-//! end to end as a lever ladder: the unbounded memoised engine, then
-//! branch-and-bound in the PR 5 shape (relaxed bound, scalar DP,
-//! static split), then each ISSUE 6 lever stacked on top — the
-//! segmented communication floor, the unrolled DP kernel, and the
-//! work-stealing scheduler — reporting wall time, candidates visited
-//! vs space size, prune ratios and steal counts per rung, and
-//! verifying on the spot that every rung returns the field-exact same
-//! winner.
+//! end to end twice: the unbounded memoised engine (the baseline),
+//! then the default engine with branch-and-bound on — the
+//! communication-floored bound, the lane-chunked DP kernel and the
+//! work-stealing scheduler, all unconditional. It reports wall time,
+//! candidates visited vs space size, the prune ratio and the steal
+//! count, and verifies on the spot that the bounded engine returns the
+//! field-exact same winner.
 //!
-//! It also sweeps a fixed-seed communication-dominated synthetic
-//! corpus with the communication floor on and off, and fails when the
-//! floor does not *strictly* out-prune the relaxed bound there — the
-//! ISSUE 6 tightening claim, checked on every run.
-//!
-//! The ISSUE 7 rung runs one [`search_pareto`] sweep per app and then
-//! replays a bounded `search_best` at every frontier budget, failing
-//! unless each replay reproduces its frontier point field-exactly.
-//! Under `--check-speedup` the eigen sweep must also beat the total
-//! replay time — the one-sweep-vs-N-budgets claim.
+//! It then runs one [`search_pareto`] sweep per app and replays a
+//! bounded `search_best` at every frontier budget, failing unless each
+//! replay reproduces its frontier point field-exactly. Under
+//! `--check-speedup` the eigen sweep must also beat the total replay
+//! time — the one-sweep-vs-N-budgets claim.
 //!
 //! ```text
 //! cargo run --release -p lycos_bench --bin bench_search \
@@ -29,14 +23,13 @@
 //! ```
 //!
 //! `--check-speedup X` exits non-zero when the `eigen` full-sweep
-//! speedup of the full lever stack over the PR 5 bounded shape falls
-//! below `X` — the ISSUE 6 acceptance gate CI runs at 1.3.
-//! `LYCOS_BENCH_QUICK` drops to one timing repetition per engine
-//! (CI's perf-smoke mode); the sweeps themselves always run the full
-//! space, since the full eigen sweep *is* the gated workload.
+//! speedup of the bounded engine over the unbounded baseline falls
+//! below `X` — the gate CI runs at 1.3. `LYCOS_BENCH_QUICK` drops to
+//! one timing repetition per engine (CI's perf-smoke mode); the
+//! sweeps themselves always run the full space, since the full eigen
+//! sweep *is* the gated workload.
 
 use lycos::core::Restrictions;
-use lycos::explore::SyntheticSpec;
 use lycos::hwlib::{Area, HwLibrary};
 use lycos::pace::{search_best, search_pareto, PaceConfig, SearchOptions};
 use std::time::Instant;
@@ -65,9 +58,8 @@ fn json_num(x: f64) -> String {
     }
 }
 
-/// One rung of the bounded lever ladder.
-struct LeverReport {
-    name: &'static str,
+/// The default engine with branch-and-bound on.
+struct BoundedReport {
     seconds: f64,
     evaluated: usize,
     bounded: u128,
@@ -75,8 +67,8 @@ struct LeverReport {
     steals: u64,
 }
 
-/// The ISSUE 7 rung: one frontier sweep vs replaying a bounded
-/// single-budget search at every frontier budget.
+/// One frontier sweep vs replaying a bounded single-budget search at
+/// every frontier budget.
 struct ParetoReport {
     seconds: f64,
     points: usize,
@@ -93,44 +85,11 @@ struct AppReport {
     baseline_seconds: f64,
     baseline_evaluated: usize,
     baseline_skipped: usize,
-    levers: Vec<LeverReport>,
+    bounded: BoundedReport,
     dirty_ratio: f64,
-    /// Full stack vs the unbounded engine.
+    /// Bounded engine vs the unbounded one — the gated number.
     speedup_vs_baseline: f64,
-    /// Full stack vs the PR 5 bounded shape — the gated number.
-    speedup_vs_bound: f64,
     pareto: ParetoReport,
-}
-
-/// The PR 5 bounded shape and the three ISSUE 6 levers stacked in
-/// order. The last rung is today's default engine with `bound` on.
-const LADDER: [(&str, bool, bool, bool); 4] = [
-    // (label, bound_comm, simd, steal)
-    ("bound", false, false, false),
-    ("bound+comm", true, false, false),
-    ("bound+comm+simd", true, true, false),
-    ("bound+comm+simd+steal", true, true, true),
-];
-
-fn ladder_options(rung: (&'static str, bool, bool, bool)) -> SearchOptions {
-    SearchOptions::new()
-        .limit(None)
-        .bound(true)
-        .bound_comm(rung.1)
-        .simd(rung.2)
-        .steal(rung.3)
-}
-
-/// Fixed-seed communication-dominated corpus: the floor must strictly
-/// out-prune the relaxed bound summed over these sweeps.
-const COMM_CORPUS_SEEDS: [u64; 3] = [7, 19, 21];
-const COMM_CORPUS_AREA: u64 = 8_000;
-
-struct CorpusReport {
-    seed: u64,
-    space: u128,
-    relaxed_pruned: u128,
-    comm_pruned: u128,
 }
 
 fn main() {
@@ -177,49 +136,42 @@ fn main() {
             search_best(&bsbs, &lib, area, &restr, &pace, &baseline_opts).unwrap()
         });
 
-        let mut levers = Vec::new();
-        let mut dirty_ratio = 0.0;
-        for rung in LADDER {
-            let opts = ladder_options(rung);
-            let (seconds, result) = best_of(reps, || {
-                search_best(&bsbs, &lib, area, &restr, &pace, &opts).unwrap()
-            });
-            // A lever is only a speedup if it is invisible in the result.
-            if result.best_allocation != baseline.best_allocation
-                || result.best_partition != baseline.best_partition
-            {
-                eprintln!(
-                    "bench_search: {}/{}: winner diverged from the baseline engine",
-                    app.name, rung.0
-                );
-                std::process::exit(1);
-            }
-            let accounted = result.points_accounted();
-            if accounted != result.space_size {
-                eprintln!(
-                    "bench_search: {}/{}: accounting hole ({} of {} points)",
-                    app.name, rung.0, accounted, result.space_size
-                );
-                std::process::exit(1);
-            }
-            dirty_ratio = result.stats.dirty_ratio();
-            levers.push(LeverReport {
-                name: rung.0,
-                seconds,
-                evaluated: result.evaluated,
-                bounded: result.stats.bounded,
-                prune_ratio: result.stats.bounded as f64 / result.space_size.max(1) as f64,
-                steals: result.stats.steals,
-            });
+        let bounded_opts = SearchOptions::new().limit(None).bound(true);
+        let (bounded_seconds, result) = best_of(reps, || {
+            search_best(&bsbs, &lib, area, &restr, &pace, &bounded_opts).unwrap()
+        });
+        // The bound is only a speedup if it is invisible in the result.
+        if result.best_allocation != baseline.best_allocation
+            || result.best_partition != baseline.best_partition
+        {
+            eprintln!(
+                "bench_search: {}/bounded: winner diverged from the baseline engine",
+                app.name
+            );
+            std::process::exit(1);
         }
+        let accounted = result.points_accounted();
+        if accounted != result.space_size {
+            eprintln!(
+                "bench_search: {}/bounded: accounting hole ({} of {} points)",
+                app.name, accounted, result.space_size
+            );
+            std::process::exit(1);
+        }
+        let bounded = BoundedReport {
+            seconds: bounded_seconds,
+            evaluated: result.evaluated,
+            bounded: result.stats.bounded,
+            prune_ratio: result.stats.bounded as f64 / result.space_size.max(1) as f64,
+            steals: result.stats.steals,
+        };
 
-        // One Pareto sweep under the full lever stack, then a bounded
+        // One Pareto sweep under the bounded engine, then a bounded
         // single-budget replay at every frontier area. Each replay
         // must land on its frontier point field-exactly — the
         // sweep-equals-N-runs claim, checked on every app.
-        let pareto_opts = ladder_options(LADDER[LADDER.len() - 1]);
         let (pareto_seconds, front) = best_of(reps, || {
-            search_pareto(&bsbs, &lib, area, &restr, &pace, &pareto_opts).unwrap()
+            search_pareto(&bsbs, &lib, area, &restr, &pace, &bounded_opts).unwrap()
         });
         if front.points_accounted() != front.space_size {
             eprintln!(
@@ -239,7 +191,7 @@ fn main() {
                 Area::new(point.area.gates()),
                 &restr,
                 &pace,
-                &pareto_opts,
+                &bounded_opts,
             )
             .unwrap();
             replay_seconds += started.elapsed().as_secs_f64();
@@ -262,36 +214,28 @@ fn main() {
             speedup_vs_replay: replay_seconds / pareto_seconds.max(f64::EPSILON),
         };
 
-        let bound_seconds = levers.first().expect("ladder is non-empty").seconds;
-        let full_seconds = levers.last().expect("ladder is non-empty").seconds;
         let report = AppReport {
             name: app.name,
             space: baseline.space_size,
             baseline_seconds,
             baseline_evaluated: baseline.evaluated,
             baseline_skipped: baseline.skipped,
-            levers,
-            dirty_ratio,
-            speedup_vs_baseline: baseline_seconds / full_seconds.max(f64::EPSILON),
-            speedup_vs_bound: bound_seconds / full_seconds.max(f64::EPSILON),
+            dirty_ratio: result.stats.dirty_ratio(),
+            speedup_vs_baseline: baseline_seconds / bounded.seconds.max(f64::EPSILON),
+            bounded,
             pareto,
         };
-        eprint!(
-            "[bench_search] {}: space {} | baseline {:.3}s ({} evals)",
-            report.name, report.space, report.baseline_seconds, report.baseline_evaluated,
-        );
-        for l in &report.levers {
-            eprint!(
-                " | {} {:.3}s ({} evals, {:.1}% pruned)",
-                l.name,
-                l.seconds,
-                l.evaluated,
-                l.prune_ratio * 100.0
-            );
-        }
         eprintln!(
-            " → {:.2}x vs baseline, {:.2}x vs bound",
-            report.speedup_vs_baseline, report.speedup_vs_bound
+            "[bench_search] {}: space {} | baseline {:.3}s ({} evals) | bounded {:.3}s \
+             ({} evals, {:.1}% pruned) → {:.2}x vs baseline",
+            report.name,
+            report.space,
+            report.baseline_seconds,
+            report.baseline_evaluated,
+            report.bounded.seconds,
+            report.bounded.evaluated,
+            report.bounded.prune_ratio * 100.0,
+            report.speedup_vs_baseline,
         );
         eprintln!(
             "[bench_search] {}: pareto {:.3}s for {} points vs {:.3}s replaying each budget \
@@ -305,89 +249,29 @@ fn main() {
         reports.push(report);
     }
 
-    // The comm-floor tightening claim on its home turf: wide read
-    // fans and barrier-segmented runs.
-    let spec = SyntheticSpec::comm_dominated();
-    let mut corpus = Vec::new();
-    for seed in COMM_CORPUS_SEEDS {
-        let bsbs = spec.generate(seed);
-        let area = Area::new(COMM_CORPUS_AREA);
-        let restr = Restrictions::from_asap(&bsbs, &lib).unwrap();
-        let run = |bound_comm: bool| {
-            // Sequential + static: prune counts are deterministic,
-            // so the relaxed-vs-floored comparison is exact.
-            let opts = SearchOptions::new()
-                .limit(None)
-                .bound(true)
-                .bound_comm(bound_comm)
-                .threads(1)
-                .steal(false);
-            search_best(&bsbs, &lib, area, &restr, &pace, &opts).unwrap()
-        };
-        let relaxed = run(false);
-        let comm = run(true);
-        if relaxed.best_allocation != comm.best_allocation
-            || relaxed.best_partition != comm.best_partition
-        {
-            eprintln!("bench_search: comm corpus seed {seed}: winners diverged");
-            std::process::exit(1);
-        }
-        corpus.push(CorpusReport {
-            seed,
-            space: comm.space_size,
-            relaxed_pruned: relaxed.stats.bounded,
-            comm_pruned: comm.stats.bounded,
-        });
-    }
-    let relaxed_total: u128 = corpus.iter().map(|c| c.relaxed_pruned).sum();
-    let comm_total: u128 = corpus.iter().map(|c| c.comm_pruned).sum();
-    eprintln!(
-        "[bench_search] comm corpus: floor prunes {comm_total} vs relaxed {relaxed_total} \
-         over {} sweeps",
-        corpus.len()
-    );
-    if comm_total <= relaxed_total {
-        eprintln!(
-            "bench_search: the communication floor must strictly out-prune the relaxed \
-             bound on the comm-dominated corpus ({comm_total} vs {relaxed_total})"
-        );
-        std::process::exit(1);
-    }
-
-    let mut json = String::from("{\n  \"schema\": \"lycos-bench-search/3\",\n  \"apps\": [\n");
+    let mut json = String::from("{\n  \"schema\": \"lycos-bench-search/4\",\n  \"apps\": [\n");
     for (i, r) in reports.iter().enumerate() {
         json.push_str(&format!(
             "    {{\n      \"name\": \"{}\",\n      \"space_size\": {},\n      \
              \"baseline\": {{\n        \"seconds\": {},\n        \"evaluated\": {},\n        \
-             \"skipped\": {}\n      }},\n      \"levers\": [\n",
+             \"skipped\": {}\n      }},\n      \"bounded\": {{\n        \"seconds\": {},\n        \
+             \"evaluated\": {},\n        \"bounded\": {},\n        \"prune_ratio\": {},\n        \
+             \"steals\": {}\n      }},\n      \"dirty_ratio\": {},\n      \
+             \"speedup_vs_baseline\": {},\n      \"pareto\": {{\n        \"seconds\": {},\n        \
+             \"points\": {},\n        \"evaluated\": {},\n        \"replay_seconds\": {},\n        \
+             \"speedup_vs_replay\": {}\n      }}\n    }}{}\n",
             r.name,
             r.space,
             json_num(r.baseline_seconds),
             r.baseline_evaluated,
             r.baseline_skipped,
-        ));
-        for (j, l) in r.levers.iter().enumerate() {
-            json.push_str(&format!(
-                "        {{\n          \"name\": \"{}\",\n          \"seconds\": {},\n          \
-                 \"evaluated\": {},\n          \"bounded\": {},\n          \
-                 \"prune_ratio\": {},\n          \"steals\": {}\n        }}{}\n",
-                l.name,
-                json_num(l.seconds),
-                l.evaluated,
-                l.bounded,
-                json_num(l.prune_ratio),
-                l.steals,
-                if j + 1 < r.levers.len() { "," } else { "" },
-            ));
-        }
-        json.push_str(&format!(
-            "      ],\n      \"dirty_ratio\": {},\n      \"speedup_vs_baseline\": {},\n      \
-             \"speedup_vs_bound\": {},\n      \"pareto\": {{\n        \"seconds\": {},\n        \
-             \"points\": {},\n        \"evaluated\": {},\n        \"replay_seconds\": {},\n        \
-             \"speedup_vs_replay\": {}\n      }}\n    }}{}\n",
+            json_num(r.bounded.seconds),
+            r.bounded.evaluated,
+            r.bounded.bounded,
+            json_num(r.bounded.prune_ratio),
+            r.bounded.steals,
             json_num(r.dirty_ratio),
             json_num(r.speedup_vs_baseline),
-            json_num(r.speedup_vs_bound),
             json_num(r.pareto.seconds),
             r.pareto.points,
             r.pareto.evaluated,
@@ -396,22 +280,7 @@ fn main() {
             if i + 1 < reports.len() { "," } else { "" },
         ));
     }
-    json.push_str("  ],\n  \"comm_corpus\": {\n    \"sweeps\": [\n");
-    for (i, c) in corpus.iter().enumerate() {
-        json.push_str(&format!(
-            "      {{\n        \"seed\": {},\n        \"space_size\": {},\n        \
-             \"relaxed_pruned\": {},\n        \"comm_pruned\": {}\n      }}{}\n",
-            c.seed,
-            c.space,
-            c.relaxed_pruned,
-            c.comm_pruned,
-            if i + 1 < corpus.len() { "," } else { "" },
-        ));
-    }
-    json.push_str(&format!(
-        "    ],\n    \"relaxed_pruned\": {relaxed_total},\n    \
-         \"comm_pruned\": {comm_total}\n  }}\n}}\n"
-    ));
+    json.push_str("  ]\n}\n");
     print!("{json}");
 
     if let Some(min) = check_speedup {
@@ -419,19 +288,19 @@ fn main() {
             .iter()
             .find(|r| r.name == "eigen")
             .expect("eigen is bundled");
-        if eigen.speedup_vs_bound < min {
+        if eigen.speedup_vs_baseline < min {
             eprintln!(
-                "bench_search: eigen full-sweep lever-stack speedup {:.2}x is below the \
+                "bench_search: eigen full-sweep bounded speedup {:.2}x is below the \
                  {min:.2}x gate",
-                eigen.speedup_vs_bound
+                eigen.speedup_vs_baseline
             );
             std::process::exit(1);
         }
         eprintln!(
-            "bench_search: eigen full-sweep lever-stack speedup {:.2}x meets the {min:.2}x gate",
-            eigen.speedup_vs_bound
+            "bench_search: eigen full-sweep bounded speedup {:.2}x meets the {min:.2}x gate",
+            eigen.speedup_vs_baseline
         );
-        // The ISSUE 7 claim rides the same flag: one frontier sweep
+        // The Pareto claim rides the same flag: one frontier sweep
         // must beat replaying a bounded search per frontier budget.
         if eigen.pareto.speedup_vs_replay < 1.0 {
             eprintln!(

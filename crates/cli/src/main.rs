@@ -70,7 +70,6 @@ search knobs (best, pareto, table1; request defaults for serve):
   --threads <n>     sweep workers (0 = one per core; default 0)
   --limit <n>       cap on evaluated allocations (0 = unlimited;
                     best, table1 and serve default to 200000)
-  --no-cache        disable the per-BSB schedule memo
   --dp-threads <n>  workers inside one PACE DP evaluation (1 =
                     sequential, the default; 0 = one per core);
                     identical results, meant for large single
@@ -79,15 +78,6 @@ search knobs (best, pareto, table1; request defaults for serve):
                     admissible lower bound proves hopeless; the
                     winner is field-exact, only the evaluated /
                     bounded effort split changes
-  --bound-comm / --no-bound-comm
-                    fold the admissible communication floor into
-                    the bound (default on; inert without --bound)
-  --simd / --no-simd
-                    lane-chunked DP inner scan (default on;
-                    bit-identical results either way)
-  --steal / --no-steal
-                    work-stealing sweep scheduling (default on;
-                    off falls back to the static range split)
   --store-cap <n>   applications the cross-request artifact store
                     keeps resident (default 8; LRU eviction past
                     the cap; the store backs `serve` and `best`)
@@ -117,17 +107,15 @@ serve knobs:
 <file.lyc> may also be a bundled app name: straight, hal, man, eigen.
 ";
 
-/// The command-line spelling(s) of one engine knob, fixed by its
+/// The command-line spelling of one engine knob, fixed by its
 /// [`KnobKind`]: value knobs and default-off switches get their bare
-/// positive form, default-on switches their `--no-` form, and paired
-/// switches both.
-fn knob_flags(knob: &SearchKnob) -> Vec<String> {
-    let on = format!("--{}", knob.name);
-    let off = format!("--no-{}", knob.name);
+/// positive form, default-on switches their `--no-` form.
+fn knob_flag(knob: &SearchKnob) -> String {
     match knob.kind {
-        KnobKind::Count | KnobKind::OptionalCount | KnobKind::EnabledBy => vec![on],
-        KnobKind::DisabledBy => vec![off],
-        KnobKind::Paired => vec![on, off],
+        KnobKind::Count | KnobKind::OptionalCount | KnobKind::EnabledBy => {
+            format!("--{}", knob.name)
+        }
+        KnobKind::DisabledBy => format!("--no-{}", knob.name),
     }
 }
 
@@ -135,22 +123,22 @@ fn knob_flags(knob: &SearchKnob) -> Vec<String> {
 /// knob table ([`SEARCH_KNOBS`]) so the parser and its did-you-mean
 /// candidates cannot drift from the engine surface.
 fn search_flags() -> Vec<String> {
-    SEARCH_KNOBS.iter().flat_map(knob_flags).collect()
+    SEARCH_KNOBS.iter().map(knob_flag).collect()
 }
 
 /// The switch knob a bare flag stem drives, and the state it sets:
-/// `bound` → (bound, true), `no-cache` → (cache, false). `None` for
+/// `bound` → (bound, true), `no-warm` → (warm, false). `None` for
 /// value knobs, unknown names, and spellings the knob's kind does not
-/// admit (`--cache`, `--no-bound`).
+/// admit (`--warm`, `--no-bound`).
 fn switch_for(stem: &str) -> Option<(&'static SearchKnob, bool)> {
     match stem.strip_prefix("no-") {
         Some(base) => {
             let knob = search_knob(base)?;
-            matches!(knob.kind, KnobKind::DisabledBy | KnobKind::Paired).then_some((knob, false))
+            (knob.kind == KnobKind::DisabledBy).then_some((knob, false))
         }
         None => {
             let knob = search_knob(stem)?;
-            matches!(knob.kind, KnobKind::EnabledBy | KnobKind::Paired).then_some((knob, true))
+            (knob.kind == KnobKind::EnabledBy).then_some((knob, true))
         }
     }
 }
@@ -187,8 +175,10 @@ fn closest_flag<'a>(unknown: &str, known: &[&'a str]) -> Option<&'a str> {
 /// command-specific `(flag, value)` pairs in order of appearance.
 type ParsedFlags = (Vec<String>, SearchOptions, Vec<(String, String)>);
 
-/// Pulls `--threads N`, `--limit N` and `--no-cache` out of `args`,
-/// plus any command-specific value flags named in `extra` (for
+/// Pulls every engine knob of [`SEARCH_KNOBS`] out of `args` — value
+/// flags such as `--threads N` and switches such as `--bound` or
+/// `--no-warm`, in the spelling each knob's kind admits — plus any
+/// command-specific value flags named in `extra` (for
 /// `serve`: `--addr`, `--workers`, `--queue`). Returns the remaining
 /// positional arguments, the search options, and the `extra` pairs in
 /// order of appearance.
@@ -600,58 +590,30 @@ mod tests {
         assert_eq!(rest, args(&["hal", "7500"]));
         assert_eq!(opts.limit, Some(200_000));
         assert_eq!(opts.threads, 0);
-        assert!(opts.cache);
         assert_eq!(opts.dp_threads, 1, "intra-candidate split is opt-in");
         assert!(!opts.bound, "branch-and-bound is opt-in");
-        assert!(opts.bound_comm, "comm-floor bound is default-on");
-        assert!(opts.simd, "lane-chunked DP is default-on");
-        assert!(opts.steal, "work-stealing is default-on");
+        assert!(opts.warm, "warm starts are default-on");
+        assert!(opts.incremental, "incremental builds are default-on");
         assert!(extras.is_empty());
     }
 
     #[test]
-    fn engine_lever_switches_toggle_both_ways() {
-        let (rest, opts, _) = parse_search_flags(
-            &args(&["--no-bound-comm", "--no-simd", "--no-steal", "hal"]),
-            None,
-            &[],
-        )
-        .unwrap();
+    fn default_on_switches_clear_with_their_no_form() {
+        let (rest, opts, _) =
+            parse_search_flags(&args(&["--no-warm", "--no-incremental", "hal"]), None, &[])
+                .unwrap();
         assert_eq!(rest, args(&["hal"]));
-        assert!(!opts.bound_comm && !opts.simd && !opts.steal);
-        // Positive forms restore the defaults (last one wins).
-        let (_, opts, _) = parse_search_flags(
-            &args(&[
-                "--no-steal",
-                "--steal",
-                "--no-simd",
-                "--simd",
-                "--bound-comm",
-            ]),
-            None,
-            &[],
-        )
-        .unwrap();
-        assert!(opts.bound_comm && opts.simd && opts.steal);
-        // All six are bare switches: `=value` is rejected.
-        for flag in [
-            "--bound-comm",
-            "--no-bound-comm",
-            "--simd",
-            "--no-simd",
-            "--steal",
-            "--no-steal",
-        ] {
+        assert!(!opts.warm && !opts.incremental);
+        // Bare switches: `=value` is rejected.
+        for flag in ["--no-warm", "--no-incremental"] {
             let err = parse_search_flags(&args(&[&format!("{flag}=on")]), None, &[]).unwrap_err();
             assert_eq!(err, format!("{flag} takes no value"));
         }
         // And typos get did-you-mean hints.
-        let err = parse_search_flags(&args(&["--stael"]), None, &[]).unwrap_err();
-        assert!(err.contains("did you mean `--steal`?"), "{err}");
-        let err = parse_search_flags(&args(&["--bound-com"]), None, &[]).unwrap_err();
-        assert!(err.contains("did you mean `--bound-comm`?"), "{err}");
-        let err = parse_search_flags(&args(&["--no-simdd"]), None, &[]).unwrap_err();
-        assert!(err.contains("did you mean `--no-simd`?"), "{err}");
+        let err = parse_search_flags(&args(&["--no-wram"]), None, &[]).unwrap_err();
+        assert!(err.contains("did you mean `--no-warm`?"), "{err}");
+        let err = parse_search_flags(&args(&["--no-incremantal"]), None, &[]).unwrap_err();
+        assert!(err.contains("did you mean `--no-incremental`?"), "{err}");
     }
 
     #[test]
@@ -690,7 +652,7 @@ mod tests {
                 "--limit",
                 "50",
                 "7500",
-                "--no-cache",
+                "--no-warm",
             ]),
             None,
             &[],
@@ -699,7 +661,7 @@ mod tests {
         assert_eq!(rest, args(&["hal", "7500"]));
         assert_eq!(opts.threads, 4);
         assert_eq!(opts.limit, Some(50));
-        assert!(!opts.cache);
+        assert!(!opts.warm);
     }
 
     #[test]
@@ -731,8 +693,22 @@ mod tests {
         assert!(err.contains("unknown flag `--threds`"), "{err}");
         assert!(err.contains("did you mean `--threads`?"), "{err}");
 
-        let err = parse_search_flags(&args(&["--cache"]), None, &[]).unwrap_err();
-        assert!(err.contains("did you mean `--no-cache`?"), "{err}");
+        let err = parse_search_flags(&args(&["--warm"]), None, &[]).unwrap_err();
+        assert!(err.contains("did you mean `--no-warm`?"), "{err}");
+
+        // Retired engine levers fail through the same generic path.
+        for flag in [
+            "--steal",
+            "--no-steal",
+            "--simd",
+            "--no-simd",
+            "--bound-comm",
+            "--no-bound-comm",
+            "--no-cache",
+        ] {
+            let err = parse_search_flags(&args(&[flag]), None, &[]).unwrap_err();
+            assert!(err.contains(&format!("unknown flag `{flag}`")), "{err}");
+        }
 
         // Far-off garbage gets no misleading suggestion.
         let err = parse_search_flags(&args(&["--frobnicate-now"]), None, &[]).unwrap_err();
@@ -756,8 +732,8 @@ mod tests {
         assert_eq!(err, "--threads needs a value");
         let err = parse_search_flags(&args(&["--limit", "many"]), None, &[]).unwrap_err();
         assert_eq!(err, "invalid --limit value `many`");
-        let err = parse_search_flags(&args(&["--no-cache=yes"]), None, &[]).unwrap_err();
-        assert_eq!(err, "--no-cache takes no value");
+        let err = parse_search_flags(&args(&["--no-warm=yes"]), None, &[]).unwrap_err();
+        assert_eq!(err, "--no-warm takes no value");
         let err = parse_search_flags(&args(&["--addr"]), None, &["--addr"]).unwrap_err();
         assert_eq!(err, "--addr needs a value");
     }
@@ -793,9 +769,8 @@ mod tests {
 
     #[test]
     fn flag_list_is_derived_from_the_knob_table() {
-        // Pin of the full historical flag surface: every spelling the
-        // CLI ever accepted, now generated from SEARCH_KNOBS. A knob
-        // added to the engine table shows up here (and in the
+        // Pin of the full flag surface, generated from SEARCH_KNOBS.
+        // A knob added to the engine table shows up here (and in the
         // did-you-mean candidates) without any CLI edit.
         assert_eq!(
             search_flags(),
@@ -803,14 +778,7 @@ mod tests {
                 "--threads",
                 "--limit",
                 "--dp-threads",
-                "--no-cache",
                 "--bound",
-                "--bound-comm",
-                "--no-bound-comm",
-                "--simd",
-                "--no-simd",
-                "--steal",
-                "--no-steal",
                 "--store-cap",
                 "--no-warm",
                 "--no-incremental",
@@ -818,7 +786,6 @@ mod tests {
             ]
         );
         // The spellings a kind does not admit stay rejected.
-        assert!(switch_for("cache").is_none(), "--cache never existed");
         assert!(switch_for("no-bound").is_none(), "--no-bound never existed");
         assert!(switch_for("warm").is_none(), "--warm never existed");
         assert!(

@@ -139,9 +139,6 @@ pub struct Table1Options {
     /// The result is identical at any thread count; only the wall
     /// clock changes.
     pub threads: usize,
-    /// Whether the sweep memoises per-BSB schedules (identical results
-    /// either way; off exists for benchmarking the cache).
-    pub cache: bool,
     /// Worker threads *inside* one PACE DP evaluation (`1` =
     /// sequential, `0` = one per core). Identical results at any
     /// setting; see `SearchOptions::dp_threads` for when it pays off.
@@ -152,19 +149,6 @@ pub struct Table1Options {
     /// depend on incumbent-sharing timing. Leave off where rows are
     /// diffed byte-for-byte across runs.
     pub bound: bool,
-    /// Fold the admissible communication floor into the bound
-    /// (`SearchOptions::bound_comm`). On by default; inert unless
-    /// `bound` is on. Winner columns are identical either way — only
-    /// the `bounded` effort column grows.
-    pub bound_comm: bool,
-    /// Lane-chunked DP inner scan (`SearchOptions::simd`). On by
-    /// default; bit-identical results, pure leaf-cost knob.
-    pub simd: bool,
-    /// Work-stealing sweep scheduling (`SearchOptions::steal`). On by
-    /// default; identical results and accounting, only load balance
-    /// (and the `steals` telemetry) changes — no CSV column reads it,
-    /// so `--stable` rows stay byte-identical.
-    pub steal: bool,
     /// Capacity of the cross-request artifact store
     /// (`SearchOptions::store_cap`). Only read by store-owning layers
     /// (the allocation service, the CLI); a bare row run never
@@ -193,12 +177,8 @@ impl Default for Table1Options {
         Table1Options {
             search_limit: None,
             threads: 0,
-            cache: true,
             dp_threads: 1,
             bound: false,
-            bound_comm: true,
-            simd: true,
-            steal: true,
             store_cap: 8,
             warm: true,
             incremental: true,
@@ -213,12 +193,8 @@ impl Table1Options {
         SearchOptions {
             threads: self.threads,
             limit: self.search_limit,
-            cache: self.cache,
             dp_threads: self.dp_threads,
             bound: self.bound,
-            bound_comm: self.bound_comm,
-            simd: self.simd,
-            steal: self.steal,
             store_cap: self.store_cap,
             warm: self.warm,
             incremental: self.incremental,
@@ -228,7 +204,7 @@ impl Table1Options {
 
     /// The inverse of [`Table1Options::search_options`]: the Table 1
     /// run a resolved engine configuration implies. The two structs
-    /// carry the same twelve knobs field for field, so the round trip
+    /// carry the same eight knobs field for field, so the round trip
     /// is lossless — the seam the allocation service uses to merge
     /// wire-level knob overrides once, against `SearchOptions`, and
     /// feed the result to both verbs.
@@ -236,12 +212,8 @@ impl Table1Options {
         Table1Options {
             search_limit: options.limit,
             threads: options.threads,
-            cache: options.cache,
             dp_threads: options.dp_threads,
             bound: options.bound,
-            bound_comm: options.bound_comm,
-            simd: options.simd,
-            steal: options.steal,
             store_cap: options.store_cap,
             warm: options.warm,
             incremental: options.incremental,
@@ -689,12 +661,8 @@ mod tests {
         let all_flipped = SearchOptions::new()
             .threads(3)
             .limit(Some(42))
-            .cache(false)
             .dp_threads(2)
             .bound(true)
-            .bound_comm(false)
-            .simd(false)
-            .steal(false)
             .store_cap(3)
             .warm(false)
             .incremental(false)

@@ -10,7 +10,7 @@
 //! * **Accounting** — `evaluated + skipped + bounded + truncated +
 //!   unvisited` covers the space exactly, stopped or not.
 //! * **`deadline = ∞` is invisible** — with no deadline and a signal
-//!   that never trips, every engine shape (bound × threads × steal)
+//!   that never trips, every engine shape (bound × threads)
 //!   returns a field-identical, `Complete` result with nothing
 //!   unvisited.
 
@@ -194,32 +194,29 @@ proptest! {
 
         for threads in [1usize, 3] {
             for bound in [false, true] {
-                for steal in [true, false] {
-                    let options = SearchOptions {
-                        threads,
-                        bound,
-                        steal,
-                        deadline_ms: None,
-                        ..SearchOptions::default()
-                    };
-                    let got = search_best_with_stop(
-                        &app, &lib, total, &config, &options, &artifacts, &[],
-                        &StopSignal::never(),
-                    ).unwrap();
-                    prop_assert_eq!(got.stats.completion, Completion::Complete);
-                    prop_assert_eq!(got.stats.unvisited, 0u128);
-                    prop_assert_eq!(got.points_accounted(), got.space_size);
-                    // Winner fields are engine-shape invariant; the
-                    // evaluated/bounded *effort split* legitimately
-                    // moves with `bound`, so full `SearchResult`
-                    // equality only holds shape-by-shape.
-                    prop_assert_eq!(
-                        (&got.best_allocation, &got.best_partition, got.best_gates, got.best_index),
-                        (&reference.best_allocation, &reference.best_partition,
-                         reference.best_gates, reference.best_index),
-                        "threads={} bound={} steal={}", threads, bound, steal
-                    );
-                }
+                let options = SearchOptions {
+                    threads,
+                    bound,
+                    deadline_ms: None,
+                    ..SearchOptions::default()
+                };
+                let got = search_best_with_stop(
+                    &app, &lib, total, &config, &options, &artifacts, &[],
+                    &StopSignal::never(),
+                ).unwrap();
+                prop_assert_eq!(got.stats.completion, Completion::Complete);
+                prop_assert_eq!(got.stats.unvisited, 0u128);
+                prop_assert_eq!(got.points_accounted(), got.space_size);
+                // Winner fields are engine-shape invariant; the
+                // evaluated/bounded *effort split* legitimately
+                // moves with `bound`, so full `SearchResult`
+                // equality only holds shape-by-shape.
+                prop_assert_eq!(
+                    (&got.best_allocation, &got.best_partition, got.best_gates, got.best_index),
+                    (&reference.best_allocation, &reference.best_partition,
+                     reference.best_gates, reference.best_index),
+                    "threads={} bound={}", threads, bound
+                );
             }
         }
     }

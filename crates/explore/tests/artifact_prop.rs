@@ -2,7 +2,7 @@
 //!
 //! For any synthetic application — including the communication-
 //! dominated and plateau-heavy hardness profiles — and any point of
-//! the bound × threads × cache knob cross-product, a search through a
+//! the bound × threads knob cross-product, a search through a
 //! warm [`ArtifactStore`] (artifacts cached, a previous winner
 //! reseeding the incumbent) must return exactly the winner a cold,
 //! storeless search returns. The store may only change *effort*
@@ -54,7 +54,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 
     /// Warm (store hit + reseeded incumbent) equals cold (no store)
-    /// across the full bound × threads × cache cross-product.
+    /// across the full bound × threads cross-product.
     #[test]
     fn warm_search_matches_cold(
         spec_idx in 0usize..3,
@@ -69,39 +69,36 @@ proptest! {
 
         for bound in [false, true] {
             for threads in [1usize, 2] {
-                for cache in [false, true] {
-                    let options = SearchOptions::new()
-                        .limit(Some(512))
-                        .threads(threads)
-                        .cache(cache)
-                        .bound(bound);
+                let options = SearchOptions::new()
+                    .limit(Some(512))
+                    .threads(threads)
+                    .bound(bound);
 
-                    let cold = flow::search(&app, &lib, area, &restr, &pace, &options).unwrap();
+                let cold = flow::search(&app, &lib, area, &restr, &pace, &options).unwrap();
 
-                    let store = ArtifactStore::new(4);
-                    let first = flow::search_with_store(
-                        &app, &lib, area, &restr, &pace, &options, Some(&store),
-                    ).unwrap();
-                    prop_assert_eq!(first.stats.artifact_misses, 1);
-                    prop_assert_eq!(first.stats.artifact_hits, 0);
-                    assert_same_winner(&first, &cold);
+                let store = ArtifactStore::new(4);
+                let first = flow::search_with_store(
+                    &app, &lib, area, &restr, &pace, &options, Some(&store),
+                ).unwrap();
+                prop_assert_eq!(first.stats.artifact_misses, 1);
+                prop_assert_eq!(first.stats.artifact_hits, 0);
+                assert_same_winner(&first, &cold);
 
-                    // Second identical request: artifacts hit, and the
-                    // recorded winner reseeds the incumbent when the
-                    // branch-and-bound walk is on.
-                    let second = flow::search_with_store(
-                        &app, &lib, area, &restr, &pace, &options, Some(&store),
-                    ).unwrap();
-                    prop_assert_eq!(second.stats.artifact_hits, 1);
-                    prop_assert_eq!(second.stats.artifact_misses, 0);
-                    prop_assert_eq!(second.stats.warm_reseeded, bound);
-                    assert_same_winner(&second, &cold);
-                    if !bound {
-                        // Without pruning there is no incumbent to
-                        // seed: the runs must be equal in *every*
-                        // compared field, effort included.
-                        prop_assert_eq!(&second, &cold);
-                    }
+                // Second identical request: artifacts hit, and the
+                // recorded winner reseeds the incumbent when the
+                // branch-and-bound walk is on.
+                let second = flow::search_with_store(
+                    &app, &lib, area, &restr, &pace, &options, Some(&store),
+                ).unwrap();
+                prop_assert_eq!(second.stats.artifact_hits, 1);
+                prop_assert_eq!(second.stats.artifact_misses, 0);
+                prop_assert_eq!(second.stats.warm_reseeded, bound);
+                assert_same_winner(&second, &cold);
+                if !bound {
+                    // Without pruning there is no incumbent to
+                    // seed: the runs must be equal in *every*
+                    // compared field, effort included.
+                    prop_assert_eq!(&second, &cold);
                 }
             }
         }

@@ -9,7 +9,7 @@
 //! * **Field-exactness** — `search_best` with `bound: true` returns
 //!   exactly the exhaustive walk's winner (allocation, partition,
 //!   time, area — the full `(time, area)` tie-break), at any thread
-//!   count, with the cache on or off, and its accounting buckets
+//!   count, and its accounting buckets
 //!   (`evaluated + skipped + bounded + truncated_points`) always
 //!   cover the space.
 
@@ -191,7 +191,7 @@ proptest! {
     }
 
     /// Branch-and-bound equals the exhaustive walk field-exactly,
-    /// across thread counts and the cache-off cross-product.
+    /// across thread counts.
     #[test]
     fn bounded_search_is_field_exact(
         seed in 0u64..512,
@@ -212,50 +212,45 @@ proptest! {
             exhaustive_best(&app, &lib, total, &restr, &config, limit).unwrap();
 
         for threads in [1usize, 3] {
-            for cache in [true, false] {
-                let got = search_best(
-                    &app,
-                    &lib,
-                    total,
-                    &restr,
-                    &config,
-                    &SearchOptions {
-                        threads,
-                        limit,
-                        cache,
-                        bound: true,
-                        ..SearchOptions::default()
-                    },
-                )
-                .unwrap();
-                prop_assert_eq!(
-                    &got.best_allocation,
-                    &seed_result.best_allocation,
-                    "winner allocation (threads={}, cache={})",
+            let got = search_best(
+                &app,
+                &lib,
+                total,
+                &restr,
+                &config,
+                &SearchOptions {
                     threads,
-                    cache
-                );
-                prop_assert_eq!(
-                    &got.best_partition,
-                    &seed_result.best_partition,
-                    "winner partition (threads={}, cache={})",
-                    threads,
-                    cache
-                );
-                prop_assert_eq!(got.space_size, seed_result.space_size);
-                prop_assert_eq!(got.truncated, seed_result.truncated);
-                prop_assert!(got.evaluated <= seed_result.evaluated);
-                prop_assert_eq!(
-                    got.points_accounted(),
-                    got.space_size,
-                    "evaluated {} + skipped {} + bounded {} + truncated {} != space {}",
-                    got.evaluated,
-                    got.skipped,
-                    got.stats.bounded,
-                    got.stats.truncated_points,
-                    got.space_size
-                );
-            }
+                    limit,
+                    bound: true,
+                    ..SearchOptions::default()
+                },
+            )
+            .unwrap();
+            prop_assert_eq!(
+                &got.best_allocation,
+                &seed_result.best_allocation,
+                "winner allocation (threads={})",
+                threads
+            );
+            prop_assert_eq!(
+                &got.best_partition,
+                &seed_result.best_partition,
+                "winner partition (threads={})",
+                threads
+            );
+            prop_assert_eq!(got.space_size, seed_result.space_size);
+            prop_assert_eq!(got.truncated, seed_result.truncated);
+            prop_assert!(got.evaluated <= seed_result.evaluated);
+            prop_assert_eq!(
+                got.points_accounted(),
+                got.space_size,
+                "evaluated {} + skipped {} + bounded {} + truncated {} != space {}",
+                got.evaluated,
+                got.skipped,
+                got.stats.bounded,
+                got.stats.truncated_points,
+                got.space_size
+            );
         }
     }
 }

@@ -13,8 +13,8 @@
 //!   frontier is the whole staircase, with nothing hiding between
 //!   its steps.
 //! * **Engine invariance** — the frontier is identical across thread
-//!   counts, with branch-and-bound on or off and the cache on or
-//!   off, and the accounting buckets always cover the space.
+//!   counts, with branch-and-bound on or off, and the accounting
+//!   buckets always cover the space.
 
 use lycos_core::Restrictions;
 use lycos_explore::SyntheticSpec;
@@ -125,8 +125,8 @@ proptest! {
         }
     }
 
-    /// One frontier, whatever the engine shape: thread counts, the
-    /// bound, and the cache are invisible in the result.
+    /// One frontier, whatever the engine shape: thread counts and the
+    /// bound are invisible in the result.
     #[test]
     fn frontier_is_engine_shape_invariant(
         seed in 0u64..512,
@@ -152,32 +152,28 @@ proptest! {
         .unwrap();
         for threads in [1usize, 3] {
             for bound in [false, true] {
-                for cache in [true, false] {
-                    let got = search_pareto(
-                        &app,
-                        &lib,
-                        total,
-                        &restr,
-                        &config,
-                        &SearchOptions {
-                            threads,
-                            bound,
-                            cache,
-                            ..SearchOptions::default()
-                        },
-                    )
-                    .unwrap();
-                    // `ParetoResult` equality: same points over the
-                    // same space, telemetry aside.
-                    prop_assert_eq!(
-                        &got,
-                        &reference,
-                        "threads={} bound={} cache={}",
+                let got = search_pareto(
+                    &app,
+                    &lib,
+                    total,
+                    &restr,
+                    &config,
+                    &SearchOptions {
                         threads,
                         bound,
-                        cache
-                    );
-                }
+                        ..SearchOptions::default()
+                    },
+                )
+                .unwrap();
+                // `ParetoResult` equality: same points over the
+                // same space, telemetry aside.
+                prop_assert_eq!(
+                    &got,
+                    &reference,
+                    "threads={} bound={}",
+                    threads,
+                    bound
+                );
             }
         }
     }

@@ -437,11 +437,9 @@ pub struct SearchArtifacts {
     /// Fingerprint of the (library, configuration) context the
     /// per-block keys are relative to.
     context: u64,
-    // One slot per bound flavour (relaxed / comm-floored), built on
-    // first use so unbounded sweeps never pay for tables they cannot
-    // read.
-    bounds_plain: OnceLock<SearchBounds>,
-    bounds_comm: OnceLock<SearchBounds>,
+    // The comm-floored bound tables, built on first use so unbounded
+    // sweeps never pay for tables they cannot read.
+    bounds: OnceLock<SearchBounds>,
     // Cross-request evaluation memos, one per total budget (MRU-last,
     // capped): candidate odometer index → hybrid time, recorded by
     // finished sweeps and served back to later warm runs over the
@@ -495,8 +493,7 @@ impl SearchArtifacts {
             io_marks: bsbs.iter().map(io_mark).collect(),
             rw_marks: bsbs.iter().map(rw_mark).collect(),
             context: context_of(lib, config),
-            bounds_plain: OnceLock::new(),
-            bounds_comm: OnceLock::new(),
+            bounds: OnceLock::new(),
             eval_memos: Mutex::new(Vec::new()),
             store_resident: false,
         })
@@ -606,8 +603,7 @@ impl SearchArtifacts {
             io_marks,
             rw_marks,
             context: donor.context,
-            bounds_plain: OnceLock::new(),
-            bounds_comm: OnceLock::new(),
+            bounds: OnceLock::new(),
             eval_memos: Mutex::new(eval_memos),
             store_resident: false,
         };
@@ -617,27 +613,19 @@ impl SearchArtifacts {
         // that, `patched` clones exactly the blocks whose content AND
         // segmented comm floor both survived the edit.
         if artifacts.dims == donor.dims {
-            for with_comm in [false, true] {
-                let (slot, donor_slot) = if with_comm {
-                    (&artifacts.bounds_comm, &donor.bounds_comm)
-                } else {
-                    (&artifacts.bounds_plain, &donor.bounds_plain)
-                };
-                if let Some(donor_bounds) = donor_slot.get() {
-                    let model = with_comm.then_some(&config.comm);
-                    let mut memo = artifacts.comm.clone();
-                    let patched = SearchBounds::patched(
-                        donor_bounds,
-                        &matched,
-                        bsbs,
-                        lib,
-                        &artifacts.dims,
-                        &artifacts.statics,
-                        model,
-                        &mut memo,
-                    )?;
-                    let _ = slot.set(patched);
-                }
+            if let Some(donor_bounds) = donor.bounds.get() {
+                let mut memo = artifacts.comm.clone();
+                let patched = SearchBounds::patched(
+                    donor_bounds,
+                    &matched,
+                    bsbs,
+                    lib,
+                    &artifacts.dims,
+                    &artifacts.statics,
+                    &config.comm,
+                    &mut memo,
+                )?;
+                let _ = artifacts.bounds.set(patched);
             }
         }
         Ok((artifacts, reused, rederived))
@@ -668,8 +656,7 @@ impl SearchArtifacts {
             io_marks: Vec::new(),
             rw_marks: Vec::new(),
             context: 0,
-            bounds_plain: OnceLock::new(),
-            bounds_comm: OnceLock::new(),
+            bounds: OnceLock::new(),
             eval_memos: Mutex::new(Vec::new()),
             store_resident: false,
         })
@@ -746,9 +733,9 @@ impl SearchArtifacts {
         metrics_from_statics(bsbs, lib, &self.statics, allocation, config)
     }
 
-    /// The admissible bound tables, built on first use and shared
-    /// afterwards — one flavour per `bound_comm` setting, seeded from
-    /// this artifact set's traffic memo.
+    /// The admissible bound tables, with the communication floor
+    /// folded in, built on first use and shared afterwards — seeded
+    /// from this artifact set's traffic memo.
     ///
     /// # Errors
     ///
@@ -758,23 +745,22 @@ impl SearchArtifacts {
         bsbs: &BsbArray,
         lib: &HwLibrary,
         config: &PaceConfig,
-        with_comm: bool,
     ) -> Result<&SearchBounds, PaceError> {
-        let slot = if with_comm {
-            &self.bounds_comm
-        } else {
-            &self.bounds_plain
-        };
-        if let Some(bounds) = slot.get() {
+        if let Some(bounds) = self.bounds.get() {
             return Ok(bounds);
         }
-        let model = with_comm.then_some(&config.comm);
         let mut memo = self.comm.clone();
-        let built =
-            SearchBounds::from_statics(bsbs, lib, &self.dims, &self.statics, model, &mut memo)?;
+        let built = SearchBounds::from_statics(
+            bsbs,
+            lib,
+            &self.dims,
+            &self.statics,
+            Some(&config.comm),
+            &mut memo,
+        )?;
         // A concurrent builder may have won the race; either value is
         // identical, `get_or_init` keeps exactly one.
-        Ok(slot.get_or_init(|| built))
+        Ok(self.bounds.get_or_init(|| built))
     }
 
     /// The evaluation memo recorded under `budget_gates`, if any —

@@ -312,12 +312,12 @@ impl SearchBounds {
         lib: &HwLibrary,
         dims: &[(FuId, u32)],
         statics: &[BsbStatics],
-        comm: Option<&CommModel>,
+        comm: &CommModel,
         memo: &mut CommCosts,
     ) -> Result<Self, PaceError> {
         debug_assert_eq!(donor.dims_len, dims.len(), "caller checks dims equality");
         let dim_fus: Vec<FuId> = dims.iter().map(|&(fu, _)| fu).collect();
-        let floors = floors_for(bsbs, dims, &dim_fus, statics, comm, memo);
+        let floors = floors_for(bsbs, dims, &dim_fus, statics, Some(comm), memo);
         let mut blocks = Vec::with_capacity(bsbs.len());
         for (b, (bsb, stat)) in bsbs.iter().zip(statics).enumerate() {
             let clean = matched[b].filter(|&j| donor.floors[j] == floors[b]);

@@ -151,9 +151,10 @@ const DP_PAR_MIN_CELLS: usize = 4096;
 pub struct DpScratch {
     /// Intra-candidate workers: `1` = sequential, `0` = one per core.
     dp_threads: usize,
-    /// Run the [`LANES`]-wide chunked inner scan (bit-identical to the
-    /// scalar kernel, which always handles the row tail).
-    simd: bool,
+    /// Test seam: run the pure scalar inner scan instead of the
+    /// [`LANES`]-wide chunked one, which must match it bit for bit.
+    #[cfg(test)]
+    scalar: bool,
     /// Per-block hardware feasibility under the current metrics.
     feasible: Vec<bool>,
     /// `run_off[j]` = first flat index of the runs starting at `j`.
@@ -203,7 +204,8 @@ impl DpScratch {
     pub fn with_dp_threads(dp_threads: usize) -> Self {
         DpScratch {
             dp_threads,
-            simd: true,
+            #[cfg(test)]
+            scalar: false,
             feasible: Vec::new(),
             run_off: Vec::new(),
             run_len: Vec::new(),
@@ -227,19 +229,6 @@ impl DpScratch {
     /// the warmed buffers.
     pub fn set_dp_threads(&mut self, dp_threads: usize) {
         self.dp_threads = dp_threads;
-    }
-
-    /// Whether evaluations use the lane-chunked inner scan.
-    pub fn simd(&self) -> bool {
-        self.simd
-    }
-
-    /// Selects between the lane-chunked ([`true`], the default) and the
-    /// pure scalar inner scan. Results are bit-identical either way —
-    /// the scalar kernel is the reference the chunked one must match —
-    /// so this is a perf knob and an A/B seam, never a semantic one.
-    pub fn set_simd(&mut self, simd: bool) {
-        self.simd = simd;
     }
 
     /// Workers the next row split would actually use for `width` cells.
@@ -351,17 +340,19 @@ impl DpScratch {
         self.dp[..width].fill(0);
 
         let workers = self.effective_dp_workers(width);
-        let simd = self.simd;
         let run_off: &[usize] = &self.run_off;
         let run_len: &[usize] = &self.run_len;
         let run_time: &[u64] = &self.run_time;
         let run_quanta: &[usize] = &self.run_quanta;
         let dp = &mut self.dp;
         let choice = &mut self.choice;
-        let kernel = if simd {
-            dp_row_cells_lanes
-        } else {
+        #[cfg(not(test))]
+        let kernel = dp_row_cells_lanes;
+        #[cfg(test)]
+        let kernel = if self.scalar {
             dp_row_cells
+        } else {
+            dp_row_cells_lanes
         };
         let stoppable = !stop.is_never();
         for i in 1..=l {
@@ -1437,9 +1428,8 @@ mod tests {
                 let ctl = total.checked_sub(alloc.area(&lib)).unwrap();
 
                 let mut lanes = DpScratch::new();
-                assert!(lanes.simd(), "lane chunking is the default");
                 let mut scalar = DpScratch::new();
-                scalar.set_simd(false);
+                scalar.scalar = true;
 
                 let mut comm_a = CommCosts::new(bsbs.len());
                 let ta = lanes.evaluate(&bsbs, &metrics, &mut comm_a, ctl, &cfg);
@@ -1469,14 +1459,14 @@ mod tests {
 
     #[test]
     fn lane_chunked_scan_survives_the_row_split() {
-        // simd × dp_threads: the parallel row chunks start at arbitrary
+        // lanes × dp_threads: the parallel row chunks start at arbitrary
         // a0 offsets, so lane groups straddle chunk-local alignments.
         let lib = lib();
         let cfg = PaceConfig::standard();
         for (bsbs, alloc) in zoo() {
             let total = Area::new(alloc.area(&lib).gates() + 140_000);
             let mut scalar = DpScratch::new();
-            scalar.set_simd(false);
+            scalar.scalar = true;
             let seed =
                 partition_with_scratch(&bsbs, &lib, &alloc, total, &cfg, &mut scalar).unwrap();
             for dp_threads in [1usize, 2, 5] {
@@ -1486,15 +1476,5 @@ mod tests {
                 assert_eq!(par, seed, "{} dp_threads={dp_threads}", bsbs.app_name());
             }
         }
-    }
-
-    #[test]
-    fn simd_toggle_round_trips() {
-        let mut s = DpScratch::with_dp_threads(3);
-        assert!(s.simd(), "every constructor defaults the lanes on");
-        s.set_simd(false);
-        assert!(!s.simd());
-        s.set_simd(true);
-        assert!(s.simd());
     }
 }

@@ -31,12 +31,9 @@ pub enum KnobKind {
     /// Default-off switch set by its bare positive form (`--bound` /
     /// `bound`); there is no negative spelling.
     EnabledBy,
-    /// Default-on switch cleared by its bare `no-` form (`--no-cache`
-    /// / `no-cache`); there is no positive spelling.
+    /// Default-on switch cleared by its bare `no-` form (`--no-warm`
+    /// / `no-warm`); there is no positive spelling.
     DisabledBy,
-    /// Default-on switch with both CLI spellings (`--name` /
-    /// `--no-name`); the wire carries only the `no-` form.
-    Paired,
 }
 
 /// A knob's concrete setting, as read from or written to
@@ -55,13 +52,13 @@ pub enum KnobSetting {
 /// One search-engine knob: its name, kind and [`SearchOptions`]
 /// accessors. See [`SEARCH_KNOBS`].
 pub struct SearchKnob {
-    /// Kebab-case base name (`"dp-threads"`, `"bound-comm"`, …) — the
+    /// Kebab-case base name (`"dp-threads"`, `"store-cap"`, …) — the
     /// CLI flag stem and the [`KnobOverrides`] key.
     pub name: &'static str,
     /// The serve protocol's token for this knob: the name itself for
     /// value knobs and [`KnobKind::EnabledBy`] switches, the `no-`
-    /// spelling for [`KnobKind::DisabledBy`] and [`KnobKind::Paired`]
-    /// (the wire carries only the non-default direction).
+    /// spelling for [`KnobKind::DisabledBy`] (the wire carries only
+    /// the non-default direction).
     pub wire: &'static str,
     /// Kind and surface arity.
     pub kind: KnobKind,
@@ -122,33 +119,9 @@ fn set_dp_threads(o: &mut SearchOptions, s: KnobSetting) {
     }
 }
 
-fn set_cache(o: &mut SearchOptions, s: KnobSetting) {
-    if let KnobSetting::Switch(on) = s {
-        o.cache = on;
-    }
-}
-
 fn set_bound(o: &mut SearchOptions, s: KnobSetting) {
     if let KnobSetting::Switch(on) = s {
         o.bound = on;
-    }
-}
-
-fn set_bound_comm(o: &mut SearchOptions, s: KnobSetting) {
-    if let KnobSetting::Switch(on) = s {
-        o.bound_comm = on;
-    }
-}
-
-fn set_simd(o: &mut SearchOptions, s: KnobSetting) {
-    if let KnobSetting::Switch(on) = s {
-        o.simd = on;
-    }
-}
-
-fn set_steal(o: &mut SearchOptions, s: KnobSetting) {
-    if let KnobSetting::Switch(on) = s {
-        o.steal = on;
     }
 }
 
@@ -203,39 +176,11 @@ pub const SEARCH_KNOBS: &[SearchKnob] = &[
         get: |o| KnobSetting::Count(o.dp_threads),
     },
     SearchKnob {
-        name: "cache",
-        wire: "no-cache",
-        kind: KnobKind::DisabledBy,
-        set: set_cache,
-        get: |o| KnobSetting::Switch(o.cache),
-    },
-    SearchKnob {
         name: "bound",
         wire: "bound",
         kind: KnobKind::EnabledBy,
         set: set_bound,
         get: |o| KnobSetting::Switch(o.bound),
-    },
-    SearchKnob {
-        name: "bound-comm",
-        wire: "no-bound-comm",
-        kind: KnobKind::Paired,
-        set: set_bound_comm,
-        get: |o| KnobSetting::Switch(o.bound_comm),
-    },
-    SearchKnob {
-        name: "simd",
-        wire: "no-simd",
-        kind: KnobKind::Paired,
-        set: set_simd,
-        get: |o| KnobSetting::Switch(o.simd),
-    },
-    SearchKnob {
-        name: "steal",
-        wire: "no-steal",
-        kind: KnobKind::Paired,
-        set: set_steal,
-        get: |o| KnobSetting::Switch(o.steal),
     },
     SearchKnob {
         name: "store-cap",
@@ -396,24 +341,8 @@ mod tests {
             KnobSetting::Count(1)
         );
         assert_eq!(
-            search_knob("cache").unwrap().read(&d),
-            KnobSetting::Switch(true)
-        );
-        assert_eq!(
             search_knob("bound").unwrap().read(&d),
             KnobSetting::Switch(false)
-        );
-        assert_eq!(
-            search_knob("bound-comm").unwrap().read(&d),
-            KnobSetting::Switch(true)
-        );
-        assert_eq!(
-            search_knob("simd").unwrap().read(&d),
-            KnobSetting::Switch(true)
-        );
-        assert_eq!(
-            search_knob("steal").unwrap().read(&d),
-            KnobSetting::Switch(true)
         );
         assert_eq!(
             search_knob("store-cap").unwrap().read(&d),
@@ -438,7 +367,7 @@ mod tests {
     fn wire_tokens_follow_the_kind_rule() {
         for knob in SEARCH_KNOBS {
             let want = match knob.kind {
-                KnobKind::DisabledBy | KnobKind::Paired => format!("no-{}", knob.name),
+                KnobKind::DisabledBy => format!("no-{}", knob.name),
                 _ => knob.name.to_owned(),
             };
             assert_eq!(knob.wire, want, "knob {}", knob.name);
@@ -449,10 +378,10 @@ mod tests {
             );
         }
         assert!(
-            search_knob_by_wire("cache").is_none(),
+            search_knob_by_wire("warm").is_none(),
             "only the wire spelling resolves"
         );
-        assert!(search_knob_by_wire("simd").is_none());
+        assert!(search_knob_by_wire("incremental").is_none());
     }
 
     #[test]
@@ -463,7 +392,7 @@ mod tests {
         assert!(limit.takes_value());
         let threads = search_knob("threads").unwrap();
         assert_eq!(threads.setting_from_count(0), KnobSetting::Count(0));
-        assert!(!search_knob("steal").unwrap().takes_value());
+        assert!(!search_knob("warm").unwrap().takes_value());
     }
 
     #[test]
@@ -471,15 +400,15 @@ mod tests {
         let mut over = KnobOverrides::new();
         assert!(over.is_empty());
         // Insert out of table order on purpose.
-        assert!(over.set("steal", KnobSetting::Switch(false)));
+        assert!(over.set("warm", KnobSetting::Switch(false)));
         assert!(over.set("threads", KnobSetting::Count(4)));
         assert!(over.set("limit", KnobSetting::Limit(None)));
         assert!(!over.set("nonsense", KnobSetting::Count(1)));
         assert!(!over.is_empty());
         let names: Vec<&str> = over.iter().map(|(k, _)| k.name).collect();
-        assert_eq!(names, ["threads", "limit", "steal"], "table order");
+        assert_eq!(names, ["threads", "limit", "warm"], "table order");
         assert_eq!(over.get("threads"), Some(KnobSetting::Count(4)));
-        assert_eq!(over.get("cache"), None);
+        assert_eq!(over.get("bound"), None);
 
         let base = SearchOptions {
             limit: Some(200_000),
@@ -488,8 +417,8 @@ mod tests {
         let merged = over.apply_to(&base);
         assert_eq!(merged.threads, 4);
         assert_eq!(merged.limit, None, "limit override clears the default");
-        assert!(!merged.steal);
-        assert!(merged.cache, "untouched knobs keep the base value");
-        assert!(merged.simd);
+        assert!(!merged.warm);
+        assert!(merged.incremental, "untouched knobs keep the base value");
+        assert!(!merged.bound);
     }
 }

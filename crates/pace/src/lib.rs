@@ -16,15 +16,17 @@
 //!   flat run tables and DP grids across evaluations
 //!   ([`partition_with_scratch`], [`partition_from_metrics`]), the run
 //!   scan prunes monotonically, and an opt-in `dp_threads` mode splits
-//!   each DP row across scoped workers;
+//!   each DP row across scoped workers. The row scan always runs a
+//!   lane-chunked kernel, bit-identical to the scalar one;
 //! * [`exhaustive_best`] — the paper's baseline: PACE over *every*
 //!   allocation, marking the best one;
 //! * [`search_best`] — the same search, memoised and parallel: per-BSB
 //!   schedules cached on the allocation's projection onto each block's
 //!   unit kinds, stepped incrementally along the odometer, the range
-//!   fanned out over scoped threads, results bit-identical to the
-//!   sequential walk — and, with `SearchOptions::bound`, driven by
-//!   branch-and-bound over the admissible lower bounds of
+//!   cut into subtree-aligned chunks that scoped worker threads steal
+//!   off one cursor, results bit-identical to the sequential walk —
+//!   and, with `SearchOptions::bound`, driven by branch-and-bound over
+//!   the admissible, communication-floored lower bounds of
 //!   [`SearchBounds`], returning the field-exact optimum while
 //!   visiting a fraction of the space;
 //! * [`search_pareto`] — the same engine under the [`ParetoFront`]

@@ -24,9 +24,9 @@
 //!   ([`crate::SearchBounds`]) proves they cannot beat the incumbent
 //!   under the strict `(time, area)` improvement rule — including a
 //!   leaf-level check that spares the DP for individually hopeless
-//!   candidates. With [`SearchOptions::bound_comm`] (the default) the
-//!   bound additionally folds in each block's admissible communication
-//!   floor instead of relaxing all traffic to zero, pruning harder on
+//!   candidates. The bound folds in each block's admissible
+//!   communication floor ([`crate::SearchBounds::with_comm_floor`])
+//!   instead of relaxing all traffic to zero, pruning harder on
 //!   communication-dominated applications. Workers share their best
 //!   `(time, area)` through an [`AtomicU64`]-packed incumbent so one
 //!   worker's early optimum tightens every other worker's bound;
@@ -35,22 +35,20 @@
 //!   *field-exact* winner of the exhaustive walk (same allocation,
 //!   partition, time and area). Pruned points are accounted separately
 //!   ([`SearchStats::bounded`]).
-//! * **Parallelism** — with [`SearchOptions::steal`] (the default) the
-//!   odometer sequence is cut into subtree-aligned chunks behind an
-//!   atomic cursor and workers *steal* the next chunk as they finish,
-//!   so a worker handed a heavily pruned region doesn't idle while its
-//!   neighbours grind; with stealing off, the sequence is split into
-//!   static contiguous ranges balanced by the truncation pre-walk's
-//!   per-chunk evaluable counts. Each worker keeps a private cache and
-//!   scratch; results reduce deterministically under the strict
+//! * **Parallelism** — the odometer sequence is cut into
+//!   subtree-aligned chunks behind an atomic cursor and workers
+//!   *steal* the next chunk as they finish, so a worker handed a
+//!   heavily pruned region doesn't idle while its neighbours grind. A
+//!   single worker takes the whole window as one chunk — the
+//!   sequential walk. Each worker keeps a private cache and scratch;
+//!   results reduce deterministically under the strict
 //!   `(time, area, index)` improvement order — exactly the order the
 //!   sequential walk discovers winners in — so the outcome is
-//!   bit-identical to [`exhaustive_best`] at any worker count and
-//!   either scheduling policy: including `evaluated`, `skipped` and
-//!   truncation behaviour when bounding is off, and the field-exact
-//!   winner when it is on. The per-candidate DP leaf itself runs the
-//!   lane-chunked inner scan ([`SearchOptions::simd`], bit-identical
-//!   to the scalar kernel).
+//!   bit-identical to [`exhaustive_best`] at any worker count:
+//!   including `evaluated`, `skipped` and truncation behaviour when
+//!   bounding is off, and the field-exact winner when it is on. The
+//!   per-candidate DP leaf itself runs the lane-chunked inner scan,
+//!   bit-identical to the scalar kernel.
 //!
 //! The incumbent/record/reduce seam of the engine is pluggable through
 //! the [`Objective`] trait: [`BestUnderBudget`] *is* the classic
@@ -83,7 +81,10 @@ use std::time::{Duration, Instant};
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub struct SearchOptions {
     /// Worker threads for the sweep. `0` = one per available core;
-    /// `1` = sequential (still memoised when `cache` is on).
+    /// `1` = sequential (still memoised). Multiple workers take
+    /// subtree-aligned chunks off a shared cursor (work-stealing), so
+    /// bound-pruned regions don't leave workers idle; only the load
+    /// balance and [`SearchStats::steals`] depend on the count.
     pub threads: usize,
     /// Cap on the number of *evaluated* allocations, as in
     /// [`exhaustive_best`](crate::exhaustive_best); `None` exhausts
@@ -92,10 +93,6 @@ pub struct SearchOptions {
     /// walk; bound-pruned points inside the window do not count
     /// against the limit.
     pub limit: Option<usize>,
-    /// Whether to memoise per-BSB metrics across candidates. Disabling
-    /// exists for benchmarking the cache itself; results are identical
-    /// either way.
-    pub cache: bool,
     /// Worker threads *inside* one PACE DP evaluation: each DP row's
     /// area axis is split across scoped workers while rows stay
     /// sequential ([`DpScratch::with_dp_threads`]). `1` (the default)
@@ -123,31 +120,12 @@ pub struct SearchOptions {
     /// [`SearchStats::unpacked_incumbents`]). Each worker still prunes
     /// against its own incumbent and the result is unchanged — only
     /// the cross-worker prune assist is lost for such pairs.
-    pub bound: bool,
-    /// Fold the admissible communication floor into the lower bound
+    ///
+    /// The bound folds in the admissible communication floor
     /// ([`crate::SearchBounds::with_comm_floor`]): blocks forced to
     /// hardware carry their minimum unavoidable run-traffic share
-    /// instead of relaxing communication to zero. Strictly at least as
-    /// tight as the relaxed bound and still admissible, so the winner
-    /// stays field-exact; only the prune ratio changes. On by default;
-    /// inert unless [`SearchOptions::bound`] is on. Turning it off
-    /// recovers the PR 5 relaxed bound for A/B benchmarking.
-    pub bound_comm: bool,
-    /// Run the lane-chunked (SIMD-width) DP inner scan
-    /// ([`DpScratch::set_simd`]) for every candidate evaluation. The
-    /// chunked kernel is bit-identical to the scalar reference, which
-    /// always handles the row tail; this knob exists purely to
-    /// benchmark the leaf cost. On by default.
-    pub simd: bool,
-    /// Schedule sweep workers by chunked work-stealing: the odometer
-    /// sequence is cut into subtree-aligned chunks behind an atomic
-    /// cursor and each worker takes the next chunk as it finishes, so
-    /// bound-pruned regions don't leave workers idle. Off (or a single
-    /// worker) falls back to the static pre-walk-balanced range split.
-    /// Results are identical either way — winner, accounting and
-    /// truncation — only the load balance and
-    /// [`SearchStats::steals`] telemetry change. On by default.
-    pub steal: bool,
+    /// instead of relaxing communication to zero.
+    pub bound: bool,
     /// Capacity of the cross-request [`crate::ArtifactStore`] in
     /// applications, for the layers that own one (the
     /// `lycos::Pipeline` facade, the serve loop). The
@@ -196,12 +174,8 @@ impl Default for SearchOptions {
         SearchOptions {
             threads: 0,
             limit: None,
-            cache: true,
             dp_threads: 1,
             bound: false,
-            bound_comm: true,
-            simd: true,
-            steal: true,
             store_cap: 8,
             warm: true,
             incremental: true,
@@ -242,13 +216,6 @@ impl SearchOptions {
         self
     }
 
-    /// Replaces [`SearchOptions::cache`].
-    #[must_use]
-    pub fn cache(mut self, cache: bool) -> Self {
-        self.cache = cache;
-        self
-    }
-
     /// Replaces [`SearchOptions::dp_threads`].
     #[must_use]
     pub fn dp_threads(mut self, dp_threads: usize) -> Self {
@@ -260,27 +227,6 @@ impl SearchOptions {
     #[must_use]
     pub fn bound(mut self, bound: bool) -> Self {
         self.bound = bound;
-        self
-    }
-
-    /// Replaces [`SearchOptions::bound_comm`].
-    #[must_use]
-    pub fn bound_comm(mut self, bound_comm: bool) -> Self {
-        self.bound_comm = bound_comm;
-        self
-    }
-
-    /// Replaces [`SearchOptions::simd`].
-    #[must_use]
-    pub fn simd(mut self, simd: bool) -> Self {
-        self.simd = simd;
-        self
-    }
-
-    /// Replaces [`SearchOptions::steal`].
-    #[must_use]
-    pub fn steal(mut self, steal: bool) -> Self {
-        self.steal = steal;
         self
     }
 
@@ -387,8 +333,8 @@ pub struct SearchStats {
     /// projection nor a memo probe.
     pub clean_reuses: u64,
     /// Chunks taken by work-stealing workers beyond their first — the
-    /// rebalancing the dynamic scheduler performed that a static split
-    /// could not. `0` under the static split or a single worker.
+    /// rebalancing the work-stealing scheduler performed. `0` with a
+    /// single worker.
     pub steals: u64,
     /// Requests this search answered from a cross-request
     /// [`ArtifactStore`](crate::ArtifactStore) hit (artifacts reused).
@@ -505,7 +451,6 @@ pub struct MetricsCache<'a> {
     config: &'a PaceConfig,
     statics: Vec<BsbStatics>,
     entries: Vec<HashMap<Vec<u32>, BsbMetrics>>,
-    enabled: bool,
     // Scratch projection key: probes go by slice; a key vector is
     // cloned out of here only when an entry is actually inserted.
     key_buf: Vec<u32>,
@@ -533,31 +478,8 @@ impl<'a> MetricsCache<'a> {
         lib: &'a HwLibrary,
         config: &'a PaceConfig,
     ) -> Result<Self, PaceError> {
-        Self::build(bsbs, lib, config, true)
-    }
-
-    /// A pass-through variant that recomputes every lookup — used to
-    /// benchmark the cache against itself.
-    ///
-    /// # Errors
-    ///
-    /// [`PaceError::Hw`] if an operation kind has no default unit.
-    pub fn disabled(
-        bsbs: &'a BsbArray,
-        lib: &'a HwLibrary,
-        config: &'a PaceConfig,
-    ) -> Result<Self, PaceError> {
-        Self::build(bsbs, lib, config, false)
-    }
-
-    fn build(
-        bsbs: &'a BsbArray,
-        lib: &'a HwLibrary,
-        config: &'a PaceConfig,
-        enabled: bool,
-    ) -> Result<Self, PaceError> {
         let statics = bsb_statics(bsbs, lib, config)?;
-        Ok(Self::from_statics(bsbs, lib, config, statics, enabled))
+        Ok(Self::from_statics(bsbs, lib, config, statics))
     }
 
     /// A cache over statics already computed elsewhere — the search
@@ -568,7 +490,6 @@ impl<'a> MetricsCache<'a> {
         lib: &'a HwLibrary,
         config: &'a PaceConfig,
         statics: Vec<BsbStatics>,
-        enabled: bool,
     ) -> Self {
         let entries = vec![HashMap::new(); bsbs.len()];
         let mut by_kind: HashMap<FuId, Vec<usize>> = HashMap::new();
@@ -584,7 +505,6 @@ impl<'a> MetricsCache<'a> {
             config,
             statics,
             entries,
-            enabled,
             key_buf: Vec::new(),
             by_kind,
             touched,
@@ -692,12 +612,10 @@ impl<'a> MetricsCache<'a> {
                 continue;
             }
             allocation.project_into(&stat.kinds, &mut self.key_buf);
-            if self.enabled {
-                if let Some(&hit) = self.entries[i].get(self.key_buf.as_slice()) {
-                    self.hits += 1;
-                    out[i] = hit;
-                    continue;
-                }
+            if let Some(&hit) = self.entries[i].get(self.key_buf.as_slice()) {
+                self.hits += 1;
+                out[i] = hit;
+                continue;
             }
             self.misses += 1;
             // Counts restricted to the block's own kinds: the list
@@ -710,10 +628,8 @@ impl<'a> MetricsCache<'a> {
                 .map(|(&fu, &c)| (fu, c))
                 .collect();
             let m = feasible_block_metrics(bsb, self.lib, &counts, stat.sw_time, self.config)?;
-            if self.enabled {
-                self.key_allocs += 1;
-                self.entries[i].insert(self.key_buf.clone(), m);
-            }
+            self.key_allocs += 1;
+            self.entries[i].insert(self.key_buf.clone(), m);
             out[i] = m;
         }
         Ok(())
@@ -876,101 +792,16 @@ impl Odometer {
     }
 }
 
-/// Granularity target of the truncation pre-walk's evaluable-count
-/// histogram: enough chunks that range boundaries can balance work,
-/// few enough that the histogram stays trivially small.
-const PRE_WALK_CHUNKS: u128 = 4096;
-
-/// What the cheap area-only pre-walk of a *limited* search learns:
-/// where the truncation window ends, plus a coarse per-chunk histogram
-/// of evaluable points inside it (for work-balanced range splits).
-/// Full sweeps run no pre-walk and carry an empty histogram.
-struct PreWalk {
-    bound: u128,
-    truncated: bool,
-    chunk: u128,
-    evaluable: Vec<u64>,
-}
-
-/// Pins where a limited search stops, before any partitioning runs.
+/// Pins where a limited search stops, before any partitioning runs:
+/// `(bound, truncated)`, where workers cover `[0, bound)`.
 ///
 /// The sequential walk evaluates the all-software point, then skips
 /// area-infeasible candidates freely and truncates at the first
 /// evaluable candidate past the limit. Walking the odometer with area
 /// tracking alone (no scheduling) finds that exact index, so parallel
 /// workers can cover `[0, bound)` and reproduce `evaluated`, `skipped`
-/// and `truncated` bit-for-bit. The same walk tallies evaluable points
-/// per index chunk, which later balances the worker ranges.
-///
-/// `want_histogram` is off when the sweep will schedule by
-/// work-stealing: the dynamic scheduler balances load at run time, so
-/// the histogram would be dead weight and the pre-walk only pins the
-/// truncation point.
-fn pre_walk(
-    dims: &[(FuId, u32)],
-    lib: &HwLibrary,
-    total_gates: u64,
-    space: u128,
-    limit: Option<usize>,
-    want_histogram: bool,
-) -> PreWalk {
-    let Some(limit) = limit else {
-        return PreWalk {
-            bound: space,
-            truncated: false,
-            chunk: 0,
-            evaluable: Vec::new(),
-        };
-    };
-    let chunk = (space / PRE_WALK_CHUNKS).max(1);
-    let mut evaluable: Vec<u64> = Vec::new();
-    let tally = |evaluable: &mut Vec<u64>, index: u128| {
-        if !want_histogram {
-            return;
-        }
-        let slot = (index / chunk) as usize;
-        if evaluable.len() <= slot {
-            evaluable.resize(slot + 1, 0);
-        }
-        evaluable[slot] += 1;
-    };
-    // The all-software point (index 0) is always evaluated, even under
-    // `limit = 0`; truncation strikes the (limit+1)-th evaluable point.
-    let target = limit.max(1) as u128 + 1;
-    let mut odo = Odometer::at(dims, lib, 0);
-    let mut count = 1u128;
-    tally(&mut evaluable, 0);
-    let mut index = 0u128;
-    loop {
-        if !odo.step() {
-            return PreWalk {
-                bound: space,
-                truncated: false,
-                chunk,
-                evaluable,
-            };
-        }
-        index += 1;
-        if odo.area_gates() <= total_gates {
-            count += 1;
-            if count == target {
-                // `index` is the first evaluable point *outside* the
-                // window — not tallied, not covered.
-                return PreWalk {
-                    bound: index,
-                    truncated: true,
-                    chunk,
-                    evaluable,
-                };
-            }
-            tally(&mut evaluable, index);
-        }
-    }
-}
-
-/// Where a limited search stops — see [`pre_walk`], which this wraps
-/// (kept as the historical seam the truncation unit tests pin).
-#[cfg(test)]
+/// and `truncated` bit-for-bit. Full sweeps (`limit == None`) run no
+/// walk at all.
 fn truncation_bound(
     dims: &[(FuId, u32)],
     lib: &HwLibrary,
@@ -978,8 +809,27 @@ fn truncation_bound(
     space: u128,
     limit: Option<usize>,
 ) -> (u128, bool) {
-    let pre = pre_walk(dims, lib, total_gates, space, limit, true);
-    (pre.bound, pre.truncated)
+    let Some(limit) = limit else {
+        return (space, false);
+    };
+    // The all-software point (index 0) is always evaluated, even under
+    // `limit = 0`; truncation strikes the (limit+1)-th evaluable point.
+    let target = limit.max(1) as u128 + 1;
+    let mut odo = Odometer::at(dims, lib, 0);
+    let mut count = 1u128;
+    let mut index = 0u128;
+    while odo.step() {
+        index += 1;
+        if odo.area_gates() <= total_gates {
+            count += 1;
+            if count == target {
+                // `index` is the first evaluable point *outside* the
+                // window — not covered.
+                return (index, true);
+            }
+        }
+    }
+    (space, false)
 }
 
 /// Accumulated dirty unit-kind dimensions between two evaluated
@@ -1155,7 +1005,7 @@ impl CandidateEval<'_> {
 /// The search engine's pluggable incumbent/record/reduce seam.
 ///
 /// The generic sweep — odometer walk, memoised incremental metrics,
-/// admissible branch-and-bound, static or work-stealing fan-out — is
+/// admissible branch-and-bound, work-stealing fan-out — is
 /// objective-agnostic. What "improving" means, what workers share to
 /// tighten each other's pruning, and how per-worker results reduce
 /// into one deterministic answer all live behind this trait:
@@ -1505,7 +1355,7 @@ fn frontier_insert(
 /// always wins the tie-break); shared-frontier pruning demands strict
 /// domination, so exact cross-worker ties survive to the
 /// deterministic reduce and the output is identical at any thread
-/// count and scheduling policy.
+/// count.
 pub struct ParetoFront;
 
 /// Cross-worker state of [`ParetoFront`]: the merged `(area, time)`
@@ -1752,14 +1602,14 @@ impl PartialEq for ParetoResult {
 /// What one worker brings back from the odometer indices it covered:
 /// its objective-local state (incumbent, frontier, …) plus the engine
 /// counters. The objective's per-point odometer indices make the
-/// final reduce order-free: whatever scheduling policy handed points
-/// to workers, the objective's deterministic order decides.
+/// final reduce order-free: whichever worker a chunk landed on, the
+/// objective's deterministic order decides.
 struct WorkerOut<L> {
     local: L,
     evaluated: usize,
     skipped: usize,
     bounded: u128,
-    /// Chunks this worker took beyond its first (work-stealing only).
+    /// Chunks this worker took beyond its first.
     steals: u64,
     hits: u64,
     misses: u64,
@@ -1797,8 +1647,7 @@ impl<L> WorkerOut<L> {
 /// One sweep worker's whole private state: the memo cache, the
 /// run-traffic memo, the DP scratch, the metrics buffer, the candidate
 /// map and the bound chain — everything reused across every point the
-/// worker visits, whether those points arrive as one static range or
-/// as a sequence of stolen chunks. After warm-up a non-improving
+/// worker visits across every chunk it takes. After warm-up a non-improving
 /// evaluation performs no heap allocation at all (the winning
 /// [`Partition`] is only materialised when a candidate actually
 /// improves on the worker's best).
@@ -1848,9 +1697,7 @@ impl<'a, O: Objective> SweepWorker<'a, O> {
         dims: &'a [(FuId, u32)],
         statics: Vec<BsbStatics>,
         comm: CommCosts,
-        cache_enabled: bool,
         dp_threads: usize,
-        simd: bool,
         bounds: Option<&'a SearchBounds>,
         eval_memo: Option<Arc<HashMap<u128, u64>>>,
         memoize: bool,
@@ -1858,17 +1705,15 @@ impl<'a, O: Objective> SweepWorker<'a, O> {
         shared: &'a O::Shared,
         stop: &'a StopSignal,
     ) -> Self {
-        let mut scratch = DpScratch::with_dp_threads(dp_threads);
-        scratch.set_simd(simd);
         SweepWorker {
             bsbs,
             lib,
             config,
             total_gates,
             dims,
-            cache: MetricsCache::from_statics(bsbs, lib, config, statics, cache_enabled),
+            cache: MetricsCache::from_statics(bsbs, lib, config, statics),
             comm,
-            scratch,
+            scratch: DpScratch::with_dp_threads(dp_threads),
             metrics: Vec::with_capacity(bsbs.len()),
             candidate: RMap::new(),
             dirty: DirtyKinds::new(dims.len()),
@@ -1921,7 +1766,7 @@ impl<'a, O: Objective> SweepWorker<'a, O> {
     /// incumbent/frontier are skipped and tallied in `bounded`, with
     /// cross-worker progress read and published through the
     /// objective's shared state. Ranges must arrive in increasing
-    /// index order (both schedulers guarantee it), so the objective's
+    /// index order (the chunk cursor guarantees it), so the objective's
     /// own-progress tie pruning stays sound: everything it recorded
     /// sits at an earlier index than any point still ahead.
     ///
@@ -2085,51 +1930,6 @@ impl<'a, O: Objective> SweepWorker<'a, O> {
     }
 }
 
-/// Static-split worker: one contiguous range, walked once. `statics`
-/// and `comm` are clones of the artifacts' one-time precompute (the
-/// traffic memo possibly pre-warmed by the store path).
-#[allow(clippy::too_many_arguments)] // internal seam of run_search
-fn sweep_range<O: Objective>(
-    bsbs: &BsbArray,
-    lib: &HwLibrary,
-    config: &PaceConfig,
-    total_gates: u64,
-    dims: &[(FuId, u32)],
-    range: Range<u128>,
-    statics: Vec<BsbStatics>,
-    comm: CommCosts,
-    cache_enabled: bool,
-    dp_threads: usize,
-    simd: bool,
-    bounds: Option<&SearchBounds>,
-    eval_memo: Option<Arc<HashMap<u128, u64>>>,
-    memoize: bool,
-    objective: &O,
-    shared: &O::Shared,
-    stop: &StopSignal,
-) -> Result<WorkerOut<O::Local>, PaceError> {
-    let mut worker = SweepWorker::new(
-        bsbs,
-        lib,
-        config,
-        total_gates,
-        dims,
-        statics,
-        comm,
-        cache_enabled,
-        dp_threads,
-        simd,
-        bounds,
-        eval_memo,
-        memoize,
-        objective,
-        shared,
-        stop,
-    );
-    worker.walk(range)?;
-    Ok(worker.finish())
-}
-
 /// How many chunks each work-stealing worker should see on average:
 /// enough that a worker finishing a pruned-hollow chunk finds more
 /// work, few enough that the per-chunk reseed (a from-scratch metrics
@@ -2141,8 +1941,8 @@ const STEAL_CHUNKS_PER_WORKER: u128 = 8;
 /// [`STEAL_CHUNKS_PER_WORKER`] chunks per worker over `[0, bound)`.
 /// Subtree-weight alignment matters: every chunk start is then a
 /// subtree root with all digits below the chunk level at zero, so
-/// wholesale subtree pruning inside a chunk works exactly as in the
-/// static split. Degenerate windows smaller than the target fall back
+/// wholesale subtree pruning inside a chunk works exactly as in one
+/// contiguous walk. Degenerate windows smaller than the target fall back
 /// to single-point chunks (weight 1 — the finest alignment there is).
 fn steal_chunk_width(weights: &[u128], bound: u128, threads: usize) -> u128 {
     let target = (threads as u128)
@@ -2178,9 +1978,7 @@ fn sweep_chunks<O: Objective>(
     cursor: &AtomicU64,
     statics: Vec<BsbStatics>,
     comm: CommCosts,
-    cache_enabled: bool,
     dp_threads: usize,
-    simd: bool,
     bounds: Option<&SearchBounds>,
     eval_memo: Option<Arc<HashMap<u128, u64>>>,
     memoize: bool,
@@ -2196,9 +1994,7 @@ fn sweep_chunks<O: Objective>(
         dims,
         statics,
         comm,
-        cache_enabled,
         dp_threads,
-        simd,
         bounds,
         eval_memo,
         memoize,
@@ -2229,86 +2025,6 @@ fn sweep_chunks<O: Objective>(
     Ok(worker.finish())
 }
 
-/// `bound` points split into at most `threads` contiguous ranges of
-/// near-equal size, in odometer order.
-///
-/// Invariants (pinned by unit tests across the degenerate corners —
-/// `bound == 0`, `threads > bound`, `bound` at the `u128` limit):
-/// the ranges are non-empty, non-overlapping, contiguous from `0`,
-/// and their lengths sum to exactly `bound`; `bound == 0` yields no
-/// ranges at all. `start + len` never overflows because every prefix
-/// sum of lengths is bounded by `bound` itself.
-fn split_ranges(bound: u128, threads: usize) -> Vec<Range<u128>> {
-    let threads = threads.max(1) as u128;
-    let base = bound / threads;
-    let extra = bound % threads;
-    let mut ranges = Vec::new();
-    let mut start = 0u128;
-    for w in 0..threads {
-        let len = base + u128::from(w < extra);
-        if len == 0 {
-            break;
-        }
-        ranges.push(start..start + len);
-        start += len;
-    }
-    ranges
-}
-
-/// [`split_ranges`], but balancing the *evaluable* points the
-/// truncation pre-walk counted per chunk instead of raw index width,
-/// so a worker handed a skip-heavy prefix is not starved of real work.
-/// Boundaries land on chunk edges; the split still covers `[0, bound)`
-/// contiguously with at most `threads` non-empty ranges, so the
-/// deterministic reduce (and therefore the result) is unaffected —
-/// only the load balance changes. Falls back to the width split when
-/// no histogram is available (full sweeps run no pre-walk).
-fn split_ranges_weighted(
-    bound: u128,
-    threads: usize,
-    evaluable: &[u64],
-    chunk: u128,
-) -> Vec<Range<u128>> {
-    if bound == 0 {
-        return Vec::new();
-    }
-    let threads = threads.max(1);
-    if threads == 1 || chunk == 0 || evaluable.is_empty() {
-        return split_ranges(bound, threads);
-    }
-    // Chunks are sized off the full space, but the truncation window
-    // can be far smaller — a window spanning too few chunks cannot be
-    // cut for every worker (boundaries land on chunk edges), which
-    // would silently collapse the fan-out. Fall back to the width
-    // split unless each worker can get a couple of chunks.
-    if bound / chunk < threads as u128 * 2 {
-        return split_ranges(bound, threads);
-    }
-    let total: u64 = evaluable.iter().sum();
-    if total == 0 {
-        return split_ranges(bound, threads);
-    }
-    let mut ranges: Vec<Range<u128>> = Vec::with_capacity(threads);
-    let mut start = 0u128;
-    let mut acc = 0u128;
-    for (i, &count) in evaluable.iter().enumerate() {
-        acc += u128::from(count);
-        let end = (i as u128 + 1).saturating_mul(chunk).min(bound);
-        // Cut at this chunk edge once the accumulated work reaches the
-        // next worker's fair share.
-        if ranges.len() + 1 < threads
-            && acc * threads as u128 >= u128::from(total) * (ranges.len() as u128 + 1)
-            && end > start
-            && end < bound
-        {
-            ranges.push(start..end);
-            start = end;
-        }
-    }
-    ranges.push(start..bound);
-    ranges
-}
-
 /// Hard cap on sweep workers: beyond this, thread spawn/join overhead
 /// dwarfs any split benefit on every machine this could run on.
 const MAX_THREADS: usize = 1024;
@@ -2328,8 +2044,8 @@ fn effective_threads_with(requested: usize, bound: u128, available: usize) -> us
 
 /// Resolves the worker count: `0` = available parallelism, never more
 /// workers than points, and never more than [`MAX_THREADS`]. A
-/// degenerate `bound == 0` still resolves to one worker, so the caller
-/// always gets a well-formed (possibly empty) range split.
+/// degenerate `bound == 0` still resolves to one worker, so the sweep
+/// always has someone to cover its (possibly empty) window.
 /// ([`SearchOptions::resolve`] is the production entry; this direct
 /// form is what its unit tests pin.)
 #[cfg(test)]
@@ -2531,8 +2247,8 @@ pub fn search_best_with_stop(
 /// Each frontier point's allocation *and partition* are field-exact
 /// against a single-budget exhaustive run at that point's area, with
 /// the same `(time, area)` then smallest-data-path, earliest-index
-/// tie-breaks; the frontier is identical at any thread count, with
-/// branch-and-bound on or off, and under either scheduling policy.
+/// tie-breaks; the frontier is identical at any thread count and with
+/// branch-and-bound on or off.
 /// Every engine knob of [`SearchOptions`] applies: with
 /// [`SearchOptions::bound`] on, subtrees are pruned against the
 /// frontier's area-conditional best time (still admissible — a
@@ -2708,9 +2424,9 @@ struct EngineRun<T> {
 
 /// The objective-generic engine behind [`search_best`] and
 /// [`search_pareto`]: truncation pre-walk, artifact-backed
-/// precomputes, warm-seed installation, static or work-stealing
-/// fan-out, per-worker accounting and the objective's deterministic
-/// reduce. The caller's [`StopSignal`] — tightened by
+/// precomputes, warm-seed installation, work-stealing fan-out,
+/// per-worker accounting and the objective's deterministic reduce.
+/// The caller's [`StopSignal`] — tightened by
 /// [`SearchOptions::deadline_ms`], earliest deadline first — is
 /// threaded to every worker; points no worker reached before a trip
 /// are tallied centrally as [`SearchStats::unvisited`], closing the
@@ -2733,18 +2449,13 @@ fn run_search<O: Objective>(
     let dims = artifacts.dims();
     let space = artifacts.space_size();
     let total_gates = total_area.gates();
-    // Work-stealing balances load at run time, so its pre-walk only
-    // pins the truncation point and skips the histogram the static
-    // split would balance ranges with.
-    let pre = pre_walk(dims, lib, total_gates, space, options.limit, !options.steal);
-    let (bound, truncated) = (pre.bound, pre.truncated);
+    let (bound, truncated) = truncation_bound(dims, lib, total_gates, space, options.limit);
     // The all-software point (index 0) is always inside the bound —
-    // `pre_walk` returns ≥ 1 even under `limit = 0`, and an empty
-    // dimension list still spans one point — so the reduce below
-    // always sees at least one evaluated candidate.
+    // `truncation_bound` returns ≥ 1 even under `limit = 0`, and an
+    // empty dimension list still spans one point — so the reduce
+    // below always sees at least one evaluated candidate.
     debug_assert!(bound >= 1, "search bound excludes the all-SW point");
     let (threads, dp_threads) = options.resolve(bound);
-    let steal = options.steal && threads > 1;
 
     // The artifacts carry the sweep's one-time precomputes: per-block
     // statics (software times, required resources, kind sets) and the
@@ -2753,10 +2464,10 @@ fn run_search<O: Objective>(
     // empty and stays lazy per worker (eagerly filling the O(L²)
     // table costs more than a short sweep spends on traffic); the
     // store path hands it in pre-warmed. The bound tables are built
-    // lazily inside the artifacts and shared read-only; with
-    // `bound_comm` on they fold in the admissible communication floor.
+    // lazily inside the artifacts and shared read-only, folding in the
+    // admissible communication floor.
     let bounds = if options.bound {
-        Some(artifacts.bounds_for(bsbs, lib, config, options.bound_comm)?)
+        Some(artifacts.bounds_for(bsbs, lib, config)?)
     } else {
         None
     };
@@ -2793,113 +2504,52 @@ fn run_search<O: Objective>(
         None
     };
 
-    let outs: Vec<Result<WorkerOut<O::Local>, PaceError>> = if steal {
-        let width = steal_chunk_width(&subtree_weights(dims), bound, threads);
-        let cursor = AtomicU64::new(0);
+    // Workers take subtree-aligned chunks off one cursor. A single
+    // worker takes the whole window as one chunk: the sequential walk,
+    // with no reseeds.
+    let width = if threads == 1 {
+        bound
+    } else {
+        steal_chunk_width(&subtree_weights(dims), bound, threads)
+    };
+    let cursor = AtomicU64::new(0);
+    let sweep = || {
+        sweep_chunks(
+            bsbs,
+            lib,
+            config,
+            total_gates,
+            dims,
+            bound,
+            width,
+            &cursor,
+            artifacts.statics.clone(),
+            artifacts.comm_clone(),
+            dp_threads,
+            bounds,
+            eval_memo.clone(),
+            memoize,
+            objective,
+            &shared,
+            stop,
+        )
+    };
+    let outs: Vec<Result<WorkerOut<O::Local>, PaceError>> = if threads == 1 {
+        vec![sweep()]
+    } else {
         std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..threads)
-                .map(|_| {
-                    let statics = artifacts.statics.clone();
-                    let comm = artifacts.comm_clone();
-                    let eval_memo = eval_memo.clone();
-                    let (shared, cursor) = (&shared, &cursor);
-                    scope.spawn(move || {
-                        sweep_chunks(
-                            bsbs,
-                            lib,
-                            config,
-                            total_gates,
-                            dims,
-                            bound,
-                            width,
-                            cursor,
-                            statics,
-                            comm,
-                            options.cache,
-                            dp_threads,
-                            options.simd,
-                            bounds,
-                            eval_memo,
-                            memoize,
-                            objective,
-                            shared,
-                            stop,
-                        )
-                    })
-                })
-                .collect();
+            let handles: Vec<_> = (0..threads).map(|_| scope.spawn(sweep)).collect();
             handles
                 .into_iter()
                 .map(|h| h.join().expect("search worker panicked"))
                 .collect()
         })
-    } else {
-        let ranges = split_ranges_weighted(bound, threads, &pre.evaluable, pre.chunk);
-        if ranges.len() <= 1 {
-            vec![sweep_range(
-                bsbs,
-                lib,
-                config,
-                total_gates,
-                dims,
-                0..bound,
-                artifacts.statics.clone(),
-                artifacts.comm_clone(),
-                options.cache,
-                dp_threads,
-                options.simd,
-                bounds,
-                eval_memo.clone(),
-                memoize,
-                objective,
-                &shared,
-                stop,
-            )]
-        } else {
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = ranges
-                    .iter()
-                    .map(|range| {
-                        let range = range.clone();
-                        let statics = artifacts.statics.clone();
-                        let comm = artifacts.comm_clone();
-                        let eval_memo = eval_memo.clone();
-                        let shared = &shared;
-                        scope.spawn(move || {
-                            sweep_range(
-                                bsbs,
-                                lib,
-                                config,
-                                total_gates,
-                                dims,
-                                range,
-                                statics,
-                                comm,
-                                options.cache,
-                                dp_threads,
-                                options.simd,
-                                bounds,
-                                eval_memo,
-                                memoize,
-                                objective,
-                                shared,
-                                stop,
-                            )
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("search worker panicked"))
-                    .collect()
-            })
-        }
     };
 
     let mut evaluated = 0usize;
     let mut skipped = 0usize;
     let mut stats = SearchStats {
-        threads: if steal { threads } else { outs.len().max(1) },
+        threads,
         truncated_points: space - bound,
         warm_reseeded,
         ..SearchStats::default()
@@ -2979,7 +2629,7 @@ fn run_search<O: Objective>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{exhaustive_best, search_space, space_size};
+    use crate::{compute_metrics, exhaustive_best, search_space, space_size};
     use lycos_ir::{Bsb, BsbId, BsbOrigin, Dfg, OpKind};
     use std::collections::BTreeSet;
 
@@ -3077,25 +2727,16 @@ mod tests {
         let area = Area::new(8_000);
         let seed = exhaustive_best(&bsbs, &lib, area, &restr, &cfg, None).unwrap();
         for threads in [1, 2, 3, 7] {
-            for cache in [true, false] {
-                for dp_threads in [1, 2] {
-                    for steal in [true, false] {
-                        let opts = SearchOptions {
-                            threads,
-                            limit: None,
-                            cache,
-                            dp_threads,
-                            bound: false,
-                            steal,
-                            ..SearchOptions::default()
-                        };
-                        let got = search_best(&bsbs, &lib, area, &restr, &cfg, &opts).unwrap();
-                        assert_eq!(
-                            got, seed,
-                            "threads={threads} cache={cache} dp_threads={dp_threads} steal={steal}"
-                        );
-                    }
-                }
+            for dp_threads in [1, 2] {
+                let opts = SearchOptions {
+                    threads,
+                    limit: None,
+                    dp_threads,
+                    bound: false,
+                    ..SearchOptions::default()
+                };
+                let got = search_best(&bsbs, &lib, area, &restr, &cfg, &opts).unwrap();
+                assert_eq!(got, seed, "threads={threads} dp_threads={dp_threads}");
             }
         }
     }
@@ -3110,34 +2751,27 @@ mod tests {
             let area = Area::new(gates);
             let seed = exhaustive_best(&bsbs, &lib, area, &restr, &cfg, None).unwrap();
             for threads in [1usize, 3] {
-                for cache in [true, false] {
-                    for bound_comm in [true, false] {
-                        let got = search_best(
-                            &bsbs,
-                            &lib,
-                            area,
-                            &restr,
-                            &cfg,
-                            &SearchOptions {
-                                threads,
-                                cache,
-                                bound: true,
-                                bound_comm,
-                                ..SearchOptions::default()
-                            },
-                        )
-                        .unwrap();
-                        // Field-exact winner: allocation, partition,
-                        // the (time, area) pair — everything but the
-                        // effort.
-                        assert_eq!(got.best_allocation, seed.best_allocation, "area {gates}");
-                        assert_eq!(got.best_partition, seed.best_partition, "area {gates}");
-                        assert_eq!(got.space_size, seed.space_size);
-                        assert_eq!(got.truncated, seed.truncated);
-                        assert!(got.evaluated <= seed.evaluated, "bounding never adds work");
-                        assert_eq!(got.points_accounted(), got.space_size, "area {gates}");
-                    }
-                }
+                let got = search_best(
+                    &bsbs,
+                    &lib,
+                    area,
+                    &restr,
+                    &cfg,
+                    &SearchOptions {
+                        threads,
+                        bound: true,
+                        ..SearchOptions::default()
+                    },
+                )
+                .unwrap();
+                // Field-exact winner: allocation, partition, the
+                // (time, area) pair — everything but the effort.
+                assert_eq!(got.best_allocation, seed.best_allocation, "area {gates}");
+                assert_eq!(got.best_partition, seed.best_partition, "area {gates}");
+                assert_eq!(got.space_size, seed.space_size);
+                assert_eq!(got.truncated, seed.truncated);
+                assert!(got.evaluated <= seed.evaluated, "bounding never adds work");
+                assert_eq!(got.points_accounted(), got.space_size, "area {gates}");
             }
             // Sequentially the saving is deterministic; on this app the
             // bound genuinely bites.
@@ -3247,7 +2881,6 @@ mod tests {
                 let opts = SearchOptions {
                     threads,
                     limit: Some(limit),
-                    cache: true,
                     dp_threads: 1,
                     bound: false,
                     ..SearchOptions::default()
@@ -3311,11 +2944,9 @@ mod tests {
         let cfg = PaceConfig::standard();
         let dims = search_space(&restr(&bsbs, &lib));
         let mut stepped_cache = MetricsCache::new(&bsbs, &lib, &cfg).unwrap();
-        let mut fresh_cache = MetricsCache::disabled(&bsbs, &lib, &cfg).unwrap();
         let mut odo = Odometer::at(&dims, &lib, 0);
         let mut candidate = RMap::new();
         let mut stepped: Vec<BsbMetrics> = Vec::new();
-        let mut fresh: Vec<BsbMetrics> = Vec::new();
         odo.write_rmap(&mut candidate);
         stepped_cache
             .metrics_into(&candidate, &mut stepped)
@@ -3326,7 +2957,7 @@ mod tests {
             stepped_cache
                 .step_into(&candidate, &dirty, &mut stepped)
                 .unwrap();
-            fresh_cache.metrics_into(&candidate, &mut fresh).unwrap();
+            let fresh = compute_metrics(&bsbs, &lib, &candidate, &cfg).unwrap();
             assert_eq!(stepped, fresh, "at {:?}", odo.counts);
         }
         assert!(stepped_cache.clean_reuses() > 0, "reuse must have happened");
@@ -3343,27 +2974,6 @@ mod tests {
             ..SearchStats::default()
         };
         assert_eq!(stats.dirty_ratio(), 0.25);
-    }
-
-    #[test]
-    fn disabled_cache_never_allocates_keys() {
-        let bsbs = app();
-        let lib = lib();
-        let restr = restr(&bsbs, &lib);
-        let res = search_best(
-            &bsbs,
-            &lib,
-            Area::new(100_000),
-            &restr,
-            &PaceConfig::standard(),
-            &SearchOptions {
-                cache: false,
-                ..SearchOptions::sequential()
-            },
-        )
-        .unwrap();
-        assert_eq!(res.stats.cache_hits, 0);
-        assert_eq!(res.stats.key_allocs, 0, "nothing inserted, nothing cloned");
     }
 
     #[test]
@@ -3387,122 +2997,6 @@ mod tests {
             assert_eq!(res.space_size, 1);
             assert_eq!(res.evaluated, 1);
             assert_eq!(res.points_accounted(), 1);
-        }
-    }
-
-    #[test]
-    fn worker_split_covers_the_space_exactly() {
-        for bound in [0u128, 1, 2, 5, 97, 1000] {
-            for threads in [1usize, 2, 3, 8, 64] {
-                let ranges = split_ranges(bound, threads);
-                let total: u128 = ranges.iter().map(|r| r.end - r.start).sum();
-                assert_eq!(total, bound, "bound={bound} threads={threads}");
-                for pair in ranges.windows(2) {
-                    assert_eq!(pair[0].end, pair[1].start, "contiguous");
-                }
-                assert!(ranges.iter().all(|r| !r.is_empty()));
-            }
-        }
-    }
-
-    #[test]
-    fn worker_split_degenerate_corners() {
-        // bound == 0: no ranges — nothing to sweep, nothing overlapping.
-        assert!(split_ranges(0, 1).is_empty());
-        assert!(split_ranges(0, 64).is_empty());
-        // threads == 0 is treated as 1, not a division by zero.
-        assert_eq!(split_ranges(10, 0), vec![0..10]);
-        // More workers than points: one singleton range per point, in
-        // order, never an empty or duplicated range.
-        let ranges = split_ranges(3, 8);
-        assert_eq!(ranges, vec![0..1, 1..2, 2..3]);
-    }
-
-    #[test]
-    fn worker_split_survives_u128_extremes() {
-        // Near-max bounds must neither overflow `start + len` nor lose
-        // or double-count points. (Summing lens stays in u128 because
-        // it telescopes back to `bound`.)
-        for bound in [u128::MAX, u128::MAX - 1, u128::MAX / 2 + 3] {
-            for threads in [1usize, 2, 3, 7, 1024] {
-                let ranges = split_ranges(bound, threads);
-                assert_eq!(ranges.first().map(|r| r.start), Some(0));
-                assert_eq!(ranges.last().map(|r| r.end), Some(bound));
-                for pair in ranges.windows(2) {
-                    assert_eq!(pair[0].end, pair[1].start, "contiguous, no overlap");
-                }
-                // Lengths differ by at most one across workers.
-                let lens: Vec<u128> = ranges.iter().map(|r| r.end - r.start).collect();
-                let min = lens.iter().min().unwrap();
-                let max = lens.iter().max().unwrap();
-                assert!(max - min <= 1, "bound={bound} threads={threads}");
-            }
-        }
-    }
-
-    #[test]
-    fn weighted_split_balances_evaluable_points() {
-        // Chunked histogram: all the work sits in the back half, so
-        // the width split would starve the later workers. The weighted
-        // split must put the boundary past the dead zone.
-        let chunk = 10u128;
-        let weights = [0u64, 0, 0, 0, 10, 10, 10, 10];
-        let ranges = split_ranges_weighted(80, 2, &weights, chunk);
-        assert_eq!(ranges.len(), 2);
-        assert_eq!(ranges[0].end, ranges[1].start, "contiguous");
-        assert_eq!(ranges.last().unwrap().end, 80, "covers the window");
-        assert!(
-            ranges[0].end >= 50,
-            "first worker must absorb the dead prefix plus its share: {ranges:?}"
-        );
-        // Degenerate histograms fall back to the width split.
-        assert_eq!(
-            split_ranges_weighted(80, 2, &[], chunk),
-            split_ranges(80, 2)
-        );
-        // A window far smaller than the chunk granularity (huge space,
-        // tight limit) must not collapse the fan-out to one worker:
-        // too few chunks per thread falls back to the width split.
-        assert_eq!(
-            split_ranges_weighted(2_000, 8, &[2_000], 1 << 60),
-            split_ranges(2_000, 8)
-        );
-        assert_eq!(
-            split_ranges_weighted(100, 8, &[60, 40], 50),
-            split_ranges(100, 8)
-        );
-        assert_eq!(
-            split_ranges_weighted(80, 2, &[0, 0], chunk),
-            split_ranges(80, 2)
-        );
-        assert_eq!(
-            split_ranges_weighted(80, 1, &weights, chunk),
-            split_ranges(80, 1)
-        );
-        assert!(split_ranges_weighted(0, 4, &weights, chunk).is_empty());
-    }
-
-    #[test]
-    fn weighted_split_always_partitions_the_window() {
-        // Whatever the histogram, the split must stay a partition of
-        // [0, bound) with at most `threads` non-empty ranges.
-        let cases: &[(u128, usize, &[u64], u128)] = &[
-            (100, 4, &[1, 1, 1, 1, 1, 1, 1, 1, 1, 1], 10),
-            (95, 3, &[50, 0, 0, 0, 0, 0, 0, 0, 0, 1], 10),
-            (7, 4, &[3, 9], 5),
-            (1, 8, &[1], 1),
-            (64, 64, &[1, 2, 3, 4, 5, 6, 7], 10),
-        ];
-        for &(bound, threads, weights, chunk) in cases {
-            let ranges = split_ranges_weighted(bound, threads, weights, chunk);
-            assert!(!ranges.is_empty());
-            assert!(ranges.len() <= threads.max(1));
-            assert_eq!(ranges.first().unwrap().start, 0);
-            assert_eq!(ranges.last().unwrap().end, bound);
-            for pair in ranges.windows(2) {
-                assert_eq!(pair[0].end, pair[1].start, "contiguous");
-            }
-            assert!(ranges.iter().all(|r| !r.is_empty()));
         }
     }
 
@@ -3581,35 +3075,6 @@ mod tests {
     }
 
     #[test]
-    fn pre_walk_histogram_counts_exactly_the_window_evaluables() {
-        let bsbs = app();
-        let lib = lib();
-        let dims = search_space(&restr(&bsbs, &lib));
-        let space = space_size(&dims);
-        let total_gates = 2_500u64;
-        for limit in [Some(1), Some(3), Some(10), Some(usize::MAX)] {
-            let pre = pre_walk(&dims, &lib, total_gates, space, limit, true);
-            // Reference: count evaluable points inside [0, bound) by a
-            // plain walk.
-            let mut odo = Odometer::at(&dims, &lib, 0);
-            let mut evaluable = 0u64;
-            for index in 0..pre.bound {
-                if index > 0 {
-                    assert!(odo.step());
-                }
-                if odo.area_gates() <= total_gates {
-                    evaluable += 1;
-                }
-            }
-            let total: u64 = pre.evaluable.iter().sum();
-            assert_eq!(total, evaluable, "limit={limit:?}");
-            if pre.truncated {
-                assert_eq!(u128::from(total), limit.unwrap().max(1) as u128);
-            }
-        }
-    }
-
-    #[test]
     fn limit_zero_and_huge_limits_search_like_the_seed() {
         let bsbs = app();
         let lib = lib();
@@ -3621,7 +3086,6 @@ mod tests {
             let opts = SearchOptions {
                 threads: 4,
                 limit,
-                cache: true,
                 dp_threads: 1,
                 bound: false,
                 ..SearchOptions::default()
@@ -3684,7 +3148,6 @@ mod tests {
                             threads,
                             limit,
                             bound,
-                            steal: true,
                             ..SearchOptions::default()
                         },
                     )
@@ -3710,71 +3173,6 @@ mod tests {
                     assert_eq!(got.points_accounted(), got.space_size, "{tag}");
                 }
             }
-        }
-    }
-
-    #[test]
-    fn steal_scheduler_reports_steals_and_static_does_not() {
-        let bsbs = app();
-        let lib = lib();
-        let restr = restr(&bsbs, &lib);
-        let cfg = PaceConfig::standard();
-        let area = Area::new(100_000);
-        let stolen = search_best(
-            &bsbs,
-            &lib,
-            area,
-            &restr,
-            &cfg,
-            &SearchOptions {
-                threads: 4,
-                steal: true,
-                ..SearchOptions::default()
-            },
-        )
-        .unwrap();
-        // The window is far wider than the worker count, so the chunk
-        // width collapses to fine alignment and at least one worker
-        // must take several chunks (pigeonhole — even if one worker
-        // drains the whole cursor).
-        assert!(
-            stolen.stats.steals > 0,
-            "chunked scheduling must rebalance: {:?}",
-            stolen.stats
-        );
-        assert_eq!(stolen.stats.threads, 4);
-        let fixed = search_best(
-            &bsbs,
-            &lib,
-            area,
-            &restr,
-            &cfg,
-            &SearchOptions {
-                threads: 4,
-                steal: false,
-                ..SearchOptions::default()
-            },
-        )
-        .unwrap();
-        assert_eq!(fixed.stats.steals, 0, "the static split never steals");
-        assert_eq!(fixed, stolen, "scheduling policy never changes the result");
-    }
-
-    #[test]
-    fn pre_walk_without_histogram_pins_the_same_truncation() {
-        let bsbs = app();
-        let lib = lib();
-        let dims = search_space(&restr(&bsbs, &lib));
-        let space = space_size(&dims);
-        for limit in [Some(0), Some(3), Some(usize::MAX), None] {
-            let with = pre_walk(&dims, &lib, 2_500, space, limit, true);
-            let without = pre_walk(&dims, &lib, 2_500, space, limit, false);
-            assert_eq!(with.bound, without.bound, "limit={limit:?}");
-            assert_eq!(with.truncated, without.truncated, "limit={limit:?}");
-            assert!(
-                without.evaluable.is_empty(),
-                "the histogram is dead weight under work-stealing"
-            );
         }
     }
 
@@ -3817,12 +3215,8 @@ mod tests {
         let built = SearchOptions::new()
             .threads(4)
             .limit(Some(9))
-            .cache(false)
             .dp_threads(2)
             .bound(true)
-            .bound_comm(false)
-            .simd(false)
-            .steal(false)
             .store_cap(3)
             .warm(false)
             .incremental(false)
@@ -3830,12 +3224,8 @@ mod tests {
         let literal = SearchOptions {
             threads: 4,
             limit: Some(9),
-            cache: false,
             dp_threads: 2,
             bound: true,
-            bound_comm: false,
-            simd: false,
-            steal: false,
             store_cap: 3,
             warm: false,
             incremental: false,
@@ -3973,7 +3363,7 @@ mod tests {
     }
 
     /// The frontier is identical across every engine shape: bounded or
-    /// not, any thread count, either scheduler.
+    /// not, any thread count.
     #[test]
     fn pareto_frontier_is_engine_shape_invariant() {
         let bsbs = app();
@@ -3992,18 +3382,13 @@ mod tests {
         .unwrap();
         for threads in [1usize, 2, 5] {
             for bound in [false, true] {
-                for steal in [false, true] {
-                    let options = SearchOptions::new()
-                        .threads(threads)
-                        .bound(bound)
-                        .steal(steal);
-                    let run = search_pareto(&bsbs, &lib, total, &restr, &config, &options).unwrap();
-                    assert_eq!(
-                        run.points, reference.points,
-                        "threads={threads} bound={bound} steal={steal}"
-                    );
-                    assert_eq!(run.points_accounted(), run.space_size);
-                }
+                let options = SearchOptions::new().threads(threads).bound(bound);
+                let run = search_pareto(&bsbs, &lib, total, &restr, &config, &options).unwrap();
+                assert_eq!(
+                    run.points, reference.points,
+                    "threads={threads} bound={bound}"
+                );
+                assert_eq!(run.points_accounted(), run.space_size);
             }
         }
     }

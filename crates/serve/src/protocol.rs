@@ -150,7 +150,7 @@ pub struct Job {
 /// A batch of Table 1 jobs plus per-request search knobs.
 ///
 /// The knob fields this struct used to spell out one by one
-/// (`threads`, `limit`, `no_cache`, …) now travel as a single
+/// (`threads`, `limit`, `bound`, …) now travel as a single
 /// [`KnobOverrides`] derived from the engine's own knob table — both
 /// [`Request::parse`] and [`Request::to_line`] walk
 /// [`lycos::pace::SEARCH_KNOBS`], so a knob added to the engine is a
@@ -357,7 +357,7 @@ fn push_search_fields(out: &mut String, jobs: &[Job], knobs: &KnobOverrides, for
                 out.push_str(&format!(" {}={}", knob.wire, v.unwrap_or(0)));
             }
             KnobSetting::Switch(on) => {
-                // A switch override the wire cannot spell (simd back on
+                // A switch override the wire cannot spell (warm back on
                 // when the server default is off) is dropped: absent
                 // means "server default", the closest the protocol has
                 // ever been able to say.
@@ -572,11 +572,7 @@ mod tests {
         knobs.set("threads", KnobSetting::Count(2));
         knobs.set("limit", KnobSetting::Limit(None)); // `limit=0` on the wire
         knobs.set("dp-threads", KnobSetting::Count(4));
-        knobs.set("cache", KnobSetting::Switch(false));
         knobs.set("bound", KnobSetting::Switch(true));
-        knobs.set("bound-comm", KnobSetting::Switch(false));
-        knobs.set("simd", KnobSetting::Switch(false));
-        knobs.set("steal", KnobSetting::Switch(false));
         knobs.set("store-cap", KnobSetting::Count(1));
         knobs.set("warm", KnobSetting::Switch(false));
         knobs.set("incremental", KnobSetting::Switch(false));
@@ -656,20 +652,20 @@ mod tests {
         // The byte-pinned canonical line: jobs, then knobs in engine
         // table order, then format, then timing — exactly what the
         // hand-rolled emitter produced before the knob-table refactor.
-        let line = "table1 app=hal threads=2 limit=0 dp-threads=4 no-cache bound \
-                    no-bound-comm no-simd no-steal format=text timing";
+        let line = "table1 app=hal threads=2 limit=0 dp-threads=4 bound store-cap=1 \
+                    no-warm no-incremental format=text timing";
         let req = Request::parse(line).unwrap();
         assert_eq!(req.to_line(), line);
         // Scrambled client input still renders the canonical order.
         let scrambled = Request::parse(
-            "table1 no-steal bound app=hal limit=0 timing threads=2 no-cache \
-             dp-threads=4 no-simd no-bound-comm format=text",
+            "table1 no-incremental bound app=hal limit=0 timing threads=2 store-cap=1 \
+             dp-threads=4 no-warm format=text",
         )
         .unwrap();
         assert_eq!(scrambled.to_line(), line);
         // And the pareto verb shares the emitter (minus `timing`).
-        let pareto = "pareto app=eigen@12000 threads=2 limit=0 dp-threads=4 no-cache bound \
-                      no-bound-comm no-simd no-steal format=text";
+        let pareto = "pareto app=eigen@12000 threads=2 limit=0 dp-threads=4 bound \
+                      store-cap=1 no-warm no-incremental format=text";
         assert_eq!(Request::parse(pareto).unwrap().to_line(), pareto);
     }
 
@@ -698,10 +694,21 @@ mod tests {
             Request::parse("frobnicate"),
             Err(ProtocolError::UnknownVerb("frobnicate".into()))
         );
-        assert_eq!(
-            Request::parse("table1 app=hal speed=11"),
-            Err(ProtocolError::UnknownField("speed".into()))
-        );
+        // Unknown fields — including the retired engine-lever tokens
+        // — fail through the one generic path.
+        for (token, field) in [
+            ("speed=11", "speed"),
+            ("no-cache", "no-cache"),
+            ("no-bound-comm", "no-bound-comm"),
+            ("no-simd", "no-simd"),
+            ("no-steal", "no-steal"),
+        ] {
+            assert_eq!(
+                Request::parse(&format!("table1 app=hal {token}")),
+                Err(ProtocolError::UnknownField(field.into())),
+                "{token}"
+            );
+        }
         assert_eq!(
             Request::parse("table1 threads=many"),
             Err(ProtocolError::BadValue {
@@ -733,9 +740,9 @@ mod tests {
             })
         );
         assert_eq!(
-            Request::parse("table1 app=hal no-cache=0"),
+            Request::parse("table1 app=hal no-warm=0"),
             Err(ProtocolError::BadValue {
-                field: "no-cache",
+                field: "no-warm",
                 value: "0".into()
             })
         );
@@ -746,17 +753,13 @@ mod tests {
                 value: "false".into()
             })
         );
-        // The engine-lever flags are bare too: a `no-simd=1` must be
-        // rejected, not parsed as enabling the opposite.
-        for flag in ["no-bound-comm", "no-simd", "no-steal"] {
+        // The default-on switches are bare too: a `no-incremental=1`
+        // must be rejected, not parsed as enabling the opposite.
+        for flag in ["no-warm", "no-incremental"] {
             assert_eq!(
                 Request::parse(&format!("table1 app=hal {flag}=1")),
                 Err(ProtocolError::BadValue {
-                    field: match flag {
-                        "no-bound-comm" => "no-bound-comm",
-                        "no-simd" => "no-simd",
-                        _ => "no-steal",
-                    },
+                    field: flag,
                     value: "1".into()
                 }),
                 "{flag}"
@@ -805,21 +808,19 @@ mod tests {
     }
 
     #[test]
-    fn engine_lever_flags_round_trip_bare() {
-        let req =
-            Request::parse("table1 app=hal no-bound-comm no-simd no-steal no-warm no-incremental")
-                .unwrap();
+    fn default_on_flags_round_trip_bare() {
+        let req = Request::parse("table1 app=hal no-warm no-incremental").unwrap();
         let Request::Table1(t) = &req else {
             panic!("not a table1 request")
         };
-        for name in ["bound-comm", "simd", "steal", "warm", "incremental"] {
+        for name in ["warm", "incremental"] {
             assert_eq!(
                 t.knobs.get(name),
                 Some(KnobSetting::Switch(false)),
                 "{name}"
             );
         }
-        for name in ["cache", "bound"] {
+        for name in ["threads", "bound"] {
             assert_eq!(
                 t.knobs.get(name),
                 None,

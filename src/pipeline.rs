@@ -119,7 +119,7 @@ impl Pipeline {
     }
 
     /// Configures the allocation-space search engine (worker threads,
-    /// evaluation limit, metric cache) used by [`Allocated::search`].
+    /// evaluation limit, branch-and-bound) used by [`Allocated::search`].
     #[must_use]
     pub fn with_search_options(mut self, options: SearchOptions) -> Self {
         self.search = options;

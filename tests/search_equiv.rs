@@ -4,8 +4,8 @@
 //! `evaluated`/`skipped`/`truncated` accounting. The ISSUE 5
 //! branch-and-bound engine is additionally pinned *field-exact* on the
 //! winner (allocation, partition, time, area — the full tie-break)
-//! with its `bounded` effort bucket closing the accounting identity,
-//! including the cache-off × bounded cross-product.
+//! with its `bounded` effort bucket closing the accounting identity
+//! at every worker count.
 //!
 //! The seed is reproduced here verbatim (`reference_best`): a plain
 //! odometer walk evaluating every candidate through fresh metrics and
@@ -126,7 +126,7 @@ fn reference_best(
 /// Every engine configuration the optimised stack offers, against the
 /// seed: the (new-core) exhaustive walk, the memoised sequential
 /// engine, the candidate-parallel engine, and the intra-candidate
-/// `dp_threads` split — with the metric cache both on and off.
+/// `dp_threads` split.
 fn check_app(name: &str, limit: Option<usize>) -> (SearchResult, SearchResult) {
     let app = lycos::apps::all()
         .into_iter()
@@ -166,20 +166,17 @@ fn check_engines(
     )
     .unwrap();
 
-    // Unbounded engines must be *identical* to the seed, so the
-    // ISSUE 6 levers ride along here: `simd` (bit-identical DP rows),
-    // `steal` (chunked scheduling, same accounting) and their off
-    // switches must all be invisible.
+    // Unbounded engines must be *identical* to the seed: the chunked
+    // scheduler keeps the accounting at any worker count.
     let variants = [
-        ("parallel", 4usize, true, 1usize, true, true),
-        ("dp-split", 1, true, 2, true, true),
-        ("parallel+dp-split,cache-off", 2, false, 2, true, true),
-        ("parallel,steal-off", 4, true, 1, true, false),
-        ("parallel,scalar-dp", 3, true, 1, false, true),
-        ("steal-off,scalar-dp,cache-off", 2, false, 1, false, false),
+        ("parallel", 4usize, 1usize),
+        ("dp-split", 1, 2),
+        ("parallel+dp-split", 2, 2),
+        ("parallel-3", 3, 1),
+        ("parallel-2", 2, 1),
     ];
     let mut engines = vec![("memoised", memoised.clone())];
-    for (label, threads, cache, dp_threads, simd, steal) in variants {
+    for (label, threads, dp_threads) in variants {
         let got = search_best(
             &bsbs,
             &lib,
@@ -189,11 +186,8 @@ fn check_engines(
             &SearchOptions {
                 threads,
                 limit,
-                cache,
                 dp_threads,
                 bound: false,
-                simd,
-                steal,
                 ..SearchOptions::default()
             },
         )
@@ -205,15 +199,11 @@ fn check_engines(
     // partition, time, area — the full tie-break), while `evaluated`/
     // `skipped`/`bounded` become engine-effort telemetry that must
     // still account for every point of the space. Samples the
-    // bound × bound_comm × simd × steal × threads × cache
-    // cross-product.
-    for (label, threads, cache, bound_comm, simd, steal) in [
-        ("bounded", 1usize, true, true, true, true),
-        ("bounded,parallel", 4, true, true, true, true),
-        ("bounded,cache-off", 1, false, false, true, false),
-        ("bounded,parallel,cache-off", 2, false, true, false, true),
-        ("bounded,relaxed,parallel", 4, true, false, true, true),
-        ("bounded,parallel,steal-off", 4, true, true, true, false),
+    // bound × threads cross-product.
+    for (label, threads) in [
+        ("bounded", 1usize),
+        ("bounded,parallel", 4),
+        ("bounded,parallel-2", 2),
     ] {
         let got = search_best(
             &bsbs,
@@ -224,12 +214,8 @@ fn check_engines(
             &SearchOptions {
                 threads,
                 limit,
-                cache,
                 dp_threads: 1,
                 bound: true,
-                bound_comm,
-                simd,
-                steal,
                 ..SearchOptions::default()
             },
         )
