@@ -37,6 +37,14 @@
 //!   to the in-process sequential CSV — the pool never shrank and the
 //!   chaos left no residue.
 //!
+//! A connection phase rides along too:
+//!
+//! * **connect** — pings, each on a fresh connection (connect
+//!   included), against a server with no other clients, then again
+//!   with `4 × workers` idle keep-alive sockets held open (the queue
+//!   sized to admit them). Idle sockets cost readers, never workers,
+//!   so they must not move the tail.
+//!
 //! The run fails on the spot if a warm response's winner columns
 //! diverge from the cold response, or an edited response's from the
 //! scratch response — the reuse-is-invisible claims, checked over the
@@ -45,14 +53,19 @@
 //!
 //! ```text
 //! cargo run --release -p lycos_bench --bin bench_serve \
-//!     [-- --check-speedup 2 --check-edited 1.5] > BENCH_serve.json
+//!     [-- --check-speedup 2 --check-edited 1.5 \
+//!         --check-connect-p99-ms 5 --check-idle-slack-ms 1] > BENCH_serve.json
 //! ```
 //!
 //! `--check-speedup X` exits non-zero when the warm request is not at
 //! least `X` times faster than the cold one (CI gates at 2);
 //! `--check-edited X` does the same for the edited request against
 //! the from-scratch build of the same mutated program (CI gates at
-//! 1.5). `LYCOS_BENCH_QUICK` drops to one trial and fewer warm
+//! 1.5). `--check-connect-p99-ms X` exits non-zero when the
+//! fresh-connection ping p99 exceeds `X` ms (CI gates at 5);
+//! `--check-idle-slack-ms X` when the p99 with idle sockets held open
+//! exceeds the p99 without them by more than `X` ms (CI gates at 1).
+//! `LYCOS_BENCH_QUICK` drops to one trial and fewer warm
 //! repeats (CI's perf-smoke mode); the requests themselves are never
 //! reduced — the cold/warm phases always run the full bounded eigen
 //! sweep and the edited phases its truncated interactive variant,
@@ -75,6 +88,14 @@ const DEADLINE_MS: u64 = 25;
 /// (frontend compile, allocation, partition replays, the wire), which
 /// the in-process gate deliberately excludes.
 const WIRE_DEADLINE_MS: u64 = 50;
+
+/// Fresh connections per ping sample of the connection phase — the
+/// p99 then has ten samples beyond it.
+const CONNECT_PINGS: usize = 1_000;
+
+/// Workers of the connection phase's server; it holds
+/// `4 × CONNECT_WORKERS` idle sockets open in its second sample.
+const CONNECT_WORKERS: usize = 2;
 
 /// CSV columns that identify the winner (name, budget, times, speedup
 /// fractions, space size, truncated) as opposed to effort telemetry
@@ -151,6 +172,32 @@ fn shutdown(addr: &str, handle: std::thread::JoinHandle<()>) {
     handle.join().expect("server thread");
 }
 
+/// Times `n` pings, each on a fresh connection (connect included),
+/// and returns the milliseconds sorted ascending.
+fn fresh_pings(addr: &str, n: usize) -> Vec<f64> {
+    let mut ms: Vec<f64> = (0..n)
+        .map(|_| {
+            let started = Instant::now();
+            let mut client = Client::connect(addr).expect("connect");
+            let response = client.send(&Request::Ping).expect("send ping");
+            let elapsed = started.elapsed().as_secs_f64() * 1e3;
+            if response != Response::Pong {
+                eprintln!("bench_serve: a fresh-connection ping answered {response:?}");
+                std::process::exit(1);
+            }
+            elapsed
+        })
+        .collect();
+    ms.sort_by(f64::total_cmp);
+    ms
+}
+
+/// Nearest-rank quantile of ascending samples.
+fn quantile(sorted: &[f64], q: f64) -> f64 {
+    let rank = (q * sorted.len() as f64).ceil() as usize;
+    sorted[rank.clamp(1, sorted.len()) - 1]
+}
+
 fn json_num(x: f64) -> String {
     if x.is_finite() {
         format!("{x:.6}")
@@ -169,29 +216,41 @@ fn gate(label: &str, actual: f64, min: Option<f64>) {
     eprintln!("bench_serve: {label} speedup {actual:.2}x meets the {min:.2}x gate");
 }
 
+/// Exits non-zero when `actual_ms` exceeds the `max_ms` gate.
+fn gate_ms(label: &str, actual_ms: f64, max_ms: Option<f64>) {
+    let Some(max_ms) = max_ms else { return };
+    if actual_ms > max_ms {
+        eprintln!("bench_serve: {label} {actual_ms:.3}ms exceeds the {max_ms:.3}ms gate");
+        std::process::exit(1);
+    }
+    eprintln!("bench_serve: {label} {actual_ms:.3}ms meets the {max_ms:.3}ms gate");
+}
+
 fn main() {
     let mut check_speedup: Option<f64> = None;
     let mut check_edited: Option<f64> = None;
+    let mut check_connect_p99_ms: Option<f64> = None;
+    let mut check_idle_slack_ms: Option<f64> = None;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         let flag = arg.as_str();
-        match flag {
-            "--check-speedup" | "--check-edited" => {
-                let v = args.next().and_then(|s| s.parse::<f64>().ok());
-                match (flag, v) {
-                    ("--check-speedup", Some(v)) => check_speedup = Some(v),
-                    ("--check-edited", Some(v)) => check_edited = Some(v),
-                    _ => {
-                        eprintln!("bench_serve: {flag} needs a number");
-                        std::process::exit(2);
-                    }
-                }
-            }
+        let slot = match flag {
+            "--check-speedup" => &mut check_speedup,
+            "--check-edited" => &mut check_edited,
+            "--check-connect-p99-ms" => &mut check_connect_p99_ms,
+            "--check-idle-slack-ms" => &mut check_idle_slack_ms,
             other => {
                 eprintln!(
-                    "bench_serve: unknown argument `{other}` \
-                     (expected --check-speedup <x> / --check-edited <x>)"
+                    "bench_serve: unknown argument `{other}` (expected --check-speedup <x> / \
+                     --check-edited <x> / --check-connect-p99-ms <ms> / --check-idle-slack-ms <ms>)"
                 );
+                std::process::exit(2);
+            }
+        };
+        match args.next().and_then(|s| s.parse::<f64>().ok()) {
+            Some(v) => *slot = Some(v),
+            None => {
+                eprintln!("bench_serve: {flag} needs a number");
                 std::process::exit(2);
             }
         }
@@ -542,6 +601,45 @@ fn main() {
          clean batches stayed byte-identical"
     );
 
+    // Connect: fresh-connection pings against a server with no other
+    // clients, then with 4 × workers idle keep-alive sockets held open
+    // on the same server. The queue admits the idle sockets plus
+    // `workers` more, so the sampling connection (and a reader still
+    // exiting from the previous one) always fits under the cap.
+    let idle_sockets = 4 * CONNECT_WORKERS;
+    let (base_pings, idle_pings) = {
+        let server = Server::bind(ServeConfig {
+            addr: "127.0.0.1:0".into(),
+            workers: CONNECT_WORKERS,
+            queue: idle_sockets + CONNECT_WORKERS,
+            defaults: defaults.clone(),
+            ..ServeConfig::default()
+        })
+        .expect("bind an ephemeral port");
+        let addr = server.local_addr().expect("bound address").to_string();
+        let handle = std::thread::spawn(move || server.run().expect("server run"));
+        let _warm_up = fresh_pings(&addr, CONNECT_PINGS / 10);
+        let base = fresh_pings(&addr, CONNECT_PINGS);
+        let idle: Vec<Client> = (0..idle_sockets)
+            .map(|_| {
+                let mut client = Client::connect(&addr).expect("connect");
+                assert_eq!(client.send(&Request::Ping).expect("ping"), Response::Pong);
+                client
+            })
+            .collect();
+        let loaded = fresh_pings(&addr, CONNECT_PINGS);
+        drop(idle);
+        shutdown(&addr, handle);
+        (base, loaded)
+    };
+    let (ping_p50, ping_p99) = (quantile(&base_pings, 0.5), quantile(&base_pings, 0.99));
+    let (idle_p50, idle_p99) = (quantile(&idle_pings, 0.5), quantile(&idle_pings, 0.99));
+    eprintln!(
+        "[bench_serve] fresh-connection ping over {CONNECT_PINGS} connections: \
+         p50 {ping_p50:.3}ms, p99 {ping_p99:.3}ms; with {idle_sockets} idle sockets: \
+         p50 {idle_p50:.3}ms, p99 {idle_p99:.3}ms"
+    );
+
     let speedup = cold_seconds / warm_seconds.max(f64::EPSILON);
     let edited_speedup = scratch_seconds / edited_seconds.max(f64::EPSILON);
     let hit_ratio = hits as f64 / (hits + misses).max(1) as f64;
@@ -555,7 +653,7 @@ fn main() {
     );
 
     print!(
-        "{{\n  \"schema\": \"lycos-bench-serve/3\",\n  \"app\": \"eigen\",\n  \
+        "{{\n  \"schema\": \"lycos-bench-serve/4\",\n  \"app\": \"eigen\",\n  \
          \"request\": \"{REQUEST_LINE}\",\n  \"cold_seconds\": {},\n  \
          \"warm_seconds\": {},\n  \"speedup\": {},\n  \"edited\": {{\n    \
          \"scratch_seconds\": {},\n    \"edited_seconds\": {},\n    \
@@ -566,7 +664,10 @@ fn main() {
          \"completion\": \"{completion}\"\n  }},\n  \"soak\": {{\n    \
          \"panics\": {soak_panics}\n  }},\n  \"store\": {{\n    \
          \"hits\": {hits},\n    \"misses\": {misses},\n    \"evictions\": {evictions},\n    \
-         \"hit_ratio\": {}\n  }}\n}}\n",
+         \"hit_ratio\": {}\n  }},\n  \"connect\": {{\n    \
+         \"connections\": {CONNECT_PINGS},\n    \"ping_p50_ms\": {},\n    \
+         \"ping_p99_ms\": {},\n    \"idle_sockets\": {idle_sockets},\n    \
+         \"idle_ping_p50_ms\": {},\n    \"idle_ping_p99_ms\": {}\n  }}\n}}\n",
         json_num(cold_seconds),
         json_num(warm_seconds),
         json_num(speedup),
@@ -576,8 +677,18 @@ fn main() {
         json_num(search_wall),
         json_num(deadline_wall),
         json_num(hit_ratio),
+        json_num(ping_p50),
+        json_num(ping_p99),
+        json_num(idle_p50),
+        json_num(idle_p99),
     );
 
     gate("eigen warm request", speedup, check_speedup);
     gate("eigen edited request", edited_speedup, check_edited);
+    gate_ms("fresh-connection ping p99", ping_p99, check_connect_p99_ms);
+    gate_ms(
+        "ping p99 with idle sockets",
+        idle_p99,
+        check_idle_slack_ms.map(|slack| ping_p99 + slack),
+    );
 }

@@ -100,9 +100,10 @@ search knobs (best, pareto, table1; request defaults for serve):
 
 serve knobs:
   --addr <host:port>   listen address (default 127.0.0.1:7878)
-  --workers <n>        connections served concurrently (default 4)
-  --queue <n>          accepted connections that may wait for a worker
-                       before the server answers `busy` (default 8)
+  --workers <n>        search jobs run concurrently (default 4)
+  --queue <n>          connections held open beyond --workers; past
+                       workers + queue open connections the server
+                       answers `busy` (default 8)
 
 <file.lyc> may also be a bundled app name: straight, hal, man, eigen.
 ";

@@ -7,12 +7,15 @@
 //! `table1` bin uses, so service output is byte-identical to
 //! `table1 --csv --stable` for the same jobs and search options.
 //!
-//! The server is std-only: a non-blocking [`std::net::TcpListener`]
-//! accept loop, a bounded [`std::sync::mpsc::sync_channel`] of
-//! accepted connections, and a scoped-thread worker pool (the PR 2
-//! search fan-out idiom, kept resident). A full queue answers `busy`
-//! instead of growing without bound; a `shutdown` request drains the
-//! queue and joins every worker before [`Server::run`] returns.
+//! The server is std-only: a blocking [`std::net::TcpListener`]
+//! accept loop, one scoped reader thread per open connection, and a
+//! fixed scoped-thread worker pool fed search jobs over a bounded
+//! [`std::sync::mpsc::sync_channel`]. Readers own sockets and workers
+//! own jobs, so idle keep-alive connections never hold a worker. Past
+//! `workers + queue` open connections the server answers `busy`
+//! instead of growing without bound; a `shutdown` request lets every
+//! submitted job answer and joins every thread before [`Server::run`]
+//! returns.
 //!
 //! ```no_run
 //! use lycos_serve::{Client, Request, ServeConfig, Server};

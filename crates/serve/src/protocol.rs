@@ -207,10 +207,11 @@ pub enum Request {
     /// Artifact-store counters (hits, misses, evictions, residency) —
     /// the observability verb for the server's cross-request cache.
     Stats,
-    /// Cancel the running job with this client-chosen id (the `job=`
-    /// field of an earlier `table1`/`pareto` sent on another
-    /// connection). The cancelled request still answers — with
-    /// whatever the search had visited when the flag landed.
+    /// Cancel the submitted job — running, or still queued for a
+    /// worker — with this client-chosen id (the `job=` field of an
+    /// earlier `table1`/`pareto` sent on another connection). The
+    /// cancelled request still answers — with whatever the search had
+    /// visited when the flag landed.
     Cancel(u64),
 }
 
@@ -460,7 +461,8 @@ pub enum Response {
     Ok(Vec<String>),
     /// The request failed; the message travels percent-encoded.
     Error(String),
-    /// Backpressure: the server's queue is full; retry later.
+    /// Backpressure: the server holds as many connections as it
+    /// admits (or is shutting down); retry later.
     Busy(String),
     /// Answer to [`Request::Ping`].
     Pong,

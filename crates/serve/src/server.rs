@@ -1,25 +1,36 @@
-//! The allocation server: a bounded pool of worker threads over a
-//! [`TcpListener`], fed by a rendezvous/backlog channel.
+//! The allocation server: one reader thread per connection over a
+//! blocking [`TcpListener`], and a fixed pool of worker threads that
+//! run the search jobs the readers hand them.
 //!
-//! Architecture (the PR 2 fan-out idiom, kept resident):
+//! Architecture — readers own sockets, workers own jobs:
 //!
-//! * the **acceptor** (the thread that called [`Server::run`]) polls a
-//!   non-blocking listener and hands each accepted connection to the
-//!   pool through a bounded [`mpsc::sync_channel`];
-//! * `workers` **scoped threads** each pull one connection at a time
-//!   and answer its requests in order — every request builds fresh
-//!   [`lycos::Pipeline`] values; the only state requests share is the
-//!   server's [`ArtifactStore`] (one per server, thread-safe), which
-//!   caches per-application search precompute across requests and
-//!   connections and warm-starts repeat `bound` searches. Results are
-//!   field-identical warm or cold; the `stats` verb reports the
-//!   store's hit/miss/eviction counters;
-//! * when the channel is full the acceptor answers
-//!   [`Response::Busy`] immediately and closes — **backpressure**
-//!   instead of unbounded queueing;
-//! * a `shutdown` request flips one flag: the acceptor stops, the
-//!   channel closes, workers drain what was already queued and join —
-//!   **graceful shutdown** with no request dropped mid-flight.
+//! * the **acceptor** (the thread that called [`Server::run`]) blocks
+//!   in `accept()`, so a fresh connection is served the moment it
+//!   arrives. It gives each connection a scoped **reader** thread while
+//!   fewer than `workers + queue` connections are open; past that cap
+//!   it answers [`Response::Busy`] and closes — **backpressure**
+//!   instead of unbounded growth;
+//! * a reader frames request lines and answers `ping`, `stats`,
+//!   `cancel`, `shutdown` and malformed requests itself. It hands each
+//!   `table1`/`pareto` job — with its cancel flag and the connection's
+//!   writer — to the pool over a bounded channel, and keeps reading
+//!   while the job runs, so a peer that hangs up cancels its job on
+//!   the spot. One job is in flight per connection: responses stay in
+//!   order, and pipelined lines wait in the reader's buffer;
+//! * `workers` **scoped threads** run jobs and write their answers.
+//!   Every job builds fresh [`lycos::Pipeline`] values; the only state
+//!   jobs share is the server's [`ArtifactStore`] (one per server,
+//!   thread-safe), which caches per-application search precompute
+//!   across requests and connections and warm-starts repeat `bound`
+//!   searches. Results are field-identical warm or cold; the `stats`
+//!   verb reports the store's hit/miss/eviction counters;
+//! * idle keep-alive connections cost a reader each, never a worker,
+//!   so one client's open sockets cannot starve another client's jobs;
+//! * a `shutdown` request flips one flag and wakes the acceptor by
+//!   connecting to the server's own address: the acceptor stops,
+//!   readers finish their in-flight jobs and exit at their next read
+//!   tick, workers drain the channel and join — **graceful shutdown**
+//!   with no request dropped mid-flight.
 
 use crate::protocol::{
     Format, Job, JobSource, ParetoRequest, Request, Response, Table1Request, DEFAULT_ADDR,
@@ -35,15 +46,17 @@ use lycos::Pipeline;
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::io::{BufWriter, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::{self, Receiver, TrySendError};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::mpsc::{self, Receiver, Sender, SyncSender, TryRecvError};
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
-/// How often blocked reads and the acceptor poll re-check the
-/// shutdown flag.
+/// How often blocked reads and admission waits re-check the shutdown
+/// flag — the clock of draining and of the slow-request timeout. No
+/// request ever waits on it: a reader blocks in `read` only when it
+/// has no complete request line to act on.
 const POLL: Duration = Duration::from_millis(50);
 
 /// Upper bound on one blocking response write. A peer that stops
@@ -51,35 +64,49 @@ const POLL: Duration = Duration::from_millis(50);
 /// the worker — instead of pinning it (and stalling shutdown) forever.
 const WRITE_TIMEOUT: Duration = Duration::from_secs(10);
 
+/// How long a connection rejected with `busy` may take to deliver its
+/// first request line before the acceptor closes it anyway. Closing a
+/// socket with that line still unread (or yet to arrive) resets the
+/// connection, and the peer's write or read fails instead of showing
+/// it the `busy` answer; the bound caps what a silent peer can cost
+/// the acceptor.
+const BUSY_LINGER: Duration = Duration::from_millis(100);
+
 /// Configuration of one [`Server`].
 #[derive(Clone, Debug)]
 pub struct ServeConfig {
     /// Listen address (`host:port`; port `0` picks a free port).
     pub addr: String,
-    /// Worker threads — the number of connections served concurrently.
+    /// Worker threads — the number of search jobs (`table1`, `pareto`)
+    /// that run concurrently. `ping`, `stats`, `cancel` and `shutdown`
+    /// never need a worker.
     pub workers: usize,
-    /// Accepted connections that may wait for a free worker before
-    /// the server answers `busy` (0 = hand-offs only).
+    /// Connections the server holds open beyond `workers`: at most
+    /// `workers + queue` connections are served at once (each by its
+    /// own reader thread), and a connection past that cap is answered
+    /// `busy` and closed.
     pub queue: usize,
     /// Search knobs applied when a request leaves them unset.
     pub defaults: SearchOptions,
     /// How long a *partial* request line may stall before the server
     /// answers `err slow-request` and closes. An idle peer between
     /// requests is normal keep-alive and never times out; a peer that
-    /// goes silent mid-line would otherwise pin a worker forever.
+    /// goes silent mid-line would otherwise hold its connection slot
+    /// forever.
     pub read_timeout: Duration,
     /// Allocation-space size (pre-walk, [`lycos::pace::space_size`])
     /// above which a job is *big* for admission control. At most
     /// [`big_jobs`](ServeConfig::big_jobs) big jobs run concurrently,
-    /// so capacity always stays free for pings, stats and small jobs
-    /// (the fast lane).
+    /// so a worker always stays free for small jobs (the fast lane).
     pub big_job_threshold: u128,
     /// Concurrent big-job slots on the admission gate. `0` (the
     /// default) means *auto*: `workers - 1`, floored at one, so one
     /// worker always stays free for the fast lane.
     pub big_jobs: usize,
     /// Test hook: when set, a job naming the app `__panic` panics
-    /// inside the worker, exercising the panic-isolation path.
+    /// inside the worker, exercising the panic-isolation path, and a
+    /// job naming `__hold` parks its worker until the job is cancelled
+    /// (or the server drains), then answers a `cancelled` row.
     pub fault_injection: bool,
 }
 
@@ -111,15 +138,15 @@ pub struct Server {
 }
 
 impl Server {
-    /// Binds the configured address. The listener is non-blocking so
-    /// the accept loop can watch the shutdown flag.
+    /// Binds the configured address. The listener stays blocking: the
+    /// acceptor waits in `accept()`, and `shutdown` wakes it with a
+    /// connection of its own.
     ///
     /// # Errors
     ///
     /// [`ServeError::Io`] if the address cannot be bound.
     pub fn bind(config: ServeConfig) -> Result<Server, ServeError> {
         let listener = TcpListener::bind(&config.addr)?;
-        listener.set_nonblocking(true)?;
         Ok(Server { listener, config })
     }
 
@@ -137,8 +164,9 @@ impl Server {
         &self.config
     }
 
-    /// Serves until a `shutdown` request arrives, then drains queued
-    /// connections, joins every worker and returns.
+    /// Serves until a `shutdown` request arrives, then lets every
+    /// in-flight and queued job answer, joins every reader and worker
+    /// and returns.
     ///
     /// # Errors
     ///
@@ -147,12 +175,12 @@ impl Server {
     pub fn run(self) -> Result<(), ServeError> {
         let Server { listener, config } = self;
         let workers = config.workers.max(1);
+        let max_conns = workers + config.queue;
+        let wake = wake_address(listener.local_addr()?);
         let shutdown = AtomicBool::new(false);
         // One artifact store per server, shared by every worker and
         // connection: the cross-request cache the seam exists for.
         let store = Arc::new(ArtifactStore::new(config.defaults.store_cap));
-        let (tx, rx) = mpsc::sync_channel::<TcpStream>(config.queue);
-        let rx = Mutex::new(rx);
         let panics = AtomicU64::new(0);
         let registry = JobRegistry::default();
         let big_jobs = match config.big_jobs {
@@ -160,81 +188,139 @@ impl Server {
             n => n,
         };
         let gate = AdmissionGate::new(big_jobs);
+        let open = AtomicUsize::new(0);
+        // Each open connection has at most one job queued or running,
+        // so a channel as deep as the connection cap never blocks.
+        let (jobs_tx, jobs_rx) = mpsc::sync_channel::<Ticket<'_>>(max_conns);
+        let jobs_rx = Mutex::new(jobs_rx);
 
         std::thread::scope(|scope| {
             let ctx = ServerCtx {
                 config: &config,
                 store: &store,
                 shutdown: &shutdown,
+                wake,
                 panics: &panics,
                 registry: &registry,
                 gate: &gate,
             };
-            let rx = &rx;
+            let jobs_rx = &jobs_rx;
             for _ in 0..workers {
-                scope.spawn(move || worker_loop(rx, ctx));
+                scope.spawn(move || worker_loop(jobs_rx, ctx));
             }
-            loop {
-                if shutdown.load(Ordering::Acquire) {
-                    break;
-                }
-                match listener.accept() {
-                    Ok((stream, _)) => {
-                        // Responses are written line-wise; let them go
-                        // out as produced instead of parking behind
-                        // Nagle for the client's delayed ACK.
-                        let _ = stream.set_nodelay(true);
-                        match tx.try_send(stream) {
-                            Ok(()) => {}
-                            Err(TrySendError::Full(stream)) => {
-                                reject_busy(stream, workers, config.queue);
-                            }
-                            Err(TrySendError::Disconnected(_)) => break,
-                        }
-                    }
-                    Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                        std::thread::sleep(POLL);
+            let outcome = loop {
+                let stream = match listener.accept() {
+                    Ok((stream, _)) => stream,
+                    // Transient per-connection failures (reset during
+                    // accept) are not fatal to the server.
+                    Err(e)
+                        if matches!(
+                            e.kind(),
+                            std::io::ErrorKind::ConnectionAborted
+                                | std::io::ErrorKind::ConnectionReset
+                                | std::io::ErrorKind::Interrupted
+                        ) =>
+                    {
+                        continue
                     }
                     Err(e) => {
-                        // Transient per-connection failures (reset
-                        // during accept) are not fatal to the server.
-                        if e.kind() == std::io::ErrorKind::ConnectionAborted
-                            || e.kind() == std::io::ErrorKind::ConnectionReset
-                            || e.kind() == std::io::ErrorKind::Interrupted
-                        {
-                            continue;
-                        }
                         shutdown.store(true, Ordering::Release);
-                        drop(tx);
-                        return Err(ServeError::Io(e));
+                        break Err(ServeError::Io(e));
                     }
+                };
+                // The wake-up connection of `shutdown` lands here.
+                if shutdown.load(Ordering::Acquire) {
+                    break Ok(());
                 }
-            }
-            // Close the channel: workers finish queued connections,
-            // then their recv() errors and they exit; scope joins.
-            drop(tx);
-            Ok(())
+                // Responses are written line-wise; let them go out as
+                // produced instead of parking behind Nagle for the
+                // client's delayed ACK.
+                let _ = stream.set_nodelay(true);
+                let Some(slot) = ConnSlot::take(&open, max_conns) else {
+                    reject_busy(&stream, workers, config.queue);
+                    continue;
+                };
+                let jobs = jobs_tx.clone();
+                // A failed spawn drops the closure, and with it the
+                // connection and its slot.
+                let _ = std::thread::Builder::new().spawn_scoped(scope, move || {
+                    let _slot = slot;
+                    // A broken connection is the client's problem, not
+                    // the server's; same for a panic in the reader.
+                    let outcome = catch_unwind(AssertUnwindSafe(|| {
+                        let _ = serve_connection(stream, &jobs, ctx);
+                    }));
+                    if outcome.is_err() {
+                        ctx.panics.fetch_add(1, Ordering::Relaxed);
+                    }
+                });
+            };
+            // Close the acceptor's end of the channel: once every
+            // reader has exited, workers finish the queued jobs, their
+            // recv() errors and they exit; the scope joins them all.
+            drop(jobs_tx);
+            outcome
         })
     }
 }
 
-/// The per-server state every worker shares: configuration, the
-/// artifact store, the shutdown flag, the panic counter, the running-
-/// job registry the `cancel` verb consults, and the big-job admission
-/// gate.
+/// Where `shutdown` connects to wake the acceptor blocked in
+/// `accept()`: the bound address, with an unspecified IP (a listener
+/// on every interface) mapped to the loopback of the same family.
+fn wake_address(bound: SocketAddr) -> SocketAddr {
+    let mut addr = bound;
+    if addr.ip().is_unspecified() {
+        addr.set_ip(match addr {
+            SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+            SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+        });
+    }
+    addr
+}
+
+/// One open connection's claim on the `workers + queue` cap, released
+/// when its reader exits — panic or not.
+struct ConnSlot<'a> {
+    open: &'a AtomicUsize,
+}
+
+impl<'a> ConnSlot<'a> {
+    /// Claims a slot, or `None` at the cap. Only the acceptor claims,
+    /// so the check and the increment cannot race each other; the
+    /// count publishes no other data, hence `Relaxed`.
+    fn take(open: &'a AtomicUsize, cap: usize) -> Option<ConnSlot<'a>> {
+        if open.load(Ordering::Relaxed) >= cap {
+            return None;
+        }
+        open.fetch_add(1, Ordering::Relaxed);
+        Some(ConnSlot { open })
+    }
+}
+
+impl Drop for ConnSlot<'_> {
+    fn drop(&mut self) {
+        self.open.fetch_sub(1, Ordering::Relaxed);
+    }
+}
+
+/// The per-server state every reader and worker shares: configuration,
+/// the artifact store, the shutdown flag and the address that wakes
+/// the acceptor, the panic counter, the job registry the `cancel` verb
+/// consults, and the big-job admission gate.
 #[derive(Clone, Copy)]
 struct ServerCtx<'a> {
     config: &'a ServeConfig,
     store: &'a Arc<ArtifactStore>,
     shutdown: &'a AtomicBool,
+    wake: SocketAddr,
     panics: &'a AtomicU64,
     registry: &'a JobRegistry,
     gate: &'a AdmissionGate,
 }
 
-/// The running jobs a `cancel <id>` can reach, keyed by the client-
-/// chosen `job=` id. Entries are RAII-removed when the job answers,
-/// so a stale id cancels nothing.
+/// The submitted jobs a `cancel <id>` can reach, keyed by the client-
+/// chosen `job=` id — queued or running alike. Entries are
+/// RAII-removed when the job answers, so a stale id cancels nothing.
 #[derive(Default)]
 struct JobRegistry {
     jobs: Mutex<HashMap<u64, Arc<AtomicBool>>>,
@@ -242,7 +328,7 @@ struct JobRegistry {
 
 impl JobRegistry {
     /// Claims `id` for the duration of the returned guard; `Err` if a
-    /// job with the same id is already running.
+    /// job with the same id is already submitted.
     fn register(&self, id: u64, flag: Arc<AtomicBool>) -> Result<JobGuard<'_>, ()> {
         let mut jobs = self.jobs.lock().unwrap_or_else(PoisonError::into_inner);
         match jobs.entry(id) {
@@ -254,7 +340,7 @@ impl JobRegistry {
         }
     }
 
-    /// Flips the cancel flag of the running job `id`, if any.
+    /// Flips the cancel flag of the submitted job `id`, if any.
     fn cancel(&self, id: u64) -> bool {
         let jobs = self.jobs.lock().unwrap_or_else(PoisonError::into_inner);
         match jobs.get(&id) {
@@ -285,7 +371,7 @@ impl Drop for JobGuard<'_> {
 
 /// Caps how many *big* jobs (allocation space above
 /// [`ServeConfig::big_job_threshold`]) run concurrently, so small
-/// jobs, pings and `stats` always find a worker promptly.
+/// jobs always find a worker promptly.
 struct AdmissionGate {
     running: Mutex<usize>,
     freed: Condvar,
@@ -339,44 +425,97 @@ impl Drop for AdmissionPermit<'_> {
     }
 }
 
-/// Pulls connections until the channel closes. Queued connections are
-/// still served after shutdown flips — graceful, not abortive. A
-/// panicking connection handler is counted and contained here — the
-/// worker survives and pulls the next connection, so the pool never
+/// A search job's body: runs under the job's cancel flag and returns
+/// the response to write.
+type JobBody<'a> = Box<dyn FnOnce(&Arc<AtomicBool>) -> Response + Send + 'a>;
+
+/// The connection's writer on its way back to the reader, once the
+/// job's answer is written (`Err` if writing it failed).
+type Written = std::io::Result<BufWriter<TcpStream>>;
+
+/// One search job, handed from a connection's reader to the pool.
+struct Ticket<'a> {
+    body: JobBody<'a>,
+    cancel: Arc<AtomicBool>,
+    /// The job's `job=` id claim, released before the answer is
+    /// written, so a `cancel` racing the answer finds no job.
+    claim: Option<JobGuard<'a>>,
+    writer: BufWriter<TcpStream>,
+    done: Sender<Written>,
+}
+
+/// Runs jobs until the channel closes — after every reader has exited,
+/// so queued jobs are still answered once shutdown flips. Each job
+/// body runs under `catch_unwind`: a panic answers `err` and bumps the
+/// `panics` counter instead of killing the worker, so the pool never
 /// shrinks.
-fn worker_loop(rx: &Mutex<Receiver<TcpStream>>, ctx: ServerCtx<'_>) {
+fn worker_loop<'a>(jobs: &Mutex<Receiver<Ticket<'a>>>, ctx: ServerCtx<'a>) {
     loop {
         // Holding the lock while blocked in recv() is deliberate: the
-        // channel hands one connection to exactly one worker, and the
-        // others queue on the mutex, which drops the moment a stream
-        // arrives. A poisoned lock (a worker panicked mid-recv) is
-        // still a valid receiver — take it and keep serving.
-        let stream = match rx.lock().unwrap_or_else(PoisonError::into_inner).recv() {
-            Ok(stream) => stream,
+        // channel hands one job to exactly one worker, and the others
+        // queue on the mutex, which drops the moment a job arrives. A
+        // poisoned lock (a worker panicked mid-recv) is still a valid
+        // receiver — take it and keep serving.
+        let ticket = match jobs.lock().unwrap_or_else(PoisonError::into_inner).recv() {
+            Ok(ticket) => ticket,
             Err(_) => return,
         };
-        // A broken connection is the client's problem, not the pool's;
-        // same for a panic that escapes the per-request guard.
-        let outcome = catch_unwind(AssertUnwindSafe(|| {
-            let _ = handle_connection(stream, ctx);
-        }));
-        if outcome.is_err() {
-            ctx.panics.fetch_add(1, Ordering::Relaxed);
-        }
+        let Ticket {
+            body,
+            cancel,
+            claim,
+            mut writer,
+            done,
+        } = ticket;
+        let response = match catch_unwind(AssertUnwindSafe(|| body(&cancel))) {
+            Ok(response) => response,
+            Err(payload) => {
+                ctx.panics.fetch_add(1, Ordering::Relaxed);
+                let what = payload
+                    .downcast_ref::<&str>()
+                    .map(|s| (*s).to_owned())
+                    .or_else(|| payload.downcast_ref::<String>().cloned())
+                    .unwrap_or_else(|| "unknown panic payload".to_owned());
+                Response::Error(format!("internal panic while serving request: {what}"))
+            }
+        };
+        drop(claim);
+        let written = response.write_to(&mut writer).and_then(|()| writer.flush());
+        // The reader waits for this before it reads on or exits; if it
+        // is gone (its thread panicked) there is no one left to tell.
+        let _ = done.send(written.map(|()| writer));
     }
 }
 
-/// Answers `busy` on a connection the pool has no room for.
-fn reject_busy(stream: TcpStream, workers: usize, queue: usize) {
-    // Accepted sockets inherit the listener's non-blocking mode on
-    // some platforms (Windows); normalise, and never block long on a
-    // peer we are rejecting anyway.
-    let _ = stream.set_nonblocking(false);
-    let _ = stream.set_write_timeout(Some(WRITE_TIMEOUT));
+/// Answers `busy` on a connection past the cap, then closes it
+/// lingering: the write side is shut, and the peer's first request
+/// line is drained (for at most [`BUSY_LINGER`]) so the close does not
+/// reset the connection under the peer's feet.
+fn reject_busy(mut stream: &TcpStream, workers: usize, queue: usize) {
+    let _ = stream.set_write_timeout(Some(BUSY_LINGER));
     let mut w = BufWriter::new(stream);
-    let msg = format!("queue full ({workers} workers busy, queue depth {queue}); retry later");
+    let msg = format!(
+        "queue full: {} connections open ({workers} workers + queue depth {queue}); retry later",
+        workers + queue
+    );
     let _ = Response::Busy(msg).write_to(&mut w);
     let _ = w.flush();
+    drop(w);
+    let _ = stream.shutdown(Shutdown::Write);
+    let deadline = Instant::now() + BUSY_LINGER;
+    let mut chunk = [0u8; 1024];
+    loop {
+        let left = deadline.saturating_duration_since(Instant::now());
+        if left.is_zero() || stream.set_read_timeout(Some(left)).is_err() {
+            return;
+        }
+        match stream.read(&mut chunk) {
+            Ok(n) if n > 0 && !chunk[..n].contains(&b'\n') => {}
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+            // The line, EOF, a timeout or a hard error: done waiting.
+            _ => return,
+        }
+    }
 }
 
 /// Longest accepted request line, in bytes. Generous for any real
@@ -385,20 +524,22 @@ fn reject_busy(stream: TcpStream, workers: usize, queue: usize) {
 /// server buffer.
 const MAX_LINE: usize = 4 << 20;
 
-/// Serves one connection: request lines in, responses out, in order,
+/// Reads one connection: request lines in, responses out, in order,
 /// until the peer closes, `shutdown`/`bye` ends the session, or the
-/// server starts draining. Malformed framing (overlong line, not
-/// UTF-8) and a partial line that stalls past
-/// [`ServeConfig::read_timeout`] answer one `err` and close instead
-/// of silently dropping (or pinning a worker forever).
-fn handle_connection(stream: TcpStream, ctx: ServerCtx<'_>) -> std::io::Result<()> {
-    // See reject_busy: make the accepted socket's mode explicit
-    // before relying on timeout semantics.
-    stream.set_nonblocking(false)?;
+/// server starts draining. Control verbs are answered here; search
+/// jobs go to the pool one at a time. Malformed framing (overlong
+/// line, not UTF-8) and a partial line that stalls past
+/// [`ServeConfig::read_timeout`] answer one `err` and close instead of
+/// silently dropping (or holding the connection forever).
+fn serve_connection<'a>(
+    stream: TcpStream,
+    jobs: &SyncSender<Ticket<'a>>,
+    ctx: ServerCtx<'a>,
+) -> std::io::Result<()> {
     stream.set_read_timeout(Some(POLL))?;
     stream.set_write_timeout(Some(WRITE_TIMEOUT))?;
     let mut reader = stream.try_clone()?;
-    let mut writer = BufWriter::new(stream.try_clone()?);
+    let mut writer = BufWriter::new(stream);
     let mut pending = Vec::new();
     loop {
         let line = match next_line(
@@ -431,25 +572,103 @@ fn handle_connection(stream: TcpStream, ctx: ServerCtx<'_>) -> std::io::Result<(
         if line.is_empty() {
             continue; // stray blank lines are forgiven, not answered
         }
-        let response = respond(line, &stream, ctx);
-        response.write_to(&mut writer)?;
-        writer.flush()?;
-        if matches!(response, Response::Bye) {
-            return Ok(());
+        let (id, body) = match route(line, ctx) {
+            Routed::Job(id, body) => (id, body),
+            Routed::Answer(response) => {
+                response.write_to(&mut writer)?;
+                writer.flush()?;
+                if matches!(response, Response::Bye) {
+                    return Ok(());
+                }
+                continue;
+            }
+        };
+        // Claimed on submission, so `cancel <id>` also reaches a job
+        // still queued behind a busy pool.
+        let cancel = Arc::new(AtomicBool::new(false));
+        let claim = match id {
+            Some(id) => match ctx.registry.register(id, cancel.clone()) {
+                Ok(guard) => Some(guard),
+                Err(()) => {
+                    Response::Error(format!("job id {id} is already running"))
+                        .write_to(&mut writer)?;
+                    writer.flush()?;
+                    continue;
+                }
+            },
+            None => None,
+        };
+        let (done, answered) = mpsc::channel();
+        let ticket = Ticket {
+            body,
+            cancel: cancel.clone(),
+            claim,
+            writer,
+            done,
+        };
+        // Never blocks: the channel holds one job per open connection.
+        if jobs.send(ticket).is_err() {
+            return Ok(()); // the pool is gone: the server is failing
+        }
+        writer = match await_job(&mut reader, &mut pending, &cancel, &answered) {
+            Some(writer) => writer,
+            None => return Ok(()),
+        };
+    }
+}
+
+/// Waits for the connection's in-flight job to answer and takes back
+/// the writer it borrowed; `None` once the connection is finished (the
+/// peer hung up, or the answer could not be written). Until a complete
+/// pipelined line is buffered it keeps reading, so end-of-stream (or a
+/// hard socket error) flips the job's cancel flag and releases its
+/// worker at the next stop-signal poll instead of burning the rest of
+/// the sweep. Pipelined bytes stay in `pending` for [`next_line`].
+fn await_job(
+    reader: &mut TcpStream,
+    pending: &mut Vec<u8>,
+    cancel: &AtomicBool,
+    answered: &Receiver<Written>,
+) -> Option<BufWriter<TcpStream>> {
+    let mut chunk = [0u8; 4096];
+    while !pending.contains(&b'\n') && pending.len() <= MAX_LINE {
+        match answered.try_recv() {
+            Ok(written) => return written.ok(),
+            Err(TryRecvError::Disconnected) => return None,
+            Err(TryRecvError::Empty) => {}
+        }
+        match reader.read(&mut chunk) {
+            Ok(n) if n > 0 => pending.extend_from_slice(&chunk[..n]),
+            Err(e)
+                if matches!(
+                    e.kind(),
+                    std::io::ErrorKind::WouldBlock
+                        | std::io::ErrorKind::TimedOut
+                        | std::io::ErrorKind::Interrupted
+                ) => {}
+            _ => {
+                cancel.store(true, Ordering::Release);
+                // Wait for the answer anyway: a reader outlives its
+                // job, so the channel never holds more jobs than there
+                // are open connections.
+                let _ = answered.recv();
+                return None;
+            }
         }
     }
+    answered.recv().ok().and_then(Result::ok)
 }
 
 /// Reads one `\n`-terminated line, buffering partial reads across the
 /// read timeout so a slow sender never corrupts framing. Returns
 /// `None` on EOF, or — once shutdown has flipped — on an idle peer,
-/// so draining workers cannot be pinned forever. A line growing past
+/// so draining readers cannot be pinned forever. A line growing past
 /// [`MAX_LINE`] without a newline is `InvalidData`, bounding what one
 /// peer can make the server hold. A *partial* line making no progress
 /// for `read_timeout` is `TimedOut` (`err slow-request` upstream):
 /// an idle peer *between* requests is normal keep-alive and may stay
 /// connected indefinitely, but a peer that goes silent mid-line holds
-/// a worker, so it gets a deadline.
+/// its connection slot, so it gets a deadline.
 fn next_line(
     stream: &mut TcpStream,
     pending: &mut Vec<u8>,
@@ -512,15 +731,28 @@ fn next_line(
     }
 }
 
-/// Maps one request line to its response. Never panics: every failure
-/// becomes [`Response::Error`] — a panic inside a search job is
-/// caught by [`serve_job`], counted, and answered as `err` too.
-fn respond(line: &str, stream: &TcpStream, ctx: ServerCtx<'_>) -> Response {
-    match Request::parse(line) {
+/// What a reader does with one request line.
+enum Routed<'a> {
+    /// Answer at once: a control verb or a request that failed to
+    /// parse.
+    Answer(Response),
+    /// Hand a search job, with its optional `job=` id, to the pool.
+    Job(Option<u64>, JobBody<'a>),
+}
+
+/// Maps one request line to its answer or its search job. Never
+/// panics: every failure becomes [`Response::Error`] — a panic inside
+/// a search job is caught by [`worker_loop`], counted, and answered as
+/// `err` too.
+fn route<'a>(line: &str, ctx: ServerCtx<'a>) -> Routed<'a> {
+    let response = match Request::parse(line) {
         Err(e) => Response::Error(e.to_string()),
         Ok(Request::Ping) => Response::Pong,
         Ok(Request::Shutdown) => {
             ctx.shutdown.store(true, Ordering::Release);
+            // Wake the acceptor out of `accept()`; it sees the flag on
+            // this connection and stops.
+            let _ = TcpStream::connect_timeout(&ctx.wake, WRITE_TIMEOUT);
             Response::Bye
         }
         Ok(Request::Stats) => run_stats(ctx),
@@ -532,91 +764,19 @@ fn respond(line: &str, stream: &TcpStream, ctx: ServerCtx<'_>) -> Response {
             }
         }
         Ok(Request::Table1(req)) => {
-            serve_job(stream, req.job, ctx, |cancel| run_table1(&req, ctx, cancel))
+            return Routed::Job(
+                req.job,
+                Box::new(move |cancel| run_table1(&req, ctx, cancel)),
+            )
         }
         Ok(Request::Pareto(req)) => {
-            serve_job(stream, req.job, ctx, |cancel| run_pareto(&req, ctx, cancel))
+            return Routed::Job(
+                req.job,
+                Box::new(move |cancel| run_pareto(&req, ctx, cancel)),
+            )
         }
-    }
-}
-
-/// Runs one search-driven request with the full robustness envelope:
-/// the job id is claimed in the registry (so `cancel <id>` from
-/// another connection can reach it), a watcher thread flips the same
-/// cancel flag if the client disconnects mid-search, and the job body
-/// runs under `catch_unwind` so a panic answers `err` (and bumps the
-/// `panics` counter) instead of killing the worker.
-fn serve_job<F>(stream: &TcpStream, job: Option<u64>, ctx: ServerCtx<'_>, body: F) -> Response
-where
-    F: FnOnce(&Arc<AtomicBool>) -> Response,
-{
-    let cancel = Arc::new(AtomicBool::new(false));
-    let _claim = match job {
-        Some(id) => match ctx.registry.register(id, cancel.clone()) {
-            Ok(guard) => Some(guard),
-            Err(()) => return Response::Error(format!("job id {id} is already running")),
-        },
-        None => None,
     };
-    let done = Arc::new(AtomicBool::new(false));
-    // Deliberately detached: the watcher blocks in `peek` for up to
-    // one socket-timeout tick at a time, so joining it here would tax
-    // every answer with that latency. Once `done` flips it exits on
-    // its own within a tick, and a stale watcher is harmless — `peek`
-    // never consumes bytes, and the cancel flag it could still flip
-    // belongs to this already-finished job alone.
-    if let Ok(peer) = stream.try_clone() {
-        let cancel = cancel.clone();
-        let done = done.clone();
-        std::thread::spawn(move || watch_disconnect(&peer, &cancel, &done));
-    }
-    let outcome = catch_unwind(AssertUnwindSafe(|| body(&cancel)));
-    done.store(true, Ordering::Release);
-    match outcome {
-        Ok(response) => response,
-        Err(payload) => {
-            ctx.panics.fetch_add(1, Ordering::Relaxed);
-            let what = payload
-                .downcast_ref::<&str>()
-                .map(|s| (*s).to_owned())
-                .or_else(|| payload.downcast_ref::<String>().cloned())
-                .unwrap_or_else(|| "unknown panic payload".to_owned());
-            Response::Error(format!("internal panic while serving request: {what}"))
-        }
-    }
-}
-
-/// Watches a connection whose worker is busy searching: end-of-stream
-/// (or a hard socket error) flips the job's cancel flag, so a client
-/// that gives up and disconnects releases its worker at the next
-/// stop-signal poll instead of burning the rest of the sweep.
-///
-/// The stream is only ever `peek`ed — a pipelined follow-up request
-/// sitting in the socket buffer must stay there for the request loop
-/// to read once the current job answers.
-fn watch_disconnect(peer: &TcpStream, cancel: &AtomicBool, done: &AtomicBool) {
-    let mut probe = [0u8; 1];
-    loop {
-        if done.load(Ordering::Acquire) {
-            return;
-        }
-        match peer.peek(&mut probe) {
-            Ok(0) => {
-                cancel.store(true, Ordering::Release);
-                return;
-            }
-            // Bytes waiting (a pipelined request): the peer is alive;
-            // sleep instead of spinning on the instantly-ready peek.
-            Ok(_) => std::thread::sleep(POLL),
-            Err(e)
-                if e.kind() == std::io::ErrorKind::WouldBlock
-                    || e.kind() == std::io::ErrorKind::TimedOut => {}
-            Err(_) => {
-                cancel.store(true, Ordering::Release);
-                return;
-            }
-        }
-    }
+    Routed::Answer(response)
 }
 
 /// Header of the `stats` verb's two-line CSV body.
@@ -675,6 +835,9 @@ fn pipelines_for(
             JobSource::App(name) if fault_injection && name == "__panic" => {
                 panic!("injected fault: job `__panic`")
             }
+            JobSource::App(name) if fault_injection && name == HOLD_APP => {
+                Pipeline::for_app(&lycos::apps::straight())
+            }
             JobSource::App(name) => match bundled_apps().iter().find(|a| a.name == *name) {
                 Some(app) => Pipeline::for_app(app),
                 None => {
@@ -691,6 +854,31 @@ fn pipelines_for(
         pipelines.push(pipeline.with_artifact_store(store.clone()));
     }
     Ok(pipelines)
+}
+
+/// The fault-injection app that holds its worker: see
+/// [`hold_if_asked`].
+const HOLD_APP: &str = "__hold";
+
+/// Parks a request naming the `__hold` app (fault injection only)
+/// until its cancel flag flips, after admission so it also holds its
+/// big-job slot. The job then searches `straight` under the flipped
+/// flag and answers a `cancelled` row. A draining server flips the
+/// flag itself, so a held job never stalls shutdown.
+fn hold_if_asked(jobs: &[Job], ctx: ServerCtx<'_>, cancel: &AtomicBool) {
+    let held = ctx.config.fault_injection
+        && jobs
+            .iter()
+            .any(|job| matches!(&job.source, JobSource::App(name) if name == HOLD_APP));
+    if !held {
+        return;
+    }
+    while !cancel.load(Ordering::Acquire) {
+        if ctx.shutdown.load(Ordering::Acquire) {
+            cancel.store(true, Ordering::Release);
+        }
+        std::thread::sleep(Duration::from_millis(1));
+    }
 }
 
 /// Pre-walk admission probe: the largest allocation space any of the
@@ -747,6 +935,7 @@ fn run_table1(req: &Table1Request, ctx: ServerCtx<'_>, cancel: &Arc<AtomicBool>)
         Ok(permit) => permit,
         Err(response) => return response,
     };
+    hold_if_asked(&req.jobs, ctx, cancel);
     let options = Table1Options::from_search_options(&search_options);
     let stop = StopSignal::never().with_cancel(cancel.clone());
     match Pipeline::table1_batch_stop(&pipelines, &options, &stop) {
@@ -777,6 +966,7 @@ fn run_pareto(req: &ParetoRequest, ctx: ServerCtx<'_>, cancel: &Arc<AtomicBool>)
         Ok(permit) => permit,
         Err(response) => return response,
     };
+    hold_if_asked(&req.jobs, ctx, cancel);
     let stop = StopSignal::never().with_cancel(cancel.clone());
     let mut body = String::new();
     if req.format == Format::Csv {
@@ -804,4 +994,19 @@ fn run_pareto(req: &ParetoRequest, ctx: ServerCtx<'_>, cancel: &Arc<AtomicBool>)
         }
     }
     Response::Ok(body.lines().map(str::to_owned).collect())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::wake_address;
+    use std::net::SocketAddr;
+
+    #[test]
+    fn wake_address_maps_unspecified_ips_to_loopback() {
+        let wake = |addr: &str| wake_address(addr.parse::<SocketAddr>().unwrap()).to_string();
+        assert_eq!(wake("0.0.0.0:7878"), "127.0.0.1:7878");
+        assert_eq!(wake("[::]:7878"), "[::1]:7878");
+        assert_eq!(wake("10.1.2.3:7878"), "10.1.2.3:7878");
+        assert_eq!(wake("[fe80::1]:7878"), "[fe80::1]:7878");
+    }
 }

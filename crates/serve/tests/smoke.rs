@@ -424,12 +424,14 @@ fn cancel_verb_stops_a_running_job_which_still_answers() {
 
 #[test]
 fn disconnecting_mid_search_releases_the_worker() {
-    // One worker: if the orphaned sweep were not cancelled on
-    // disconnect, the follow-up ping could never be served and this
-    // test would time out.
+    // One worker, held by a `__hold` job that only a cancel releases:
+    // if the disconnect did not cancel it, the follow-up search could
+    // never be served and this test would time out. (A ping would not
+    // prove it — the connection's reader answers pings itself.)
     let (addr, handle) = spawn_server(ServeConfig {
         workers: 1,
         queue: 2,
+        fault_injection: true,
         defaults: SearchOptions {
             threads: 1,
             limit: Some(400),
@@ -440,14 +442,17 @@ fn disconnecting_mid_search_releases_the_worker() {
 
     {
         let mut doomed = std::net::TcpStream::connect(&addr).expect("connect raw");
-        std::io::Write::write_all(&mut doomed, b"table1 app=eigen limit=0 threads=1\n")
+        std::io::Write::write_all(&mut doomed, b"table1 app=__hold\n")
             .expect("send the doomed request");
-        // Dropping the stream closes the socket: the disconnect
-        // watcher sees EOF and flips the job's cancel flag.
+        // Dropping the stream closes the socket: the connection's
+        // reader sees EOF and flips the job's cancel flag.
     }
 
     let mut client = Client::connect_with_retry(&addr, CONNECT_DEADLINE).expect("connect");
-    assert_eq!(client.send(&Request::Ping).expect("send"), Response::Pong);
+    match client.send_line("table1 app=hal").expect("send") {
+        Response::Ok(lines) => assert_eq!(lines[0], lycos::explore::TABLE1_CSV_HEADER),
+        other => panic!("unexpected response {other:?}"),
+    }
 
     assert_eq!(
         client.send(&Request::Shutdown).expect("send"),
@@ -527,9 +532,7 @@ fn panicking_jobs_answer_err_and_the_pool_survives() {
         );
     }
 
-    // A fresh connection is served too — the pool never shrank. The
-    // first client must hang up first: one worker means one
-    // connection at a time, and idle keep-alive peers hold theirs.
+    // A fresh connection is served too — the pool never shrank.
     drop(client);
     let mut fresh = Client::connect_with_retry(&addr, CONNECT_DEADLINE).expect("connect");
     match fresh.send_line("table1 app=hal").expect("send") {
@@ -544,17 +547,19 @@ fn panicking_jobs_answer_err_and_the_pool_survives() {
 #[test]
 fn big_jobs_queue_on_the_admission_gate_while_small_jobs_flow() {
     // Threshold 0 marks every job big; one explicit big-job slot.
-    // Job 1 (an unbounded eigen sweep) takes it; job 2 must park in
+    // Job 1 (a `__hold` job, parked until cancelled) takes it; job 2
+    // must park in
     // the gate — proven by cancelling job 2 *while parked*: its sweep
     // then stops at the very first check, so its timed CSV says
     // `cancelled` even though the tiny hal space would complete in
-    // microseconds once running. Three workers keep a connection free
-    // for the control client alongside the two job connections.
+    // microseconds once running. Job 1 holds one worker and job 2
+    // parks another in the gate; the control client needs none.
     let (addr, handle) = spawn_server(ServeConfig {
         workers: 3,
         queue: 4,
         big_job_threshold: 0,
         big_jobs: 1,
+        fault_injection: true,
         defaults: SearchOptions {
             threads: 1,
             limit: Some(400),
@@ -568,7 +573,7 @@ fn big_jobs_queue_on_the_admission_gate_while_small_jobs_flow() {
         std::thread::spawn(move || {
             let mut client = Client::connect_with_retry(&addr, CONNECT_DEADLINE).expect("connect");
             client
-                .send_line("table1 app=eigen limit=0 threads=1 timing job=1")
+                .send_line("table1 app=__hold limit=0 threads=1 timing job=1")
                 .expect("send")
         })
     };
@@ -780,9 +785,9 @@ fn peers_still_sending_cannot_stall_shutdown() {
 
 #[test]
 fn full_pool_answers_busy_instead_of_queueing() {
-    // One worker, zero queue slots: the second connection must be
-    // rejected with backpressure status while the first is parked on
-    // the only worker.
+    // One worker, zero queue slots: a cap of one open connection, so
+    // the second connection must be rejected with backpressure status
+    // while the first stays open.
     let (addr, handle) = spawn_server(ServeConfig {
         workers: 1,
         queue: 0,
@@ -794,11 +799,9 @@ fn full_pool_answers_busy_instead_of_queueing() {
         ..ServeConfig::default()
     });
 
-    // Occupy the worker: after the pong the worker is parked in this
-    // connection's read loop, not back in the pool. With a zero-depth
-    // queue the hand-off is a pure rendezvous, so the very first
-    // connection can race the worker thread reaching its recv() and
-    // bounce with `busy` — retry until the worker has us.
+    // Take the only connection slot: after the pong this connection's
+    // reader is alive. A slot freed by an earlier connection is only
+    // released when its reader exits — retry until we hold it.
     let mut holder = loop {
         let mut candidate = Client::connect_with_retry(&addr, CONNECT_DEADLINE).expect("connect");
         match candidate.send(&Request::Ping).expect("send") {
@@ -819,6 +822,204 @@ fn full_pool_answers_busy_instead_of_queueing() {
 
     assert_eq!(
         holder.send(&Request::Shutdown).expect("send"),
+        Response::Bye
+    );
+    handle.join().expect("server thread");
+}
+
+#[test]
+fn busy_rejections_past_the_cap_never_reset_the_connection() {
+    // A cap of one open connection, held: every other fresh connection
+    // must read its `busy` answer. Closing a rejected socket before its
+    // request line arrived would reset it, and the client's write or
+    // read would fail with a transport error instead.
+    let (addr, handle) = spawn_server(ServeConfig {
+        workers: 1,
+        queue: 0,
+        ..ServeConfig::default()
+    });
+    let mut holder = Client::connect_with_retry(&addr, CONNECT_DEADLINE).expect("connect");
+    assert_eq!(holder.send(&Request::Ping).expect("send"), Response::Pong);
+
+    let rejected: Vec<_> = (0..4)
+        .map(|_| {
+            let addr = addr.clone();
+            std::thread::spawn(move || {
+                for _ in 0..16 {
+                    let mut client = Client::connect(&addr).expect("connect");
+                    match client.send(&Request::Ping) {
+                        Ok(Response::Busy(msg)) => assert!(msg.contains("queue full"), "{msg}"),
+                        other => panic!("expected busy, got {other:?}"),
+                    }
+                }
+            })
+        })
+        .collect();
+    for thread in rejected {
+        thread.join().expect("rejected client thread");
+    }
+
+    assert_eq!(
+        holder.send(&Request::Shutdown).expect("send"),
+        Response::Bye
+    );
+    handle.join().expect("server thread");
+}
+
+#[test]
+fn idle_keep_alive_sockets_do_not_starve_other_clients() {
+    // One worker and a cap of five connections: four idle keep-alive
+    // peers hold a connection each, yet a fifth client's ping and
+    // search are served — idle sockets cost readers, never workers.
+    let (addr, handle) = spawn_server(ServeConfig {
+        workers: 1,
+        queue: 4,
+        defaults: SearchOptions {
+            threads: 1,
+            limit: Some(400),
+            ..SearchOptions::default()
+        },
+        ..ServeConfig::default()
+    });
+    let idle: Vec<Client> = (0..4)
+        .map(|_| {
+            let mut client = Client::connect_with_retry(&addr, CONNECT_DEADLINE).expect("connect");
+            assert_eq!(client.send(&Request::Ping).expect("send"), Response::Pong);
+            client
+        })
+        .collect();
+
+    let mut active = Client::connect_with_retry(&addr, CONNECT_DEADLINE).expect("connect");
+    assert_eq!(active.send(&Request::Ping).expect("send"), Response::Pong);
+    match active.send_line("table1 app=hal").expect("send") {
+        Response::Ok(lines) => assert_eq!(lines[0], lycos::explore::TABLE1_CSV_HEADER),
+        other => panic!("unexpected response {other:?}"),
+    }
+
+    // Shutdown does not wait for the idle peers to hang up.
+    assert_eq!(
+        active.send(&Request::Shutdown).expect("send"),
+        Response::Bye
+    );
+    handle.join().expect("server thread");
+    drop(idle);
+}
+
+#[test]
+fn run_returns_promptly_after_shutdown_on_every_interface() {
+    // `shutdown` wakes the acceptor blocked in accept() by connecting
+    // to the server's own address; a listener on the unspecified
+    // address is woken through the loopback.
+    for bind in ["127.0.0.1:0", "0.0.0.0:0"] {
+        let server = Server::bind(ServeConfig {
+            addr: bind.into(),
+            workers: 2,
+            queue: 2,
+            ..ServeConfig::default()
+        })
+        .expect("bind an ephemeral port");
+        let port = server.local_addr().expect("bound address").port();
+        let (returned, run_done) = std::sync::mpsc::channel();
+        let handle = std::thread::spawn(move || {
+            server.run().expect("server run");
+            returned.send(()).expect("report the return");
+        });
+
+        let addr = format!("127.0.0.1:{port}");
+        // An idle keep-alive peer stays connected throughout.
+        let mut idle = Client::connect_with_retry(&addr, CONNECT_DEADLINE).expect("connect");
+        assert_eq!(idle.send(&Request::Ping).expect("send"), Response::Pong);
+        let mut killer = Client::connect_with_retry(&addr, CONNECT_DEADLINE).expect("connect");
+        assert_eq!(
+            killer.send(&Request::Shutdown).expect("send"),
+            Response::Bye
+        );
+        run_done
+            .recv_timeout(Duration::from_secs(5))
+            .unwrap_or_else(|_| panic!("run() on {bind} did not return after shutdown"));
+        handle.join().expect("server thread");
+    }
+}
+
+#[test]
+fn cancel_reaches_a_job_queued_behind_a_busy_pool() {
+    // One worker, held by job 1. Job 2 queues behind it, and `cancel 2`
+    // must reach it there: a job is registered when its connection
+    // submits it, not when a worker picks it up.
+    let (addr, handle) = spawn_server(ServeConfig {
+        workers: 1,
+        queue: 4,
+        fault_injection: true,
+        defaults: SearchOptions {
+            threads: 1,
+            limit: Some(400),
+            ..SearchOptions::default()
+        },
+        ..ServeConfig::default()
+    });
+
+    let holder = {
+        let addr = addr.clone();
+        std::thread::spawn(move || {
+            let mut client = Client::connect_with_retry(&addr, CONNECT_DEADLINE).expect("connect");
+            client
+                .send_line("table1 app=__hold timing job=1")
+                .expect("send")
+        })
+    };
+    // Give job 1 a head start to take the worker before job 2 is sent
+    // (there is no non-destructive probe: `cancel 1` would release it).
+    let mut control = Client::connect_with_retry(&addr, CONNECT_DEADLINE).expect("connect");
+    std::thread::sleep(Duration::from_millis(300));
+    let queued = {
+        let addr = addr.clone();
+        std::thread::spawn(move || {
+            let mut client = Client::connect_with_retry(&addr, CONNECT_DEADLINE).expect("connect");
+            client
+                .send_line("table1 app=hal timing job=2")
+                .expect("send")
+        })
+    };
+
+    let deadline = std::time::Instant::now() + Duration::from_secs(60);
+    loop {
+        assert!(
+            std::time::Instant::now() < deadline,
+            "queued job 2 never became cancellable"
+        );
+        match control.send_line("cancel 2").expect("send cancel") {
+            Response::Ok(lines) => {
+                assert_eq!(lines, vec!["cancelled 2".to_owned()]);
+                break;
+            }
+            Response::Error(msg) => {
+                assert!(msg.contains("no running job 2"), "{msg}");
+                std::thread::sleep(Duration::from_millis(20));
+            }
+            other => panic!("unexpected cancel response {other:?}"),
+        }
+    }
+    // Release the worker: job 1 answers, then job 2 runs under its
+    // already-flipped flag and stops at the first check.
+    match control.send_line("cancel 1").expect("send cancel") {
+        Response::Ok(_) => {}
+        other => panic!("unexpected response {other:?}"),
+    }
+    for (job, thread) in [(1, holder), (2, queued)] {
+        match thread.join().expect("job thread") {
+            Response::Ok(lines) => {
+                assert_eq!(
+                    completion_of(&lines[1]),
+                    "cancelled",
+                    "job {job}: {lines:?}"
+                )
+            }
+            other => panic!("job {job}: unexpected response {other:?}"),
+        }
+    }
+
+    assert_eq!(
+        control.send(&Request::Shutdown).expect("send"),
         Response::Bye
     );
     handle.join().expect("server thread");
