@@ -19,12 +19,12 @@
 //!
 //! ```text
 //! cargo run --release -p lycos_bench --bin bench_search \
-//!     [-- --check-speedup 1.3] > BENCH_search.json
+//!     [-- --check-speedup 3] > BENCH_search.json
 //! ```
 //!
 //! `--check-speedup X` exits non-zero when the `eigen` full-sweep
 //! speedup of the bounded engine over the unbounded baseline falls
-//! below `X` — the gate CI runs at 1.3. `LYCOS_BENCH_QUICK` drops to
+//! below `X` — the gate CI runs at 3. `LYCOS_BENCH_QUICK` drops to
 //! one timing repetition per engine (CI's perf-smoke mode); the
 //! sweeps themselves always run the full space, since the full eigen
 //! sweep *is* the gated workload.
@@ -63,6 +63,9 @@ struct BoundedReport {
     seconds: f64,
     evaluated: usize,
     bounded: u128,
+    /// The part of `bounded` the controller-budget relaxation pruned
+    /// one candidate at a time.
+    budget_pruned: u64,
     prune_ratio: f64,
     steals: u64,
 }
@@ -73,6 +76,7 @@ struct ParetoReport {
     seconds: f64,
     points: usize,
     evaluated: usize,
+    budget_pruned: u64,
     replay_seconds: f64,
     /// `replay_seconds / seconds` — above 1.0 means the single sweep
     /// beats the N-budget replay.
@@ -162,6 +166,7 @@ fn main() {
             seconds: bounded_seconds,
             evaluated: result.evaluated,
             bounded: result.stats.bounded,
+            budget_pruned: result.stats.budget_pruned,
             prune_ratio: result.stats.bounded as f64 / result.space_size.max(1) as f64,
             steals: result.stats.steals,
         };
@@ -210,6 +215,7 @@ fn main() {
             seconds: pareto_seconds,
             points: front.points.len(),
             evaluated: front.evaluated,
+            budget_pruned: front.stats.budget_pruned,
             replay_seconds,
             speedup_vs_replay: replay_seconds / pareto_seconds.max(f64::EPSILON),
         };
@@ -227,7 +233,7 @@ fn main() {
         };
         eprintln!(
             "[bench_search] {}: space {} | baseline {:.3}s ({} evals) | bounded {:.3}s \
-             ({} evals, {:.1}% pruned) → {:.2}x vs baseline",
+             ({} evals, {:.1}% pruned, {} by the controller budget) → {:.2}x vs baseline",
             report.name,
             report.space,
             report.baseline_seconds,
@@ -235,6 +241,7 @@ fn main() {
             report.bounded.seconds,
             report.bounded.evaluated,
             report.bounded.prune_ratio * 100.0,
+            report.bounded.budget_pruned,
             report.speedup_vs_baseline,
         );
         eprintln!(
@@ -249,16 +256,17 @@ fn main() {
         reports.push(report);
     }
 
-    let mut json = String::from("{\n  \"schema\": \"lycos-bench-search/4\",\n  \"apps\": [\n");
+    let mut json = String::from("{\n  \"schema\": \"lycos-bench-search/5\",\n  \"apps\": [\n");
     for (i, r) in reports.iter().enumerate() {
         json.push_str(&format!(
             "    {{\n      \"name\": \"{}\",\n      \"space_size\": {},\n      \
              \"baseline\": {{\n        \"seconds\": {},\n        \"evaluated\": {},\n        \
              \"skipped\": {}\n      }},\n      \"bounded\": {{\n        \"seconds\": {},\n        \
-             \"evaluated\": {},\n        \"bounded\": {},\n        \"prune_ratio\": {},\n        \
-             \"steals\": {}\n      }},\n      \"dirty_ratio\": {},\n      \
+             \"evaluated\": {},\n        \"bounded\": {},\n        \"budget_pruned\": {},\n        \
+             \"prune_ratio\": {},\n        \"steals\": {}\n      }},\n      \"dirty_ratio\": {},\n      \
              \"speedup_vs_baseline\": {},\n      \"pareto\": {{\n        \"seconds\": {},\n        \
-             \"points\": {},\n        \"evaluated\": {},\n        \"replay_seconds\": {},\n        \
+             \"points\": {},\n        \"evaluated\": {},\n        \"budget_pruned\": {},\n        \
+             \"replay_seconds\": {},\n        \
              \"speedup_vs_replay\": {}\n      }}\n    }}{}\n",
             r.name,
             r.space,
@@ -268,6 +276,7 @@ fn main() {
             json_num(r.bounded.seconds),
             r.bounded.evaluated,
             r.bounded.bounded,
+            r.bounded.budget_pruned,
             json_num(r.bounded.prune_ratio),
             r.bounded.steals,
             json_num(r.dirty_ratio),
@@ -275,6 +284,7 @@ fn main() {
             json_num(r.pareto.seconds),
             r.pareto.points,
             r.pareto.evaluated,
+            r.pareto.budget_pruned,
             json_num(r.pareto.replay_seconds),
             json_num(r.pareto.speedup_vs_replay),
             if i + 1 < reports.len() { "," } else { "" },

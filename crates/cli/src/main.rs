@@ -75,9 +75,12 @@ search knobs (best, pareto, table1; request defaults for serve):
                     identical results, meant for large single
                     evaluations rather than saturated sweeps
   --bound           branch-and-bound sweep: prune subtrees an
-                    admissible lower bound proves hopeless; the
-                    winner is field-exact, only the evaluated /
-                    bounded effort split changes
+                    admissible lower bound proves hopeless, and
+                    single candidates whose controller budget
+                    cannot pay for their speed-up (a knapsack
+                    bound checked before each DP); the winner is
+                    field-exact, only the evaluated / bounded
+                    effort split changes
   --store-cap <n>   applications the cross-request artifact store
                     keeps resident (default 8; LRU eviction past
                     the cap; the store backs `serve` and `best`)
@@ -389,7 +392,10 @@ fn cmd_best(args: &[String]) -> Result<(), String> {
         res.evaluated,
         res.skipped,
         if res.stats.bounded > 0 {
-            format!(", {} bound-pruned", res.stats.bounded)
+            format!(
+                ", {} bound-pruned ({} by the controller budget)",
+                res.stats.bounded, res.stats.budget_pruned
+            )
         } else {
             String::new()
         },

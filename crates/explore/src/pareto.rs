@@ -61,10 +61,12 @@ pub fn format_pareto(name: &str, front: &ParetoResult) -> String {
         ));
     }
     out.push_str(&format!(
-        "  ({} evaluated, {} skipped, {} bounded of {} allocations{})\n",
+        "  ({} evaluated, {} skipped, {} bounded ({} by the controller budget) of {} \
+         allocations{})\n",
         front.evaluated,
         front.skipped,
         front.stats.bounded,
+        front.stats.budget_pruned,
         front.space_size,
         if front.truncated { ", truncated" } else { "" },
     ));

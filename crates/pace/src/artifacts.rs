@@ -75,6 +75,7 @@ use crate::config::PaceConfig;
 use crate::error::PaceError;
 use crate::exhaustive::{search_space, space_size};
 use crate::metrics::{block_statics, bsb_statics, metrics_from_statics, BsbStatics};
+use crate::stop::StopSignal;
 use crate::{BsbMetrics, DpScratch};
 use lycos_core::{RMap, Restrictions};
 use lycos_hwlib::{Area, FuId, HwLibrary};
@@ -735,7 +736,9 @@ impl SearchArtifacts {
 
     /// The admissible bound tables, with the communication floor
     /// folded in, built on first use and shared afterwards — seeded
-    /// from this artifact set's traffic memo.
+    /// from this artifact set's traffic memo. The build polls `stop`
+    /// between blocks; `Ok(None)` means it tripped, and nothing was
+    /// cached (the next caller builds from scratch).
     ///
     /// # Errors
     ///
@@ -745,22 +748,27 @@ impl SearchArtifacts {
         bsbs: &BsbArray,
         lib: &HwLibrary,
         config: &PaceConfig,
-    ) -> Result<&SearchBounds, PaceError> {
+        stop: &StopSignal,
+    ) -> Result<Option<&SearchBounds>, PaceError> {
         if let Some(bounds) = self.bounds.get() {
-            return Ok(bounds);
+            return Ok(Some(bounds));
         }
         let mut memo = self.comm.clone();
-        let built = SearchBounds::from_statics(
+        let Some(built) = SearchBounds::from_statics(
             bsbs,
             lib,
             &self.dims,
             &self.statics,
             Some(&config.comm),
             &mut memo,
-        )?;
+            stop,
+        )?
+        else {
+            return Ok(None);
+        };
         // A concurrent builder may have won the race; either value is
         // identical, `get_or_init` keeps exactly one.
-        Ok(self.bounds.get_or_init(|| built))
+        Ok(Some(self.bounds.get_or_init(|| built)))
     }
 
     /// The evaluation memo recorded under `budget_gates`, if any —
@@ -1308,6 +1316,7 @@ mod tests {
     use super::*;
     use lycos_ir::{Bsb, BsbId, BsbOrigin, Dfg, OpKind};
     use std::collections::BTreeSet;
+    use std::sync::atomic::AtomicBool;
 
     fn app(ops: usize) -> BsbArray {
         let mut dfg = Dfg::new();
@@ -1445,6 +1454,31 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn a_tripped_stop_abandons_the_bound_build_uncached() {
+        let (bsbs, lib, config) = inputs(3);
+        let restr = Restrictions::from_asap(&bsbs, &lib).unwrap();
+        let artifacts = SearchArtifacts::prepare(&bsbs, &lib, &restr, &config).unwrap();
+        let cancelled = StopSignal::never().with_cancel(Arc::new(AtomicBool::new(true)));
+        let stopped = artifacts.bounds_for(&bsbs, &lib, &config, &cancelled);
+        assert!(
+            stopped.unwrap().is_none(),
+            "the build stops at its first poll"
+        );
+        assert!(
+            artifacts.bounds.get().is_none(),
+            "no partial table is cached"
+        );
+        // The next caller builds the full tables from scratch.
+        let built = artifacts
+            .bounds_for(&bsbs, &lib, &config, &StopSignal::never())
+            .unwrap()
+            .expect("a never-signal builds");
+        let fresh = SearchBounds::with_comm_floor(&bsbs, &lib, artifacts.dims(), &config).unwrap();
+        assert_eq!(built.relaxed_bound(), fresh.relaxed_bound());
+        assert_eq!(built.comm_floors(), fresh.comm_floors());
     }
 
     #[test]

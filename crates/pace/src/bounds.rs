@@ -54,9 +54,38 @@
 //! it folds into the precomputed tables once and the level chain
 //! stays untouched; software contributions never carry it (a block
 //! kept in software pays no run communication).
+//!
+//! # Controller-budget relaxation
+//!
+//! The tables above drop the controller budget, so a candidate whose
+//! data path leaves too little controller area to afford its speed-up
+//! still looks promising to them. Once a candidate's metrics are known
+//! (after the metrics refresh, before its DP), [`BudgetRelaxation`]
+//! puts the budget back as a fractional knapsack:
+//!
+//! * every hardware-feasible block with a positive saving
+//!   `s_b = sw_b − hw_b − floor_b` is one item, weighing its
+//!   controller area `w_b` in gates;
+//! * items sort by `s/w` (an exact `u128` cross-multiply; weight-0
+//!   items sort first) with prefix sums, and
+//!   `lb(cap) = Σ_b sw_b − (Σ savings of the items that fit whole +
+//!   ⌈the fractional item's share⌉)`.
+//!
+//! **Admissibility.** At controller level `a` the DP's time is
+//! `Σ_sw sw_b + Σ_runs (Σ_run hw_b + comm(run))`. Each run pays
+//! `⌈Σ_run ctl_b / q⌉` quanta and the runs' quanta sum to at most `a`,
+//! so the hardware blocks' controller areas sum to at most `a·q`. The
+//! per-block floors sum to at most each run's communication (see
+//! above), so the time is at least `Σ sw − Σ_hw s_b` over a block set
+//! of weight `≤ a·q` — an integral knapsack, which the fractional one
+//! bounds from above. Hence `final_row[a] ≥ lb(a·q)` for every level.
+//! With an unbounded capacity every item fits and `lb` is exactly
+//! `Σ_b min(sw_b, hw_b + floor_b)`, the leaf bound of the tables — so
+//! the relaxation is never weaker than the leaf check it follows.
 
 use crate::comm::{comm_floors, CommCosts};
-use crate::metrics::{bsb_statics, BsbStatics};
+use crate::metrics::{bsb_statics, BsbMetrics, BsbStatics};
+use crate::stop::StopSignal;
 use crate::{PaceConfig, PaceError};
 use lycos_core::kind_positions;
 use lycos_hwlib::{CommModel, Cycles, FuId, HwLibrary};
@@ -240,7 +269,9 @@ impl SearchBounds {
     ) -> Result<Self, PaceError> {
         let statics = bsb_statics(bsbs, lib, config)?;
         let mut memo = CommCosts::new(bsbs.len());
-        Self::from_statics(bsbs, lib, dims, &statics, None, &mut memo)
+        let never = StopSignal::never();
+        let built = Self::from_statics(bsbs, lib, dims, &statics, None, &mut memo, &never)?;
+        Ok(built.expect("a never-signal cannot stop the build"))
     }
 
     /// [`SearchBounds::new`] with the admissible communication floor
@@ -260,7 +291,17 @@ impl SearchBounds {
     ) -> Result<Self, PaceError> {
         let statics = bsb_statics(bsbs, lib, config)?;
         let mut memo = CommCosts::new(bsbs.len());
-        Self::from_statics(bsbs, lib, dims, &statics, Some(&config.comm), &mut memo)
+        let never = StopSignal::never();
+        let built = Self::from_statics(
+            bsbs,
+            lib,
+            dims,
+            &statics,
+            Some(&config.comm),
+            &mut memo,
+            &never,
+        )?;
+        Ok(built.expect("a never-signal cannot stop the build"))
     }
 
     /// [`SearchBounds::new`] over statics already computed elsewhere —
@@ -269,6 +310,12 @@ impl SearchBounds {
     /// `memo` is the caller's run-traffic table (the artifacts' —
     /// possibly pre-warmed — memo, so the floors and the DP price runs
     /// off the same entries).
+    ///
+    /// On a cold traffic memo the build takes tens of milliseconds on
+    /// the largest bundled app, most of it pricing runs for the floors,
+    /// so `stop` is polled between blocks of both the floors and the
+    /// tables: `Ok(None)` means it tripped and the partial build was
+    /// abandoned.
     pub(crate) fn from_statics(
         bsbs: &BsbArray,
         lib: &HwLibrary,
@@ -276,14 +323,21 @@ impl SearchBounds {
         statics: &[BsbStatics],
         comm: Option<&CommModel>,
         memo: &mut CommCosts,
-    ) -> Result<Self, PaceError> {
+        stop: &StopSignal,
+    ) -> Result<Option<Self>, PaceError> {
         let dim_fus: Vec<FuId> = dims.iter().map(|&(fu, _)| fu).collect();
-        let floors = floors_for(bsbs, dims, &dim_fus, statics, comm, memo);
+        let Some(floors) = floors_for(bsbs, dims, &dim_fus, statics, comm, memo, stop) else {
+            return Ok(None);
+        };
+        let stoppable = !stop.is_never();
         let mut blocks = Vec::with_capacity(bsbs.len());
         for (b, (bsb, stat)) in bsbs.iter().zip(statics).enumerate() {
+            if stoppable && stop.check().is_some() {
+                return Ok(None);
+            }
             blocks.push(block_bound(bsb, stat, lib, dims, &dim_fus, floors[b])?);
         }
-        Ok(Self::assemble(blocks, floors, dims.len()))
+        Ok(Some(Self::assemble(blocks, floors, dims.len())))
     }
 
     /// [`SearchBounds::from_statics`] via the incremental diff path:
@@ -317,7 +371,9 @@ impl SearchBounds {
     ) -> Result<Self, PaceError> {
         debug_assert_eq!(donor.dims_len, dims.len(), "caller checks dims equality");
         let dim_fus: Vec<FuId> = dims.iter().map(|&(fu, _)| fu).collect();
-        let floors = floors_for(bsbs, dims, &dim_fus, statics, Some(comm), memo);
+        let never = StopSignal::never();
+        let floors = floors_for(bsbs, dims, &dim_fus, statics, Some(comm), memo, &never)
+            .expect("a never-signal cannot stop the floors");
         let mut blocks = Vec::with_capacity(bsbs.len());
         for (b, (bsb, stat)) in bsbs.iter().zip(statics).enumerate() {
             let clean = matched[b].filter(|&j| donor.floors[j] == floors[b]);
@@ -360,6 +416,13 @@ impl SearchBounds {
         self.relaxed_total
     }
 
+    /// The per-block communication floors folded into the tables (all
+    /// zeros for [`SearchBounds::new`]) — the `floor_b` a
+    /// [`BudgetRelaxation`] subtracts from each block's saving.
+    pub fn comm_floors(&self) -> &[u64] {
+        &self.floors
+    }
+
     /// Admissible lower bound on the total time of every allocation
     /// whose counts at dimension positions `fixed_from..` equal
     /// `counts` (positions below `fixed_from` are free). `counts` must
@@ -394,9 +457,134 @@ impl SearchBounds {
     }
 }
 
+/// Fractional-knapsack relaxation of one candidate's controller budget:
+/// an admissible lower bound on the candidate's DP time at every
+/// controller capacity, from its metrics alone — see the module docs
+/// ("Controller-budget relaxation") for the construction and the
+/// admissibility argument.
+///
+/// A sweep keeps one per worker and [`BudgetRelaxation::rebuild`]s it
+/// in place for every candidate, so the buffers are reused.
+///
+/// # Examples
+///
+/// ```
+/// use lycos_hwlib::{Area, Cycles};
+/// use lycos_pace::{BsbMetrics, BudgetRelaxation};
+///
+/// let block = |sw, hw: Option<u64>, ctl| BsbMetrics {
+///     sw_time: Cycles::new(sw),
+///     hw_time: hw.map(Cycles::new),
+///     hw_states: hw.map(|_| 1),
+///     controller_area: hw.map(|_| Area::new(ctl)),
+/// };
+/// // Savings 90 (weight 30) and 40 (weight 40); the third block cannot
+/// // move to hardware.
+/// let metrics = [block(100, Some(10), 30), block(50, Some(10), 40), block(7, None, 0)];
+/// let mut relax = BudgetRelaxation::new();
+/// relax.rebuild(&metrics, &[0, 0, 0]);
+/// assert_eq!(relax.lower_bound(0), 157); // all software
+/// assert_eq!(relax.lower_bound(30), 67); // the denser item fits whole
+/// assert_eq!(relax.lower_bound(50), 47); // plus half of the other
+/// assert_eq!(relax.lower_bound(u64::MAX), 27); // Σ min(sw, hw)
+/// ```
+#[derive(Clone, Debug, Default)]
+pub struct BudgetRelaxation {
+    /// Σ software time over every block — the bound before savings.
+    sw_total: u64,
+    /// `(saving, weight)` per item, highest saving per gate first.
+    items: Vec<(u64, u64)>,
+    /// `prefix[k]` = `(Σ weight, Σ saving)` of `items[..k]`.
+    prefix: Vec<(u64, u64)>,
+}
+
+impl BudgetRelaxation {
+    /// An empty relaxation (bound 0 everywhere until rebuilt).
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Re-derives the items from one candidate's per-block `metrics`
+    /// and the per-block communication `floors`
+    /// ([`SearchBounds::comm_floors`], or zeros to ignore traffic).
+    ///
+    /// # Panics
+    ///
+    /// If `floors` does not hold one entry per block.
+    pub fn rebuild(&mut self, metrics: &[BsbMetrics], floors: &[u64]) {
+        assert_eq!(metrics.len(), floors.len(), "one floor per block");
+        self.sw_total = 0;
+        self.items.clear();
+        for (m, &floor) in metrics.iter().zip(floors) {
+            let sw = m.sw_time.count();
+            self.sw_total += sw;
+            let (Some(hw), Some(ctl)) = (m.hw_time, m.controller_area) else {
+                continue; // infeasible: stays in software
+            };
+            let saving = sw.saturating_sub(hw.count().saturating_add(floor));
+            if saving > 0 {
+                self.items.push((saving, ctl.gates()));
+            }
+        }
+        // Descending saving per gate, exactly: `s1/w1 > s2/w2` iff
+        // `s1·w2 > s2·w1`. Savings are positive, so a weight-0 item
+        // sorts ahead of every weighted one; the bound does not depend
+        // on how equal ratios order.
+        self.items.sort_unstable_by(|&(s1, w1), &(s2, w2)| {
+            (u128::from(s2) * u128::from(w1)).cmp(&(u128::from(s1) * u128::from(w2)))
+        });
+        self.prefix.clear();
+        self.prefix.push((0, 0));
+        let (mut weight, mut saving) = (0u64, 0u64);
+        for &(s, w) in &self.items {
+            weight += w;
+            saving += s;
+            self.prefix.push((weight, saving));
+        }
+    }
+
+    /// Admissible lower bound on the candidate's DP time when its
+    /// controllers may spend at most `cap` gates.
+    pub fn lower_bound(&self, cap: u64) -> u64 {
+        // `prefix[0]` weighs 0, so at least one entry fits.
+        let whole = self.prefix.partition_point(|&(w, _)| w <= cap) - 1;
+        self.bound_with(whole, cap)
+    }
+
+    /// [`BudgetRelaxation::lower_bound`] at `a · quantum` gates for
+    /// every level `a` in `0..=levels`, in one monotone pass.
+    pub fn level_bounds(&self, quantum: u64, levels: usize) -> impl Iterator<Item = u64> + '_ {
+        let mut whole = 0;
+        (0..=levels as u64).map(move |a| {
+            let cap = a * quantum;
+            while whole + 1 < self.prefix.len() && self.prefix[whole + 1].0 <= cap {
+                whole += 1;
+            }
+            self.bound_with(whole, cap)
+        })
+    }
+
+    /// The bound at `cap` when exactly `items[..whole]` fit whole: the
+    /// next item (if any) fills the rest fractionally, its share
+    /// rounded up.
+    fn bound_with(&self, whole: usize, cap: u64) -> u64 {
+        let (weight, saving) = self.prefix[whole];
+        let fraction = match self.items.get(whole) {
+            // It did not fit whole, so `w > cap − weight ≥ 0`.
+            Some(&(s, w)) => {
+                let share = (u128::from(s) * u128::from(cap - weight)).div_ceil(u128::from(w));
+                u64::try_from(share).expect("a partial share is below the item's saving")
+            }
+            None => 0,
+        };
+        self.sw_total - saving - fraction
+    }
+}
+
 /// Static barrier flags and segmented communication floors of one
 /// application over one allocation space — the floor inputs both the
 /// fresh and the incremental table builds recompute identically.
+/// `None` when `stop` tripped while the floors priced runs.
 fn floors_for(
     bsbs: &BsbArray,
     dims: &[(FuId, u32)],
@@ -404,7 +592,8 @@ fn floors_for(
     statics: &[BsbStatics],
     comm: Option<&CommModel>,
     memo: &mut CommCosts,
-) -> Vec<u64> {
+    stop: &StopSignal,
+) -> Option<Vec<u64>> {
     // Static barriers — blocks hardware-infeasible under EVERY
     // allocation of this space (immovable, a kind outside the
     // dimensions, or needing more units than the cap). Runs the DP
@@ -426,8 +615,8 @@ fn floors_for(
         })
         .collect();
     match comm {
-        Some(model) => comm_floors(bsbs, model, &barrier, memo),
-        None => vec![0u64; bsbs.len()],
+        Some(model) => comm_floors(bsbs, model, &barrier, memo, stop),
+        None => Some(vec![0u64; bsbs.len()]),
     }
 }
 
@@ -939,6 +1128,150 @@ mod tests {
                 }
                 counts[pos] += 1;
                 state.invalidate_upto(pos);
+                if counts[pos] <= dims[pos].1 {
+                    break;
+                }
+                counts[pos] = 0;
+                pos += 1;
+            }
+        }
+    }
+
+    /// Hand-built metrics of one block: `hw = None` is infeasible.
+    fn block(sw: u64, hw: Option<u64>, ctl: u64) -> BsbMetrics {
+        BsbMetrics {
+            sw_time: Cycles::new(sw),
+            hw_time: hw.map(Cycles::new),
+            hw_states: hw.map(|_| 1),
+            controller_area: hw.map(|_| Area::new(ctl)),
+        }
+    }
+
+    fn relaxation(metrics: &[BsbMetrics], floors: &[u64]) -> BudgetRelaxation {
+        let mut relax = BudgetRelaxation::new();
+        relax.rebuild(metrics, floors);
+        relax
+    }
+
+    #[test]
+    fn budget_relaxation_rounds_the_fractional_share_up() {
+        // One item: saving 10 at weight 3. A third of it is 3.33… —
+        // the bound subtracts 4, a looser but still admissible value.
+        let relax = relaxation(&[block(12, Some(2), 3)], &[0]);
+        assert_eq!(relax.lower_bound(0), 12);
+        assert_eq!(relax.lower_bound(1), 12 - 4);
+        assert_eq!(relax.lower_bound(2), 12 - 7);
+        assert_eq!(relax.lower_bound(3), 2, "the item fits whole");
+        assert_eq!(relax.lower_bound(u64::MAX), 2);
+        // The denser item goes first whatever the block order, and the
+        // next one fills the rest fractionally.
+        let metrics = [block(50, Some(10), 40), block(100, Some(10), 30)];
+        let relax = relaxation(&metrics, &[0, 0]);
+        assert_eq!(relax.lower_bound(30), 150 - 90);
+        assert_eq!(relax.lower_bound(31), 150 - 90 - 1, "ceil(40/40)");
+        assert_eq!(relax.lower_bound(69), 150 - 90 - 39);
+        assert_eq!(relax.lower_bound(70), 20);
+    }
+
+    #[test]
+    fn zero_weight_items_always_fit() {
+        // A free controller fits at capacity 0, ahead of a denser but
+        // weighted item.
+        let metrics = [block(100, Some(0), 10), block(9, Some(4), 0)];
+        let relax = relaxation(&metrics, &[0, 0]);
+        assert_eq!(relax.lower_bound(0), 109 - 5);
+        assert_eq!(relax.lower_bound(5), 109 - 5 - 50);
+        assert_eq!(relax.lower_bound(10), 4);
+        let all: Vec<u64> = relax.level_bounds(5, 2).collect();
+        assert_eq!(all, vec![104, 54, 4]);
+    }
+
+    #[test]
+    fn blocks_without_a_saving_are_no_items() {
+        // Infeasible, slower in hardware, and eaten by the comm floor:
+        // every capacity bounds at the all-software time.
+        let metrics = [
+            block(30, None, 0),
+            block(20, Some(25), 1),
+            block(40, Some(10), 1),
+        ];
+        for floors in [[0, 0, 30], [0, 0, 31]] {
+            let relax = relaxation(&metrics, &floors);
+            for cap in [0, 1, 1_000, u64::MAX] {
+                assert_eq!(relax.lower_bound(cap), 90, "cap {cap}, floors {floors:?}");
+            }
+        }
+        // Below the floor the block is an item again, saving 1.
+        let relax = relaxation(&metrics, &[0, 0, 29]);
+        assert_eq!(relax.lower_bound(1), 89);
+        // Nothing at all: the bound is 0 everywhere.
+        assert_eq!(relaxation(&[], &[]).lower_bound(7), 0);
+    }
+
+    #[test]
+    fn zero_capacity_keeps_weighted_items_in_software() {
+        let metrics = [block(100, Some(10), 16), block(80, Some(20), 32)];
+        let relax = relaxation(&metrics, &[0, 0]);
+        assert_eq!(relax.lower_bound(0), 180);
+        assert_eq!(relax.level_bounds(16, 0).collect::<Vec<_>>(), vec![180]);
+    }
+
+    #[test]
+    fn budget_relaxation_is_admissible_at_every_level() {
+        // Every allocation of the test app, with and without comm
+        // floors: the bound at `a` quanta never beats the DP's time at
+        // controller level `a`, the monotone pass agrees with the direct
+        // lookup, and at unbounded capacity the relaxation is exactly
+        // the tables' leaf bound.
+        let bsbs = app();
+        let lib = lib();
+        let cfg = PaceConfig::standard();
+        let restr = Restrictions::from_asap(&bsbs, &lib).unwrap();
+        let dims = search_space(&restr);
+        let total = Area::new(9_000);
+        let tables = [
+            SearchBounds::new(&bsbs, &lib, &dims, &cfg).unwrap(),
+            SearchBounds::with_comm_floor(&bsbs, &lib, &dims, &cfg).unwrap(),
+        ];
+        let mut scratch = DpScratch::new();
+        let mut comm = CommCosts::new(bsbs.len());
+        let mut relax = BudgetRelaxation::new();
+        let mut checked = 0;
+        let mut counts = vec![0u32; dims.len()];
+        loop {
+            let alloc: RMap = dims
+                .iter()
+                .zip(&counts)
+                .map(|(&(fu, _), &c)| (fu, c))
+                .collect();
+            let datapath = alloc.area(&lib);
+            if datapath <= total {
+                let metrics = compute_metrics(&bsbs, &lib, &alloc, &cfg).unwrap();
+                let ctl = total.checked_sub(datapath).unwrap();
+                scratch.evaluate(&bsbs, &metrics, &mut comm, ctl, &cfg);
+                let row = scratch.final_row();
+                for bounds in &tables {
+                    relax.rebuild(&metrics, bounds.comm_floors());
+                    let levels = row.len() - 1;
+                    for (a, lb) in relax.level_bounds(cfg.quantum, levels).enumerate() {
+                        assert_eq!(lb, relax.lower_bound(a as u64 * cfg.quantum));
+                        assert!(
+                            lb <= row[a],
+                            "level {a}: {lb} beats {} at {counts:?}",
+                            row[a]
+                        );
+                    }
+                    assert_eq!(relax.lower_bound(u64::MAX), bounds.prefix_bound(&counts, 0));
+                }
+                checked += 1;
+            }
+            let mut pos = 0;
+            loop {
+                if pos == dims.len() {
+                    assert!(checked > 0);
+                    return;
+                }
+                counts[pos] += 1;
                 if counts[pos] <= dims[pos].1 {
                     break;
                 }

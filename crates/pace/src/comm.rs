@@ -8,6 +8,7 @@
 //! loop) is transferred at its *production* rate, not its consumption
 //! rate, which models keeping it in an ASIC register across iterations.
 
+use crate::stop::StopSignal;
 use lycos_hwlib::{CommModel, Cycles};
 use lycos_ir::BsbArray;
 use std::collections::BTreeMap;
@@ -301,14 +302,20 @@ impl CommCosts {
 /// the artifact seam hands in the same table the DP reads, so the
 /// floor and the evaluation can never disagree on a run's price (and
 /// a warmed table answers without deriving anything).
+///
+/// On a cold memo this prices every run of every segment — the
+/// expensive part of a first bound-table build — so `stop` is polled
+/// once per run start; `None` means it tripped.
 pub(crate) fn comm_floors(
     bsbs: &BsbArray,
     comm: &CommModel,
     barrier: &[bool],
     costs: &mut CommCosts,
-) -> Vec<u64> {
+    stop: &StopSignal,
+) -> Option<Vec<u64>> {
     assert_eq!(bsbs.len(), barrier.len(), "one flag per block");
     let n = bsbs.len();
+    let stoppable = !stop.is_never();
     let mut floors = vec![0u64; n];
     let mut s = 0usize;
     while s < n {
@@ -324,6 +331,9 @@ pub(crate) fn comm_floors(
             *f = u64::MAX;
         }
         for j in s..=e {
+            if stoppable && stop.check().is_some() {
+                return None;
+            }
             for k in j..=e {
                 let share = costs.cost(bsbs, comm, j, k) / (k - j + 1) as u64;
                 for f in &mut floors[j..=k] {
@@ -333,7 +343,7 @@ pub(crate) fn comm_floors(
         }
         s = e + 1;
     }
-    floors
+    Some(floors)
 }
 
 #[cfg(test)]
@@ -594,7 +604,14 @@ mod tests {
             ],
         );
         let comm = CommModel::standard();
-        let floors = comm_floors(&bsbs, &comm, &[false; 4], &mut CommCosts::new(4));
+        let floors = comm_floors(
+            &bsbs,
+            &comm,
+            &[false; 4],
+            &mut CommCosts::new(4),
+            &StopSignal::never(),
+        )
+        .unwrap();
         let mut costs = CommCosts::new(4);
         for j in 0..4 {
             for k in j..4 {
@@ -621,7 +638,14 @@ mod tests {
             ],
         );
         let comm = CommModel::standard(); // sync 10, word 4
-        let floors = comm_floors(&bsbs, &comm, &[false, true, false], &mut CommCosts::new(3));
+        let floors = comm_floors(
+            &bsbs,
+            &comm,
+            &[false, true, false],
+            &mut CommCosts::new(3),
+            &StopSignal::never(),
+        )
+        .unwrap();
         // Run [0,0]: x leaves 100 times (min(writer, reader) = 100).
         assert_eq!(floors[0], 100 * 10 + 100 * 4);
         assert_eq!(floors[1], 0, "barrier blocks never pay run comm");
@@ -630,7 +654,14 @@ mod tests {
         // Without the barrier the whole-app run [0,2] (x internal, no
         // traffic) collapses every floor to zero.
         assert_eq!(
-            comm_floors(&bsbs, &comm, &[false; 3], &mut CommCosts::new(3)),
+            comm_floors(
+                &bsbs,
+                &comm,
+                &[false; 3],
+                &mut CommCosts::new(3),
+                &StopSignal::never()
+            )
+            .unwrap(),
             vec![0, 0, 0]
         );
     }

@@ -27,8 +27,9 @@
 //!   off one cursor, results bit-identical to the sequential walk —
 //!   and, with `SearchOptions::bound`, driven by branch-and-bound over
 //!   the admissible, communication-floored lower bounds of
-//!   [`SearchBounds`], returning the field-exact optimum while
-//!   visiting a fraction of the space;
+//!   [`SearchBounds`] and, per candidate, the controller-budget
+//!   knapsack of [`BudgetRelaxation`], returning the field-exact
+//!   optimum while visiting a fraction of the space;
 //! * [`search_pareto`] — the same engine under the [`ParetoFront`]
 //!   objective: one sweep emits the entire Pareto frontier of the
 //!   time×area trade-off instead of one point per budget. The
@@ -98,7 +99,7 @@ mod stop;
 pub use artifacts::{
     ArtifactKey, ArtifactStore, BlockKey, SearchArtifacts, StoreOutcome, StoreStats, WarmSeed,
 };
-pub use bounds::SearchBounds;
+pub use bounds::{BudgetRelaxation, SearchBounds};
 pub use comm::{run_traffic, CommCosts, RunTraffic};
 pub use config::PaceConfig;
 #[doc(hidden)]

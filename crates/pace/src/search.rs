@@ -27,7 +27,12 @@
 //!   candidates. The bound folds in each block's admissible
 //!   communication floor ([`crate::SearchBounds::with_comm_floor`])
 //!   instead of relaxing all traffic to zero, pruning harder on
-//!   communication-dominated applications. Workers share their best
+//!   communication-dominated applications. After a surviving
+//!   candidate's metrics refresh, a fractional knapsack over its
+//!   blocks' controller areas ([`crate::BudgetRelaxation`]) puts the
+//!   controller budget back into the bound and spares the DP of
+//!   candidates whose data path leaves too little controller area
+//!   ([`Objective::prune_candidate`]). Workers share their best
 //!   `(time, area)` through an [`AtomicU64`]-packed incumbent so one
 //!   worker's early optimum tightens every other worker's bound;
 //!   cross-worker pruning is deliberately stricter than own-range
@@ -61,7 +66,7 @@
 //! time×area trade-off curve instead of one point per budget.
 
 use crate::artifacts::{SearchArtifacts, WarmSeed};
-use crate::bounds::LevelState;
+use crate::bounds::{BudgetRelaxation, LevelState};
 use crate::metrics::{bsb_statics, feasible_block_metrics, infeasible_block_metrics, BsbStatics};
 use crate::stop::{Completion, StopReason, StopSignal, STOP_CHECK_INTERVAL};
 use crate::{
@@ -124,7 +129,10 @@ pub struct SearchOptions {
     /// The bound folds in the admissible communication floor
     /// ([`crate::SearchBounds::with_comm_floor`]): blocks forced to
     /// hardware carry their minimum unavoidable run-traffic share
-    /// instead of relaxing communication to zero.
+    /// instead of relaxing communication to zero. Each surviving
+    /// candidate then meets the controller-budget relaxation
+    /// ([`crate::BudgetRelaxation`]) before its DP; the candidates it
+    /// prunes are counted in [`SearchStats::budget_pruned`] as well.
     pub bound: bool,
     /// Capacity of the cross-request [`crate::ArtifactStore`] in
     /// applications, for the layers that own one (the
@@ -321,6 +329,11 @@ pub struct SearchStats {
     /// `evaluated + skipped + bounded + truncated_points` always
     /// equals the space size.
     pub bounded: u128,
+    /// The subset of `bounded` pruned one candidate at a time by the
+    /// controller-budget relaxation ([`crate::BudgetRelaxation`]):
+    /// candidates whose metrics were refreshed but whose DP the
+    /// relaxation proved hopeless.
+    pub budget_pruned: u64,
     /// Points past the truncation window — never visited because the
     /// evaluation limit cut the space short (`0` on full sweeps).
     pub truncated_points: u128,
@@ -1075,6 +1088,27 @@ pub trait Objective: Sync {
     /// data-path gates `min_area` can be skipped wholesale.
     fn prune(&self, local: &Self::Local, lb: u64, min_area: u64) -> bool;
 
+    /// Whether one candidate whose metrics are known can skip its DP.
+    /// The candidate's data path costs `gates`; its DP would fill
+    /// controller levels `0..=levels`, level `a` costing `a · quantum`
+    /// gates of controller, and its time at level `a` is at least
+    /// `relax.lower_bound(a · quantum)`. The same contract as
+    /// [`Objective::prune`]: return `true` only when no level of the
+    /// candidate could change the reduced output.
+    ///
+    /// The default prunes against the full-budget bound, which is
+    /// sound for every objective: no level can beat it.
+    fn prune_candidate(
+        &self,
+        local: &Self::Local,
+        relax: &BudgetRelaxation,
+        gates: u64,
+        levels: usize,
+        quantum: u64,
+    ) -> bool {
+        self.prune(local, relax.lower_bound(levels as u64 * quantum), gates)
+    }
+
     /// An allocation was evaluated. `publish` is `true` when
     /// branch-and-bound is on — the one case where advertising
     /// progress cross-worker buys pruning.
@@ -1437,6 +1471,48 @@ impl Objective for ParetoFront {
         false
     }
 
+    // Level `a` would record the point `(gates + a·q, t(a))` with
+    // `t(a) ≥ lb(a·q)`. The candidate prunes only if every level's
+    // point is dominated: by an own entry strictly, or on a tie when
+    // the entry's area is within `gates` (its own gates are then no
+    // larger and its index earlier, so it wins the tie-break — the
+    // rule `prune` applies); by a shared entry only strictly. The
+    // staircases are area-ascending with strictly falling times, so
+    // the entry with the largest area within a level's area is the
+    // fastest candidate dominator, and both cursors only move forward.
+    fn prune_candidate(
+        &self,
+        local: &ParetoLocal,
+        relax: &BudgetRelaxation,
+        gates: u64,
+        levels: usize,
+        quantum: u64,
+    ) -> bool {
+        let (own, shared) = (&local.points, &local.snapshot);
+        let (mut o, mut s) = (0, 0);
+        for (a, lb) in relax.level_bounds(quantum, levels).enumerate() {
+            let area = gates + a as u64 * quantum;
+            while o < own.len() && own[o].area <= area {
+                o += 1;
+            }
+            while s < shared.len() && shared[s].0 <= area {
+                s += 1;
+            }
+            let own_dominates = o > 0 && {
+                let e = &own[o - 1];
+                e.time < lb || (e.time == lb && (e.area < area || e.area <= gates))
+            };
+            let shared_dominates = s > 0 && {
+                let (sa, st) = shared[s - 1];
+                st < lb || (st == lb && sa < area)
+            };
+            if !own_dominates && !shared_dominates {
+                return false;
+            }
+        }
+        true
+    }
+
     fn record(
         &self,
         local: &mut ParetoLocal,
@@ -1609,6 +1685,7 @@ struct WorkerOut<L> {
     evaluated: usize,
     skipped: usize,
     bounded: u128,
+    budget_pruned: u64,
     /// Chunks this worker took beyond its first.
     steals: u64,
     hits: u64,
@@ -1632,6 +1709,7 @@ impl<L> WorkerOut<L> {
             evaluated: 0,
             skipped: 0,
             bounded: 0,
+            budget_pruned: 0,
             steals: 0,
             hits: 0,
             misses: 0,
@@ -1666,6 +1744,9 @@ struct SweepWorker<'a, O: Objective> {
     dirty_fus: Vec<FuId>,
     bounds: Option<&'a SearchBounds>,
     levels: Option<LevelState>,
+    /// The current candidate's controller-budget relaxation, rebuilt
+    /// in place after each metrics refresh (bounded walks only).
+    relax: BudgetRelaxation,
     /// Cross-request evaluation memo for this exact budget, if a
     /// previous run over the same artifacts recorded one.
     eval_memo: Option<Arc<HashMap<u128, u64>>>,
@@ -1720,6 +1801,7 @@ impl<'a, O: Objective> SweepWorker<'a, O> {
             dirty_fus: Vec::with_capacity(dims.len()),
             bounds,
             levels: bounds.map(LevelState::new),
+            relax: BudgetRelaxation::new(),
             eval_memo,
             memoize,
             objective,
@@ -1757,6 +1839,76 @@ impl<'a, O: Objective> SweepWorker<'a, O> {
             levels.invalidate_all();
         }
         self.objective.reseed(&mut self.out.local, self.shared);
+    }
+
+    /// Brings the metrics buffer up to the odometer's current point:
+    /// a from-scratch refresh after a jump, otherwise only the blocks
+    /// touching a kind dirtied since the last refresh.
+    fn refresh_metrics(&mut self, odo: &Odometer) -> Result<(), PaceError> {
+        odo.write_rmap(&mut self.candidate);
+        if self.dirty.all {
+            self.cache
+                .metrics_into(&self.candidate, &mut self.metrics)?;
+        } else {
+            self.dirty_fus.clear();
+            for (pos, &flag) in self.dirty.flags.iter().enumerate() {
+                if flag {
+                    self.dirty_fus.push(odo.kind_at(pos));
+                }
+            }
+            self.cache
+                .step_into(&self.candidate, &self.dirty_fus, &mut self.metrics)?;
+        }
+        self.dirty.clear();
+        Ok(())
+    }
+
+    /// Runs the refreshed candidate's DP and hands it to the
+    /// objective. Returns `false` when the stop signal tripped between
+    /// DP rows: the point then stays unvisited (neither evaluated nor
+    /// recorded) and the worker must stop.
+    fn evaluate_and_record(&mut self, index: u128, gates: u64) -> bool {
+        let Some(time) = self.scratch.evaluate_stoppable(
+            self.bsbs,
+            &self.metrics,
+            &mut self.comm,
+            Area::new(self.total_gates - gates),
+            self.config,
+            self.stop,
+        ) else {
+            self.out.stopped = Some(self.stop.check().unwrap_or(StopReason::Deadline));
+            return false;
+        };
+        self.out.evaluated += 1;
+        if self.memoize {
+            self.out.recorded.push((index, time));
+        }
+        let eval = CandidateEval {
+            scratch: &self.scratch,
+            metrics: &self.metrics,
+            allocation: &self.candidate,
+            time,
+            gates,
+            index,
+            quantum: self.config.quantum,
+        };
+        self.objective
+            .record(&mut self.out.local, self.shared, self.publish, &eval);
+        true
+    }
+
+    /// Whether the controller-budget relaxation of the freshly
+    /// refreshed candidate (data path `gates`) proves its DP hopeless
+    /// to the objective. Always `false` on unbounded walks.
+    fn budget_prunes(&mut self, gates: u64) -> bool {
+        let Some(bounds) = self.bounds else {
+            return false;
+        };
+        self.relax.rebuild(&self.metrics, bounds.comm_floors());
+        let quantum = self.config.quantum;
+        let levels = ((self.total_gates - gates) / quantum) as usize;
+        self.objective
+            .prune_candidate(&self.out.local, &self.relax, gates, levels, quantum)
     }
 
     /// Evaluates every point of `range`, exactly as the sequential
@@ -1860,50 +2012,16 @@ impl<'a, O: Objective> SweepWorker<'a, O> {
                 // every block touched since.
                 self.out.evaluated += 1;
             } else {
-                odo.write_rmap(&mut self.candidate);
-                if self.dirty.all {
-                    self.cache
-                        .metrics_into(&self.candidate, &mut self.metrics)?;
-                } else {
-                    self.dirty_fus.clear();
-                    for (pos, &flag) in self.dirty.flags.iter().enumerate() {
-                        if flag {
-                            self.dirty_fus.push(odo.kind_at(pos));
-                        }
-                    }
-                    self.cache
-                        .step_into(&self.candidate, &self.dirty_fus, &mut self.metrics)?;
-                }
-                self.dirty.clear();
-                let Some(time) = self.scratch.evaluate_stoppable(
-                    self.bsbs,
-                    &self.metrics,
-                    &mut self.comm,
-                    Area::new(self.total_gates - gates),
-                    self.config,
-                    self.stop,
-                ) else {
-                    // The signal tripped between DP rows: the point
-                    // stays unvisited (neither evaluated nor
-                    // recorded) and the worker stops here.
-                    self.out.stopped = Some(self.stop.check().unwrap_or(StopReason::Deadline));
+                self.refresh_metrics(&odo)?;
+                if self.budget_prunes(gates) {
+                    // Hopeless under its own controller budget: tallied
+                    // like a leaf-level skip, and the walk advances
+                    // past it below like past any other point.
+                    self.out.bounded += 1;
+                    self.out.budget_pruned += 1;
+                } else if !self.evaluate_and_record(index, gates) {
                     return Ok(());
-                };
-                self.out.evaluated += 1;
-                if self.memoize {
-                    self.out.recorded.push((index, time));
                 }
-                let eval = CandidateEval {
-                    scratch: &self.scratch,
-                    metrics: &self.metrics,
-                    allocation: &self.candidate,
-                    time,
-                    gates,
-                    index,
-                    quantum: self.config.quantum,
-                };
-                self.objective
-                    .record(&mut self.out.local, self.shared, self.publish, &eval);
             }
             index += 1;
             if index >= range.end {
@@ -2465,9 +2583,16 @@ fn run_search<O: Objective>(
     // table costs more than a short sweep spends on traffic); the
     // store path hands it in pre-warmed. The bound tables are built
     // lazily inside the artifacts and shared read-only, folding in the
-    // admissible communication floor.
+    // admissible communication floor. Their first build polls the stop
+    // signal: if it trips there, no worker runs and the whole window
+    // lands in `unvisited`.
+    let mut stop_reason: Option<StopReason> = None;
     let bounds = if options.bound {
-        Some(artifacts.bounds_for(bsbs, lib, config)?)
+        let built = artifacts.bounds_for(bsbs, lib, config, stop)?;
+        if built.is_none() {
+            stop_reason = Some(stop.check().unwrap_or(StopReason::Deadline));
+        }
+        built
     } else {
         None
     };
@@ -2534,7 +2659,9 @@ fn run_search<O: Objective>(
             stop,
         )
     };
-    let outs: Vec<Result<WorkerOut<O::Local>, PaceError>> = if threads == 1 {
+    let outs: Vec<Result<WorkerOut<O::Local>, PaceError>> = if stop_reason.is_some() {
+        Vec::new()
+    } else if threads == 1 {
         vec![sweep()]
     } else {
         std::thread::scope(|scope| {
@@ -2556,12 +2683,12 @@ fn run_search<O: Objective>(
     };
     let mut locals = Vec::with_capacity(outs.len());
     let mut recorded = Vec::new();
-    let mut stop_reason: Option<StopReason> = None;
     for out in outs {
         let mut out = out?;
         evaluated += out.evaluated;
         skipped += out.skipped;
         stats.bounded += out.bounded;
+        stats.budget_pruned += out.budget_pruned;
         stats.steals += out.steals;
         stats.cache_hits += out.hits;
         stats.cache_misses += out.misses;
