@@ -37,6 +37,15 @@
 //!   to the in-process sequential CSV — the pool never shrank and the
 //!   chaos left no residue.
 //!
+//! A frontier phase rides along:
+//!
+//! * **front** — a fresh server sweeps `pareto app=eigen@13000` once,
+//!   which keeps its staircase on the store entry; the same bounded
+//!   `table1` request as the cold phase, at eigen's lower Table 1
+//!   budget, is then answered from the staircase without a sweep. Its
+//!   winner columns must equal the cold response's, and the `stats`
+//!   verb must count every repeat in `front_hits`.
+//!
 //! A connection phase rides along too:
 //!
 //! * **connect** — pings, each on a fresh connection (connect
@@ -53,7 +62,7 @@
 //!
 //! ```text
 //! cargo run --release -p lycos_bench --bin bench_serve \
-//!     [-- --check-speedup 2 --check-edited 1.5 \
+//!     [-- --check-speedup 2 --check-edited 1.5 --check-front 5 \
 //!         --check-connect-p99-ms 5 --check-idle-slack-ms 1] > BENCH_serve.json
 //! ```
 //!
@@ -61,7 +70,8 @@
 //! least `X` times faster than the cold one (CI gates at 2);
 //! `--check-edited X` does the same for the edited request against
 //! the from-scratch build of the same mutated program (CI gates at
-//! 1.5). `--check-connect-p99-ms X` exits non-zero when the
+//! 1.5); `--check-front X` for the frontier-served request against the
+//! cold one (CI gates at 5). `--check-connect-p99-ms X` exits non-zero when the
 //! fresh-connection ping p99 exceeds `X` ms (CI gates at 5);
 //! `--check-idle-slack-ms X` when the p99 with idle sockets held open
 //! exceeds the p99 without them by more than `X` ms (CI gates at 1).
@@ -75,10 +85,15 @@ use lycos::explore::TABLE1_CSV_HEADER;
 use lycos::pace::SearchOptions;
 use lycos_serve::protocol::encode;
 use lycos_serve::{Client, Request, Response, ServeConfig, Server, STATS_CSV_HEADER};
+use std::collections::HashMap;
 use std::time::{Duration, Instant};
 
 const CONNECT_DEADLINE: Duration = Duration::from_secs(10);
 const REQUEST_LINE: &str = "table1 app=eigen bound format=csv";
+
+/// The sweep whose stored staircase serves [`REQUEST_LINE`] in the
+/// frontier phase: a cap above eigen's Table 1 budget.
+const FRONT_LINE: &str = "pareto app=eigen@13000 bound format=csv";
 
 /// The anytime gate's wall-clock budget for the bare search stage.
 const DEADLINE_MS: u64 = 25;
@@ -152,15 +167,18 @@ fn winner_fields(lines: &[String]) -> Vec<String> {
         .collect()
 }
 
-/// The `stats` verb row, parsed: hits, misses, evictions, entries,
-/// cap, incremental, reused, rederived, panics.
-fn store_stats(client: &mut Client) -> Vec<u64> {
+/// The `stats` verb row, parsed into counters by header name.
+fn store_stats(client: &mut Client) -> HashMap<String, u64> {
     let response = client.send(&Request::Stats).expect("send stats");
     let Response::Ok(lines) = response else {
         panic!("unexpected stats response");
     };
     assert_eq!(lines[0], STATS_CSV_HEADER, "stats header drifted");
-    lines[1].split(',').map(|c| c.parse().unwrap()).collect()
+    lines[0]
+        .split(',')
+        .zip(lines[1].split(','))
+        .map(|(name, c)| (name.to_owned(), c.parse().unwrap()))
+        .collect()
 }
 
 fn shutdown(addr: &str, handle: std::thread::JoinHandle<()>) {
@@ -229,6 +247,7 @@ fn gate_ms(label: &str, actual_ms: f64, max_ms: Option<f64>) {
 fn main() {
     let mut check_speedup: Option<f64> = None;
     let mut check_edited: Option<f64> = None;
+    let mut check_front: Option<f64> = None;
     let mut check_connect_p99_ms: Option<f64> = None;
     let mut check_idle_slack_ms: Option<f64> = None;
     let mut args = std::env::args().skip(1);
@@ -237,12 +256,14 @@ fn main() {
         let slot = match flag {
             "--check-speedup" => &mut check_speedup,
             "--check-edited" => &mut check_edited,
+            "--check-front" => &mut check_front,
             "--check-connect-p99-ms" => &mut check_connect_p99_ms,
             "--check-idle-slack-ms" => &mut check_idle_slack_ms,
             other => {
                 eprintln!(
                     "bench_serve: unknown argument `{other}` (expected --check-speedup <x> / \
-                     --check-edited <x> / --check-connect-p99-ms <ms> / --check-idle-slack-ms <ms>)"
+                     --check-edited <x> / --check-front <x> / --check-connect-p99-ms <ms> / \
+                     --check-idle-slack-ms <ms>)"
                 );
                 std::process::exit(2);
             }
@@ -321,7 +342,11 @@ fn main() {
         }
     }
     let warm_stats = store_stats(&mut client);
-    let (hits, misses, evictions) = (warm_stats[0], warm_stats[1], warm_stats[2]);
+    let (hits, misses, evictions) = (
+        warm_stats["hits"],
+        warm_stats["misses"],
+        warm_stats["evictions"],
+    );
     drop(client);
     shutdown(&addr, handle);
 
@@ -345,7 +370,7 @@ fn main() {
     // mutated request riding the incremental diff path. Each trial
     // needs its own server — a repeat would be a plain store hit.
     let mut edited_seconds = f64::INFINITY;
-    let mut reuse = Vec::new();
+    let mut reuse = HashMap::new();
     for _ in 0..trials {
         let (addr, handle) = spawn_server(defaults.clone());
         let mut client = Client::connect_with_retry(&addr, CONNECT_DEADLINE).expect("connect");
@@ -364,7 +389,8 @@ fn main() {
         drop(client);
         shutdown(&addr, handle);
     }
-    let (incremental, reused, rederived) = (reuse[5], reuse[6], reuse[7]);
+    let (incremental, reused, rederived) =
+        (reuse["incremental"], reuse["reused"], reuse["rederived"]);
     if incremental != 1 || reused == 0 {
         eprintln!(
             "bench_serve: the edited request did not ride the diff path \
@@ -372,6 +398,39 @@ fn main() {
         );
         std::process::exit(1);
     }
+
+    // Front: one Pareto sweep above eigen's budget, then the cold
+    // phase's own request, answered from the stored staircase.
+    let (addr, handle) = spawn_server(defaults.clone());
+    let mut client = Client::connect_with_retry(&addr, CONNECT_DEADLINE).expect("connect");
+    let (front_build_seconds, _) = timed_request(&mut client, FRONT_LINE);
+    let mut front_seconds = f64::INFINITY;
+    for _ in 0..warm_reps {
+        let (seconds, lines) = timed_request(&mut client, REQUEST_LINE);
+        front_seconds = front_seconds.min(seconds);
+        let front_winner = winner_fields(&lines);
+        if front_winner != cold_winner {
+            eprintln!(
+                "bench_serve: frontier-served winner columns diverged from cold \
+                 ({front_winner:?} vs {cold_winner:?})"
+            );
+            std::process::exit(1);
+        }
+    }
+    let front_hits = store_stats(&mut client)["front_hits"];
+    if front_hits != warm_reps as u64 {
+        eprintln!(
+            "bench_serve: {warm_reps} request(s) under the stored staircase's cap \
+             were served {front_hits} time(s)"
+        );
+        std::process::exit(1);
+    }
+    drop(client);
+    shutdown(&addr, handle);
+    eprintln!(
+        "[bench_serve] eigen front: sweep {front_build_seconds:.3}s, then \
+         {front_seconds:.4}s best of {warm_reps} served repeat(s)"
+    );
 
     // Deadline, in process: the ISSUE 10 acceptance gate on the bare
     // search stage. A bounded eigen *full* sweep issued with a 25 ms
@@ -552,7 +611,7 @@ fn main() {
             eprintln!("bench_serve: soak deadline did not report `deadline`: {truncated:?}");
             std::process::exit(1);
         }
-        soak_panics = store_stats(&mut control)[8];
+        soak_panics = store_stats(&mut control)["panics"];
         if soak_panics == 0 {
             eprintln!("bench_serve: soak stats did not count the caught panic");
             std::process::exit(1);
@@ -642,6 +701,7 @@ fn main() {
 
     let speedup = cold_seconds / warm_seconds.max(f64::EPSILON);
     let edited_speedup = scratch_seconds / edited_seconds.max(f64::EPSILON);
+    let front_speedup = cold_seconds / front_seconds.max(f64::EPSILON);
     let hit_ratio = hits as f64 / (hits + misses).max(1) as f64;
     eprintln!(
         "[bench_serve] eigen warm: {warm_seconds:.3}s best of {warm_reps} repeat(s) \
@@ -653,12 +713,15 @@ fn main() {
     );
 
     print!(
-        "{{\n  \"schema\": \"lycos-bench-serve/4\",\n  \"app\": \"eigen\",\n  \
+        "{{\n  \"schema\": \"lycos-bench-serve/5\",\n  \"app\": \"eigen\",\n  \
          \"request\": \"{REQUEST_LINE}\",\n  \"cold_seconds\": {},\n  \
          \"warm_seconds\": {},\n  \"speedup\": {},\n  \"edited\": {{\n    \
          \"scratch_seconds\": {},\n    \"edited_seconds\": {},\n    \
          \"speedup\": {},\n    \"blocks_reused\": {reused},\n    \
-         \"blocks_rederived\": {rederived}\n  }},\n  \"deadline\": {{\n    \
+         \"blocks_rederived\": {rederived}\n  }},\n  \"front\": {{\n    \
+         \"sweep\": \"{FRONT_LINE}\",\n    \"sweep_seconds\": {},\n    \
+         \"served_seconds\": {},\n    \"speedup\": {},\n    \
+         \"front_hits\": {front_hits}\n  }},\n  \"deadline\": {{\n    \
          \"search_deadline_ms\": {DEADLINE_MS},\n    \"search_wall_seconds\": {},\n    \
          \"wire_deadline_ms\": {WIRE_DEADLINE_MS},\n    \"wire_wall_seconds\": {},\n    \
          \"completion\": \"{completion}\"\n  }},\n  \"soak\": {{\n    \
@@ -674,6 +737,9 @@ fn main() {
         json_num(scratch_seconds),
         json_num(edited_seconds),
         json_num(edited_speedup),
+        json_num(front_build_seconds),
+        json_num(front_seconds),
+        json_num(front_speedup),
         json_num(search_wall),
         json_num(deadline_wall),
         json_num(hit_ratio),
@@ -685,6 +751,7 @@ fn main() {
 
     gate("eigen warm request", speedup, check_speedup);
     gate("eigen edited request", edited_speedup, check_edited);
+    gate("eigen frontier-served request", front_speedup, check_front);
     gate_ms("fresh-connection ping p99", ping_p99, check_connect_p99_ms);
     gate_ms(
         "ping p99 with idle sockets",

@@ -84,7 +84,8 @@ search knobs (best, pareto, table1; request defaults for serve):
   --store-cap <n>   applications the cross-request artifact store
                     keeps resident (default 8; LRU eviction past
                     the cap; the store backs `serve` and `best`)
-  --no-warm         disable cross-request warm starts: incumbent
+  --no-warm         disable cross-request warm starts: answers
+                    served from a stored Pareto staircase, incumbent
                     reseeding from recorded winners and the
                     evaluation memo (default on; results are
                     field-identical either way — warm repeats are

@@ -64,6 +64,8 @@
 //!   with its true time, so the strict-only reseed stays sound.
 //! * **Evaluation memos** depend on every block at once and carry over
 //!   only when *zero* blocks were dirty (a pure rename edit).
+//! * **Stored Pareto staircases** are never carried: they die with the
+//!   entry, and an edited application builds its own.
 //!
 //! The hard contract — pinned by `incremental_prop.rs` in the
 //! exploration crate — is that a search over incrementally built
@@ -75,6 +77,7 @@ use crate::config::PaceConfig;
 use crate::error::PaceError;
 use crate::exhaustive::{search_space, space_size};
 use crate::metrics::{block_statics, bsb_statics, metrics_from_statics, BsbStatics};
+use crate::search::StoredFront;
 use crate::stop::StopSignal;
 use crate::{BsbMetrics, DpScratch};
 use lycos_core::{RMap, Restrictions};
@@ -442,27 +445,147 @@ pub struct SearchArtifacts {
     // sweeps never pay for tables they cannot read.
     bounds: OnceLock<SearchBounds>,
     // Cross-request evaluation memos, one per total budget (MRU-last,
-    // capped): candidate odometer index → hybrid time, recorded by
-    // finished sweeps and served back to later warm runs over the
-    // same artifacts. The DP is deterministic per (artifacts, budget,
-    // candidate), so a served time is bit-identical to a recompute.
-    eval_memos: Mutex<Vec<EvalMemo>>,
-    // Whether these artifacts live in an [`ArtifactStore`] and can
-    // outlive the current request. One-shot artifacts stay `false`, so
-    // sweeps over them skip the evaluation-memo bookkeeping whose
-    // results nobody could ever read back.
-    store_resident: bool,
+    // capped): candidate odometer index → hybrid time (or, for a
+    // candidate the controller-budget relaxation pruned, its lower
+    // bound), recorded by finished sweeps and served back to later
+    // warm runs over the same artifacts. The DP and the relaxation are
+    // deterministic per (artifacts, budget, candidate), so a served
+    // value is bit-identical to a recompute.
+    eval_memos: Mutex<Vec<(u64, Arc<EvalMemo>)>>,
+    /// The widest completed Pareto staircase swept over these
+    /// artifacts, if any. It answers every best-under-budget search at
+    /// a budget `B ≤ cap` and every Pareto sweep at `B′ ≤ cap` without
+    /// a sweep, exactly:
+    ///
+    /// * the staircase holds, area-ascending, each point `(allocation,
+    ///   controller level)` whose `(time, gates, index)` key is smaller
+    ///   than every point's at no more area — so the last entry with
+    ///   area ≤ `B` is the minimum key over every point within `B`;
+    /// * a candidate's DP row is non-increasing in the level and a
+    ///   cell does not depend on the row's width, so that minimum is
+    ///   exactly the `(time, gates, index)` order a fresh search at `B`
+    ///   reduces by;
+    /// * the served winner's partition comes from one DP of its
+    ///   allocation at `B`, the very evaluation the fresh search
+    ///   backtracks.
+    ///
+    /// Kept only for complete, untruncated sweeps over store-resident
+    /// artifacts with `warm` on; a wider sweep replaces a narrower one.
+    /// It dies with the store entry and is never carried across an
+    /// incremental rebuild. See the module docs of the search engine.
+    front: Mutex<Option<Arc<StoredFront>>>,
+    // The owning store's served-lookup counter when these artifacts
+    // live in an [`ArtifactStore`] and can outlive the current
+    // request; `None` on one-shot artifacts, so sweeps over them skip
+    // the memo and staircase bookkeeping nobody could ever read back.
+    store_front_hits: Option<Arc<AtomicU64>>,
 }
 
-/// One per-budget evaluation memo: the gate budget it was recorded
-/// under, and the shared index → hybrid-time table.
-type EvalMemo = (u64, Arc<HashMap<u128, u64>>);
+/// One cross-request evaluation-memo entry.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub(crate) enum MemoEval {
+    /// The candidate's DP time under the memo's budget.
+    Exact(u64),
+    /// The controller-budget relaxation's lower bound on that time, at
+    /// the candidate's full controller budget: recorded for a
+    /// candidate the relaxation pruned, so its DP never ran.
+    Bound(u64),
+}
+
+impl MemoEval {
+    /// The recorded time, or lower bound on it.
+    pub(crate) fn time(self) -> u64 {
+        match self {
+            MemoEval::Exact(time) | MemoEval::Bound(time) => time,
+        }
+    }
+
+    /// One word: the time shifted left, the low bit set for a bound.
+    /// `None` for a time of 2⁶³ cycles or more, which is simply not
+    /// memoised.
+    fn pack(self) -> Option<u64> {
+        let (time, bound) = match self {
+            MemoEval::Exact(time) => (time, 0),
+            MemoEval::Bound(time) => (time, 1),
+        };
+        (time < 1 << 63).then_some((time << 1) | bound)
+    }
+
+    fn unpack(word: u64) -> Self {
+        if word & 1 == 1 {
+            MemoEval::Bound(word >> 1)
+        } else {
+            MemoEval::Exact(word >> 1)
+        }
+    }
+}
+
+/// One budget's evaluation memo: `(odometer index, packed evaluation)`
+/// pairs sorted by index — 16 bytes an entry and no hash-table slack,
+/// looked up by binary search. A candidate whose index or time does
+/// not fit a word is simply not memoised.
+#[derive(Clone, Debug, Default)]
+pub(crate) struct EvalMemo(Vec<(u64, u64)>);
+
+impl EvalMemo {
+    /// The evaluation recorded for the candidate at `index`, if any.
+    pub(crate) fn get(&self, index: u128) -> Option<MemoEval> {
+        let index = u64::try_from(index).ok()?;
+        let at = self.0.binary_search_by_key(&index, |&(i, _)| i).ok()?;
+        Some(MemoEval::unpack(self.0[at].1))
+    }
+
+    /// This memo with `pairs` folded in. An exact time replaces a bound
+    /// and is never replaced by one; equal kinds must carry equal
+    /// values (the DP and the relaxation are deterministic), asserted
+    /// in debug builds. New candidates stop at [`MAX_EVAL_ENTRIES`].
+    fn merged(&self, pairs: Vec<(u128, MemoEval)>) -> EvalMemo {
+        let mut fresh: Vec<(u64, u64)> = pairs
+            .into_iter()
+            .filter_map(|(index, eval)| Some((u64::try_from(index).ok()?, eval.pack()?)))
+            .collect();
+        // Exact words (low bit clear) sort first, so dedup keeps them.
+        fresh.sort_unstable_by_key(|&(index, word)| (index, word & 1));
+        fresh.dedup_by_key(|&mut (index, _)| index);
+        let mut room = MAX_EVAL_ENTRIES.saturating_sub(self.0.len());
+        let mut out = Vec::with_capacity(self.0.len() + fresh.len().min(room));
+        let mut old = self.0.iter().copied().peekable();
+        for (index, word) in fresh {
+            while let Some(&kept) = old.peek().filter(|&&(i, _)| i < index) {
+                out.push(kept);
+                old.next();
+            }
+            match old.peek() {
+                Some(&(i, kept)) if i == index => {
+                    let merged = match (kept & 1, word & 1) {
+                        (1, 0) => word,
+                        (0, 1) => kept,
+                        _ => {
+                            debug_assert_eq!(kept, word, "eval memo disagrees at index {index}");
+                            kept
+                        }
+                    };
+                    out.push((index, merged));
+                    old.next();
+                }
+                _ if room > 0 => {
+                    room -= 1;
+                    out.push((index, word));
+                }
+                _ => {}
+            }
+        }
+        out.extend(old);
+        EvalMemo(out)
+    }
+}
 
 /// Budgets an artifact set keeps evaluation memos for.
 const MAX_EVAL_MEMOS: usize = 8;
 
-/// Entries one evaluation memo may hold — a few MB worst case; a
-/// partial memo stays sound (missing indices just recompute).
+/// Entries one evaluation memo may hold, exact and bound entries
+/// together — a few MB worst case; a partial memo stays sound
+/// (missing indices just recompute).
 const MAX_EVAL_ENTRIES: usize = 1 << 18;
 
 impl SearchArtifacts {
@@ -496,7 +619,8 @@ impl SearchArtifacts {
             context: context_of(lib, config),
             bounds: OnceLock::new(),
             eval_memos: Mutex::new(Vec::new()),
-            store_resident: false,
+            front: Mutex::new(None),
+            store_front_hits: None,
         })
     }
 
@@ -606,7 +730,8 @@ impl SearchArtifacts {
             context: donor.context,
             bounds: OnceLock::new(),
             eval_memos: Mutex::new(eval_memos),
-            store_resident: false,
+            front: Mutex::new(None),
+            store_front_hits: None,
         };
 
         // Bound tables are patchable only under identical dimensions
@@ -659,7 +784,8 @@ impl SearchArtifacts {
             context: 0,
             bounds: OnceLock::new(),
             eval_memos: Mutex::new(Vec::new()),
-            store_resident: false,
+            front: Mutex::new(None),
+            store_front_hits: None,
         })
     }
 
@@ -676,11 +802,41 @@ impl SearchArtifacts {
 
     /// Whether these artifacts are shared through an
     /// [`ArtifactStore`] (set by [`ArtifactStore::get_or_build`]).
-    /// The engines consult this before doing evaluation-memo
-    /// bookkeeping: on one-shot artifacts nothing could ever read a
-    /// recorded memo back, so the sweep skips the recording entirely.
+    /// The engines consult this before doing evaluation-memo and
+    /// staircase bookkeeping: on one-shot artifacts nothing could ever
+    /// read a recording back, so the sweep skips it entirely.
     pub fn store_resident(&self) -> bool {
-        self.store_resident
+        self.store_front_hits.is_some()
+    }
+
+    /// The widest completed Pareto staircase kept on these artifacts,
+    /// if any — what answers later searches at budgets up to its cap
+    /// without a sweep.
+    pub fn stored_front(&self) -> Option<Arc<StoredFront>> {
+        self.front
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .clone()
+    }
+
+    /// Keeps `front` unless a staircase at least as wide is already
+    /// stored. A no-op on one-shot artifacts.
+    pub(crate) fn keep_front(&self, front: StoredFront) {
+        if !self.store_resident() {
+            return;
+        }
+        let mut slot = self.front.lock().unwrap_or_else(PoisonError::into_inner);
+        if slot.as_ref().is_none_or(|kept| kept.cap < front.cap) {
+            *slot = Some(Arc::new(front));
+        }
+    }
+
+    /// Counts one answer served from the stored staircase on the
+    /// owning store's [`StoreStats::front_hits`].
+    pub(crate) fn note_front_hit(&self) {
+        if let Some(hits) = &self.store_front_hits {
+            hits.fetch_add(1, Ordering::Relaxed);
+        }
     }
 
     /// The search dimensions (unit kind, cap), odometer order.
@@ -774,7 +930,7 @@ impl SearchArtifacts {
     /// The evaluation memo recorded under `budget_gates`, if any —
     /// served to warm runs so non-improving candidates skip the DP
     /// (and the metrics refresh) outright.
-    pub(crate) fn eval_memo(&self, budget_gates: u64) -> Option<Arc<HashMap<u128, u64>>> {
+    pub(crate) fn eval_memo(&self, budget_gates: u64) -> Option<Arc<EvalMemo>> {
         let mut memos = self
             .eval_memos
             .lock()
@@ -786,11 +942,10 @@ impl SearchArtifacts {
         Some(memo)
     }
 
-    /// Folds a finished run's `(index, time)` evaluations into the
-    /// memo for `budget_gates`, evicting the coldest budget past the
-    /// cap. Concurrent recorders merge; equal keys must carry equal
-    /// times (the DP is deterministic), asserted in debug builds.
-    pub(crate) fn record_evals(&self, budget_gates: u64, pairs: Vec<(u128, u64)>) {
+    /// Folds a finished run's `(index, evaluation)` pairs into the
+    /// memo for `budget_gates` ([`EvalMemo::merged`]), evicting the
+    /// coldest budget past the cap. Concurrent recorders merge.
+    pub(crate) fn record_evals(&self, budget_gates: u64, pairs: Vec<(u128, MemoEval)>) {
         if pairs.is_empty() {
             return;
         }
@@ -798,21 +953,11 @@ impl SearchArtifacts {
             .eval_memos
             .lock()
             .unwrap_or_else(PoisonError::into_inner);
-        let pos = memos.iter().position(|(b, _)| *b == budget_gates);
-        let mut entry = match pos {
-            Some(pos) => memos.remove(pos),
-            None => (budget_gates, Arc::new(HashMap::new())),
+        let merged = match memos.iter().position(|(b, _)| *b == budget_gates) {
+            Some(pos) => memos.remove(pos).1.merged(pairs),
+            None => EvalMemo::default().merged(pairs),
         };
-        {
-            let map = Arc::make_mut(&mut entry.1);
-            for (index, time) in pairs {
-                if map.len() >= MAX_EVAL_ENTRIES {
-                    break;
-                }
-                let slot = map.entry(index).or_insert(time);
-                debug_assert_eq!(*slot, time, "eval memo disagrees at index {index}");
-            }
-        }
+        let entry = (budget_gates, Arc::new(merged));
         memos.push(entry);
         while memos.len() > MAX_EVAL_MEMOS {
             memos.remove(0);
@@ -887,6 +1032,9 @@ pub struct StoreStats {
     pub reused: u64,
     /// Blocks re-derived from scratch across all incremental builds.
     pub rederived: u64,
+    /// Searches answered from a stored Pareto staircase instead of a
+    /// sweep ([`crate::SearchStats::served`]).
+    pub front_hits: u64,
 }
 
 /// One resident application: its artifacts plus the winners recorded
@@ -976,6 +1124,9 @@ pub struct ArtifactStore {
     incremental: AtomicU64,
     reused: AtomicU64,
     rederived: AtomicU64,
+    /// Shared with every resident artifact set, which counts its own
+    /// served lookups here.
+    front_hits: Arc<AtomicU64>,
     inner: Mutex<StoreInner>,
 }
 
@@ -995,6 +1146,7 @@ impl ArtifactStore {
             incremental: AtomicU64::new(0),
             reused: AtomicU64::new(0),
             rederived: AtomicU64::new(0),
+            front_hits: Arc::new(AtomicU64::new(0)),
             inner: Mutex::new(StoreInner::default()),
         }
     }
@@ -1065,9 +1217,15 @@ impl ArtifactStore {
             return Ok((artifacts, true));
         }
         let mut built = build()?;
-        built.store_resident = true;
+        self.adopt(&mut built);
         let built = Arc::new(built);
         Ok((self.insert(key, built), false))
+    }
+
+    /// Marks freshly built artifacts as store-resident: their served
+    /// lookups count on this store's [`StoreStats::front_hits`].
+    fn adopt(&self, built: &mut SearchArtifacts) {
+        built.store_front_hits = Some(self.front_hits.clone());
     }
 
     /// The resident entry with the largest fingerprint overlap against
@@ -1144,12 +1302,12 @@ impl ArtifactStore {
             // as the non-incremental store path would.
             let mut built = SearchArtifacts::prepare(bsbs, lib, restrictions, config)?;
             built.warm_comm(bsbs, config);
-            built.store_resident = true;
+            self.adopt(&mut built);
             return Ok((self.insert(key, Arc::new(built)), StoreOutcome::default()));
         };
         let (mut built, reused, rederived) =
             SearchArtifacts::prepare_incremental(bsbs, lib, restrictions, config, &donor)?;
-        built.store_resident = true;
+        self.adopt(&mut built);
         let artifacts = self.insert(key, Arc::new(built));
         // Carry the donor's winners forward by re-evaluation: a
         // re-evaluated seed is a real point of the new space with its
@@ -1231,6 +1389,7 @@ impl ArtifactStore {
             incremental: self.incremental.load(Ordering::Relaxed),
             reused: self.reused.load(Ordering::Relaxed),
             rederived: self.rederived.load(Ordering::Relaxed),
+            front_hits: self.front_hits.load(Ordering::Relaxed),
         }
     }
 }
@@ -1488,22 +1647,33 @@ mod tests {
         let artifacts = SearchArtifacts::prepare(&bsbs, &lib, &restr, &config).unwrap();
         assert!(artifacts.eval_memo(100).is_none());
 
+        use super::MemoEval::{Bound, Exact};
         // Recordings under one budget merge (keep-first on equal
-        // keys); other budgets stay isolated.
-        artifacts.record_evals(100, vec![(0, 7), (1, 9)]);
-        artifacts.record_evals(100, vec![(1, 9), (2, 4)]);
-        artifacts.record_evals(200, vec![(0, 3)]);
+        // keys, an exact time replacing a bound but never the other
+        // way round); other budgets stay isolated.
+        artifacts.record_evals(100, vec![(0, Exact(7)), (1, Exact(9)), (3, Bound(5))]);
+        artifacts.record_evals(100, vec![(1, Exact(9)), (2, Exact(4)), (3, Exact(6))]);
+        artifacts.record_evals(100, vec![(2, Bound(3)), (4, Bound(8))]);
+        artifacts.record_evals(200, vec![(0, Exact(3))]);
         let memo = artifacts.eval_memo(100).unwrap();
-        assert_eq!(memo.len(), 3);
-        assert_eq!(memo.get(&2), Some(&4));
-        assert_eq!(artifacts.eval_memo(200).unwrap().len(), 1);
+        assert_eq!(memo.0.len(), 5);
+        assert_eq!(memo.get(2), Some(Exact(4)));
+        assert_eq!(memo.get(3), Some(Exact(6)));
+        assert_eq!(memo.get(4), Some(Bound(8)));
+        assert_eq!(memo.get(5), None);
+        assert_eq!(
+            memo.get(u128::MAX),
+            None,
+            "indices past a word are never memoised"
+        );
+        assert_eq!(artifacts.eval_memo(200).unwrap().0.len(), 1);
         assert!(artifacts.eval_memo(300).is_none());
 
         // Re-serving budget 100 makes it most-recent, so filling the
         // remaining slots evicts budget 200 — the coldest — first.
         let _ = artifacts.eval_memo(100);
         for b in 0..(super::MAX_EVAL_MEMOS as u64 - 1) {
-            artifacts.record_evals(1_000 + b, vec![(0, 1)]);
+            artifacts.record_evals(1_000 + b, vec![(0, Exact(1))]);
         }
         assert!(artifacts.eval_memo(200).is_none(), "coldest budget evicted");
         assert!(

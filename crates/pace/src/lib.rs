@@ -46,7 +46,10 @@
 //!   classic signatures remain as one-shot compat wrappers. On a warm
 //!   hit the store also offers previously recorded winners
 //!   ([`WarmSeed`]) to reseed the branch-and-bound incumbent — results
-//!   stay field-identical, the prune just starts tight.
+//!   stay field-identical, the prune just starts tight — and a
+//!   completed Pareto sweep's staircase ([`StoredFront`]) answers
+//!   later bounded searches at every budget up to its cap without a
+//!   sweep.
 //!
 //! # Examples
 //!
@@ -122,6 +125,6 @@ pub use search::{
     search_best, search_best_with, search_best_with_stop, search_pareto, search_pareto_with,
     search_pareto_with_stop, BestLocal, BestShared, BestUnderBudget, CandidateEval, MetricsCache,
     Objective, ParetoFront, ParetoLocal, ParetoPoint, ParetoResult, ParetoShared, SearchOptions,
-    SearchStats,
+    SearchStats, StairEntry, StoredFront,
 };
 pub use stop::{Completion, StopReason, StopSignal, STOP_CHECK_INTERVAL};

@@ -64,8 +64,52 @@
 //! against the frontier's area-conditional best time, still
 //! admissibly — so one sweep ([`search_pareto`]) emits the whole
 //! time×area trade-off curve instead of one point per budget.
+//!
+//! # Serving every budget from one stored staircase
+//!
+//! A complete, unlimited [`search_pareto`] sweep at cap `C` over
+//! store-resident artifacts with [`SearchOptions::warm`] on keeps its
+//! reduced staircase on the artifacts ([`StoredFront`]). Afterwards
+//! every bounded, unlimited, warm [`search_best_with_stop`] at a budget
+//! `B ≤ C`, and every such [`search_pareto_with_stop`] at `B′ ≤ C`, is
+//! answered from it without a sweep. The answers are field-exact:
+//!
+//! * **Staircase order.** A point is one candidate at one controller
+//!   level `a`: area `gates + a·q`, time `row[a]` of its DP. The
+//!   staircase keeps, area-ascending, every point whose
+//!   `(time, gates, index)` key is smaller than the key of every point
+//!   at no more area, so keys strictly fall along it and its last
+//!   entry with area ≤ `B` carries the minimum key over every point
+//!   within `B`. Ties on time alone are not enough to drop an entry: a
+//!   larger-area entry with the same time and a smaller data path
+//!   stays, because it wins that tie at its own budget. Every pruning
+//!   rule of [`ParetoFront`] drops only points some recorded point
+//!   beats in this key within no more area.
+//! * **Level monotonicity.** A fresh search at `B` evaluates each
+//!   candidate with `floor((B − gates)/q)` levels and reduces by
+//!   `(time, gates, index)`. A DP cell at level `a` does not depend on
+//!   how many levels the row has, and rows are non-increasing in the
+//!   level, so the candidate's time at `B` is the minimum of its
+//!   points within `B`, each of which the sweep at `C ≥ B` evaluated.
+//!   The fresh winner is therefore the minimum key over every point
+//!   within `B`: the staircase's last entry within `B`.
+//! * **One-DP partition.** The staircase stores the partition
+//!   backtracked at the entry's own level, which may differ from the
+//!   one at `B` on the same time. A served best runs one DP of the
+//!   winner's allocation at `B` — the evaluation the fresh search
+//!   backtracks — so its `Partition` is bit-identical.
+//! * **Frontier prefix.** A fresh sweep at `B′ ≤ C` sees exactly the
+//!   points within `B′`, with the same times and level backtracks, so
+//!   its time frontier is the stored staircase's time frontier cut at
+//!   `B′` ([`StoredFront::frontier_within`]).
+//!
+//! A served search books the whole space as `bounded` (a served best
+//! moves its one DP to `evaluated`) and reports
+//! [`SearchStats::served`]; truncated, limited or `no-warm` requests
+//! are never stored, and limited, unbounded or `no-warm` requests are
+//! never served.
 
-use crate::artifacts::{SearchArtifacts, WarmSeed};
+use crate::artifacts::{EvalMemo, MemoEval, SearchArtifacts, WarmSeed};
 use crate::bounds::{BudgetRelaxation, LevelState};
 use crate::metrics::{bsb_statics, feasible_block_metrics, infeasible_block_metrics, BsbStatics};
 use crate::stop::{Completion, StopReason, StopSignal, STOP_CHECK_INTERVAL};
@@ -142,16 +186,27 @@ pub struct SearchOptions {
     /// Clamped to at least `1` by the store constructor.
     pub store_cap: usize,
     /// Warm-start: cross-request reuse of what earlier runs over the
-    /// same artifacts learned. Two mechanisms ride this knob — on an
-    /// artifact-store hit the [`BestUnderBudget`] shared incumbent is
-    /// reseeded from a previously recorded winner whose budget fits
-    /// under the current one (requires [`SearchOptions::bound`] and
-    /// store-supplied seeds), and the per-budget evaluation memo
-    /// serves recorded candidate times so provably non-improving
-    /// points skip the DP outright. Both are sound — results stay
-    /// field-identical to a cold run — so this knob exists purely for
-    /// A/B benchmarking the warm path. On by default; off leaves no
-    /// trace (nothing served, nothing recorded).
+    /// same store-resident artifacts learned. Three mechanisms ride
+    /// this knob:
+    ///
+    /// * a complete, unlimited [`search_pareto`] sweep keeps its
+    ///   `(time, gates, index)` staircase on the artifacts, and every
+    ///   later bounded ([`SearchOptions::bound`]), unlimited search at
+    ///   a budget up to that sweep's is answered from it without a
+    ///   sweep ([`SearchStats::served`]);
+    /// * on an artifact-store hit the [`BestUnderBudget`] shared
+    ///   incumbent is reseeded from a previously recorded winner whose
+    ///   budget fits under the current one (requires
+    ///   [`SearchOptions::bound`] and store-supplied seeds);
+    /// * the per-budget evaluation memo serves recorded candidate
+    ///   times — and the controller-budget relaxation's bounds of
+    ///   candidates it pruned — so provably non-improving points skip
+    ///   the metrics refresh and the DP outright.
+    ///
+    /// All three are sound — results stay field-identical to a cold
+    /// run — so this knob exists purely for A/B benchmarking the warm
+    /// path. On by default; off leaves no trace (nothing served,
+    /// nothing recorded).
     pub warm: bool,
     /// Whether a store miss may build its artifacts *incrementally*
     /// from the nearest resident entry by per-block fingerprint
@@ -365,6 +420,12 @@ pub struct SearchStats {
     /// one. The result is field-identical either way; this flag is the
     /// telemetry that the prune had a head start.
     pub warm_reseeded: bool,
+    /// Whether the answer came from a stored Pareto staircase instead
+    /// of a sweep (see [`SearchOptions::warm`]). A served search books
+    /// the whole space as `bounded` except, for a best-under-budget
+    /// answer, the one winner whose DP it ran (`evaluated == 1`), so
+    /// the accounting identity holds unchanged.
+    pub served: bool,
     /// Blocks whose allocation-independent artifacts (statics, bound
     /// tables) were cloned from a resident store entry on the
     /// incremental diff path instead of being re-derived. Zero on
@@ -1061,18 +1122,29 @@ pub trait Objective: Sync {
         false
     }
 
-    /// Whether a candidate whose evaluation is already known — `time`
-    /// and `gates` served from a cross-request memo — may skip the DP
-    /// *and* its [`Objective::record`] call entirely. Return `true`
-    /// only when recording a candidate with this `(time, gates)`, at
-    /// an index later than everything this local has recorded so far,
-    /// would provably be a no-op (the tie-keeps-earliest rule makes
-    /// equals non-improving). The default keeps every objective on the
-    /// always-evaluate path; [`BestUnderBudget`] opts in with the
-    /// exact comparison its `record` uses.
+    /// Whether a candidate whose evaluation is already known from a
+    /// cross-request memo may skip the metrics refresh, the DP *and*
+    /// its [`Objective::record`] call entirely. `time` is the
+    /// candidate's DP time under the full controller budget — or a
+    /// lower bound on it, for a candidate the controller-budget
+    /// relaxation pruned in an earlier run — and `gates` its data
+    /// path. Return `true` only when no candidate with these gates, a
+    /// time of at least `time` and an index later than everything this
+    /// local has recorded could change the reduced output: the
+    /// [`Objective::prune`] contract for a one-point subtree. The
+    /// default keeps every objective on the always-evaluate path;
+    /// [`BestUnderBudget`] opts in.
     fn cached_eval_skips(&self, _local: &Self::Local, _time: u64, _gates: u64) -> bool {
         false
     }
+
+    /// Whether candidates the controller-budget relaxation prunes are
+    /// remembered in the cross-request evaluation memo, as bound
+    /// entries holding the relaxation's lower bound at full levels,
+    /// for [`Objective::cached_eval_skips`] to skip on a warm repeat.
+    /// Worth it only for an objective whose skip test can use a
+    /// full-budget bound.
+    const MEMO_BOUNDS: bool = false;
 
     /// The worker is about to jump to a non-adjacent index (a stolen
     /// chunk): refresh whatever view of `shared` the local caches.
@@ -1194,17 +1266,22 @@ impl Objective for BestUnderBudget {
         local.inherited = unpack_incumbent(shared.0.load(Ordering::Relaxed));
     }
 
-    // The exact negation of `record`'s improvement test: a served
-    // candidate that would not improve this worker's best leaves
-    // `record` a no-op (later index loses ties), so skipping the DP,
-    // the metrics refresh and the call itself changes nothing.
+    const MEMO_BOUNDS: bool = true;
+
+    // The subtree prune of a one-point subtree whose time is at least
+    // `time`. Against the worker's own best it is the exact negation
+    // of `record`'s improvement test (a later index loses ties), so a
+    // skipped exact entry leaves `record` a no-op; against the shared
+    // incumbent it is the strict cross-worker prune. Both hold for any
+    // time ≥ `time`, so a bound entry skips on the same test. Unbounded
+    // walks never observe a shared incumbent, so only the own rule
+    // applies there.
     fn cached_eval_skips(&self, local: &BestLocal, time: u64, gates: u64) -> bool {
-        match &local.best {
-            None => false,
-            Some((_, bp, barea, _)) => {
-                !(time < bp.total_time.count() || (time == bp.total_time.count() && gates < *barea))
-            }
-        }
+        let own = local
+            .best
+            .as_ref()
+            .map(|(_, p, area, _)| (p.total_time.count(), *area));
+        subtree_pruned(time, gates, own, local.inherited)
     }
 
     fn prune(&self, local: &BestLocal, lb: u64, min_area: u64) -> bool {
@@ -1289,6 +1366,16 @@ struct ParetoEntry {
     partition: Partition,
 }
 
+impl ParetoEntry {
+    /// The best-under-budget order: `(time, gates, index)`, the key
+    /// [`BestUnderBudget`] reduces by. Unique per point — indices are
+    /// unique per candidate, and a candidate's strict steps differ in
+    /// time.
+    fn key(&self) -> (u64, u64, u128) {
+        (self.time, self.gates, self.index)
+    }
+}
+
 /// Largest-area entry of an `(area, time)` staircase with area ≤
 /// `min_area` — the area-conditional best time. Staircases are
 /// area-ascending with strictly descending times, so every
@@ -1316,13 +1403,18 @@ fn staircase_insert(points: &mut Vec<(u64, u64)>, area: u64, time: u64) {
     points.splice(s..end, [(area, time)]);
 }
 
-/// Inserts a candidate point into a worker's own frontier staircase,
+/// Inserts a candidate point into a worker's own staircase,
 /// materialising the expensive payload (allocation clone + backtrack)
-/// only when the point actually goes in. Weakly dominated points are
-/// rejected; an exact `(time, area)` tie keeps the lexicographically
-/// smaller `(gates, index)` — precisely the per-budget exhaustive
-/// walk's tie-break, which is what keeps the reduced frontier
-/// field-exact against N single-budget runs.
+/// only when the point actually goes in.
+///
+/// The staircase is over area in the best-under-budget key
+/// `(time, gates, index)`: area-ascending with strictly descending
+/// keys, so the last entry within a budget is that budget's
+/// single-budget winner. A point is rejected when an entry at no more
+/// area has a key no larger, and evicts every entry at no less area
+/// whose key is no smaller. An entry with the same time at a larger
+/// area therefore stays when its data path is smaller — it wins that
+/// tie at its own budget.
 fn frontier_insert(
     points: &mut Vec<ParetoEntry>,
     time: u64,
@@ -1331,34 +1423,17 @@ fn frontier_insert(
     index: u128,
     make: impl FnOnce() -> (RMap, Partition),
 ) -> bool {
-    let s = points.partition_point(|e| e.area < area);
-    if s < points.len() && points[s].area == area {
-        let e = &points[s];
-        if e.time < time {
-            return false;
-        }
-        if e.time == time {
-            if (e.gates, e.index) <= (gates, index) {
-                return false;
-            }
-            let (allocation, partition) = make();
-            points[s] = ParetoEntry {
-                time,
-                area,
-                gates,
-                index,
-                allocation,
-                partition,
-            };
-            return true;
-        }
-        // Same area, strictly slower: falls to the removal below.
-    }
-    if s > 0 && points[s - 1].time <= time {
+    let key = (time, gates, index);
+    let n = points.partition_point(|e| e.area <= area);
+    if n > 0 && points[n - 1].key() <= key {
         return false;
     }
+    // Entries at this very area have larger keys than the last of
+    // them, hence than `key`; with the larger-area ones whose keys are
+    // no smaller they form one run from `s`, keys only falling.
+    let s = points.partition_point(|e| e.area < area);
     let mut end = s;
-    while end < points.len() && points[end].time >= time {
+    while end < points.len() && points[end].key() >= key {
         end += 1;
     }
     let (allocation, partition) = make();
@@ -1382,14 +1457,17 @@ fn frontier_insert(
 ///
 /// Every evaluated candidate contributes the strict steps of its DP
 /// trade-off row (the minimal controller areas at which its time
-/// improves); workers keep mutually non-dominated points in a private
-/// staircase and, under branch-and-bound, share a merged `(area,
-/// time)` staircase to prune against. Own-frontier pruning is
-/// tie-inclusive (an equal point at no more area recorded earlier
-/// always wins the tie-break); shared-frontier pruning demands strict
-/// domination, so exact cross-worker ties survive to the
-/// deterministic reduce and the output is identical at any thread
-/// count.
+/// improves); workers keep them in a private `(time, gates, index)`
+/// staircase over area (see `frontier_insert`) and, under
+/// branch-and-bound, share a merged time-only `(area, time)` staircase
+/// to prune against. Own-staircase pruning is tie-inclusive whenever
+/// the entry's data path is no larger (an earlier index wins the
+/// tie-break); a shared entry prunes a tie only when its whole area is
+/// below the candidate's data path (its own data path is then strictly
+/// smaller), so every point that could sit on the final staircase
+/// survives to the deterministic reduce and the output is identical at
+/// any thread count. The reduce emits the whole staircase
+/// ([`StairEntry`]); [`ParetoResult::points`] is its time frontier.
 pub struct ParetoFront;
 
 /// Cross-worker state of [`ParetoFront`]: the merged `(area, time)`
@@ -1412,7 +1490,7 @@ impl ParetoShared {
 /// Per-worker state of [`ParetoFront`].
 pub struct ParetoLocal {
     /// The worker's own staircase: area-ascending, strictly
-    /// time-descending, mutually non-dominated.
+    /// descending in `(time, gates, index)`, mutually non-dominated.
     points: Vec<ParetoEntry>,
     /// Last snapshot of the shared staircase.
     snapshot: Vec<(u64, u64)>,
@@ -1422,7 +1500,7 @@ pub struct ParetoLocal {
 impl Objective for ParetoFront {
     type Shared = ParetoShared;
     type Local = ParetoLocal;
-    type Output = Vec<ParetoPoint>;
+    type Output = Vec<StairEntry>;
 
     fn shared(&self) -> ParetoShared {
         ParetoShared {
@@ -1452,17 +1530,19 @@ impl Objective for ParetoFront {
     }
 
     fn prune(&self, local: &ParetoLocal, lb: u64, min_area: u64) -> bool {
-        // Every point of the subtree costs ≥ min_area gates and ≥ lb
-        // cycles. An own entry within that area at no more time
-        // weakly dominates them all, and being recorded earlier it
-        // also wins any exact tie-break — prune on ties too.
+        // Every point of the subtree costs ≥ min_area gates (data path
+        // included) and ≥ lb cycles. An own entry within that area at
+        // no more time has a data path within it too and an earlier
+        // index, so its key is smaller than every point's — prune on
+        // time ties too.
         let n = local.points.partition_point(|e| e.area <= min_area);
         if n > 0 && local.points[n - 1].time <= lb {
             return true;
         }
-        // A shared entry must *strictly* dominate: an exact
-        // cross-worker tie may be the lexicographic winner and must
-        // reach the reduce.
+        // A shared entry prunes a time tie only when its whole area,
+        // hence its data path, is strictly below every point's data
+        // path: an equal-gates cross-worker tie may be the
+        // lexicographic winner and must reach the reduce.
         if let Some((area, time)) = staircase_floor(&local.snapshot, min_area) {
             if time <= lb && (time < lb || area < min_area) {
                 return true;
@@ -1473,13 +1553,15 @@ impl Objective for ParetoFront {
 
     // Level `a` would record the point `(gates + a·q, t(a))` with
     // `t(a) ≥ lb(a·q)`. The candidate prunes only if every level's
-    // point is dominated: by an own entry strictly, or on a tie when
-    // the entry's area is within `gates` (its own gates are then no
-    // larger and its index earlier, so it wins the tie-break — the
-    // rule `prune` applies); by a shared entry only strictly. The
-    // staircases are area-ascending with strictly falling times, so
-    // the entry with the largest area within a level's area is the
-    // fastest candidate dominator, and both cursors only move forward.
+    // point is dominated in the staircase key `(time, gates, index)`
+    // by an entry within the level's area: by an own entry strictly
+    // faster, or on a time tie when the entry's data path is no
+    // larger (its index is earlier, so it wins the tie-break); by a
+    // shared entry strictly faster, or on a time tie when the entry's
+    // whole area — hence its data path — is below `gates`. Along both
+    // staircases keys fall with area, so the entry with the largest
+    // area within a level's area is the strongest dominator, and both
+    // cursors only move forward.
     fn prune_candidate(
         &self,
         local: &ParetoLocal,
@@ -1500,11 +1582,11 @@ impl Objective for ParetoFront {
             }
             let own_dominates = o > 0 && {
                 let e = &own[o - 1];
-                e.time < lb || (e.time == lb && (e.area < area || e.area <= gates))
+                e.time < lb || (e.time == lb && e.gates <= gates)
             };
             let shared_dominates = s > 0 && {
                 let (sa, st) = shared[s - 1];
-                st < lb || (st == lb && sa < area)
+                st < lb || (st == lb && sa < gates)
             };
             if !own_dominates && !shared_dominates {
                 return false;
@@ -1523,8 +1605,9 @@ impl Objective for ParetoFront {
         let gates = eval.gates();
         // Whole-candidate quick reject: if an earlier own entry
         // already achieves the candidate's best time within its
-        // data-path gates, every step point is weakly dominated (and
-        // loses the tie-break), so the row scan is pointless.
+        // data-path gates (so with no larger data path), every step
+        // point is dominated in the staircase key, so the row scan is
+        // pointless.
         let n = local.points.partition_point(|e| e.area <= gates);
         if n > 0 && local.points[n - 1].time <= eval.time() {
             return;
@@ -1539,11 +1622,12 @@ impl Objective for ParetoFront {
             }
             prev = time;
             let area = gates + level as u64 * quantum;
-            // Strictly shared-dominated points can never reach the
-            // final frontier (some worker keeps a dominator,
-            // transitively): skip the backtrack.
+            // Shared-dominated points can never reach the final
+            // staircase (some worker keeps a dominator, transitively):
+            // skip the backtrack. A time tie dominates only when the
+            // shared entry's whole area is below this data path.
             if let Some((sa, st)) = staircase_floor(&local.snapshot, area) {
-                if st <= time && (st < time || sa < area) {
+                if st < time || (st == time && sa < gates) {
                     continue;
                 }
             }
@@ -1567,35 +1651,84 @@ impl Objective for ParetoFront {
         }
     }
 
-    fn reduce(&self, locals: Vec<ParetoLocal>) -> Vec<ParetoPoint> {
-        // Deterministic skyline: order every surviving entry by
-        // (time, area, gates, index) and keep each strict area
-        // improvement as times grow. Per frontier point that keeps
-        // the lexicographically smallest (gates, index) — exactly the
-        // candidate a single-budget exhaustive run at that point's
-        // area returns.
+    fn reduce(&self, locals: Vec<ParetoLocal>) -> Vec<StairEntry> {
+        // Deterministic skyline: order every surviving entry by its
+        // key (time, gates, index), then area, and keep each strict
+        // area improvement as keys grow. Each kept entry is the
+        // smallest key within its area — exactly the candidate a
+        // single-budget exhaustive run at that area returns.
         let mut all: Vec<ParetoEntry> = locals.into_iter().flat_map(|l| l.points).collect();
-        all.sort_by(|x, y| {
-            (x.time, x.area, x.gates, x.index).cmp(&(y.time, y.area, y.gates, y.index))
-        });
-        let mut front: Vec<ParetoEntry> = Vec::new();
+        all.sort_by_key(|e| (e.key(), e.area));
+        let mut staircase: Vec<StairEntry> = Vec::new();
         let mut best_area = u64::MAX;
         for e in all {
             if e.area < best_area {
                 best_area = e.area;
-                front.push(e);
+                staircase.push(StairEntry {
+                    point: ParetoPoint {
+                        allocation: e.allocation,
+                        partition: e.partition,
+                        area: Area::new(e.area),
+                        index: e.index,
+                    },
+                    gates: e.gates,
+                });
             }
         }
-        front.reverse();
-        front
-            .into_iter()
-            .map(|e| ParetoPoint {
-                allocation: e.allocation,
-                partition: e.partition,
-                area: Area::new(e.area),
-                index: e.index,
-            })
-            .collect()
+        staircase.reverse();
+        staircase
+    }
+}
+
+/// One entry of the staircase a Pareto sweep reduces to: a point
+/// whose `(time, data-path gates, index)` key is smaller than that of
+/// every point at no more area — the winner a single-budget search at
+/// [`ParetoPoint::area`] returns.
+#[derive(Clone, Debug, PartialEq)]
+pub struct StairEntry {
+    /// The point: allocation, partition (backtracked at the point's
+    /// controller level), total area and odometer index.
+    pub point: ParetoPoint,
+    /// Data-path gates of [`ParetoPoint::allocation`].
+    pub gates: u64,
+}
+
+/// A completed, untruncated Pareto sweep kept on store-resident
+/// [`SearchArtifacts`] ([`SearchArtifacts::stored_front`]): it answers
+/// every search at a budget up to [`StoredFront::cap`] — see the
+/// module docs for the exactness argument.
+#[derive(Clone, Debug, PartialEq)]
+pub struct StoredFront {
+    /// The total area budget the sweep ran under.
+    pub cap: Area,
+    /// Area-ascending, strictly descending in `(time, gates, index)`;
+    /// the first entry is the all-software point at area 0.
+    pub staircase: Vec<StairEntry>,
+}
+
+impl StoredFront {
+    /// The entry a best-under-budget search at `budget` returns: the
+    /// last one within `budget`. `None` above the cap.
+    pub fn best_at(&self, budget: Area) -> Option<&StairEntry> {
+        if budget > self.cap {
+            return None;
+        }
+        let n = self.staircase.partition_point(|e| e.point.area <= budget);
+        n.checked_sub(1).map(|i| &self.staircase[i])
+    }
+
+    /// The time frontier within `budget`: the first (smallest-area)
+    /// entry of each time — area-ascending, strictly time-descending,
+    /// exactly the points a fresh [`search_pareto`] at `budget ≤ cap`
+    /// reports.
+    pub fn frontier_within(&self, budget: Area) -> Vec<ParetoPoint> {
+        let mut points: Vec<ParetoPoint> = Vec::new();
+        for e in self.staircase.iter().take_while(|e| e.point.area <= budget) {
+            if points.last().is_none_or(|p| e.point.time() < p.time()) {
+                points.push(e.point.clone());
+            }
+        }
+        points
     }
 }
 
@@ -1693,10 +1826,12 @@ struct WorkerOut<L> {
     key_allocs: u64,
     dirty_probes: u64,
     clean_reuses: u64,
-    /// `(index, time)` of every DP this worker actually ran — the
+    /// `(index, evaluation)` of every DP this worker actually ran and,
+    /// for objectives with [`Objective::MEMO_BOUNDS`], of every
+    /// candidate the controller-budget relaxation pruned — the
     /// material [`SearchArtifacts::record_evals`] folds into the
     /// cross-request evaluation memo.
-    recorded: Vec<(u128, u64)>,
+    recorded: Vec<(u128, MemoEval)>,
     /// Why this worker stopped before exhausting its points, if it
     /// did; `None` means it covered everything it was handed.
     stopped: Option<StopReason>,
@@ -1749,7 +1884,7 @@ struct SweepWorker<'a, O: Objective> {
     relax: BudgetRelaxation,
     /// Cross-request evaluation memo for this exact budget, if a
     /// previous run over the same artifacts recorded one.
-    eval_memo: Option<Arc<HashMap<u128, u64>>>,
+    eval_memo: Option<Arc<EvalMemo>>,
     /// Whether evaluated times are collected for
     /// [`SearchArtifacts::record_evals`] — only when the artifacts
     /// are store-resident, so one-shot sweeps skip the bookkeeping.
@@ -1780,7 +1915,7 @@ impl<'a, O: Objective> SweepWorker<'a, O> {
         comm: CommCosts,
         dp_threads: usize,
         bounds: Option<&'a SearchBounds>,
-        eval_memo: Option<Arc<HashMap<u128, u64>>>,
+        eval_memo: Option<Arc<EvalMemo>>,
         memoize: bool,
         objective: &'a O,
         shared: &'a O::Shared,
@@ -1881,7 +2016,7 @@ impl<'a, O: Objective> SweepWorker<'a, O> {
         };
         self.out.evaluated += 1;
         if self.memoize {
-            self.out.recorded.push((index, time));
+            self.out.recorded.push((index, MemoEval::Exact(time)));
         }
         let eval = CandidateEval {
             scratch: &self.scratch,
@@ -1897,18 +2032,35 @@ impl<'a, O: Objective> SweepWorker<'a, O> {
         true
     }
 
+    /// The cross-request memo entry of the candidate at `index` (data
+    /// path `gates`), if the objective certifies it may be skipped.
+    fn memo_skip(&self, index: u128, gates: u64) -> Option<MemoEval> {
+        let eval = self.eval_memo.as_ref()?.get(index)?;
+        self.objective
+            .cached_eval_skips(&self.out.local, eval.time(), gates)
+            .then_some(eval)
+    }
+
     /// Whether the controller-budget relaxation of the freshly
-    /// refreshed candidate (data path `gates`) proves its DP hopeless
-    /// to the objective. Always `false` on unbounded walks.
-    fn budget_prunes(&mut self, gates: u64) -> bool {
+    /// refreshed candidate (data path `gates`, odometer `index`)
+    /// proves its DP hopeless to the objective. Always `false` on
+    /// unbounded walks. A pruned candidate is remembered as a bound
+    /// entry of the evaluation memo when the objective asks for it.
+    fn budget_prunes(&mut self, index: u128, gates: u64) -> bool {
         let Some(bounds) = self.bounds else {
             return false;
         };
         self.relax.rebuild(&self.metrics, bounds.comm_floors());
         let quantum = self.config.quantum;
         let levels = ((self.total_gates - gates) / quantum) as usize;
-        self.objective
-            .prune_candidate(&self.out.local, &self.relax, gates, levels, quantum)
+        let pruned =
+            self.objective
+                .prune_candidate(&self.out.local, &self.relax, gates, levels, quantum);
+        if pruned && O::MEMO_BOUNDS && self.memoize {
+            let bound = self.relax.lower_bound(levels as u64 * quantum);
+            self.out.recorded.push((index, MemoEval::Bound(bound)));
+        }
+        pruned
     }
 
     /// Evaluates every point of `range`, exactly as the sequential
@@ -1996,24 +2148,22 @@ impl<'a, O: Objective> SweepWorker<'a, O> {
             let gates = odo.area_gates();
             if gates > self.total_gates {
                 self.out.skipped += 1;
-            } else if self
-                .eval_memo
-                .as_ref()
-                .and_then(|memo| memo.get(&index).copied())
-                .is_some_and(|time| {
-                    self.objective
-                        .cached_eval_skips(&self.out.local, time, gates)
-                })
-            {
+            } else if let Some(eval) = self.memo_skip(index, gates) {
                 // Cross-request memo hit on a candidate the objective
                 // certifies non-improving: no metrics refresh, no DP,
-                // no record — only the accounting. The dirty set keeps
+                // no record — only the accounting, in the bucket the
+                // recording run put it in. An unbounded run keeps the
+                // exhaustive walk's accounting, where every feasible
+                // point of the window is evaluated. The dirty set keeps
                 // accumulating so the next real evaluation refreshes
                 // every block touched since.
-                self.out.evaluated += 1;
+                match eval {
+                    MemoEval::Bound(_) if self.bounds.is_some() => self.out.bounded += 1,
+                    _ => self.out.evaluated += 1,
+                }
             } else {
                 self.refresh_metrics(&odo)?;
-                if self.budget_prunes(gates) {
+                if self.budget_prunes(index, gates) {
                     // Hopeless under its own controller budget: tallied
                     // like a leaf-level skip, and the walk advances
                     // past it below like past any other point.
@@ -2098,7 +2248,7 @@ fn sweep_chunks<O: Objective>(
     comm: CommCosts,
     dp_threads: usize,
     bounds: Option<&SearchBounds>,
-    eval_memo: Option<Arc<HashMap<u128, u64>>>,
+    eval_memo: Option<Arc<EvalMemo>>,
     memoize: bool,
     objective: &O,
     shared: &O::Shared,
@@ -2300,6 +2450,11 @@ pub fn search_best_with(
 /// A signal that never trips leaves the result bit-identical to
 /// [`search_best_with`].
 ///
+/// Over store-resident artifacts carrying a [`StoredFront`] whose cap
+/// covers `total_area`, a bounded, unlimited, warm search is answered
+/// from the staircase instead — one DP of the winner, no sweep, and a
+/// complete result whatever the signal does ([`SearchStats::served`]).
+///
 /// # Errors
 ///
 /// Propagates [`PaceError`] as [`search_best`] does.
@@ -2314,6 +2469,9 @@ pub fn search_best_with_stop(
     seeds: &[WarmSeed],
     stop: &StopSignal,
 ) -> Result<SearchResult, PaceError> {
+    if let Some(front) = serving_front(options, artifacts, total_area) {
+        return serve_best(bsbs, lib, total_area, config, artifacts, &front);
+    }
     let mut run = run_search(
         bsbs,
         lib,
@@ -2476,6 +2634,12 @@ pub fn search_pareto_with(
 /// evaluated directly so the frontier is never empty. A signal that
 /// never trips is bit-identical to [`search_pareto_with`].
 ///
+/// Over store-resident artifacts with [`SearchOptions::warm`] on, a
+/// complete sweep without a `limit` keeps its staircase on the
+/// artifacts ([`SearchArtifacts::stored_front`], the widest one wins),
+/// and a bounded, unlimited sweep at a budget the stored cap covers is
+/// answered from it without walking ([`SearchStats::served`]).
+///
 /// # Errors
 ///
 /// Propagates [`PaceError`] as [`search_pareto`] does.
@@ -2488,6 +2652,19 @@ pub fn search_pareto_with_stop(
     artifacts: &SearchArtifacts,
     stop: &StopSignal,
 ) -> Result<ParetoResult, PaceError> {
+    if let Some(front) = serving_front(options, artifacts, total_area) {
+        let started = Instant::now();
+        artifacts.note_front_hit();
+        let space = artifacts.space_size();
+        return Ok(ParetoResult {
+            points: front.frontier_within(total_area),
+            evaluated: 0,
+            skipped: 0,
+            space_size: space,
+            truncated: false,
+            stats: served_stats(space, started),
+        });
+    }
     let mut run = run_search(
         bsbs,
         lib,
@@ -2509,23 +2686,106 @@ pub fn search_pareto_with_stop(
             "a complete frontier always carries the all-software point"
         );
         let partition = crate::partition(bsbs, lib, &RMap::new(), total_area, config)?;
-        run.output.push(ParetoPoint {
-            allocation: RMap::new(),
-            partition,
-            area: Area::new(0),
-            index: 0,
+        run.output.push(StairEntry {
+            point: ParetoPoint {
+                allocation: RMap::new(),
+                partition,
+                area: Area::new(0),
+                index: 0,
+            },
+            gates: 0,
         });
         run.evaluated += 1;
         debug_assert!(run.stats.unvisited >= 1);
         run.stats.unvisited = run.stats.unvisited.saturating_sub(1);
     }
+    let front = StoredFront {
+        cap: total_area,
+        staircase: run.output,
+    };
+    let points = front.frontier_within(total_area);
+    if options.warm && options.limit.is_none() && run.stats.completion.is_complete() {
+        artifacts.keep_front(front);
+    }
     Ok(ParetoResult {
-        points: run.output,
+        points,
         evaluated: run.evaluated,
         skipped: run.skipped,
         space_size: run.space_size,
         truncated: run.truncated,
         stats: run.stats,
+    })
+}
+
+/// The stored staircase that answers a search at `budget` under
+/// `options`, if any. Serving needs the warm path over store-resident
+/// artifacts, a full window (no `limit`), and `bound` on: a served
+/// answer books the space as bounded, which an unbounded run — the
+/// reference walk whose `evaluated`/`skipped` are part of the result —
+/// never does.
+fn serving_front(
+    options: &SearchOptions,
+    artifacts: &SearchArtifacts,
+    budget: Area,
+) -> Option<Arc<StoredFront>> {
+    if !(options.warm && options.bound && options.limit.is_none() && artifacts.store_resident()) {
+        return None;
+    }
+    artifacts.stored_front().filter(|front| budget <= front.cap)
+}
+
+/// The accounting of a served answer: complete, nothing evaluated,
+/// the whole space bounded (a served best moves its winner to
+/// `evaluated`).
+fn served_stats(space: u128, started: Instant) -> SearchStats {
+    SearchStats {
+        bounded: space,
+        served: true,
+        elapsed: started.elapsed(),
+        ..SearchStats::default()
+    }
+}
+
+/// Answers a best-under-budget search from `front`: the staircase's
+/// last entry within `total_area` is the winner, and one DP of its
+/// allocation at `total_area` — the evaluation a fresh search
+/// backtracks — gives the partition.
+fn serve_best(
+    bsbs: &BsbArray,
+    lib: &HwLibrary,
+    total_area: Area,
+    config: &PaceConfig,
+    artifacts: &SearchArtifacts,
+    front: &StoredFront,
+) -> Result<SearchResult, PaceError> {
+    let started = Instant::now();
+    let winner = front
+        .best_at(total_area)
+        .expect("a staircase starts with the all-software point at area 0");
+    let partition = crate::dp::partition_with_artifacts(
+        bsbs,
+        lib,
+        &winner.point.allocation,
+        total_area,
+        config,
+        &mut DpScratch::new(),
+        artifacts,
+    )?;
+    debug_assert_eq!(partition.total_time, winner.point.time());
+    artifacts.note_front_hit();
+    let space = artifacts.space_size();
+    let mut stats = served_stats(space, started);
+    stats.bounded -= 1;
+    Ok(SearchResult {
+        best_allocation: winner.point.allocation.clone(),
+        best_partition: partition,
+        best_gates: winner.gates,
+        best_index: winner.point.index,
+        evaluated: 1,
+        skipped: 0,
+        space_size: space,
+        truncated: false,
+        stats,
     })
 }
 
@@ -3415,14 +3675,86 @@ mod tests {
         assert!(insert(&mut points, 50, 100, 70, 9));
         assert_eq!(points.len(), 1);
         assert_eq!((points[0].gates, points[0].index), (70, 9));
-        // Weak domination by the floor: rejected.
-        assert!(!insert(&mut points, 50, 120, 0, 0));
+        // Domination by the floor in (time, gates, index): rejected.
+        assert!(!insert(&mut points, 50, 120, 70, 10));
+        assert!(!insert(&mut points, 50, 120, 90, 0));
         assert!(!insert(&mut points, 55, 100, 0, 0));
         // Strict improvements extend the staircase both ways.
         assert!(insert(&mut points, 40, 150, 60, 3));
         assert!(insert(&mut points, 60, 90, 10, 2));
         let shape: Vec<(u64, u64)> = points.iter().map(|e| (e.area, e.time)).collect();
         assert_eq!(shape, [(90, 60), (100, 50), (150, 40)]);
+    }
+
+    #[test]
+    fn staircase_keeps_same_time_entries_with_smaller_data_paths() {
+        let part = crate::partition(
+            &app(),
+            &lib(),
+            &RMap::new(),
+            Area::new(1_000),
+            &PaceConfig::standard(),
+        )
+        .unwrap();
+        let mut points: Vec<ParetoEntry> = Vec::new();
+        let insert = |points: &mut Vec<ParetoEntry>, time, area, gates, index| {
+            frontier_insert(points, time, area, gates, index, || {
+                (RMap::new(), part.clone())
+            })
+        };
+        // A big data path reaches time 50 at area 100 (level 0); a
+        // smaller one reaches it only with two controller quanta.
+        assert!(insert(&mut points, 50, 100, 100, 4));
+        assert!(insert(&mut points, 50, 140, 80, 9));
+        let keys: Vec<(u64, u64, u64, u128)> = points
+            .iter()
+            .map(|e| (e.area, e.time, e.gates, e.index))
+            .collect();
+        assert_eq!(keys, [(100, 50, 100, 4), (140, 50, 80, 9)]);
+        // A later candidate with the same time and data path at a
+        // larger area loses on index; one with a smaller data path at
+        // the same area evicts the entry it beats.
+        assert!(!insert(&mut points, 50, 160, 80, 11));
+        assert!(insert(&mut points, 50, 140, 60, 12));
+        assert_eq!(points.len(), 2);
+        assert_eq!((points[1].gates, points[1].index), (60, 12));
+
+        // Each entry wins at its own budget, exactly as the
+        // best-under-budget reduce orders them.
+        let staircase: Vec<StairEntry> = points
+            .into_iter()
+            .map(|e| StairEntry {
+                point: ParetoPoint {
+                    allocation: e.allocation,
+                    partition: e.partition,
+                    area: Area::new(e.area),
+                    index: e.index,
+                },
+                gates: e.gates,
+            })
+            .collect();
+        let front = StoredFront {
+            cap: Area::new(200),
+            staircase,
+        };
+        let at = |b: u64| {
+            front
+                .best_at(Area::new(b))
+                .map(|e| (e.gates, e.point.index))
+        };
+        assert_eq!(at(99), None);
+        assert_eq!(at(100), Some((100, 4)));
+        assert_eq!(at(139), Some((100, 4)));
+        assert_eq!(at(140), Some((60, 12)));
+        assert_eq!(at(200), Some((60, 12)));
+        assert_eq!(at(201), None, "above the cap nothing is served");
+        // The time frontier keeps only the smallest area per time.
+        let areas: Vec<Area> = front
+            .frontier_within(Area::new(200))
+            .iter()
+            .map(|p| p.area)
+            .collect();
+        assert_eq!(areas, [Area::new(100)]);
     }
 
     /// The tentpole acceptance on the in-crate fixture: the one-sweep

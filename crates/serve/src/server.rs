@@ -781,19 +781,21 @@ fn route<'a>(line: &str, ctx: ServerCtx<'a>) -> Routed<'a> {
 
 /// Header of the `stats` verb's two-line CSV body.
 pub const STATS_CSV_HEADER: &str =
-    "hits,misses,evictions,entries,cap,incremental,reused,rederived,panics";
+    "hits,misses,evictions,entries,cap,incremental,reused,rederived,panics,front_hits";
 
 /// Answers the `stats` verb: the artifact store's counters plus the
 /// server's caught-panic count as a two-line CSV (header + values),
 /// so clients can watch hit ratios, residency, edit-loop reuse rates
-/// (incremental builds, blocks reused vs re-derived) and fault
-/// containment without scraping logs.
+/// (incremental builds, blocks reused vs re-derived), fault
+/// containment and searches served from stored Pareto staircases
+/// without scraping logs. Columns only ever append; read them by
+/// header name.
 fn run_stats(ctx: ServerCtx<'_>) -> Response {
     let s = ctx.store.stats();
     Response::Ok(vec![
         STATS_CSV_HEADER.to_owned(),
         format!(
-            "{},{},{},{},{},{},{},{},{}",
+            "{},{},{},{},{},{},{},{},{},{}",
             s.hits,
             s.misses,
             s.evictions,
@@ -802,7 +804,8 @@ fn run_stats(ctx: ServerCtx<'_>) -> Response {
             s.incremental,
             s.reused,
             s.rederived,
-            ctx.panics.load(Ordering::Relaxed)
+            ctx.panics.load(Ordering::Relaxed),
+            s.front_hits
         ),
     ])
 }
@@ -882,19 +885,18 @@ fn hold_if_asked(jobs: &[Job], ctx: ServerCtx<'_>, cancel: &AtomicBool) {
 }
 
 /// Pre-walk admission probe: the largest allocation space any of the
-/// request's jobs would sweep. Jobs above
+/// request's jobs would sweep, from the ASAP restrictions alone
+/// (Algorithm 1 does not change the space). Jobs above
 /// [`ServeConfig::big_job_threshold`] take a big-job slot from the
 /// [`AdmissionGate`] before searching; everything else rides the fast
 /// lane untouched.
-fn widest_space(pipelines: &[Pipeline], options: &SearchOptions) -> Result<u128, Response> {
+fn widest_space(pipelines: &[Pipeline]) -> Result<u128, Response> {
     let mut widest = 0u128;
     for pipeline in pipelines {
-        let allocated = pipeline
-            .clone()
-            .with_search_options(options.clone())
-            .allocate()
+        let space = pipeline
+            .space_size()
             .map_err(|e| Response::Error(e.to_string()))?;
-        widest = widest.max(allocated.space_size());
+        widest = widest.max(space);
     }
     Ok(widest)
 }
@@ -905,9 +907,8 @@ fn widest_space(pipelines: &[Pipeline], options: &SearchOptions) -> Result<u128,
 fn admit<'a>(
     ctx: ServerCtx<'a>,
     pipelines: &[Pipeline],
-    options: &SearchOptions,
 ) -> Result<Option<AdmissionPermit<'a>>, Response> {
-    let widest = widest_space(pipelines, options)?;
+    let widest = widest_space(pipelines)?;
     if widest <= ctx.config.big_job_threshold {
         return Ok(None);
     }
@@ -931,7 +932,7 @@ fn run_table1(req: &Table1Request, ctx: ServerCtx<'_>, cancel: &Arc<AtomicBool>)
         Err(response) => return response,
     };
     let search_options = req.knobs.apply_to(&ctx.config.defaults);
-    let _permit = match admit(ctx, &pipelines, &search_options) {
+    let _permit = match admit(ctx, &pipelines) {
         Ok(permit) => permit,
         Err(response) => return response,
     };
@@ -962,7 +963,7 @@ fn run_pareto(req: &ParetoRequest, ctx: ServerCtx<'_>, cancel: &Arc<AtomicBool>)
         Err(response) => return response,
     };
     let options = req.knobs.apply_to(&ctx.config.defaults);
-    let _permit = match admit(ctx, &pipelines, &options) {
+    let _permit = match admit(ctx, &pipelines) {
         Ok(permit) => permit,
         Err(response) => return response,
     };

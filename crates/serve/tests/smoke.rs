@@ -7,6 +7,7 @@ use lycos::explore::{format_table1_csv, Table1Options};
 use lycos::pace::SearchOptions;
 use lycos::Pipeline;
 use lycos_serve::{Client, Request, Response, ServeConfig, Server};
+use std::collections::HashMap;
 use std::time::Duration;
 
 const CONNECT_DEADLINE: Duration = Duration::from_secs(10);
@@ -187,28 +188,38 @@ fn pareto_verb_matches_the_facade_frontier_byte_for_byte() {
     handle.join().expect("server thread");
 }
 
-/// The `stats` verb's two-line CSV, parsed.
-fn stats_row(client: &mut Client) -> Vec<u64> {
+/// The `stats` verb's two-line CSV, parsed into counters by header
+/// name (columns only ever append).
+fn stats_row(client: &mut Client) -> HashMap<String, u64> {
     match client.send(&Request::Stats).expect("send stats") {
         Response::Ok(lines) => {
             assert_eq!(lines[0], lycos_serve::STATS_CSV_HEADER);
-            lines[1].split(',').map(|n| n.parse().unwrap()).collect()
+            lines[0]
+                .split(',')
+                .zip(lines[1].split(','))
+                .map(|(name, n)| (name.to_owned(), n.parse().unwrap()))
+                .collect()
         }
         other => panic!("unexpected stats response {other:?}"),
     }
 }
 
+/// One counter of the `stats` verb, by header name.
+fn stat(client: &mut Client, name: &str) -> u64 {
+    stats_row(client)[name]
+}
+
 /// `(hits, misses, evictions, entries)` from the `stats` verb.
 fn store_stats(client: &mut Client) -> (u64, u64, u64, u64) {
     let v = stats_row(client);
-    (v[0], v[1], v[2], v[3])
+    (v["hits"], v["misses"], v["evictions"], v["entries"])
 }
 
 /// `(incremental, reused, rederived)` — the edit-loop reuse counters
-/// the `stats` verb reports after `cap`.
+/// of the `stats` verb.
 fn reuse_stats(client: &mut Client) -> (u64, u64, u64) {
     let v = stats_row(client);
-    (v[5], v[6], v[7])
+    (v["incremental"], v["reused"], v["rederived"])
 }
 
 #[test]
@@ -526,8 +537,8 @@ fn panicking_jobs_answer_err_and_the_pool_survives() {
         // panic instead of dying with it.
         assert_eq!(client.send(&Request::Ping).expect("send"), Response::Pong);
         assert_eq!(
-            stats_row(&mut client).last().copied(),
-            Some(round),
+            stat(&mut client, "panics"),
+            round,
             "the stats verb counts caught panics"
         );
     }
@@ -710,7 +721,7 @@ fn soak_cancelled_panicked_and_deadlined_jobs_then_a_clean_deterministic_batch()
     // After the soak: the panics were counted, and a clean batch is
     // byte-identical to the sequential `table1 --csv --stable` seam —
     // no lingering cancel flag, no shrunken pool, no drifted store.
-    assert_eq!(stats_row(&mut control).last().copied(), Some(2));
+    assert_eq!(stat(&mut control, "panics"), 2);
     let apps = [lycos::apps::straight(), lycos::apps::hal()];
     let pipelines: Vec<Pipeline> = apps.iter().map(Pipeline::for_app).collect();
     let rows = Pipeline::table1_batch(&pipelines, &options).expect("sequential batch");
@@ -1020,6 +1031,94 @@ fn cancel_reaches_a_job_queued_behind_a_busy_pool() {
 
     assert_eq!(
         control.send(&Request::Shutdown).expect("send"),
+        Response::Bye
+    );
+    handle.join().expect("server thread");
+}
+
+/// Winner columns of a Table 1 CSV row: name, lines, the speed-up
+/// columns, the size fractions, space size and truncation — not the
+/// effort telemetry, which a served answer legitimately changes.
+fn winner_columns(row: &str) -> Vec<String> {
+    let cells: Vec<&str> = row.split(',').collect();
+    [0, 1, 2, 3, 4, 5, 6, 12, 13]
+        .iter()
+        .map(|&i| cells[i].to_owned())
+        .collect()
+}
+
+#[test]
+fn a_stored_pareto_staircase_serves_lower_budgets_exactly() {
+    let (addr, handle) = spawn_server(ServeConfig {
+        workers: 2,
+        queue: 4,
+        ..ServeConfig::default()
+    });
+    let mut client = Client::connect_with_retry(&addr, CONNECT_DEADLINE).expect("connect");
+    let send = |client: &mut Client, line: &str| match client.send_line(line).expect("send") {
+        Response::Ok(lines) => lines,
+        other => panic!("`{line}`: unexpected response {other:?}"),
+    };
+
+    // Sweeps that must store nothing: no-warm, limited, truncated. The
+    // hal table1 after them, and the full eigen sweep itself, would be
+    // served if any had stored its staircase.
+    send(
+        &mut client,
+        "pareto app=hal bound limit=0 no-warm format=csv",
+    );
+    send(&mut client, "pareto app=hal bound limit=1024 format=csv");
+    send(
+        &mut client,
+        "pareto app=eigen@13000 bound limit=0 deadline-ms=1 format=csv",
+    );
+    send(&mut client, "table1 app=hal bound limit=0 format=csv");
+    assert_eq!(stat(&mut client, "front_hits"), 0);
+
+    // One full sweep stores eigen's staircase at cap 13 000 ...
+    send(
+        &mut client,
+        "pareto app=eigen@13000 bound limit=0 format=csv",
+    );
+    assert_eq!(stat(&mut client, "front_hits"), 0, "the sweep itself walks");
+
+    // ... and answers every budget under it exactly as a storeless
+    // pipeline's full bounded search does.
+    let eigen = lycos::apps::eigen();
+    let options = Table1Options::from_search_options(&SearchOptions::new().bound(true));
+    let budgets = [6_500u64, 9_100, 11_700, 13_000];
+    for &b in &budgets {
+        let lines = send(
+            &mut client,
+            &format!("table1 app=eigen@{b} bound limit=0 format=csv"),
+        );
+        let reference = Pipeline::for_app(&eigen)
+            .with_budget(lycos::hwlib::Area::new(b))
+            .table1_row(&options)
+            .expect("storeless row");
+        let expected = format_table1_csv(&[reference], false);
+        let expected_row = expected.lines().nth(1).expect("row");
+        assert_eq!(
+            winner_columns(&lines[1]),
+            winner_columns(expected_row),
+            "eigen@{b}"
+        );
+    }
+    assert_eq!(stat(&mut client, "front_hits"), budgets.len() as u64);
+
+    // Requests that must not be served: no-warm and limited.
+    send(
+        &mut client,
+        "table1 app=eigen@9000 bound limit=1024 format=csv",
+    );
+    send(
+        &mut client,
+        "table1 app=eigen@9000 bound limit=0 no-warm format=csv",
+    );
+    assert_eq!(stat(&mut client, "front_hits"), budgets.len() as u64);
+
+    assert_eq!(
+        client.send(&Request::Shutdown).expect("send"),
         Response::Bye
     );
     handle.join().expect("server thread");

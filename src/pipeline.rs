@@ -267,6 +267,22 @@ impl Pipeline {
         self.allocate_compiled(compiled)
     }
 
+    /// Size of the application's full allocation space (`Π (cap+1)`
+    /// over the ASAP restriction caps) without running Algorithm 1:
+    /// compile, derive the restrictions, count. The seam the
+    /// allocation service's admission control classifies job size by.
+    ///
+    /// # Errors
+    ///
+    /// Frontend and restriction errors as [`LycosError`].
+    pub fn space_size(&self) -> Result<u128, LycosError> {
+        let Compiled { bsbs, .. } = self.compile()?;
+        let restrictions = Restrictions::from_asap(&bsbs, &self.library)?;
+        Ok(lycos_pace::space_size(&lycos_pace::search_space(
+            &restrictions,
+        )))
+    }
+
     /// Runs Algorithm 1 over an already-compiled stage output, so a
     /// caller that inspected [`Compiled`] does not pay for a second
     /// frontend pass.
@@ -428,9 +444,8 @@ impl Allocated {
 
     /// Size of this application's full allocation space (`Π (cap+1)`
     /// over the ASAP restriction caps) — what a sweep would walk
-    /// before any limit or pruning. Cheap (no search runs); the seam
-    /// the allocation service's admission control classifies job size
-    /// by.
+    /// before any limit or pruning. Cheap (no search runs); see
+    /// [`Pipeline::space_size`] for the same count before Algorithm 1.
     pub fn space_size(&self) -> u128 {
         lycos_pace::space_size(&lycos_pace::search_space(&self.restrictions))
     }
@@ -710,5 +725,10 @@ mod tests {
         let allocated = Pipeline::for_app(&app).allocate().unwrap();
         assert_eq!(allocated.budget(), Area::new(app.area_budget));
         assert!(!allocated.allocation().is_empty());
+        // The admission probe counts the same space without Algorithm 1.
+        assert_eq!(
+            Pipeline::for_app(&app).space_size().unwrap(),
+            allocated.space_size()
+        );
     }
 }
