@@ -27,7 +27,7 @@
 //! * **deadline** — a bounded eigen *full* sweep issued in-process
 //!   with a 25 ms deadline must return within 2× the deadline with a
 //!   feasible winner and exhaustive accounting; the same request over
-//!   the wire (a 50 ms tiny deadline, primed store, warm reseeding
+//!   the wire (a 25 ms tiny deadline, primed store, warm reseeding
 //!   off so the bound cannot finish the sweep early) must answer
 //!   within 2× with the `deadline` completion marker and a non-empty
 //!   incumbent;
@@ -52,7 +52,10 @@
 //!   included), against a server with no other clients, then again
 //!   with `4 × workers` idle keep-alive sockets held open (the queue
 //!   sized to admit them). Idle sockets cost readers, never workers,
-//!   so they must not move the tail.
+//!   so they must not move the tail. Both samples alternate over
+//!   several rounds and each reported percentile is the median of the
+//!   rounds' percentiles: a burst from another tenant of the host
+//!   inflates one round's tail, not the gate.
 //!
 //! The run fails on the spot if a warm response's winner columns
 //! diverge from the cold response, or an edited response's from the
@@ -75,6 +78,7 @@
 //! fresh-connection ping p99 exceeds `X` ms (CI gates at 5);
 //! `--check-idle-slack-ms X` when the p99 with idle sockets held open
 //! exceeds the p99 without them by more than `X` ms (CI gates at 1).
+//! Both p99s are medians over the connection phase's rounds.
 //! `LYCOS_BENCH_QUICK` drops to one trial and fewer warm
 //! repeats (CI's perf-smoke mode); the requests themselves are never
 //! reduced — the cold/warm phases always run the full bounded eigen
@@ -98,15 +102,21 @@ const FRONT_LINE: &str = "pareto app=eigen@13000 bound format=csv";
 /// The anytime gate's wall-clock budget for the bare search stage.
 const DEADLINE_MS: u64 = 25;
 
-/// The tiny deadline of the over-the-wire anytime gate. Wider than
-/// [`DEADLINE_MS`]: a request also pays the fixed pipeline cost
-/// (frontend compile, allocation, partition replays, the wire), which
-/// the in-process gate deliberately excludes.
-const WIRE_DEADLINE_MS: u64 = 50;
+/// The tiny deadline of the over-the-wire anytime gate. It must stay
+/// well below the whole `no-warm` sweep over a primed store (~45 ms on
+/// a 2-vCPU container since the schedule table is shared), or the
+/// request completes instead of truncating. The 2× wall budget also
+/// covers the fixed pipeline cost (frontend compile, allocation,
+/// partition replays, the wire), which the in-process gate excludes.
+const WIRE_DEADLINE_MS: u64 = 25;
 
 /// Fresh connections per ping sample of the connection phase — the
 /// p99 then has ten samples beyond it.
 const CONNECT_PINGS: usize = 1_000;
+
+/// Rounds of the connection phase, each one sample without and one
+/// with the idle sockets; the gated p99s are medians over rounds.
+const CONNECT_ROUNDS: usize = 5;
 
 /// Workers of the connection phase's server; it holds
 /// `4 × CONNECT_WORKERS` idle sockets open in its second sample.
@@ -208,6 +218,12 @@ fn fresh_pings(addr: &str, n: usize) -> Vec<f64> {
         .collect();
     ms.sort_by(f64::total_cmp);
     ms
+}
+
+/// Median of a few values (the upper one of an even count).
+fn median(mut values: Vec<f64>) -> f64 {
+    values.sort_by(f64::total_cmp);
+    values[values.len() / 2]
 }
 
 /// Nearest-rank quantile of ascending samples.
@@ -666,7 +682,8 @@ fn main() {
     // `workers` more, so the sampling connection (and a reader still
     // exiting from the previous one) always fits under the cap.
     let idle_sockets = 4 * CONNECT_WORKERS;
-    let (base_pings, idle_pings) = {
+    // Per round: (base p50, base p99, idle p50, idle p99).
+    let rounds: Vec<[f64; 4]> = {
         let server = Server::bind(ServeConfig {
             addr: "127.0.0.1:0".into(),
             workers: CONNECT_WORKERS,
@@ -678,25 +695,35 @@ fn main() {
         let addr = server.local_addr().expect("bound address").to_string();
         let handle = std::thread::spawn(move || server.run().expect("server run"));
         let _warm_up = fresh_pings(&addr, CONNECT_PINGS / 10);
-        let base = fresh_pings(&addr, CONNECT_PINGS);
-        let idle: Vec<Client> = (0..idle_sockets)
+        let rounds = (0..CONNECT_ROUNDS)
             .map(|_| {
-                let mut client = Client::connect(&addr).expect("connect");
-                assert_eq!(client.send(&Request::Ping).expect("ping"), Response::Pong);
-                client
+                let base = fresh_pings(&addr, CONNECT_PINGS);
+                let idle: Vec<Client> = (0..idle_sockets)
+                    .map(|_| {
+                        let mut client = Client::connect(&addr).expect("connect");
+                        assert_eq!(client.send(&Request::Ping).expect("ping"), Response::Pong);
+                        client
+                    })
+                    .collect();
+                let loaded = fresh_pings(&addr, CONNECT_PINGS);
+                drop(idle);
+                [
+                    quantile(&base, 0.5),
+                    quantile(&base, 0.99),
+                    quantile(&loaded, 0.5),
+                    quantile(&loaded, 0.99),
+                ]
             })
             .collect();
-        let loaded = fresh_pings(&addr, CONNECT_PINGS);
-        drop(idle);
         shutdown(&addr, handle);
-        (base, loaded)
+        rounds
     };
-    let (ping_p50, ping_p99) = (quantile(&base_pings, 0.5), quantile(&base_pings, 0.99));
-    let (idle_p50, idle_p99) = (quantile(&idle_pings, 0.5), quantile(&idle_pings, 0.99));
+    let [ping_p50, ping_p99, idle_p50, idle_p99] =
+        [0, 1, 2, 3].map(|k| median(rounds.iter().map(|r| r[k]).collect()));
     eprintln!(
-        "[bench_serve] fresh-connection ping over {CONNECT_PINGS} connections: \
-         p50 {ping_p50:.3}ms, p99 {ping_p99:.3}ms; with {idle_sockets} idle sockets: \
-         p50 {idle_p50:.3}ms, p99 {idle_p99:.3}ms"
+        "[bench_serve] fresh-connection ping, median over {CONNECT_ROUNDS} rounds of \
+         {CONNECT_PINGS} connections: p50 {ping_p50:.3}ms, p99 {ping_p99:.3}ms; with \
+         {idle_sockets} idle sockets: p50 {idle_p50:.3}ms, p99 {idle_p99:.3}ms"
     );
 
     let speedup = cold_seconds / warm_seconds.max(f64::EPSILON);
@@ -713,7 +740,7 @@ fn main() {
     );
 
     print!(
-        "{{\n  \"schema\": \"lycos-bench-serve/5\",\n  \"app\": \"eigen\",\n  \
+        "{{\n  \"schema\": \"lycos-bench-serve/6\",\n  \"app\": \"eigen\",\n  \
          \"request\": \"{REQUEST_LINE}\",\n  \"cold_seconds\": {},\n  \
          \"warm_seconds\": {},\n  \"speedup\": {},\n  \"edited\": {{\n    \
          \"scratch_seconds\": {},\n    \"edited_seconds\": {},\n    \
@@ -728,7 +755,8 @@ fn main() {
          \"panics\": {soak_panics}\n  }},\n  \"store\": {{\n    \
          \"hits\": {hits},\n    \"misses\": {misses},\n    \"evictions\": {evictions},\n    \
          \"hit_ratio\": {}\n  }},\n  \"connect\": {{\n    \
-         \"connections\": {CONNECT_PINGS},\n    \"ping_p50_ms\": {},\n    \
+         \"connections\": {CONNECT_PINGS},\n    \"rounds\": {CONNECT_ROUNDS},\n    \
+         \"ping_p50_ms\": {},\n    \
          \"ping_p99_ms\": {},\n    \"idle_sockets\": {idle_sockets},\n    \
          \"idle_ping_p50_ms\": {},\n    \"idle_ping_p99_ms\": {}\n  }}\n}}\n",
         json_num(cold_seconds),

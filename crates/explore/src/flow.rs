@@ -10,9 +10,11 @@ use lycos_core::{allocate, AllocConfig, AllocOutcome, RMap, Restrictions};
 use lycos_hwlib::{Area, HwLibrary};
 use lycos_ir::BsbArray;
 use lycos_pace::{
-    partition, ArtifactKey, ArtifactStore, PaceConfig, PaceError, ParetoResult, Partition,
-    SearchArtifacts, SearchOptions, SearchResult, StopSignal, StoreOutcome, WarmSeed,
+    partition, partition_with_artifacts, ArtifactKey, ArtifactStore, DpScratch, PaceConfig,
+    PaceError, ParetoResult, Partition, SearchArtifacts, SearchOptions, SearchResult, StopSignal,
+    StoreOutcome, WarmSeed,
 };
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// The result of one allocate→partition run.
@@ -120,7 +122,7 @@ fn store_artifacts(
     restrictions: &Restrictions,
     pace: &PaceConfig,
     incremental: bool,
-) -> Result<(std::sync::Arc<SearchArtifacts>, StoreOutcome), PaceError> {
+) -> Result<(Arc<SearchArtifacts>, StoreOutcome), PaceError> {
     if incremental {
         return store.get_or_build_incremental(bsbs, lib, restrictions, pace);
     }
@@ -149,6 +151,122 @@ fn note_outcome(stats: &mut lycos_pace::SearchStats, outcome: StoreOutcome) {
     stats.incremental_hits = u64::from(outcome.incremental);
     stats.blocks_reused = outcome.blocks_reused;
     stats.blocks_rederived = outcome.blocks_rederived;
+}
+
+/// The artifacts one request runs every PACE stage over: fetched from
+/// (or built into) a store, or prepared one-shot without one.
+pub(crate) struct Fetched<'s> {
+    artifacts: Arc<SearchArtifacts>,
+    store: Option<(&'s ArtifactStore, StoreOutcome)>,
+}
+
+impl<'s> Fetched<'s> {
+    /// Fetches through `store` ([`store_artifacts`]) or prepares
+    /// one-shot artifacts when there is none.
+    ///
+    /// # Errors
+    ///
+    /// Propagates [`PaceError`] from the artifact build.
+    pub(crate) fn new(
+        bsbs: &BsbArray,
+        lib: &HwLibrary,
+        restrictions: &Restrictions,
+        pace: &PaceConfig,
+        options: &SearchOptions,
+        store: Option<&'s ArtifactStore>,
+    ) -> Result<Self, PaceError> {
+        Ok(match store {
+            None => Fetched {
+                artifacts: Arc::new(SearchArtifacts::prepare(bsbs, lib, restrictions, pace)?),
+                store: None,
+            },
+            Some(store) => {
+                let (artifacts, outcome) =
+                    store_artifacts(store, bsbs, lib, restrictions, pace, options.incremental)?;
+                Fetched {
+                    artifacts,
+                    store: Some((store, outcome)),
+                }
+            }
+        })
+    }
+
+    /// PACE on one explicit allocation over the fetched artifacts —
+    /// identical to [`evaluate`], minus every schedule and traffic
+    /// price the artifacts already hold.
+    ///
+    /// # Errors
+    ///
+    /// Propagates [`PaceError`] from the partitioner.
+    pub(crate) fn partition(
+        &self,
+        bsbs: &BsbArray,
+        lib: &HwLibrary,
+        allocation: &RMap,
+        total_area: Area,
+        pace: &PaceConfig,
+    ) -> Result<Partition, PaceError> {
+        let mut scratch = DpScratch::new();
+        partition_with_artifacts(
+            bsbs,
+            lib,
+            allocation,
+            total_area,
+            pace,
+            &mut scratch,
+            &self.artifacts,
+        )
+    }
+
+    /// The best-under-budget sweep over the fetched artifacts; on the
+    /// store path warm seeds go in, the winner is recorded back and the
+    /// store outcome lands in the stats ([`search_with_store_stop`]).
+    ///
+    /// # Errors
+    ///
+    /// Propagates [`PaceError`] from partition evaluation.
+    pub(crate) fn search(
+        &self,
+        bsbs: &BsbArray,
+        lib: &HwLibrary,
+        total_area: Area,
+        pace: &PaceConfig,
+        options: &SearchOptions,
+        stop: &StopSignal,
+    ) -> Result<SearchResult, PaceError> {
+        let artifacts = &self.artifacts;
+        let Some((store, outcome)) = self.store else {
+            return lycos_pace::search_best_with_stop(
+                bsbs,
+                lib,
+                total_area,
+                pace,
+                options,
+                artifacts,
+                &[],
+                stop,
+            );
+        };
+        let seeds = if options.warm && options.bound {
+            store.warm_seeds(artifacts.key(), total_area)
+        } else {
+            Vec::new()
+        };
+        let mut result = lycos_pace::search_best_with_stop(
+            bsbs, lib, total_area, pace, options, artifacts, &seeds, stop,
+        )?;
+        note_outcome(&mut result.stats, outcome);
+        store.record_winner(
+            artifacts.key(),
+            total_area,
+            WarmSeed {
+                time: result.best_partition.total_time.count(),
+                gates: result.best_gates,
+                index: result.best_index,
+            },
+        );
+        Ok(result)
+    }
 }
 
 /// [`search`] through a cross-request [`ArtifactStore`]: artifacts are
@@ -208,40 +326,8 @@ pub fn search_with_store_stop(
     store: Option<&ArtifactStore>,
     stop: &StopSignal,
 ) -> Result<SearchResult, PaceError> {
-    let Some(store) = store else {
-        let artifacts = SearchArtifacts::prepare(bsbs, lib, restrictions, pace)?;
-        return lycos_pace::search_best_with_stop(
-            bsbs,
-            lib,
-            total_area,
-            pace,
-            options,
-            &artifacts,
-            &[],
-            stop,
-        );
-    };
-    let (artifacts, outcome) =
-        store_artifacts(store, bsbs, lib, restrictions, pace, options.incremental)?;
-    let seeds = if options.warm && options.bound {
-        store.warm_seeds(artifacts.key(), total_area)
-    } else {
-        Vec::new()
-    };
-    let mut result = lycos_pace::search_best_with_stop(
-        bsbs, lib, total_area, pace, options, &artifacts, &seeds, stop,
-    )?;
-    note_outcome(&mut result.stats, outcome);
-    store.record_winner(
-        artifacts.key(),
-        total_area,
-        WarmSeed {
-            time: result.best_partition.total_time.count(),
-            gates: result.best_gates,
-            index: result.best_index,
-        },
-    );
-    Ok(result)
+    Fetched::new(bsbs, lib, restrictions, pace, options, store)?
+        .search(bsbs, lib, total_area, pace, options, stop)
 }
 
 /// Sweeps the allocation space once under the Pareto objective — the
@@ -312,18 +398,19 @@ pub fn pareto_with_store_stop(
     store: Option<&ArtifactStore>,
     stop: &StopSignal,
 ) -> Result<ParetoResult, PaceError> {
-    let Some(store) = store else {
-        let artifacts = SearchArtifacts::prepare(bsbs, lib, restrictions, pace)?;
-        return lycos_pace::search_pareto_with_stop(
-            bsbs, lib, total_area, pace, options, &artifacts, stop,
-        );
-    };
-    let (artifacts, outcome) =
-        store_artifacts(store, bsbs, lib, restrictions, pace, options.incremental)?;
+    let fetched = Fetched::new(bsbs, lib, restrictions, pace, options, store)?;
     let mut result = lycos_pace::search_pareto_with_stop(
-        bsbs, lib, total_area, pace, options, &artifacts, stop,
+        bsbs,
+        lib,
+        total_area,
+        pace,
+        options,
+        &fetched.artifacts,
+        stop,
     )?;
-    note_outcome(&mut result.stats, outcome);
+    if let Some((_, outcome)) = fetched.store {
+        note_outcome(&mut result.stats, outcome);
+    }
     Ok(result)
 }
 

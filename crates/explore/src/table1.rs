@@ -14,13 +14,13 @@
 //! (`Size`) and the static hardware/software split (`HW/SW`).
 
 use crate::apply_iteration;
-use crate::flow::{allocate_and_partition, evaluate, search_with_store_stop};
+use crate::flow::Fetched;
 use lycos_apps::{BenchmarkApp, IterationHint};
-use lycos_core::{AllocConfig, RMap, Restrictions};
+use lycos_core::{allocate, AllocConfig, RMap, Restrictions};
 use lycos_hwlib::{Area, HwLibrary};
 use lycos_ir::BsbArray;
 use lycos_pace::{ArtifactStore, Completion, PaceConfig, PaceError, SearchOptions, StopSignal};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// One row of the reproduced Table 1.
 #[derive(Clone, Debug)]
@@ -234,6 +234,8 @@ pub struct Table1Subject<'a> {
     pub lines: usize,
     /// The compiled leaf BSB array.
     pub bsbs: &'a BsbArray,
+    /// The ASAP restriction caps of `bsbs` — the allocation space.
+    pub restrictions: &'a Restrictions,
     /// Total hardware area budget, in gate equivalents.
     pub budget: Area,
     /// The §5 design iteration, if one applies.
@@ -242,12 +244,17 @@ pub struct Table1Subject<'a> {
 
 impl<'a> Table1Subject<'a> {
     /// The subject a bundled benchmark defines, over its pre-extracted
-    /// BSB array.
-    pub fn of_app(app: &'a BenchmarkApp, bsbs: &'a BsbArray) -> Self {
+    /// BSB array and their restriction caps.
+    pub fn of_app(
+        app: &'a BenchmarkApp,
+        bsbs: &'a BsbArray,
+        restrictions: &'a Restrictions,
+    ) -> Self {
         Table1Subject {
             name: app.name,
             lines: app.lines,
             bsbs,
+            restrictions,
             budget: Area::new(app.area_budget),
             iteration: app.iteration,
         }
@@ -266,7 +273,13 @@ pub fn table1_row(
     options: &Table1Options,
 ) -> Result<Table1Row, PaceError> {
     let bsbs = app.bsbs();
-    table1_row_for(&Table1Subject::of_app(app, &bsbs), lib, pace, options)
+    let restrictions = Restrictions::from_asap(&bsbs, lib)?;
+    table1_row_for(
+        &Table1Subject::of_app(app, &bsbs, &restrictions),
+        lib,
+        pace,
+        options,
+    )
 }
 
 /// Runs the full Table 1 flow for an arbitrary subject — the seam the
@@ -311,7 +324,8 @@ pub fn table1_row_with_store(
 /// columns hold the best-so-far incumbent and
 /// [`Table1Row::completion`] records the reason. The allocation stage
 /// and the design iteration are single PACE evaluations and always run
-/// to completion.
+/// to completion. The row's artifacts are fetched once, before step 1,
+/// and all three PACE stages run over them.
 ///
 /// # Errors
 ///
@@ -326,37 +340,42 @@ pub fn table1_row_with_store_stop(
 ) -> Result<Table1Row, PaceError> {
     let bsbs = subject.bsbs;
     let area = subject.budget;
-    let restrictions = Restrictions::from_asap(bsbs, lib)?;
-
-    // 1–2. The allocation algorithm (timed) and PACE on its result.
-    let flow = allocate_and_partition(
+    let search_options = options.search_options();
+    let fetched = Fetched::new(
         bsbs,
         lib,
-        area,
-        &restrictions,
+        subject.restrictions,
         pace,
+        &search_options,
+        store,
+    )?;
+
+    // 1–2. The allocation algorithm (timed) and PACE on its result.
+    let started = Instant::now();
+    let outcome = allocate(
+        bsbs,
+        lib,
+        &pace.eca,
+        area,
+        subject.restrictions,
         &AllocConfig::default(),
     )?;
-    let heuristic = &flow.partition;
+    let alloc_time = started.elapsed();
+    let heuristic = fetched.partition(bsbs, lib, &outcome.allocation, area, pace)?;
 
     // 3. PACE on every allocation, through the memoised search engine
     //    (artifacts shared across requests when a store is attached).
-    let search = search_with_store_stop(
-        bsbs,
-        lib,
-        area,
-        &restrictions,
-        pace,
-        &options.search_options(),
-        store,
-        stop,
-    )?;
+    let search = fetched.search(bsbs, lib, area, pace, &search_options, stop)?;
 
     // 4. The manual design iteration, when the paper used one.
     let iterated_su = match subject.iteration {
         Some(hint) => {
-            let adjusted = apply_iteration(flow.allocation(), hint, lib);
-            Some(evaluate(bsbs, lib, &adjusted, area, pace)?.speedup_pct())
+            let adjusted = apply_iteration(&outcome.allocation, hint, lib);
+            Some(
+                fetched
+                    .partition(bsbs, lib, &adjusted, area, pace)?
+                    .speedup_pct(),
+            )
         }
         None => None,
     };
@@ -369,8 +388,8 @@ pub fn table1_row_with_store_stop(
         iterated_su,
         size_fraction: heuristic.size_fraction(),
         hw_fraction: heuristic.hw_fraction_static(bsbs),
-        alloc_time: flow.alloc_time,
-        heuristic_allocation: flow.outcome.allocation,
+        alloc_time,
+        heuristic_allocation: outcome.allocation,
         best_allocation: search.best_allocation,
         evaluated: search.evaluated,
         skipped: search.skipped,
@@ -679,7 +698,8 @@ mod tests {
     fn subject_of_app_mirrors_the_bundled_fields() {
         let app = lycos_apps::hal();
         let bsbs = app.bsbs();
-        let s = Table1Subject::of_app(&app, &bsbs);
+        let restrictions = Restrictions::from_asap(&bsbs, &HwLibrary::standard()).unwrap();
+        let s = Table1Subject::of_app(&app, &bsbs, &restrictions);
         assert_eq!(s.name, "hal");
         assert_eq!(s.lines, app.lines);
         assert_eq!(s.budget, Area::new(app.area_budget));

@@ -12,7 +12,9 @@
 //! hard contract the warm/cold equivalence proptests pin for
 //! reseeding.
 //!
-//! Also pinned here: [`BlockKey`] is a pure per-block content
+//! Also pinned here: the schedule table an edited application carries
+//! from its donor holds exactly the lengths a from-scratch fill
+//! computes, and [`BlockKey`] is a pure per-block content
 //! fingerprint — any block edit flips exactly the edited block's key
 //! and leaves every sibling's key unchanged, including across the
 //! position and id shifts of an insert or delete.
@@ -21,7 +23,10 @@ use lycos_core::Restrictions;
 use lycos_explore::{flow, SyntheticSpec};
 use lycos_hwlib::{Area, HwLibrary};
 use lycos_ir::{Bsb, BsbArray, OpKind};
-use lycos_pace::{ArtifactStore, BlockKey, PaceConfig, SearchOptions, SearchResult};
+use lycos_pace::{
+    search_best_with, ArtifactStore, BlockKey, PaceConfig, SearchArtifacts, SearchOptions,
+    SearchResult,
+};
 use proptest::prelude::*;
 
 fn spec_for(idx: usize) -> SyntheticSpec {
@@ -266,6 +271,54 @@ proptest! {
             let mut expect = keys.clone();
             expect.remove(i);
             prop_assert_eq!(deleted_keys, expect);
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// A carried schedule table equals a from-scratch one: every slot
+    /// the donor had filled (a bounded search fills them all) reads the
+    /// edited block set's true length, and after a bounded search over
+    /// both the tables agree slot for slot.
+    #[test]
+    fn carried_schedule_table_equals_a_fresh_fill(
+        spec_idx in 0usize..3,
+        seed in 0u64..256,
+        at in 0usize..64,
+        edit in 0usize..4,
+    ) {
+        let app = spec_for(spec_idx).generate(seed);
+        let lib = HwLibrary::standard();
+        let pace = PaceConfig::standard();
+        let area = Area::new(12_000);
+        let restr = Restrictions::from_asap(&app, &lib).unwrap();
+        let edited = edited_app(&app, edit, at);
+        let edited_restr = Restrictions::from_asap(&edited, &lib).unwrap();
+        let options = SearchOptions::new().threads(1).limit(Some(64)).bound(true);
+
+        let store = ArtifactStore::new(4);
+        flow::search_with_store(&app, &lib, area, &restr, &pace, &options, Some(&store)).unwrap();
+        let (carried, _) = store
+            .get_or_build_incremental(&edited, &lib, &edited_restr, &pace)
+            .unwrap();
+        let fresh = SearchArtifacts::prepare(&edited, &lib, &edited_restr, &pace).unwrap();
+        search_best_with(&edited, &lib, area, &pace, &options, &fresh, &[]).unwrap();
+
+        let (got, want) = (carried.schedules(), fresh.schedules());
+        for b in 0..edited.len() {
+            let (g, w) = (got.lengths(b), want.lengths(b));
+            prop_assert_eq!(g.len(), w.len(), "block {} layout", b);
+            for (slot, (g, w)) in g.iter().zip(&w).enumerate() {
+                if g.is_some() {
+                    prop_assert_eq!(g, w, "block {} slot {} holds a stale length", b, slot);
+                }
+            }
+        }
+        search_best_with(&edited, &lib, area, &pace, &options, &carried, &[]).unwrap();
+        for b in 0..edited.len() {
+            prop_assert_eq!(got.lengths(b), want.lengths(b), "block {}", b);
         }
     }
 }

@@ -46,6 +46,12 @@
 //!
 //! * **Statics** ([`BsbStatics`]) depend only on one block's content —
 //!   clean blocks clone, dirty blocks re-derive.
+//! * **Schedule lengths** ([`ScheduleTable`]) depend only on one block's
+//!   content and the projection; the slot layout only on its caps. A
+//!   clean block whose caps are unchanged shares the donor's slots,
+//!   filled or not; every other block starts with empty slots. No
+//!   communication floor enters a length, so this rule is simpler than
+//!   the bound tables'.
 //! * **Traffic memo** ([`CommCosts`]) prices runs over the whole block
 //!   sequence — reused wholesale iff no block's I/O content
 //!   (reads/writes/profile) changed and the block count is unchanged.
@@ -53,11 +59,11 @@
 //!   carries every run the dirty profiles provably cannot move
 //!   ([`CommCosts::carry_clean`]); any set change, insert or delete
 //!   reprices from scratch.
-//! * **Bound tables** ([`SearchBounds`]) are patchable only under
-//!   identical search dimensions; a clean block's table is cloned iff
-//!   its segmented communication floor is also unchanged, which
-//!   transitively re-derives every block whose barrier segment the
-//!   edit invalidated (see `SearchBounds::patched`).
+//! * **Bound tables** ([`SearchBounds`]) fold in segmented
+//!   communication floors, which an edit can move for content-clean
+//!   neighbours, so they are rebuilt whole, lazily on the first
+//!   bounded search. The rebuild reads the carried schedule slots, so
+//!   only dirty blocks run the list scheduler.
 //! * **Recorded winners** are re-evaluated point-wise under the new
 //!   artifacts (decode the donor's odometer index, re-encode under the
 //!   new dimensions, run the DP) — a re-evaluated seed is a real point
@@ -76,10 +82,10 @@ use crate::comm::CommCosts;
 use crate::config::PaceConfig;
 use crate::error::PaceError;
 use crate::exhaustive::{search_space, space_size};
-use crate::metrics::{block_statics, bsb_statics, metrics_from_statics, BsbStatics};
+use crate::metrics::{block_statics, bsb_statics, BsbStatics, ScheduleTable};
 use crate::search::StoredFront;
 use crate::stop::StopSignal;
-use crate::{BsbMetrics, DpScratch};
+use crate::{BsbMetrics, DpScratch, MetricsCache};
 use lycos_core::{RMap, Restrictions};
 use lycos_hwlib::{Area, FuId, HwLibrary};
 use lycos_ir::{Bsb, BsbArray, BsbOrigin, Dfg, OpKind};
@@ -408,9 +414,9 @@ impl BlockKey {
 }
 
 /// Every allocation-independent precompute the engines share, built
-/// once per [`ArtifactKey`]: the per-block statics, the run-traffic
-/// memo, the search dimensions and (lazily, on first bounded use) the
-/// admissible bound tables.
+/// once per [`ArtifactKey`]: the per-block statics, the schedule table
+/// (filled on first use), the run-traffic memo, the search dimensions
+/// and (lazily, on first bounded use) the admissible bound tables.
 ///
 /// Build one with [`SearchArtifacts::prepare`] and pass it to the
 /// `*_with` engine entry points; or let the classic wrappers
@@ -418,7 +424,11 @@ impl BlockKey {
 /// internally — the results are identical either way.
 pub struct SearchArtifacts {
     key: ArtifactKey,
-    pub(crate) statics: Vec<BsbStatics>,
+    pub(crate) statics: Arc<[BsbStatics]>,
+    /// Every block's list-schedule length per projection, filled on
+    /// first use and read by the bound tables, every sweep worker and
+    /// every request over these artifacts.
+    schedules: ScheduleTable,
     /// The shared run-traffic memo. Empty on a one-shot `prepare` (the
     /// cold path keeps its lazy per-worker fill); eagerly filled by
     /// [`SearchArtifacts::warm_comm`] on the store path, where it
@@ -604,9 +614,11 @@ impl SearchArtifacts {
     ) -> Result<Self, PaceError> {
         let dims = search_space(restrictions);
         let space = space_size(&dims);
+        let statics = bsb_statics(bsbs, lib, config)?;
         Ok(SearchArtifacts {
             key: ArtifactKey::of(bsbs, lib, restrictions, config),
-            statics: bsb_statics(bsbs, lib, config)?,
+            schedules: ScheduleTable::new(&statics, &dims),
+            statics: statics.into(),
             comm: CommCosts::new(bsbs.len()),
             dims,
             space,
@@ -718,9 +730,15 @@ impl SearchArtifacts {
             Vec::new()
         };
 
+        // Schedule lengths depend only on one block's content and its
+        // caps: content-clean blocks under unchanged caps share the
+        // donor's slots, filled or not.
+        let schedules = ScheduleTable::carried(&donor.schedules, &matched, &statics, &dims);
+
         let artifacts = SearchArtifacts {
             key: ArtifactKey::of(bsbs, lib, restrictions, config),
-            statics,
+            statics: statics.into(),
+            schedules,
             comm,
             dims,
             space,
@@ -733,27 +751,6 @@ impl SearchArtifacts {
             front: Mutex::new(None),
             store_front_hits: None,
         };
-
-        // Bound tables are patchable only under identical dimensions
-        // (positions and radices bake the dimension list in); within
-        // that, `patched` clones exactly the blocks whose content AND
-        // segmented comm floor both survived the edit.
-        if artifacts.dims == donor.dims {
-            if let Some(donor_bounds) = donor.bounds.get() {
-                let mut memo = artifacts.comm.clone();
-                let patched = SearchBounds::patched(
-                    donor_bounds,
-                    &matched,
-                    bsbs,
-                    lib,
-                    &artifacts.dims,
-                    &artifacts.statics,
-                    &config.comm,
-                    &mut memo,
-                )?;
-                let _ = artifacts.bounds.set(patched);
-            }
-        }
         Ok((artifacts, reused, rederived))
     }
 
@@ -770,9 +767,12 @@ impl SearchArtifacts {
         lib: &HwLibrary,
         config: &PaceConfig,
     ) -> Result<Self, PaceError> {
+        let statics = bsb_statics(bsbs, lib, config)?;
         Ok(SearchArtifacts {
             key: ArtifactKey::of_partition(bsbs, lib, config),
-            statics: bsb_statics(bsbs, lib, config)?,
+            // No dimensions, no slots: every schedule runs directly.
+            schedules: ScheduleTable::new(&statics, &[]),
+            statics: statics.into(),
             comm: CommCosts::new(bsbs.len()),
             dims: Vec::new(),
             space: 1,
@@ -873,9 +873,15 @@ impl SearchArtifacts {
         self.comm.clone()
     }
 
+    /// The schedule table every engine over these artifacts reads.
+    pub fn schedules(&self) -> &ScheduleTable {
+        &self.schedules
+    }
+
     /// Per-block metrics under `allocation`, computed from the cached
-    /// statics — what [`crate::compute_metrics`] computes, minus the
-    /// per-call statics derivation.
+    /// statics and schedule table — what [`crate::compute_metrics`]
+    /// computes, minus the per-call statics derivation and every
+    /// schedule an earlier evaluation already ran.
     ///
     /// # Errors
     ///
@@ -887,7 +893,7 @@ impl SearchArtifacts {
         allocation: &RMap,
         config: &PaceConfig,
     ) -> Result<Vec<BsbMetrics>, PaceError> {
-        metrics_from_statics(bsbs, lib, &self.statics, allocation, config)
+        MetricsCache::from_artifacts(bsbs, lib, config, self).metrics(allocation)
     }
 
     /// The admissible bound tables, with the communication floor
@@ -915,6 +921,7 @@ impl SearchArtifacts {
             lib,
             &self.dims,
             &self.statics,
+            &self.schedules,
             Some(&config.comm),
             &mut memo,
             stop,
@@ -1814,9 +1821,9 @@ mod tests {
         assert_eq!(incremental.dims(), scratch.dims());
         assert_eq!(incremental.space_size(), scratch.space_size());
         assert_eq!(incremental.fingerprint(), scratch.fingerprint());
-        for (a, b) in incremental.statics.iter().zip(&scratch.statics) {
+        for (a, b) in incremental.statics.iter().zip(scratch.statics.iter()) {
             assert_eq!(a.sw_time, b.sw_time);
-            assert_eq!(a.needed, b.needed);
+            assert_eq!(a.need, b.need);
             assert_eq!(a.kinds, b.kinds);
             assert_eq!(a.movable, b.movable);
         }

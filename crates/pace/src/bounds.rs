@@ -12,12 +12,14 @@
 //! ```
 //!
 //! for every allocation — and `hw_b` depends only on the allocation's
-//! projection onto the block's own unit kinds. [`SearchBounds`]
-//! precomputes, **once per search**, each block's hardware time under
-//! *every* projection it can ever see (blocks use few kinds, so the
+//! projection onto the block's own unit kinds. [`SearchBounds`] is
+//! built **once per artifact set**: it schedules each block under
+//! *every* projection it can ever see, reading and filling the
+//! artifacts' [`ScheduleTable`] (blocks use few kinds, so the
 //! per-block projection spaces are tiny even when the full space is
-//! astronomic), plus a per-unit-kind *marginal* table: the minimum
-//! hardware time over all projections holding one kind at one count.
+//! astronomic), and derives a per-unit-kind *marginal* table: the
+//! minimum hardware time over all projections holding one kind at one
+//! count.
 //!
 //! A branch-and-bound walk fixes the odometer's most-significant
 //! digits first. For a subtree fixing the kinds at dimension positions
@@ -84,22 +86,15 @@
 //! the relaxation is never weaker than the leaf check it follows.
 
 use crate::comm::{comm_floors, CommCosts};
-use crate::metrics::{bsb_statics, BsbMetrics, BsbStatics};
+use crate::metrics::{bsb_statics, BsbMetrics, BsbStatics, ScheduleTable};
 use crate::stop::StopSignal;
 use crate::{PaceConfig, PaceError};
 use lycos_core::kind_positions;
 use lycos_hwlib::{CommModel, Cycles, FuId, HwLibrary};
 use lycos_ir::{Bsb, BsbArray};
-use lycos_sched::{list_schedule, FuCounts};
 
 /// Sentinel for a projection that cannot execute its block.
 const INFEASIBLE: u64 = u64::MAX;
-
-/// Largest per-block projection table the precompute will enumerate.
-/// Real blocks use a handful of kinds with single-digit caps; a block
-/// whose projection space exceeds this is bounded by its feasibility
-/// alone (hardware floored at zero), which stays admissible.
-const MAX_TABLE: usize = 1 << 16;
 
 /// Lower-bound tables of one block.
 #[derive(Clone, Debug)]
@@ -108,23 +103,21 @@ struct BlockBound {
     /// infeasible, and the ceiling of every contribution.
     sw: u64,
     /// Dimension positions of the block's kinds, ascending (parallel
-    /// to `radix`/`needed`; the radix order of `table`, first kind
-    /// least significant). Empty when the block can never move.
+    /// to `needed`). Empty when the block can never move.
     positions: Vec<usize>,
-    /// `cap + 1` per kind.
-    radix: Vec<u32>,
     /// Required instances per kind (hardware-feasibility floor).
     needed: Vec<u32>,
-    /// Hardware time — plus the block's communication floor when one
-    /// was requested — per feasible projection (`INFEASIBLE`
-    /// elsewhere); empty for blocks whose projection space exceeds
-    /// [`MAX_TABLE`].
-    table: Vec<u64>,
-    /// Per count of the most-significant kind: minimum table entry
-    /// over all projections holding that count. Empty iff `table` is.
+    /// Executions per application run: hardware time is
+    /// `length × profile`.
+    profile: u64,
+    /// The block's communication floor (0 when none was requested).
+    floor: u64,
+    /// Per count of the most-significant kind: minimum hardware time
+    /// over all feasible projections holding that count. Empty when
+    /// the block keeps no schedule slots.
     marg: Vec<u64>,
-    /// `min(sw, min over table)` — the nothing-fixed floor
-    /// (`min(sw, comm floor)` for table-less movable blocks).
+    /// `min(sw, min hardware time)` — the nothing-fixed floor
+    /// (`min(sw, comm floor)` for slot-less movable blocks).
     relaxed: u64,
 }
 
@@ -135,9 +128,9 @@ impl BlockBound {
         BlockBound {
             sw,
             positions: Vec::new(),
-            radix: Vec::new(),
             needed: Vec::new(),
-            table: Vec::new(),
+            profile: 0,
+            floor: 0,
             marg: Vec::new(),
             relaxed: sw,
         }
@@ -151,9 +144,20 @@ impl BlockBound {
         *self.positions.last().expect("movable block has kinds")
     }
 
+    /// Hardware time of a projection whose schedule has `length`
+    /// steps, plus the communication floor, capped below `INFEASIBLE`
+    /// (capping only loosens, so admissibility survives).
+    fn hw(&self, length: u64) -> u64 {
+        (Cycles::new(length) * self.profile)
+            .count()
+            .saturating_add(self.floor)
+            .min(INFEASIBLE - 1)
+    }
+
     /// Exact relaxed cost with every kind fixed at `counts` (indexed
-    /// by dimension position).
-    fn exact(&self, counts: &[u32]) -> u64 {
+    /// by dimension position); block `b`'s schedule lengths come from
+    /// `schedules`.
+    fn exact(&self, schedules: &ScheduleTable, b: usize, counts: &[u32]) -> u64 {
         let covered = self
             .positions
             .iter()
@@ -162,22 +166,15 @@ impl BlockBound {
         if !covered {
             return self.sw; // cannot cover: software for sure
         }
-        if self.table.is_empty() {
-            // Table too large to enumerate: only the communication
-            // floor (hardware time floored at 0) survives. Checked
-            // before the index walk — the radix product of exactly
-            // these blocks can overflow `usize`.
-            return self.relaxed;
+        match schedules.get(b, self.positions.iter().map(|&p| counts[p])) {
+            Some(length) => self.sw.min(self.hw(length)),
+            None => {
+                // No slots: only the communication floor (hardware
+                // time floored at 0) survives.
+                debug_assert!(self.marg.is_empty(), "the build fills every feasible slot");
+                self.relaxed
+            }
         }
-        let mut idx = 0usize;
-        let mut mul = 1usize;
-        for (&p, &radix) in self.positions.iter().zip(&self.radix) {
-            idx += counts[p] as usize * mul;
-            mul *= radix as usize;
-        }
-        let hw = self.table[idx];
-        debug_assert_ne!(hw, INFEASIBLE, "needed-check admits only feasible entries");
-        self.sw.min(hw)
     }
 
     /// Marginal cost with (at least) the most-significant kind fixed
@@ -198,7 +195,7 @@ impl BlockBound {
     }
 }
 
-/// Once-per-search admissible bound tables over an allocation space —
+/// Once-per-artifact-set admissible bound tables over an allocation space —
 /// see the module docs for the construction and the admissibility
 /// argument.
 ///
@@ -245,11 +242,11 @@ pub struct SearchBounds {
     /// Σ relaxed contributions — the bound with nothing fixed.
     relaxed_total: u64,
     /// The per-block communication floor each table was built with
-    /// (all zeros without a comm model). Kept so the incremental diff
-    /// path can tell whether a content-clean block's table is still
-    /// valid: an edit elsewhere can move a barrier and change a clean
-    /// block's segmented floor, which bakes into its table entries.
+    /// (all zeros without a comm model).
     floors: Vec<u64>,
+    /// The schedule lengths behind every exact contribution, shared
+    /// with the artifacts the tables were built over.
+    schedules: ScheduleTable,
     dims_len: usize,
 }
 
@@ -267,11 +264,7 @@ impl SearchBounds {
         dims: &[(FuId, u32)],
         config: &PaceConfig,
     ) -> Result<Self, PaceError> {
-        let statics = bsb_statics(bsbs, lib, config)?;
-        let mut memo = CommCosts::new(bsbs.len());
-        let never = StopSignal::never();
-        let built = Self::from_statics(bsbs, lib, dims, &statics, None, &mut memo, &never)?;
-        Ok(built.expect("a never-signal cannot stop the build"))
+        Self::standalone(bsbs, lib, dims, config, None)
     }
 
     /// [`SearchBounds::new`] with the admissible communication floor
@@ -289,23 +282,32 @@ impl SearchBounds {
         dims: &[(FuId, u32)],
         config: &PaceConfig,
     ) -> Result<Self, PaceError> {
+        Self::standalone(bsbs, lib, dims, config, Some(&config.comm))
+    }
+
+    /// The two public builds: fresh statics, schedule table and
+    /// traffic memo, nothing to stop them.
+    fn standalone(
+        bsbs: &BsbArray,
+        lib: &HwLibrary,
+        dims: &[(FuId, u32)],
+        config: &PaceConfig,
+        comm: Option<&CommModel>,
+    ) -> Result<Self, PaceError> {
         let statics = bsb_statics(bsbs, lib, config)?;
+        let schedules = ScheduleTable::new(&statics, dims);
         let mut memo = CommCosts::new(bsbs.len());
         let never = StopSignal::never();
         let built = Self::from_statics(
-            bsbs,
-            lib,
-            dims,
-            &statics,
-            Some(&config.comm),
-            &mut memo,
-            &never,
+            bsbs, lib, dims, &statics, &schedules, comm, &mut memo, &never,
         )?;
         Ok(built.expect("a never-signal cannot stop the build"))
     }
 
-    /// [`SearchBounds::new`] over statics already computed elsewhere —
-    /// the artifact seam derives them once for the whole sweep. A
+    /// [`SearchBounds::new`] over statics and a schedule table already
+    /// built elsewhere — the artifact seam derives them once for the
+    /// whole sweep, and the tables read every length from
+    /// `schedules`, filling what is missing. A
     /// `comm` model folds the communication floor into the tables;
     /// `memo` is the caller's run-traffic table (the artifacts' —
     /// possibly pre-warmed — memo, so the floors and the DP price runs
@@ -316,11 +318,13 @@ impl SearchBounds {
     /// so `stop` is polled between blocks of both the floors and the
     /// tables: `Ok(None)` means it tripped and the partial build was
     /// abandoned.
+    #[allow(clippy::too_many_arguments)] // the artifact seam plus the stop signal
     pub(crate) fn from_statics(
         bsbs: &BsbArray,
         lib: &HwLibrary,
         dims: &[(FuId, u32)],
         statics: &[BsbStatics],
+        schedules: &ScheduleTable,
         comm: Option<&CommModel>,
         memo: &mut CommCosts,
         stop: &StopSignal,
@@ -335,59 +339,21 @@ impl SearchBounds {
             if stoppable && stop.check().is_some() {
                 return Ok(None);
             }
-            blocks.push(block_bound(bsb, stat, lib, dims, &dim_fus, floors[b])?);
+            blocks.push(block_bound(
+                b, bsb, stat, lib, dims, &dim_fus, floors[b], schedules,
+            )?);
         }
-        Ok(Some(Self::assemble(blocks, floors, dims.len())))
-    }
-
-    /// [`SearchBounds::from_statics`] via the incremental diff path:
-    /// clone the donor's table for every block whose content matched
-    /// (`matched[b] == Some(donor_index)`) *and* whose communication
-    /// floor is unchanged, re-derive the rest. Barrier flags and
-    /// segmented floors are always recomputed from the new statics —
-    /// an edit that moves a barrier silently changes the floors of
-    /// content-clean neighbours, and the floor comparison is what
-    /// propagates that transitive invalidation into the tables.
-    ///
-    /// Produces tables field-identical to [`SearchBounds::from_statics`]
-    /// on the same inputs: a cloned table is only reused when every
-    /// input it was built from (block content via the match, dims via
-    /// the caller's equality check, floor via the comparison here) is
-    /// byte-identical.
-    ///
-    /// # Errors
-    ///
-    /// As [`SearchBounds::from_statics`], for the re-derived blocks.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn patched(
-        donor: &SearchBounds,
-        matched: &[Option<usize>],
-        bsbs: &BsbArray,
-        lib: &HwLibrary,
-        dims: &[(FuId, u32)],
-        statics: &[BsbStatics],
-        comm: &CommModel,
-        memo: &mut CommCosts,
-    ) -> Result<Self, PaceError> {
-        debug_assert_eq!(donor.dims_len, dims.len(), "caller checks dims equality");
-        let dim_fus: Vec<FuId> = dims.iter().map(|&(fu, _)| fu).collect();
-        let never = StopSignal::never();
-        let floors = floors_for(bsbs, dims, &dim_fus, statics, Some(comm), memo, &never)
-            .expect("a never-signal cannot stop the floors");
-        let mut blocks = Vec::with_capacity(bsbs.len());
-        for (b, (bsb, stat)) in bsbs.iter().zip(statics).enumerate() {
-            let clean = matched[b].filter(|&j| donor.floors[j] == floors[b]);
-            match clean {
-                Some(j) => blocks.push(donor.blocks[j].clone()),
-                None => blocks.push(block_bound(bsb, stat, lib, dims, &dim_fus, floors[b])?),
-            }
-        }
-        Ok(Self::assemble(blocks, floors, dims.len()))
+        Ok(Some(Self::assemble(blocks, floors, dims.len(), schedules)))
     }
 
     /// Builds the level index (`exact_at`/`marginal_at`) and the
     /// relaxed floor over finished per-block tables.
-    fn assemble(blocks: Vec<BlockBound>, floors: Vec<u64>, dims_len: usize) -> Self {
+    fn assemble(
+        blocks: Vec<BlockBound>,
+        floors: Vec<u64>,
+        dims_len: usize,
+        schedules: &ScheduleTable,
+    ) -> Self {
         let mut exact_at = vec![Vec::new(); dims_len];
         let mut marginal_at = vec![Vec::new(); dims_len];
         for (b, bound) in blocks.iter().enumerate() {
@@ -406,6 +372,7 @@ impl SearchBounds {
             marginal_at,
             relaxed_total,
             floors,
+            schedules: schedules.clone(),
             dims_len,
         }
     }
@@ -448,7 +415,7 @@ impl SearchBounds {
             return blk.relaxed; // immovable: constant software time
         }
         if blk.min_pos() >= fixed_from {
-            blk.exact(counts)
+            blk.exact(&self.schedules, b, counts)
         } else if blk.max_pos() >= fixed_from {
             blk.marginal(counts[blk.max_pos()])
         } else {
@@ -582,9 +549,8 @@ impl BudgetRelaxation {
 }
 
 /// Static barrier flags and segmented communication floors of one
-/// application over one allocation space — the floor inputs both the
-/// fresh and the incremental table builds recompute identically.
-/// `None` when `stop` tripped while the floors priced runs.
+/// application over one allocation space. `None` when `stop` tripped
+/// while the floors priced runs.
 fn floors_for(
     bsbs: &BsbArray,
     dims: &[(FuId, u32)],
@@ -609,8 +575,8 @@ fn floors_for(
                 None => true,
                 Some(positions) => positions
                     .iter()
-                    .zip(&stat.kinds)
-                    .any(|(&p, &fu)| stat.needed.count(fu) > dims[p].1),
+                    .zip(&stat.need)
+                    .any(|(&p, &need)| need > dims[p].1),
             }
         })
         .collect();
@@ -620,18 +586,21 @@ fn floors_for(
     }
 }
 
-/// Builds one block's bound tables — a pure function of the block's
-/// content (DFG and profile via `bsb`, derived resources via `stat`),
-/// the library, the space dimensions, and the block's communication
-/// floor. The incremental path leans on exactly this purity: equal
-/// inputs ⇒ an identical table, so a clone substitutes for a rebuild.
+/// Builds one block's bound tables from the block's content (DFG and
+/// profile via `bsb`, derived resources via `stat`), the space
+/// dimensions and the block's communication floor. Schedule lengths
+/// come from block `b`'s slots of `schedules`, so a rebuild over
+/// filled slots runs no schedule.
+#[allow(clippy::too_many_arguments)] // one block of the artifact seam
 fn block_bound(
+    b: usize,
     bsb: &Bsb,
     stat: &BsbStatics,
     lib: &HwLibrary,
     dims: &[(FuId, u32)],
     dim_fus: &[FuId],
     floor: u64,
+    schedules: &ScheduleTable,
 ) -> Result<BlockBound, PaceError> {
     let positions = if stat.movable {
         kind_positions(dim_fus, &stat.kinds)
@@ -644,64 +613,46 @@ fn block_bound(
         // all: software at every level, folded into the floor.
         return Ok(BlockBound::immovable(sw));
     };
-    // The unavoidable communication share every hardware placement of
-    // this block pays; capping the sum below INFEASIBLE keeps the
-    // sentinel unambiguous (capping only loosens, so admissibility
-    // survives).
-    let radix: Vec<u32> = positions.iter().map(|&p| dims[p].1 + 1).collect();
-    let needed: Vec<u32> = stat.kinds.iter().map(|&fu| stat.needed.count(fu)).collect();
-    let size = radix
-        .iter()
-        .try_fold(1usize, |acc, &r| acc.checked_mul(r as usize))
-        .filter(|&s| s <= MAX_TABLE);
-    let (table, marg, relaxed) = match size {
-        None => (Vec::new(), Vec::new(), sw.min(floor)),
-        Some(size) => {
-            let top_radix = *radix.last().expect("non-empty") as usize;
-            let mut table = vec![INFEASIBLE; size];
-            let mut marg = vec![INFEASIBLE; top_radix];
-            let mut relaxed = sw;
-            let mut counts = vec![0u32; positions.len()];
-            for entry in table.iter_mut() {
-                let feasible = counts.iter().zip(&needed).all(|(&c, &need)| c >= need);
-                if feasible {
-                    let fu_counts: FuCounts = stat
-                        .kinds
-                        .iter()
-                        .zip(&counts)
-                        .map(|(&fu, &c)| (fu, c))
-                        .collect();
-                    let sched = list_schedule(&bsb.dfg, lib, &fu_counts)?;
-                    let hw = (Cycles::new(sched.length()) * bsb.profile)
-                        .count()
-                        .saturating_add(floor)
-                        .min(INFEASIBLE - 1);
-                    *entry = hw;
-                    let top = *counts.last().expect("non-empty") as usize;
-                    marg[top] = marg[top].min(hw);
-                    relaxed = relaxed.min(hw);
-                }
-                // Advance the block-local odometer.
-                for (c, &r) in counts.iter_mut().zip(&radix) {
-                    *c += 1;
-                    if *c < r {
-                        break;
-                    }
-                    *c = 0;
-                }
-            }
-            (table, marg, relaxed)
-        }
-    };
-    Ok(BlockBound {
+    // Past the schedule table's size cap only the communication floor
+    // survives (hardware time floored at 0).
+    let mut bound = BlockBound {
         sw,
         positions,
-        radix,
-        needed,
-        table,
-        marg,
-        relaxed,
-    })
+        needed: stat.need.clone(),
+        profile: bsb.profile,
+        floor,
+        marg: Vec::new(),
+        relaxed: sw.min(floor),
+    };
+    if !schedules.keeps(b) {
+        return Ok(bound);
+    }
+    let radix: Vec<u32> = bound.positions.iter().map(|&p| dims[p].1 + 1).collect();
+    bound.marg = vec![INFEASIBLE; *radix.last().expect("movable block has kinds") as usize];
+    bound.relaxed = sw;
+    let mut counts = vec![0u32; radix.len()];
+    for _ in 0..radix.iter().map(|&r| r as usize).product::<usize>() {
+        if counts
+            .iter()
+            .zip(&bound.needed)
+            .all(|(&c, &need)| c >= need)
+        {
+            let (length, _) = schedules.length(b, bsb, lib, &stat.kinds, &counts)?;
+            let hw = bound.hw(length);
+            let top = *counts.last().expect("non-empty") as usize;
+            bound.marg[top] = bound.marg[top].min(hw);
+            bound.relaxed = bound.relaxed.min(hw);
+        }
+        // Advance the block-local odometer.
+        for (c, &r) in counts.iter_mut().zip(&radix) {
+            *c += 1;
+            if *c < r {
+                break;
+            }
+            *c = 0;
+        }
+    }
+    Ok(bound)
 }
 
 /// Incrementally-maintained per-level bounds of one branch-and-bound
@@ -752,7 +703,7 @@ impl LevelState {
                 } else {
                     blk.relaxed
                 };
-                let now = blk.exact(counts);
+                let now = blk.exact(&bounds.schedules, b, counts);
                 debug_assert!(now >= prev, "contributions only tighten downward");
                 v += now - prev;
             }

@@ -13,6 +13,7 @@
 //! "impossible" to exhaust (footnote 1).
 
 use crate::artifacts::SearchArtifacts;
+use crate::metrics::metrics_from_statics;
 use crate::stop::Completion;
 use crate::{
     partition_from_metrics, CommCosts, DpScratch, PaceConfig, PaceError, Partition, SearchStats,
@@ -228,7 +229,7 @@ pub fn exhaustive_best_with(
         let ctl_budget = total_area
             .checked_sub(datapath_area)
             .expect("candidate fits the area");
-        let metrics = artifacts.metrics(bsbs, lib, allocation, config)?;
+        let metrics = metrics_from_statics(bsbs, lib, &artifacts.statics, allocation, config)?;
         Ok(partition_from_metrics(
             bsbs,
             &metrics,

@@ -21,8 +21,9 @@
 //! * [`exhaustive_best`] — the paper's baseline: PACE over *every*
 //!   allocation, marking the best one;
 //! * [`search_best`] — the same search, memoised and parallel: per-BSB
-//!   schedules cached on the allocation's projection onto each block's
-//!   unit kinds, stepped incrementally along the odometer, the range
+//!   schedule lengths read from one [`ScheduleTable`] per artifact set
+//!   (one slot per projection onto each block's unit kinds), metrics
+//!   stepped incrementally along the odometer, the range
 //!   cut into subtree-aligned chunks that scoped worker threads steal
 //!   off one cursor, results bit-identical to the sequential walk —
 //!   and, with `SearchOptions::bound`, driven by branch-and-bound over
@@ -37,7 +38,8 @@
 //!   [`Objective`] trait;
 //! * [`SearchArtifacts`] / [`ArtifactStore`] — the staged-artifact
 //!   seam: everything a search precomputes per application (BSB
-//!   statics, the run-traffic memo, the lazy bound tables) built once
+//!   statics, the schedule table, the run-traffic memo, the lazy bound
+//!   tables) built once
 //!   behind a content fingerprint ([`ArtifactKey`]) and shared across
 //!   requests through a bounded LRU store. Every engine has a `_with`
 //!   entry taking `&SearchArtifacts` ([`search_best_with`],
@@ -120,11 +122,11 @@ pub use knobs::{
     search_knob, search_knob_by_wire, KnobKind, KnobOverrides, KnobSetting, SearchKnob,
     SEARCH_KNOBS,
 };
-pub use metrics::{compute_metrics, BsbMetrics};
+pub use metrics::{compute_metrics, BsbMetrics, MetricsCache, ScheduleTable};
 pub use search::{
     search_best, search_best_with, search_best_with_stop, search_pareto, search_pareto_with,
-    search_pareto_with_stop, BestLocal, BestShared, BestUnderBudget, CandidateEval, MetricsCache,
-    Objective, ParetoFront, ParetoLocal, ParetoPoint, ParetoResult, ParetoShared, SearchOptions,
-    SearchStats, StairEntry, StoredFront,
+    search_pareto_with_stop, BestLocal, BestShared, BestUnderBudget, CandidateEval, Objective,
+    ParetoFront, ParetoLocal, ParetoPoint, ParetoResult, ParetoShared, SearchOptions, SearchStats,
+    StairEntry, StoredFront,
 };
 pub use stop::{Completion, StopReason, StopSignal, STOP_CHECK_INTERVAL};

@@ -4,19 +4,26 @@
 //! the allocation covers its operations at all — its hardware time and
 //! the *realistic* controller area derived from the resource-constrained
 //! list schedule (§5.1: the allocation algorithm's ASAP estimate is
-//! optimistic; at partition time the real schedule is in hand).
+//! optimistic; at partition time the real schedule is in hand). The
+//! schedule's length fixes all three allocation-dependent figures
+//! (`hw_time = length × profile`, `hw_states = length`,
+//! `controller_area = eca(length)`), and [`ScheduleTable`] keeps one
+//! length per projection of each block's kinds.
 
-use crate::{PaceConfig, PaceError};
-use lycos_core::{required_resources, RMap};
+use crate::{PaceConfig, PaceError, SearchArtifacts};
+use lycos_core::{kind_positions, required_resources, RMap, Restrictions};
 use lycos_hwlib::{Area, Cycles, FuId, HwLibrary};
 use lycos_ir::{Bsb, BsbArray};
 use lycos_sched::{list_schedule, FuCounts};
+use std::collections::HashMap;
+use std::sync::atomic::{AtomicU32, Ordering};
+use std::sync::Arc;
 
 /// Cost figures of one BSB under a concrete allocation.
 ///
 /// `Copy`: four machine words, cloned once per block per candidate on
-/// the search engine's cache-hit path — the common case of a sweep —
-/// so a hit must never touch the heap.
+/// the search engine's refresh path, so a table hit never touches the
+/// heap.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct BsbMetrics {
     /// Total software time over the application run
@@ -53,11 +60,12 @@ impl BsbMetrics {
 pub(crate) struct BsbStatics {
     /// Total software time (`block time × profile`).
     pub sw_time: Cycles,
-    /// Minimum unit set for hardware feasibility (`GetReqResources`).
-    pub needed: RMap,
     /// Sorted distinct default-unit kinds of the block's operations —
-    /// the domain of the memoisation key ([`RMap::project`]).
+    /// the axes of the block's schedule-table projection.
     pub kinds: Vec<FuId>,
+    /// Minimum instances per kind for hardware feasibility
+    /// (`GetReqResources`), parallel to `kinds`.
+    pub need: Vec<u32>,
     /// Whether the block has operations at all (empty blocks cannot
     /// move to hardware).
     pub movable: bool,
@@ -76,12 +84,11 @@ pub(crate) fn block_statics(
     lib: &HwLibrary,
     config: &PaceConfig,
 ) -> Result<BsbStatics, PaceError> {
-    let needed = required_resources(bsb, lib)?;
-    let kinds: Vec<FuId> = needed.iter().map(|(fu, _)| fu).collect();
+    let (kinds, need) = required_resources(bsb, lib)?.iter().unzip();
     Ok(BsbStatics {
         sw_time: config.cpu.bsb_time(bsb),
-        needed,
         kinds,
+        need,
         movable: !bsb.dfg.is_empty(),
     })
 }
@@ -101,27 +108,200 @@ pub(crate) fn bsb_statics(
         .collect()
 }
 
-/// Metrics of one hardware-feasible block under `counts`. `counts` must
-/// hold at least one instance of every kind in the block's DFG.
+/// Largest per-block projection table: real blocks use a handful of
+/// kinds with single-digit caps. A block whose projection space
+/// exceeds this keeps no slots (every schedule runs directly) and is
+/// bounded by its feasibility alone.
+const MAX_TABLE: usize = 1 << 16;
+
+/// A slot no schedule has filled yet.
+const UNSET: u32 = u32::MAX;
+
+/// One block's slots: a dense mixed-radix array over the counts of the
+/// block's kinds, first kind least significant.
+#[derive(Debug)]
+struct BlockSlots {
+    /// `cap + 1` per kind of the block.
+    radix: Vec<u32>,
+    /// One schedule length per projection, [`UNSET`] until filled.
+    /// Empty when the block keeps no table.
+    slots: Box<[AtomicU32]>,
+}
+
+impl BlockSlots {
+    fn new(radix: Vec<u32>) -> Self {
+        let size = radix
+            .iter()
+            .try_fold(1usize, |acc, &r| acc.checked_mul(r as usize))
+            .filter(|&size| size <= MAX_TABLE);
+        let (radix, size) = match size {
+            Some(size) => (radix, size),
+            None => (Vec::new(), 0),
+        };
+        let slots = (0..size).map(|_| AtomicU32::new(UNSET)).collect();
+        BlockSlots { radix, slots }
+    }
+
+    /// The slot of the projection `counts` (one count per kind of the
+    /// block), if it lies in the table.
+    fn slot(&self, counts: impl IntoIterator<Item = u32>) -> Option<&AtomicU32> {
+        if self.slots.is_empty() {
+            return None;
+        }
+        let mut index = 0usize;
+        let mut mul = 1usize;
+        for (c, &radix) in counts.into_iter().zip(&self.radix) {
+            if c >= radix {
+                return None; // past the cap
+            }
+            index += c as usize * mul;
+            mul *= radix as usize;
+        }
+        Some(&self.slots[index])
+    }
+}
+
+/// How [`ScheduleTable::length`] found a length.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub(crate) enum Probe {
+    /// Read from a filled slot.
+    Hit,
+    /// Scheduled now and stored in its slot.
+    Filled,
+    /// Scheduled now; the projection lies outside the table.
+    Direct,
+}
+
+/// The list-schedule length of every block under every projection of
+/// one allocation space, filled on first use.
 ///
-/// # Errors
-///
-/// [`PaceError::Sched`] if the DFG cannot be scheduled (cyclic graph).
-pub(crate) fn feasible_block_metrics(
-    bsb: &Bsb,
-    lib: &HwLibrary,
-    counts: &FuCounts,
-    sw_time: Cycles,
-    config: &PaceConfig,
-) -> Result<BsbMetrics, PaceError> {
-    let sched = list_schedule(&bsb.dfg, lib, counts)?;
-    let states = sched.length();
-    Ok(BsbMetrics {
-        sw_time,
-        hw_time: Some(Cycles::new(states) * bsb.profile),
-        hw_states: Some(states),
-        controller_area: Some(config.eca.controller_area(states)),
-    })
+/// One table lives in each [`crate::SearchArtifacts`] and is read by
+/// the bound tables, every sweep worker, every request and the
+/// incremental rebuild of an edited application. Each slot is an
+/// [`AtomicU32`] that is either unset or the block's schedule length;
+/// the fill is deterministic, so two workers racing on one slot store
+/// the same value. A projection outside the table — a count past its
+/// dimension cap, or a block whose projection space exceeds the table
+/// cap — is scheduled directly and not memoised. Clones share slots.
+#[derive(Clone, Debug)]
+pub struct ScheduleTable {
+    blocks: Vec<Arc<BlockSlots>>,
+}
+
+impl ScheduleTable {
+    /// Empty slots for every block over the space spanned by `dims`.
+    /// Immovable blocks, blocks using a kind outside `dims`, and
+    /// blocks over the table cap keep none.
+    pub(crate) fn new(statics: &[BsbStatics], dims: &[(FuId, u32)]) -> Self {
+        let blocks = statics
+            .iter()
+            .map(|stat| Arc::new(BlockSlots::new(block_radix(stat, dims))))
+            .collect();
+        ScheduleTable { blocks }
+    }
+
+    /// The table of an edited application: a block that matched a
+    /// donor block by content (`matched[b] == Some(j)`) shares the
+    /// donor's slots when its layout is unchanged, every other block
+    /// starts empty. A length depends only on the block's content, the
+    /// library and the projection, and the layout only on the block's
+    /// caps, so a shared slot holds exactly what a fresh fill would.
+    pub(crate) fn carried(
+        donor: &ScheduleTable,
+        matched: &[Option<usize>],
+        statics: &[BsbStatics],
+        dims: &[(FuId, u32)],
+    ) -> Self {
+        let blocks = statics
+            .iter()
+            .zip(matched)
+            .map(|(stat, m)| {
+                let radix = block_radix(stat, dims);
+                match m.map(|j| &donor.blocks[j]) {
+                    Some(slots) if slots.radix == radix => Arc::clone(slots),
+                    _ => Arc::new(BlockSlots::new(radix)),
+                }
+            })
+            .collect();
+        ScheduleTable { blocks }
+    }
+
+    /// Whether block `b` keeps slots: it is movable, every kind it uses
+    /// lies in the space and its projection space fits the table cap.
+    pub(crate) fn keeps(&self, b: usize) -> bool {
+        !self.blocks[b].slots.is_empty()
+    }
+
+    /// The length filled for block `b` under the projection `counts`
+    /// (one count per kind of the block, in kind order); `None` outside
+    /// the table or while the slot is unset.
+    pub(crate) fn get(&self, b: usize, counts: impl IntoIterator<Item = u32>) -> Option<u64> {
+        let v = self.blocks[b].slot(counts)?.load(Ordering::Relaxed);
+        (v != UNSET).then_some(u64::from(v))
+    }
+
+    /// Block `b`'s slots in layout order: `Some(length)` where a
+    /// schedule has run, `None` where none has (or none can: the
+    /// projection cannot execute the block). Empty for a block that
+    /// keeps no table.
+    ///
+    /// # Panics
+    ///
+    /// If `b` is not a block of the table.
+    pub fn lengths(&self, b: usize) -> Vec<Option<u32>> {
+        self.blocks[b]
+            .slots
+            .iter()
+            .map(|slot| Some(slot.load(Ordering::Relaxed)).filter(|&v| v != UNSET))
+            .collect()
+    }
+
+    /// The list-schedule length of `bsb` (block `b` of the table) with
+    /// `counts[k]` units of `kinds[k]` — the only place the search and
+    /// partition engines run the list scheduler (the reference
+    /// [`compute_metrics`] and the exhaustive walk schedule on their
+    /// own). A filled slot is read; otherwise the block is scheduled
+    /// and, inside the table, the slot filled.
+    ///
+    /// # Errors
+    ///
+    /// [`PaceError::Sched`] if the DFG cannot be scheduled.
+    pub(crate) fn length(
+        &self,
+        b: usize,
+        bsb: &Bsb,
+        lib: &HwLibrary,
+        kinds: &[FuId],
+        counts: &[u32],
+    ) -> Result<(u64, Probe), PaceError> {
+        let slot = self.blocks[b].slot(counts.iter().copied());
+        if let Some(v) = slot.map(|s| s.load(Ordering::Relaxed)) {
+            if v != UNSET {
+                return Ok((u64::from(v), Probe::Hit));
+            }
+        }
+        // Counts restricted to the block's own kinds: the list
+        // scheduler only ever looks those up.
+        let fu_counts: FuCounts = kinds.iter().copied().zip(counts.iter().copied()).collect();
+        let length = list_schedule(&bsb.dfg, lib, &fu_counts)?.length();
+        match (slot, u32::try_from(length)) {
+            (Some(slot), Ok(v)) if v != UNSET => {
+                slot.store(v, Ordering::Relaxed);
+                Ok((length, Probe::Filled))
+            }
+            _ => Ok((length, Probe::Direct)),
+        }
+    }
+}
+
+/// `cap + 1` per kind of a movable block whose kinds all lie in
+/// `dims`; empty otherwise (no table).
+fn block_radix(stat: &BsbStatics, dims: &[(FuId, u32)]) -> Vec<u32> {
+    let dim_fus: Vec<FuId> = dims.iter().map(|&(fu, _)| fu).collect();
+    match kind_positions(&dim_fus, &stat.kinds) {
+        Some(positions) if stat.movable => positions.iter().map(|&p| dims[p].1 + 1).collect(),
+        _ => Vec::new(),
+    }
 }
 
 /// Metrics of a block the allocation cannot (or need not) execute.
@@ -134,14 +314,14 @@ pub(crate) fn infeasible_block_metrics(sw_time: Cycles) -> BsbMetrics {
     }
 }
 
-/// Computes [`BsbMetrics`] for every block of `bsbs` under `allocation`.
+/// Computes [`BsbMetrics`] for every block of `bsbs` under `allocation`,
+/// list-scheduling every feasible block afresh — the reference the
+/// schedule table is tested against.
 ///
 /// # Errors
 ///
-/// [`PaceError::Sched`] if a block's DFG cannot be scheduled at all
-/// (cyclic graph or an operation with no default unit in `lib`). A block
-/// merely lacking unit *instances* is not an error — it is reported as
-/// hardware-infeasible.
+/// [`PaceError::Hw`] if an operation kind has no default unit,
+/// [`PaceError::Sched`] if a DFG cannot be scheduled.
 pub fn compute_metrics(
     bsbs: &BsbArray,
     lib: &HwLibrary,
@@ -153,8 +333,8 @@ pub fn compute_metrics(
 }
 
 /// [`compute_metrics`] over statics already derived elsewhere — the
-/// artifact seam's path, so repeated evaluations over one application
-/// never re-derive the per-block facts.
+/// exhaustive reference walk's path, which schedules every feasible
+/// block under the whole allocation and reads no schedule table.
 ///
 /// # Errors
 ///
@@ -169,14 +349,277 @@ pub(crate) fn metrics_from_statics(
     let counts: FuCounts = allocation.iter().collect();
     let mut out = Vec::with_capacity(bsbs.len());
     for (bsb, stat) in bsbs.iter().zip(statics) {
-        let feasible = stat.movable && allocation.covers(&stat.needed);
-        out.push(if feasible {
-            feasible_block_metrics(bsb, lib, &counts, stat.sw_time, config)?
+        let covered = stat
+            .kinds
+            .iter()
+            .zip(&stat.need)
+            .all(|(&fu, &n)| allocation.count(fu) >= n);
+        out.push(if stat.movable && covered {
+            let states = list_schedule(&bsb.dfg, lib, &counts)?.length();
+            BsbMetrics {
+                sw_time: stat.sw_time,
+                hw_time: Some(Cycles::new(states) * bsb.profile),
+                hw_states: Some(states),
+                controller_area: Some(config.eca.controller_area(states)),
+            }
         } else {
             infeasible_block_metrics(stat.sw_time)
         });
     }
     Ok(out)
+}
+
+/// Per-BSB metrics of a sweep's candidates, read through a
+/// [`ScheduleTable`].
+///
+/// Guarantees that [`MetricsCache::metrics`] returns exactly what
+/// [`compute_metrics`] returns for the same allocation — the table is a
+/// pure evaluation-order optimisation (asserted by property tests in
+/// the exploration crate). A sweep worker reads the table of its
+/// [`SearchArtifacts`], shared read-only with the bound tables, every
+/// other worker and every later request; a standalone cache
+/// ([`MetricsCache::new`]) prepares its own artifacts over the
+/// application's ASAP restriction caps. The table does not ride
+/// [`crate::SearchOptions::warm`]: a filled slot changes no result. [`MetricsCache::step_into`] adds the
+/// incremental path a sweep lives on: only blocks touching a *dirty*
+/// kind are refreshed, through a per-kind → affected-block index.
+///
+/// # Examples
+///
+/// ```
+/// use lycos_core::RMap;
+/// use lycos_hwlib::HwLibrary;
+/// use lycos_ir::{extract_bsbs, Cdfg, CdfgNode, DfgBuilder, OpKind, TripCount};
+/// use lycos_pace::{compute_metrics, MetricsCache, PaceConfig};
+///
+/// let mut b = DfgBuilder::new();
+/// let m = b.binary(OpKind::Mul, "a".into(), "b".into());
+/// b.assign("x", m);
+/// let cdfg = Cdfg::new("app", CdfgNode::block("b0", b.finish()));
+/// let bsbs = extract_bsbs(&cdfg, None)?;
+/// let lib = HwLibrary::standard();
+/// let config = PaceConfig::standard();
+/// let mult = lib.fu_for(OpKind::Mul).unwrap();
+/// let alloc: RMap = [(mult, 1)].into_iter().collect();
+///
+/// let mut cache = MetricsCache::new(&bsbs, &lib, &config)?;
+/// let cached = cache.metrics(&alloc)?;
+/// assert_eq!(cached, compute_metrics(&bsbs, &lib, &alloc, &config)?);
+/// let again = cache.metrics(&alloc)?;
+/// assert_eq!(again, cached);
+/// assert!(cache.hits() > 0);
+/// # Ok::<(), Box<dyn std::error::Error>>(())
+/// ```
+pub struct MetricsCache<'a> {
+    bsbs: &'a BsbArray,
+    lib: &'a HwLibrary,
+    config: &'a PaceConfig,
+    // Handles to the artifacts' statics and shared schedule slots.
+    statics: Arc<[BsbStatics]>,
+    table: ScheduleTable,
+    // Scratch projection: one count per kind of the block in hand.
+    counts: Vec<u32>,
+    // Per-kind → affected-block index (built on the first step) plus
+    // generation stamps, so an incremental step touches exactly the
+    // dirty blocks.
+    by_kind: HashMap<FuId, Vec<usize>>,
+    touched: Vec<u64>,
+    generation: u64,
+    hits: u64,
+    misses: u64,
+    fills: u64,
+    dirty_probes: u64,
+    clean_reuses: u64,
+}
+
+impl<'a> MetricsCache<'a> {
+    /// A standalone cache over `bsbs`: prepares the application's
+    /// artifacts — the allocation-independent per-block facts and an
+    /// empty schedule table — over its ASAP restriction caps.
+    ///
+    /// # Errors
+    ///
+    /// [`PaceError::Hw`] if an operation kind has no default unit,
+    /// [`PaceError::Sched`] if a block cannot be ASAP-scheduled.
+    pub fn new(
+        bsbs: &'a BsbArray,
+        lib: &'a HwLibrary,
+        config: &'a PaceConfig,
+    ) -> Result<Self, PaceError> {
+        let restrictions = Restrictions::from_asap(bsbs, lib)?;
+        let artifacts = SearchArtifacts::prepare(bsbs, lib, &restrictions, config)?;
+        Ok(Self::from_artifacts(bsbs, lib, config, &artifacts))
+    }
+
+    /// A cache over the artifacts' statics and schedule table, shared
+    /// in place — what every sweep worker and every single evaluation
+    /// over the artifacts uses.
+    pub(crate) fn from_artifacts(
+        bsbs: &'a BsbArray,
+        lib: &'a HwLibrary,
+        config: &'a PaceConfig,
+        artifacts: &SearchArtifacts,
+    ) -> Self {
+        MetricsCache {
+            bsbs,
+            lib,
+            config,
+            statics: Arc::clone(&artifacts.statics),
+            table: artifacts.schedules().clone(),
+            counts: Vec::new(),
+            by_kind: HashMap::new(),
+            touched: vec![0; bsbs.len()],
+            generation: 0,
+            hits: 0,
+            misses: 0,
+            fills: 0,
+            dirty_probes: 0,
+            clean_reuses: 0,
+        }
+    }
+
+    /// Metrics for every block under `allocation`, each schedule length
+    /// read from the table where an earlier lookup filled it.
+    ///
+    /// # Errors
+    ///
+    /// [`PaceError::Sched`] if a block's DFG cannot be scheduled at all.
+    pub fn metrics(&mut self, allocation: &RMap) -> Result<Vec<BsbMetrics>, PaceError> {
+        let mut out = Vec::with_capacity(self.bsbs.len());
+        self.metrics_into(allocation, &mut out)?;
+        Ok(out)
+    }
+
+    /// [`MetricsCache::metrics`] into a caller-owned buffer (cleared
+    /// first) — the sweep's from-scratch path, refreshing every block.
+    ///
+    /// # Errors
+    ///
+    /// [`PaceError::Sched`] if a block's DFG cannot be scheduled at all.
+    pub fn metrics_into(
+        &mut self,
+        allocation: &RMap,
+        out: &mut Vec<BsbMetrics>,
+    ) -> Result<(), PaceError> {
+        out.clear();
+        out.resize(self.bsbs.len(), infeasible_block_metrics(Cycles::ZERO));
+        self.refresh(allocation, None, out)
+    }
+
+    /// Incrementally refreshes `out` — a previous candidate's complete
+    /// metrics — for `allocation`, re-deriving only the blocks whose
+    /// kind sets intersect `dirty_kinds` (the unit kinds whose counts
+    /// changed since the metrics in `out` were computed). Untouched
+    /// blocks are reused as-is: their projections cannot have changed,
+    /// so their entries are still exactly what [`compute_metrics`]
+    /// would return. The dirty/clean split is counted by
+    /// [`MetricsCache::dirty_probes`] and [`MetricsCache::clean_reuses`].
+    ///
+    /// # Errors
+    ///
+    /// [`PaceError::Sched`] if a block's DFG cannot be scheduled at all.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `out` does not hold one entry per block — the buffer
+    /// must come from an earlier [`MetricsCache::metrics_into`] /
+    /// `step_into` over the same application.
+    pub fn step_into(
+        &mut self,
+        allocation: &RMap,
+        dirty_kinds: &[FuId],
+        out: &mut [BsbMetrics],
+    ) -> Result<(), PaceError> {
+        assert_eq!(
+            out.len(),
+            self.bsbs.len(),
+            "step_into refreshes a previous candidate's metrics"
+        );
+        if self.by_kind.is_empty() {
+            for (i, stat) in self.statics.iter().enumerate() {
+                for &fu in &stat.kinds {
+                    self.by_kind.entry(fu).or_default().push(i);
+                }
+            }
+        }
+        self.generation += 1;
+        for fu in dirty_kinds {
+            for &b in self.by_kind.get(fu).into_iter().flatten() {
+                self.touched[b] = self.generation;
+            }
+        }
+        self.refresh(allocation, Some(self.generation), out)
+    }
+
+    /// The shared refresh loop: `stamp == None` re-derives every block
+    /// (from-scratch), `Some(generation)` only the blocks a dirty kind
+    /// stamped.
+    fn refresh(
+        &mut self,
+        allocation: &RMap,
+        stamp: Option<u64>,
+        out: &mut [BsbMetrics],
+    ) -> Result<(), PaceError> {
+        for (b, (bsb, stat)) in self.bsbs.iter().zip(self.statics.iter()).enumerate() {
+            if stamp.is_some_and(|g| self.touched[b] != g) {
+                self.clean_reuses += 1;
+                continue;
+            }
+            self.dirty_probes += 1;
+            self.counts.clear();
+            self.counts
+                .extend(stat.kinds.iter().map(|&fu| allocation.count(fu)));
+            let covered = self.counts.iter().zip(&stat.need).all(|(&c, &n)| c >= n);
+            if !stat.movable || !covered {
+                out[b] = infeasible_block_metrics(stat.sw_time);
+                continue;
+            }
+            let (states, probe) = self
+                .table
+                .length(b, bsb, self.lib, &stat.kinds, &self.counts)?;
+            match probe {
+                Probe::Hit => self.hits += 1,
+                Probe::Filled => {
+                    self.misses += 1;
+                    self.fills += 1;
+                }
+                Probe::Direct => self.misses += 1,
+            }
+            out[b] = BsbMetrics {
+                sw_time: stat.sw_time,
+                hw_time: Some(Cycles::new(states) * bsb.profile),
+                hw_states: Some(states),
+                controller_area: Some(self.config.eca.controller_area(states)),
+            };
+        }
+        Ok(())
+    }
+
+    /// Lookups answered from a filled slot so far.
+    pub fn hits(&self) -> u64 {
+        self.hits
+    }
+
+    /// Lookups that had to run the list scheduler.
+    pub fn misses(&self) -> u64 {
+        self.misses
+    }
+
+    /// Table slots this cache filled so far — every miss inside the
+    /// table; a miss outside it is scheduled without being kept.
+    pub fn key_allocs(&self) -> u64 {
+        self.fills
+    }
+
+    /// Block entries actually re-derived across all refreshes.
+    pub fn dirty_probes(&self) -> u64 {
+        self.dirty_probes
+    }
+
+    /// Block entries reused untouched by [`MetricsCache::step_into`].
+    pub fn clean_reuses(&self) -> u64 {
+        self.clean_reuses
+    }
 }
 
 #[cfg(test)]

@@ -6,13 +6,16 @@
 //! that baseline usable on larger spaces with four observations:
 //!
 //! * **Memoisation** — a BSB's list schedule depends only on the unit
-//!   counts of the kinds its operations use, so per-BSB metrics are
-//!   cached under the allocation's projection onto that kind set
-//!   ([`lycos_core::RMap::project`]). Adjacent odometer steps change
-//!   one dimension, so most blocks hit the cache on most candidates.
-//!   Run communication costs never depend on the allocation at all and
-//!   are memoised across every candidate a worker evaluates
-//!   ([`CommCosts`]), instead of being recomputed per partition call.
+//!   counts of the kinds its operations use, and its length fixes the
+//!   block's hardware time, states and controller area. The artifacts'
+//!   [`ScheduleTable`](crate::ScheduleTable) keeps one length per projection of each block's
+//!   kinds, filled on first use and read in place by the bound tables
+//!   and every worker ([`MetricsCache`]), so a projection is scheduled
+//!   once per artifact set — across workers, requests and budgets, and
+//!   for the content-clean blocks of an edit. Run communication costs
+//!   never depend on the allocation at all and are memoised across
+//!   every candidate a worker evaluates ([`CommCosts`]), instead of
+//!   being recomputed per partition call.
 //! * **Incremental frontier metrics** — one odometer step changes one
 //!   (occasionally a few) unit-kind counts, so the sweep keeps a
 //!   per-kind → affected-block index and re-derives only the *dirty*
@@ -45,7 +48,8 @@
 //!   *steal* the next chunk as they finish, so a worker handed a
 //!   heavily pruned region doesn't idle while its neighbours grind. A
 //!   single worker takes the whole window as one chunk — the
-//!   sequential walk. Each worker keeps a private cache and scratch;
+//!   sequential walk. Each worker keeps a private traffic memo and
+//!   scratch;
 //!   results reduce deterministically under the strict
 //!   `(time, area, index)` improvement order — exactly the order the
 //!   sequential walk discovers winners in — so the outcome is
@@ -111,16 +115,14 @@
 
 use crate::artifacts::{EvalMemo, MemoEval, SearchArtifacts, WarmSeed};
 use crate::bounds::{BudgetRelaxation, LevelState};
-use crate::metrics::{bsb_statics, feasible_block_metrics, infeasible_block_metrics, BsbStatics};
 use crate::stop::{Completion, StopReason, StopSignal, STOP_CHECK_INTERVAL};
 use crate::{
-    BsbMetrics, CommCosts, DpScratch, PaceConfig, PaceError, Partition, SearchBounds, SearchResult,
+    BsbMetrics, CommCosts, DpScratch, MetricsCache, PaceConfig, PaceError, Partition, SearchBounds,
+    SearchResult,
 };
 use lycos_core::{RMap, Restrictions};
 use lycos_hwlib::{Area, Cycles, FuId, HwLibrary};
 use lycos_ir::BsbArray;
-use lycos_sched::FuCounts;
-use std::collections::HashMap;
 use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
@@ -206,7 +208,9 @@ pub struct SearchOptions {
     /// All three are sound — results stay field-identical to a cold
     /// run — so this knob exists purely for A/B benchmarking the warm
     /// path. On by default; off leaves no trace (nothing served,
-    /// nothing recorded).
+    /// nothing recorded). The artifacts' [`ScheduleTable`](crate::ScheduleTable) does not
+    /// ride this knob: a filled slot changes no result, so `no-warm`
+    /// runs read and fill it too.
     pub warm: bool,
     /// Whether a store miss may build its artifacts *incrementally*
     /// from the nearest resident entry by per-block fingerprint
@@ -360,15 +364,15 @@ impl SearchOptions {
 pub struct SearchStats {
     /// Worker threads the sweep actually used.
     pub threads: usize,
-    /// Per-BSB metric lookups answered from the memo cache.
+    /// Per-BSB schedule lookups of the metrics refresh answered from a
+    /// filled [`ScheduleTable`](crate::ScheduleTable) slot.
     pub cache_hits: u64,
-    /// Per-BSB metric lookups that had to list-schedule.
+    /// Per-BSB schedule lookups that had to list-schedule. Slots the
+    /// bound-table build filled before the sweep are hits here.
     pub cache_misses: u64,
-    /// Memo keys actually allocated (one per cache insert). Every
-    /// lookup used to allocate a key vector just to probe; probing now
-    /// goes through a reused scratch buffer, so
-    /// `cache_hits + cache_misses − key_allocs` probes cost no
-    /// allocation at all.
+    /// Schedule-table slots the sweep filled — every miss inside the
+    /// table, so it equals `cache_misses` unless a count ran past its
+    /// cap.
     pub key_allocs: u64,
     /// Improving candidates whose `(time, area)` pair could not be
     /// packed into the shared incumbent word (a component ≥ 2³² − 1)
@@ -456,7 +460,8 @@ pub struct SearchStats {
 }
 
 impl SearchStats {
-    /// Fraction of metric lookups answered from the cache, in `[0, 1]`.
+    /// Fraction of schedule lookups answered from the table, in
+    /// `[0, 1]`.
     pub fn hit_rate(&self) -> f64 {
         let total = self.cache_hits + self.cache_misses;
         if total == 0 {
@@ -479,260 +484,6 @@ impl SearchStats {
         } else {
             self.dirty_probes as f64 / total as f64
         }
-    }
-}
-
-/// Memo cache of per-BSB metrics, keyed on the allocation's projection
-/// onto each block's used unit kinds.
-///
-/// Guarantees that [`MetricsCache::metrics`] returns exactly what
-/// [`crate::compute_metrics`] returns for the same allocation — the
-/// cache is a pure evaluation-order optimisation (asserted by property
-/// tests in the exploration crate). [`MetricsCache::step_into`] adds
-/// the incremental path a sweep lives on: only blocks touching a
-/// *dirty* kind are refreshed, through a per-kind → affected-block
-/// index built once per cache.
-///
-/// # Examples
-///
-/// ```
-/// use lycos_core::RMap;
-/// use lycos_hwlib::HwLibrary;
-/// use lycos_ir::{extract_bsbs, Cdfg, CdfgNode, DfgBuilder, OpKind, TripCount};
-/// use lycos_pace::{compute_metrics, MetricsCache, PaceConfig};
-///
-/// let mut b = DfgBuilder::new();
-/// let m = b.binary(OpKind::Mul, "a".into(), "b".into());
-/// b.assign("x", m);
-/// let cdfg = Cdfg::new("app", CdfgNode::block("b0", b.finish()));
-/// let bsbs = extract_bsbs(&cdfg, None)?;
-/// let lib = HwLibrary::standard();
-/// let config = PaceConfig::standard();
-/// let mult = lib.fu_for(OpKind::Mul).unwrap();
-/// let alloc: RMap = [(mult, 1)].into_iter().collect();
-///
-/// let mut cache = MetricsCache::new(&bsbs, &lib, &config)?;
-/// let cached = cache.metrics(&alloc)?;
-/// assert_eq!(cached, compute_metrics(&bsbs, &lib, &alloc, &config)?);
-/// let again = cache.metrics(&alloc)?;
-/// assert_eq!(again, cached);
-/// assert!(cache.hits() > 0);
-/// # Ok::<(), Box<dyn std::error::Error>>(())
-/// ```
-pub struct MetricsCache<'a> {
-    bsbs: &'a BsbArray,
-    lib: &'a HwLibrary,
-    config: &'a PaceConfig,
-    statics: Vec<BsbStatics>,
-    entries: Vec<HashMap<Vec<u32>, BsbMetrics>>,
-    // Scratch projection key: probes go by slice; a key vector is
-    // cloned out of here only when an entry is actually inserted.
-    key_buf: Vec<u32>,
-    // Per-kind → affected-block index plus generation stamps, so an
-    // incremental step touches exactly the dirty blocks.
-    by_kind: HashMap<FuId, Vec<usize>>,
-    touched: Vec<u64>,
-    generation: u64,
-    hits: u64,
-    misses: u64,
-    key_allocs: u64,
-    dirty_probes: u64,
-    clean_reuses: u64,
-}
-
-impl<'a> MetricsCache<'a> {
-    /// A cache over `bsbs`, precomputing the allocation-independent
-    /// per-block facts (software times, required resources, kind sets).
-    ///
-    /// # Errors
-    ///
-    /// [`PaceError::Hw`] if an operation kind has no default unit.
-    pub fn new(
-        bsbs: &'a BsbArray,
-        lib: &'a HwLibrary,
-        config: &'a PaceConfig,
-    ) -> Result<Self, PaceError> {
-        let statics = bsb_statics(bsbs, lib, config)?;
-        Ok(Self::from_statics(bsbs, lib, config, statics))
-    }
-
-    /// A cache over statics already computed elsewhere — the search
-    /// engine precomputes them once and hands each worker a clone
-    /// instead of re-deriving them per thread.
-    pub(crate) fn from_statics(
-        bsbs: &'a BsbArray,
-        lib: &'a HwLibrary,
-        config: &'a PaceConfig,
-        statics: Vec<BsbStatics>,
-    ) -> Self {
-        let entries = vec![HashMap::new(); bsbs.len()];
-        let mut by_kind: HashMap<FuId, Vec<usize>> = HashMap::new();
-        for (i, stat) in statics.iter().enumerate() {
-            for &fu in &stat.kinds {
-                by_kind.entry(fu).or_default().push(i);
-            }
-        }
-        let touched = vec![0; bsbs.len()];
-        MetricsCache {
-            bsbs,
-            lib,
-            config,
-            statics,
-            entries,
-            key_buf: Vec::new(),
-            by_kind,
-            touched,
-            generation: 0,
-            hits: 0,
-            misses: 0,
-            key_allocs: 0,
-            dirty_probes: 0,
-            clean_reuses: 0,
-        }
-    }
-
-    /// Metrics for every block under `allocation`, served from the
-    /// cache where the projection matches an earlier candidate.
-    ///
-    /// # Errors
-    ///
-    /// [`PaceError::Sched`] if a block's DFG cannot be scheduled at all.
-    pub fn metrics(&mut self, allocation: &RMap) -> Result<Vec<BsbMetrics>, PaceError> {
-        let mut out = Vec::with_capacity(self.bsbs.len());
-        self.metrics_into(allocation, &mut out)?;
-        Ok(out)
-    }
-
-    /// [`MetricsCache::metrics`] into a caller-owned buffer (cleared
-    /// first) — the sweep's from-scratch path, refreshing every block.
-    /// Projection keys are built in a scratch buffer and probed by
-    /// slice; a key is only allocated when an entry is inserted
-    /// (counted by [`MetricsCache::key_allocs`]).
-    ///
-    /// # Errors
-    ///
-    /// [`PaceError::Sched`] if a block's DFG cannot be scheduled at all.
-    pub fn metrics_into(
-        &mut self,
-        allocation: &RMap,
-        out: &mut Vec<BsbMetrics>,
-    ) -> Result<(), PaceError> {
-        out.clear();
-        out.resize(self.bsbs.len(), infeasible_block_metrics(Cycles::ZERO));
-        self.refresh(allocation, None, out)
-    }
-
-    /// Incrementally refreshes `out` — a previous candidate's complete
-    /// metrics — for `allocation`, re-deriving only the blocks whose
-    /// kind sets intersect `dirty_kinds` (the unit kinds whose counts
-    /// changed since the metrics in `out` were computed). Untouched
-    /// blocks are reused as-is: their projections cannot have changed,
-    /// so their entries are still exactly what
-    /// [`crate::compute_metrics`] would return. The dirty/clean split
-    /// is counted by [`MetricsCache::dirty_probes`] and
-    /// [`MetricsCache::clean_reuses`].
-    ///
-    /// # Errors
-    ///
-    /// [`PaceError::Sched`] if a block's DFG cannot be scheduled at all.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `out` does not hold one entry per block — the buffer
-    /// must come from an earlier [`MetricsCache::metrics_into`] /
-    /// `step_into` over the same application.
-    pub fn step_into(
-        &mut self,
-        allocation: &RMap,
-        dirty_kinds: &[FuId],
-        out: &mut [BsbMetrics],
-    ) -> Result<(), PaceError> {
-        assert_eq!(
-            out.len(),
-            self.bsbs.len(),
-            "step_into refreshes a previous candidate's metrics"
-        );
-        self.refresh(allocation, Some(dirty_kinds), out)
-    }
-
-    /// The shared refresh loop: `dirty == None` re-derives every block
-    /// (from-scratch), `Some(kinds)` only the blocks a dirty kind
-    /// touches.
-    fn refresh(
-        &mut self,
-        allocation: &RMap,
-        dirty: Option<&[FuId]>,
-        out: &mut [BsbMetrics],
-    ) -> Result<(), PaceError> {
-        if let Some(kinds) = dirty {
-            self.generation += 1;
-            for fu in kinds {
-                if let Some(blocks) = self.by_kind.get(fu) {
-                    for &b in blocks {
-                        self.touched[b] = self.generation;
-                    }
-                }
-            }
-        }
-        for (i, (bsb, stat)) in self.bsbs.iter().zip(&self.statics).enumerate() {
-            if dirty.is_some() && self.touched[i] != self.generation {
-                self.clean_reuses += 1;
-                continue;
-            }
-            self.dirty_probes += 1;
-            let feasible = stat.movable && allocation.covers(&stat.needed);
-            if !feasible {
-                out[i] = infeasible_block_metrics(stat.sw_time);
-                continue;
-            }
-            allocation.project_into(&stat.kinds, &mut self.key_buf);
-            if let Some(&hit) = self.entries[i].get(self.key_buf.as_slice()) {
-                self.hits += 1;
-                out[i] = hit;
-                continue;
-            }
-            self.misses += 1;
-            // Counts restricted to the block's own kinds: the list
-            // scheduler only ever looks those up, so the schedule is
-            // identical to one under the full allocation.
-            let counts: FuCounts = stat
-                .kinds
-                .iter()
-                .zip(&self.key_buf)
-                .map(|(&fu, &c)| (fu, c))
-                .collect();
-            let m = feasible_block_metrics(bsb, self.lib, &counts, stat.sw_time, self.config)?;
-            self.key_allocs += 1;
-            self.entries[i].insert(self.key_buf.clone(), m);
-            out[i] = m;
-        }
-        Ok(())
-    }
-
-    /// Lookups answered from the cache so far.
-    pub fn hits(&self) -> u64 {
-        self.hits
-    }
-
-    /// Lookups that had to run the list scheduler.
-    pub fn misses(&self) -> u64 {
-        self.misses
-    }
-
-    /// Projection keys allocated so far — one per insert, never per
-    /// probe.
-    pub fn key_allocs(&self) -> u64 {
-        self.key_allocs
-    }
-
-    /// Block entries actually re-derived across all refreshes.
-    pub fn dirty_probes(&self) -> u64 {
-        self.dirty_probes
-    }
-
-    /// Block entries reused untouched by [`MetricsCache::step_into`].
-    pub fn clean_reuses(&self) -> u64 {
-        self.clean_reuses
     }
 }
 
@@ -1857,8 +1608,8 @@ impl<L> WorkerOut<L> {
     }
 }
 
-/// One sweep worker's whole private state: the memo cache, the
-/// run-traffic memo, the DP scratch, the metrics buffer, the candidate
+/// One sweep worker's whole private state: the metrics cache (over the
+/// artifacts' shared schedule table), the run-traffic memo, the DP scratch, the metrics buffer, the candidate
 /// map and the bound chain — everything reused across every point the
 /// worker visits across every chunk it takes. After warm-up a non-improving
 /// evaluation performs no heap allocation at all (the winning
@@ -1911,8 +1662,7 @@ impl<'a, O: Objective> SweepWorker<'a, O> {
         config: &'a PaceConfig,
         total_gates: u64,
         dims: &'a [(FuId, u32)],
-        statics: Vec<BsbStatics>,
-        comm: CommCosts,
+        artifacts: &'a SearchArtifacts,
         dp_threads: usize,
         bounds: Option<&'a SearchBounds>,
         eval_memo: Option<Arc<EvalMemo>>,
@@ -1927,8 +1677,8 @@ impl<'a, O: Objective> SweepWorker<'a, O> {
             config,
             total_gates,
             dims,
-            cache: MetricsCache::from_statics(bsbs, lib, config, statics),
-            comm,
+            cache: MetricsCache::from_artifacts(bsbs, lib, config, artifacts),
+            comm: artifacts.comm_clone(),
             scratch: DpScratch::with_dp_threads(dp_threads),
             metrics: Vec::with_capacity(bsbs.len()),
             candidate: RMap::new(),
@@ -1964,7 +1714,7 @@ impl<'a, O: Objective> SweepWorker<'a, O> {
 
     /// Forgets the incremental stepping state before jumping to a
     /// non-adjacent index: the metrics buffer refreshes from scratch
-    /// and the bound chain re-derives every level. The memo caches,
+    /// and the bound chain re-derives every level. The memos,
     /// the objective's progress and the accounting survive — they are
     /// position independent (the objective merely refreshes its
     /// cross-worker view).
@@ -2244,8 +1994,7 @@ fn sweep_chunks<O: Objective>(
     bound: u128,
     width: u128,
     cursor: &AtomicU64,
-    statics: Vec<BsbStatics>,
-    comm: CommCosts,
+    artifacts: &SearchArtifacts,
     dp_threads: usize,
     bounds: Option<&SearchBounds>,
     eval_memo: Option<Arc<EvalMemo>>,
@@ -2260,8 +2009,7 @@ fn sweep_chunks<O: Objective>(
         config,
         total_gates,
         dims,
-        statics,
-        comm,
+        artifacts,
         dp_threads,
         bounds,
         eval_memo,
@@ -2325,7 +2073,8 @@ fn effective_threads(requested: usize, bound: u128) -> usize {
 /// result-identical to [`exhaustive_best`](crate::exhaustive_best)
 /// (same best allocation and partition, same
 /// `evaluated`/`skipped`/`truncated` accounting), but with per-BSB
-/// schedules cached and stepped incrementally across candidates and
+/// schedules read from the artifacts' table, metrics stepped
+/// incrementally across candidates and
 /// the odometer range fanned out over scoped worker threads. With
 /// [`SearchOptions::bound`] on, admissible lower bounds additionally
 /// skip whole subtrees; the winner stays field-exact while
@@ -2837,9 +2586,9 @@ fn run_search<O: Objective>(
 
     // The artifacts carry the sweep's one-time precomputes: per-block
     // statics (software times, required resources, kind sets) and the
-    // run-traffic memo — workers get clones, small flat vectors,
-    // instead of re-deriving them. On the compat path the memo is
-    // empty and stays lazy per worker (eagerly filling the O(L²)
+    // schedule table, which every worker reads in place, and the
+    // run-traffic memo, which each worker clones. On the compat path
+    // the memo is empty and stays lazy per worker (eagerly filling the O(L²)
     // table costs more than a short sweep spends on traffic); the
     // store path hands it in pre-warmed. The bound tables are built
     // lazily inside the artifacts and shared read-only, folding in the
@@ -2908,8 +2657,7 @@ fn run_search<O: Objective>(
             bound,
             width,
             &cursor,
-            artifacts.statics.clone(),
-            artifacts.comm_clone(),
+            artifacts,
             dp_threads,
             bounds,
             eval_memo.clone(),

@@ -42,7 +42,7 @@ use lycos::explore::{
 };
 use lycos::hwlib::Area;
 use lycos::pace::{ArtifactStore, SearchOptions, StopSignal};
-use lycos::Pipeline;
+use lycos::{Pipeline, Restricted};
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::io::{BufWriter, Read, Write};
@@ -884,31 +884,34 @@ fn hold_if_asked(jobs: &[Job], ctx: ServerCtx<'_>, cancel: &AtomicBool) {
     }
 }
 
-/// Pre-walk admission probe: the largest allocation space any of the
-/// request's jobs would sweep, from the ASAP restrictions alone
-/// (Algorithm 1 does not change the space). Jobs above
-/// [`ServeConfig::big_job_threshold`] take a big-job slot from the
-/// [`AdmissionGate`] before searching; everything else rides the fast
-/// lane untouched.
-fn widest_space(pipelines: &[Pipeline]) -> Result<u128, Response> {
-    let mut widest = 0u128;
-    for pipeline in pipelines {
-        let space = pipeline
-            .space_size()
-            .map_err(|e| Response::Error(e.to_string()))?;
-        widest = widest.max(space);
-    }
-    Ok(widest)
+/// Runs each job's frontend and restriction pass once: the admission
+/// probe sizes the space from the same [`Restricted`] stage the row or
+/// frontier then runs over.
+fn compile_all(pipelines: Vec<Pipeline>) -> Result<Vec<(Pipeline, Restricted)>, Response> {
+    pipelines
+        .into_iter()
+        .map(|pipeline| match pipeline.compile_restricted() {
+            Ok(job) => Ok((pipeline, job)),
+            Err(e) => Err(Response::Error(e.to_string())),
+        })
+        .collect()
 }
 
-/// Takes a big-job slot when the request's widest space crosses the
-/// admission threshold; `Err(busy)` only if the server starts
-/// draining while the job is queued for a slot.
+/// Pre-walk admission: jobs whose widest allocation space (from the
+/// ASAP restrictions alone — Algorithm 1 does not change the space)
+/// crosses [`ServeConfig::big_job_threshold`] take a big-job slot from
+/// the [`AdmissionGate`] before searching; everything else rides the
+/// fast lane untouched. `Err(busy)` only if the server starts draining
+/// while the job is queued for a slot.
 fn admit<'a>(
     ctx: ServerCtx<'a>,
-    pipelines: &[Pipeline],
+    jobs: &[(Pipeline, Restricted)],
 ) -> Result<Option<AdmissionPermit<'a>>, Response> {
-    let widest = widest_space(pipelines)?;
+    let widest = jobs
+        .iter()
+        .map(|(_, job)| job.space_size())
+        .max()
+        .unwrap_or(0);
     if widest <= ctx.config.big_job_threshold {
         return Ok(None);
     }
@@ -918,28 +921,33 @@ fn admit<'a>(
     }
 }
 
-/// Runs one Table 1 batch through the shared
-/// [`Pipeline::table1_batch_stop`] seam — the same code path as the
-/// `table1` bin, so the service's rows are byte-identical to it. The
+/// Runs one Table 1 batch through [`Pipeline::table1_row_restricted`],
+/// the seam behind [`Pipeline::table1_batch_stop`] and the `table1`
+/// bin, so the service's rows are byte-identical to theirs. The
 /// request's knob overrides fold over the configured defaults in one
 /// table-driven pass ([`lycos::pace::KnobOverrides::apply_to`]); the
 /// connection's cancel flag rides the [`StopSignal`] into every sweep
 /// (the `deadline-ms` knob merges inside the engine).
 fn run_table1(req: &Table1Request, ctx: ServerCtx<'_>, cancel: &Arc<AtomicBool>) -> Response {
-    let pipelines = match pipelines_for("table1", &req.jobs, ctx.store, ctx.config.fault_injection)
+    let jobs = match pipelines_for("table1", &req.jobs, ctx.store, ctx.config.fault_injection)
+        .and_then(compile_all)
     {
-        Ok(pipelines) => pipelines,
+        Ok(jobs) => jobs,
         Err(response) => return response,
     };
     let search_options = req.knobs.apply_to(&ctx.config.defaults);
-    let _permit = match admit(ctx, &pipelines) {
+    let _permit = match admit(ctx, &jobs) {
         Ok(permit) => permit,
         Err(response) => return response,
     };
     hold_if_asked(&req.jobs, ctx, cancel);
     let options = Table1Options::from_search_options(&search_options);
     let stop = StopSignal::never().with_cancel(cancel.clone());
-    match Pipeline::table1_batch_stop(&pipelines, &options, &stop) {
+    let rows: Result<Vec<_>, _> = jobs
+        .iter()
+        .map(|(pipeline, job)| pipeline.table1_row_restricted(job, &options, &stop))
+        .collect();
+    match rows {
         Err(e) => Response::Error(e.to_string()),
         Ok(rows) => {
             let body = match req.format {
@@ -952,18 +960,20 @@ fn run_table1(req: &Table1Request, ctx: ServerCtx<'_>, cancel: &Arc<AtomicBool>)
 }
 
 /// Runs one Pareto batch: each job's whole time×area frontier from a
-/// single [`lycos::pace::search_pareto`] sweep, through the same
-/// [`lycos::Pipeline`] stages (and the same knob merge) as `table1`.
+/// single [`lycos::pace::search_pareto`] sweep, straight from the
+/// restricted stage ([`Pipeline::pareto_restricted`], no Algorithm 1) and
+/// under the same knob merge as `table1`.
 /// Cancellation or an expired deadline still answers — with the
 /// partial frontier over whatever the sweep had visited.
 fn run_pareto(req: &ParetoRequest, ctx: ServerCtx<'_>, cancel: &Arc<AtomicBool>) -> Response {
-    let pipelines = match pipelines_for("pareto", &req.jobs, ctx.store, ctx.config.fault_injection)
+    let jobs = match pipelines_for("pareto", &req.jobs, ctx.store, ctx.config.fault_injection)
+        .and_then(compile_all)
     {
-        Ok(pipelines) => pipelines,
+        Ok(jobs) => jobs,
         Err(response) => return response,
     };
     let options = req.knobs.apply_to(&ctx.config.defaults);
-    let _permit = match admit(ctx, &pipelines) {
+    let _permit = match admit(ctx, &jobs) {
         Ok(permit) => permit,
         Err(response) => return response,
     };
@@ -974,16 +984,12 @@ fn run_pareto(req: &ParetoRequest, ctx: ServerCtx<'_>, cancel: &Arc<AtomicBool>)
         body.push_str(PARETO_CSV_HEADER);
         body.push('\n');
     }
-    for pipeline in pipelines {
-        let allocated = match pipeline.with_search_options(options.clone()).allocate() {
-            Ok(allocated) => allocated,
-            Err(e) => return Response::Error(e.to_string()),
-        };
-        let front = match allocated.pareto_with_stop(&options, &stop) {
+    for (pipeline, job) in &jobs {
+        let front = match pipeline.pareto_restricted(job, &options, &stop) {
             Ok(front) => front,
             Err(e) => return Response::Error(e.to_string()),
         };
-        let name = allocated.cdfg.name();
+        let name = job.compiled.cdfg.name();
         match req.format {
             Format::Csv => {
                 for point in &front.points {

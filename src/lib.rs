@@ -73,7 +73,7 @@ mod error;
 mod pipeline;
 
 pub use error::LycosError;
-pub use pipeline::{Allocated, Compiled, Partitioned, Pipeline};
+pub use pipeline::{Allocated, Compiled, Partitioned, Pipeline, Restricted};
 
 pub use lycos_apps as apps;
 pub use lycos_core as core;

@@ -187,11 +187,28 @@ impl Pipeline {
         options: &Table1Options,
         stop: &StopSignal,
     ) -> Result<Table1Row, LycosError> {
-        let compiled = self.compile()?;
+        self.table1_row_restricted(&self.compile_restricted()?, options, stop)
+    }
+
+    /// [`Pipeline::table1_row_stop`] over an already-restricted stage
+    /// output, so a caller that sized the job from [`Restricted`] first
+    /// (the allocation service's admission probe) runs the frontend
+    /// and the restriction pass once.
+    ///
+    /// # Errors
+    ///
+    /// Any stage error as [`LycosError`].
+    pub fn table1_row_restricted(
+        &self,
+        job: &Restricted,
+        options: &Table1Options,
+        stop: &StopSignal,
+    ) -> Result<Table1Row, LycosError> {
         let subject = Table1Subject {
-            name: compiled.cdfg.name(),
+            name: job.compiled.cdfg.name(),
             lines: lycos_frontend::line_count(&self.source),
-            bsbs: &compiled.bsbs,
+            bsbs: &job.compiled.bsbs,
+            restrictions: &job.restrictions,
             budget: self.budget,
             iteration: self.iteration,
         };
@@ -256,6 +273,23 @@ impl Pipeline {
         Ok(Compiled { cdfg, bsbs })
     }
 
+    /// Runs the frontend and derives the ASAP restriction caps under
+    /// the pipeline's library — the allocation space every search
+    /// stage walks, sized before any of them runs.
+    ///
+    /// # Errors
+    ///
+    /// As [`Pipeline::compile`], plus restriction errors (an operation
+    /// without a default unit in the library) as [`LycosError`].
+    pub fn compile_restricted(&self) -> Result<Restricted, LycosError> {
+        let compiled = self.compile()?;
+        let restrictions = Restrictions::from_asap(&compiled.bsbs, &self.library)?;
+        Ok(Restricted {
+            compiled,
+            restrictions,
+        })
+    }
+
     /// Runs the flow through Algorithm 1: compile, derive ASAP
     /// restrictions, pre-allocate the data path.
     ///
@@ -267,20 +301,31 @@ impl Pipeline {
         self.allocate_compiled(compiled)
     }
 
-    /// Size of the application's full allocation space (`Π (cap+1)`
-    /// over the ASAP restriction caps) without running Algorithm 1:
-    /// compile, derive the restrictions, count. The seam the
-    /// allocation service's admission control classifies job size by.
+    /// Sweeps the allocation space once under the Pareto-front
+    /// objective straight from the restricted stage: the frontier
+    /// never reads Algorithm 1's allocation, so unlike
+    /// [`Allocated::pareto_with_stop`] this runs none. Same frontier,
+    /// same stop semantics.
     ///
     /// # Errors
     ///
-    /// Frontend and restriction errors as [`LycosError`].
-    pub fn space_size(&self) -> Result<u128, LycosError> {
-        let Compiled { bsbs, .. } = self.compile()?;
-        let restrictions = Restrictions::from_asap(&bsbs, &self.library)?;
-        Ok(lycos_pace::space_size(&lycos_pace::search_space(
-            &restrictions,
-        )))
+    /// [`LycosError::Pace`] from partition evaluation.
+    pub fn pareto_restricted(
+        &self,
+        job: &Restricted,
+        options: &SearchOptions,
+        stop: &StopSignal,
+    ) -> Result<ParetoResult, LycosError> {
+        Ok(pareto_with_store_stop(
+            &job.compiled.bsbs,
+            &self.library,
+            self.budget,
+            &job.restrictions,
+            &self.pace,
+            options,
+            self.artifact_store.as_deref(),
+            stop,
+        )?)
     }
 
     /// Runs Algorithm 1 over an already-compiled stage output, so a
@@ -322,6 +367,27 @@ pub struct Compiled {
     pub cdfg: Cdfg,
     /// The leaf BSB array with annotated profiles.
     pub bsbs: BsbArray,
+}
+
+/// Output of [`Pipeline::compile_restricted`]: the frontend stage plus
+/// the allocation space the search stages walk.
+#[derive(Clone, Debug)]
+pub struct Restricted {
+    /// The frontend stage.
+    pub compiled: Compiled,
+    /// The ASAP-parallelism allocation caps of the BSB array under the
+    /// pipeline's library.
+    pub restrictions: Restrictions,
+}
+
+impl Restricted {
+    /// Size of the application's full allocation space (`Π (cap+1)`
+    /// over the restriction caps) — what a sweep walks before any
+    /// limit or pruning, and what the allocation service's admission
+    /// control classifies a job by. Algorithm 1 does not change it.
+    pub fn space_size(&self) -> u128 {
+        lycos_pace::space_size(&lycos_pace::search_space(&self.restrictions))
+    }
 }
 
 /// Output of the allocation stage, ready to partition.
@@ -445,7 +511,7 @@ impl Allocated {
     /// Size of this application's full allocation space (`Π (cap+1)`
     /// over the ASAP restriction caps) — what a sweep would walk
     /// before any limit or pruning. Cheap (no search runs); see
-    /// [`Pipeline::space_size`] for the same count before Algorithm 1.
+    /// [`Restricted::space_size`] for the same count before Algorithm 1.
     pub fn space_size(&self) -> u128 {
         lycos_pace::space_size(&lycos_pace::search_space(&self.restrictions))
     }
@@ -636,6 +702,19 @@ mod tests {
     }
 
     #[test]
+    fn restricted_stage_sweeps_the_frontier_without_algorithm_1() {
+        let pipeline = Pipeline::new(HOT_LOOP).with_budget(Area::new(6_000));
+        let job = pipeline.compile_restricted().unwrap();
+        let options = SearchOptions::sequential().bound(true);
+        let never = StopSignal::never();
+        let front = pipeline.pareto_restricted(&job, &options, &never).unwrap();
+        let allocated = pipeline.allocate().unwrap();
+        assert_eq!(job.restrictions, allocated.restrictions);
+        let via_allocation = allocated.pareto_with_stop(&options, &never).unwrap();
+        assert_eq!(front.points, via_allocation.points);
+    }
+
+    #[test]
     fn frontend_errors_surface_as_lycos_errors() {
         let err = Pipeline::new("app broken").compile().unwrap_err();
         assert!(matches!(err, LycosError::Frontend(_)));
@@ -727,7 +806,10 @@ mod tests {
         assert!(!allocated.allocation().is_empty());
         // The admission probe counts the same space without Algorithm 1.
         assert_eq!(
-            Pipeline::for_app(&app).space_size().unwrap(),
+            Pipeline::for_app(&app)
+                .compile_restricted()
+                .unwrap()
+                .space_size(),
             allocated.space_size()
         );
     }
