@@ -70,10 +70,6 @@ search knobs (best, pareto, table1; request defaults for serve):
   --threads <n>     sweep workers (0 = one per core; default 0)
   --limit <n>       cap on evaluated allocations (0 = unlimited;
                     best, table1 and serve default to 200000)
-  --dp-threads <n>  workers inside one PACE DP evaluation (1 =
-                    sequential, the default; 0 = one per core);
-                    identical results, meant for large single
-                    evaluations rather than saturated sweeps
   --bound           branch-and-bound sweep: prune subtrees an
                     admissible lower bound proves hopeless, and
                     single candidates whose controller budget
@@ -90,12 +86,6 @@ search knobs (best, pareto, table1; request defaults for serve):
                     evaluation memo (default on; results are
                     field-identical either way — warm repeats are
                     just faster)
-  --no-incremental  disable incremental artifact builds on store
-                    misses: diffing the request's per-block
-                    fingerprint against resident entries and
-                    re-deriving only the edited blocks (default on;
-                    results are field-identical either way — edits
-                    are just faster)
   --deadline-ms <n> anytime search: stop each sweep after <n> ms
                     and answer with the best-so-far winner (or the
                     partial Pareto frontier); the CSV `completion`
@@ -377,7 +367,7 @@ fn cmd_best(args: &[String]) -> Result<(), String> {
     // engine line below reports live store telemetry (a single
     // invocation always builds cold: 1 miss, 0 hits, no reseed).
     let store = lycos::pace::ArtifactStore::new(options.store_cap);
-    let res = lycos::explore::flow::search_with_store(
+    let res = lycos::explore::flow::search(
         &compiled.bsbs,
         &lib,
         area,
@@ -385,6 +375,7 @@ fn cmd_best(args: &[String]) -> Result<(), String> {
         &pace,
         &options,
         Some(&store),
+        &lycos::pace::StopSignal::never(),
     )
     .map_err(|e| e.to_string())?;
     println!(
@@ -465,8 +456,17 @@ fn cmd_pareto(args: &[String]) -> Result<(), String> {
     let lib = HwLibrary::standard();
     let pace = lycos::pace::PaceConfig::standard();
     let restr = Restrictions::from_asap(&compiled.bsbs, &lib).map_err(|e| e.to_string())?;
-    let front = lycos::explore::flow::pareto(&compiled.bsbs, &lib, area, &restr, &pace, &options)
-        .map_err(|e| e.to_string())?;
+    let front = lycos::explore::flow::pareto(
+        &compiled.bsbs,
+        &lib,
+        area,
+        &restr,
+        &pace,
+        &options,
+        None,
+        &lycos::pace::StopSignal::never(),
+    )
+    .map_err(|e| e.to_string())?;
     if csv {
         print!("{}", format_pareto_csv(path, &front));
     } else {
@@ -598,30 +598,22 @@ mod tests {
         assert_eq!(rest, args(&["hal", "7500"]));
         assert_eq!(opts.limit, Some(200_000));
         assert_eq!(opts.threads, 0);
-        assert_eq!(opts.dp_threads, 1, "intra-candidate split is opt-in");
         assert!(!opts.bound, "branch-and-bound is opt-in");
         assert!(opts.warm, "warm starts are default-on");
-        assert!(opts.incremental, "incremental builds are default-on");
         assert!(extras.is_empty());
     }
 
     #[test]
     fn default_on_switches_clear_with_their_no_form() {
-        let (rest, opts, _) =
-            parse_search_flags(&args(&["--no-warm", "--no-incremental", "hal"]), None, &[])
-                .unwrap();
+        let (rest, opts, _) = parse_search_flags(&args(&["--no-warm", "hal"]), None, &[]).unwrap();
         assert_eq!(rest, args(&["hal"]));
-        assert!(!opts.warm && !opts.incremental);
+        assert!(!opts.warm);
         // Bare switches: `=value` is rejected.
-        for flag in ["--no-warm", "--no-incremental"] {
-            let err = parse_search_flags(&args(&[&format!("{flag}=on")]), None, &[]).unwrap_err();
-            assert_eq!(err, format!("{flag} takes no value"));
-        }
+        let err = parse_search_flags(&args(&["--no-warm=on"]), None, &[]).unwrap_err();
+        assert_eq!(err, "--no-warm takes no value");
         // And typos get did-you-mean hints.
         let err = parse_search_flags(&args(&["--no-wram"]), None, &[]).unwrap_err();
         assert!(err.contains("did you mean `--no-warm`?"), "{err}");
-        let err = parse_search_flags(&args(&["--no-incremantal"]), None, &[]).unwrap_err();
-        assert!(err.contains("did you mean `--no-incremental`?"), "{err}");
     }
 
     #[test]
@@ -634,20 +626,6 @@ mod tests {
         assert_eq!(err, "--bound takes no value");
         let err = parse_search_flags(&args(&["--buond"]), None, &[]).unwrap_err();
         assert!(err.contains("did you mean `--bound`?"), "{err}");
-    }
-
-    #[test]
-    fn dp_threads_flag_parses_like_threads() {
-        let (rest, opts, _) =
-            parse_search_flags(&args(&["--dp-threads", "3", "hal"]), None, &[]).unwrap();
-        assert_eq!(rest, args(&["hal"]));
-        assert_eq!(opts.dp_threads, 3);
-        let (_, opts, _) = parse_search_flags(&args(&["--dp-threads=0"]), None, &[]).unwrap();
-        assert_eq!(opts.dp_threads, 0, "0 = one per core");
-        let err = parse_search_flags(&args(&["--dp-threads", "many"]), None, &[]).unwrap_err();
-        assert_eq!(err, "invalid --dp-threads value `many`");
-        let err = parse_search_flags(&args(&["--dp-treads", "2"]), None, &[]).unwrap_err();
-        assert!(err.contains("did you mean `--dp-threads`?"), "{err}");
     }
 
     #[test]
@@ -713,9 +691,14 @@ mod tests {
             "--bound-comm",
             "--no-bound-comm",
             "--no-cache",
+            "--no-incremental",
         ] {
             let err = parse_search_flags(&args(&[flag]), None, &[]).unwrap_err();
             assert!(err.contains(&format!("unknown flag `{flag}`")), "{err}");
+        }
+        for input in [&["--dp-threads", "2"][..], &["--dp-threads=0"]] {
+            let err = parse_search_flags(&args(input), None, &[]).unwrap_err();
+            assert!(err.contains("unknown flag `--dp-threads`"), "{err}");
         }
 
         // Far-off garbage gets no misleading suggestion.
@@ -785,11 +768,9 @@ mod tests {
             [
                 "--threads",
                 "--limit",
-                "--dp-threads",
                 "--bound",
                 "--store-cap",
                 "--no-warm",
-                "--no-incremental",
                 "--deadline-ms",
             ]
         );

@@ -10,9 +10,9 @@ use lycos_core::{allocate, AllocConfig, AllocOutcome, RMap, Restrictions};
 use lycos_hwlib::{Area, HwLibrary};
 use lycos_ir::BsbArray;
 use lycos_pace::{
-    partition, partition_with_artifacts, ArtifactKey, ArtifactStore, DpScratch, PaceConfig,
-    PaceError, ParetoResult, Partition, SearchArtifacts, SearchOptions, SearchResult, StopSignal,
-    StoreOutcome, WarmSeed,
+    partition, partition_from_metrics, partition_with_artifacts, ArtifactStore, CommCosts,
+    DpScratch, PaceConfig, PaceError, ParetoResult, Partition, SearchArtifacts, SearchOptions,
+    SearchResult, StopSignal, StoreOutcome, WarmSeed,
 };
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -65,82 +65,6 @@ pub fn allocate_and_partition(
     })
 }
 
-/// Evaluates one explicit allocation through PACE — the seam used by
-/// design iterations, downward walks and sampling searches.
-///
-/// # Errors
-///
-/// Propagates [`PaceError`] from the partitioner.
-pub fn evaluate(
-    bsbs: &BsbArray,
-    lib: &HwLibrary,
-    allocation: &RMap,
-    total_area: Area,
-    pace: &PaceConfig,
-) -> Result<Partition, PaceError> {
-    partition(bsbs, lib, allocation, total_area, pace)
-}
-
-/// Sweeps the allocation space through the memoised search engine —
-/// the seam the Table 1 experiment and the CLI `best` command share.
-/// With `threads: 1` and no cache this is exactly the paper's
-/// sequential baseline; the defaults fan out over all cores, and
-/// `options.bound` turns on the branch-and-bound walk (field-exact
-/// winner, `stats.bounded`/`stats.dirty_ratio()` effort telemetry in
-/// the returned [`SearchResult`]).
-///
-/// # Errors
-///
-/// Propagates [`PaceError`] from partition evaluation.
-pub fn search(
-    bsbs: &BsbArray,
-    lib: &HwLibrary,
-    total_area: Area,
-    restrictions: &Restrictions,
-    pace: &PaceConfig,
-    options: &SearchOptions,
-) -> Result<SearchResult, PaceError> {
-    search_with_store(bsbs, lib, total_area, restrictions, pace, options, None)
-}
-
-/// Fetches (or builds and caches) the artifacts for one request from
-/// `store`, eagerly warming the traffic memo on a miss so every later
-/// hit starts from a fully known table. With `incremental`, a miss
-/// first diffs the request's per-block fingerprint against the
-/// resident entries and clones every clean block's artifacts from the
-/// nearest donor, re-deriving only the dirty ones — the edit-loop
-/// path, field-identical to a from-scratch build. Returns the shared
-/// artifacts and the [`StoreOutcome`] telemetry.
-///
-/// # Errors
-///
-/// Propagates [`PaceError`] from the artifact build.
-fn store_artifacts(
-    store: &ArtifactStore,
-    bsbs: &BsbArray,
-    lib: &HwLibrary,
-    restrictions: &Restrictions,
-    pace: &PaceConfig,
-    incremental: bool,
-) -> Result<(Arc<SearchArtifacts>, StoreOutcome), PaceError> {
-    if incremental {
-        return store.get_or_build_incremental(bsbs, lib, restrictions, pace);
-    }
-    let key = ArtifactKey::of(bsbs, lib, restrictions, pace);
-    let (artifacts, hit) = store.get_or_build(key, || {
-        let mut artifacts = SearchArtifacts::prepare(bsbs, lib, restrictions, pace)?;
-        artifacts.warm_comm(bsbs, pace);
-        Ok(artifacts)
-    })?;
-    Ok((
-        artifacts,
-        StoreOutcome {
-            hit,
-            ..StoreOutcome::default()
-        },
-    ))
-}
-
 /// Copies one request's store outcome into its search telemetry.
 fn note_outcome(stats: &mut lycos_pace::SearchStats, outcome: StoreOutcome) {
     if outcome.hit {
@@ -153,16 +77,19 @@ fn note_outcome(stats: &mut lycos_pace::SearchStats, outcome: StoreOutcome) {
     stats.blocks_rederived = outcome.blocks_rederived;
 }
 
-/// The artifacts one request runs every PACE stage over: fetched from
-/// (or built into) a store, or prepared one-shot without one.
-pub(crate) struct Fetched<'s> {
-    artifacts: Arc<SearchArtifacts>,
-    store: Option<(&'s ArtifactStore, StoreOutcome)>,
+/// PACE over one application for loops over many allocations: the
+/// artifacts are prepared once, and one traffic memo and one DP
+/// workspace carry across every call, so each block projection is
+/// scheduled once and each run priced once. Results are identical to
+/// [`partition`]'s.
+pub(crate) struct Evaluator {
+    artifacts: SearchArtifacts,
+    comm: CommCosts,
+    scratch: DpScratch,
 }
 
-impl<'s> Fetched<'s> {
-    /// Fetches through `store` ([`store_artifacts`]) or prepares
-    /// one-shot artifacts when there is none.
+impl Evaluator {
+    /// Prepares the artifacts of `bsbs` under `restrictions`.
     ///
     /// # Errors
     ///
@@ -172,7 +99,70 @@ impl<'s> Fetched<'s> {
         lib: &HwLibrary,
         restrictions: &Restrictions,
         pace: &PaceConfig,
-        options: &SearchOptions,
+    ) -> Result<Self, PaceError> {
+        Ok(Evaluator {
+            artifacts: SearchArtifacts::prepare(bsbs, lib, restrictions, pace)?,
+            comm: CommCosts::new(bsbs.len()),
+            scratch: DpScratch::new(),
+        })
+    }
+
+    /// PACE on one explicit allocation.
+    ///
+    /// # Errors
+    ///
+    /// As [`partition`].
+    pub(crate) fn partition(
+        &mut self,
+        bsbs: &BsbArray,
+        lib: &HwLibrary,
+        allocation: &RMap,
+        total_area: Area,
+        pace: &PaceConfig,
+    ) -> Result<Partition, PaceError> {
+        let datapath = allocation.area(lib);
+        let ctl_budget = total_area
+            .checked_sub(datapath)
+            .ok_or(PaceError::DatapathTooLarge {
+                datapath,
+                total: total_area,
+            })?;
+        let metrics = self.artifacts.metrics(bsbs, lib, allocation, pace)?;
+        Ok(partition_from_metrics(
+            bsbs,
+            &metrics,
+            &mut self.comm,
+            &mut self.scratch,
+            datapath,
+            ctl_budget,
+            pace,
+        ))
+    }
+}
+
+/// The artifacts one request runs every PACE stage over: fetched from
+/// (or built into) a store, or prepared one-shot without one.
+pub(crate) struct Fetched<'s> {
+    artifacts: Arc<SearchArtifacts>,
+    store: Option<(&'s ArtifactStore, StoreOutcome)>,
+}
+
+impl<'s> Fetched<'s> {
+    /// Fetches through `store` or prepares one-shot artifacts when
+    /// there is none. A store miss builds incrementally from the
+    /// nearest resident entry when one shares blocks with the request
+    /// ([`ArtifactStore::get_or_build_incremental`]), and from scratch
+    /// with a warmed traffic memo otherwise, so every later hit starts
+    /// from a fully known table.
+    ///
+    /// # Errors
+    ///
+    /// Propagates [`PaceError`] from the artifact build.
+    pub(crate) fn new(
+        bsbs: &BsbArray,
+        lib: &HwLibrary,
+        restrictions: &Restrictions,
+        pace: &PaceConfig,
         store: Option<&'s ArtifactStore>,
     ) -> Result<Self, PaceError> {
         Ok(match store {
@@ -182,7 +172,7 @@ impl<'s> Fetched<'s> {
             },
             Some(store) => {
                 let (artifacts, outcome) =
-                    store_artifacts(store, bsbs, lib, restrictions, pace, options.incremental)?;
+                    store.get_or_build_incremental(bsbs, lib, restrictions, pace)?;
                 Fetched {
                     artifacts,
                     store: Some((store, outcome)),
@@ -192,7 +182,7 @@ impl<'s> Fetched<'s> {
     }
 
     /// PACE on one explicit allocation over the fetched artifacts —
-    /// identical to [`evaluate`], minus every schedule and traffic
+    /// identical to [`partition`], minus every schedule and traffic
     /// price the artifacts already hold.
     ///
     /// # Errors
@@ -220,7 +210,7 @@ impl<'s> Fetched<'s> {
 
     /// The best-under-budget sweep over the fetched artifacts; on the
     /// store path warm seeds go in, the winner is recorded back and the
-    /// store outcome lands in the stats ([`search_with_store_stop`]).
+    /// store outcome lands in the stats ([`search`]).
     ///
     /// # Errors
     ///
@@ -269,45 +259,29 @@ impl<'s> Fetched<'s> {
     }
 }
 
-/// [`search`] through a cross-request [`ArtifactStore`]: artifacts are
-/// fetched (or built once and cached) under the request's content
-/// fingerprint, previously recorded winners at a budget within the
-/// current one are offered as warm seeds (engaged only under
-/// `options.bound` + `options.warm`), the winner is recorded back for
-/// future requests, and `stats.artifact_hits`/`artifact_misses` report
-/// the store outcome. With `store: None` this is exactly [`search`] —
-/// and the result is field-identical either way, pinned by the
-/// warm/cold equivalence proptests.
+/// Sweeps the allocation space through the memoised search engine —
+/// the seam the Table 1 experiment, the CLI `best` command and the
+/// facade share. With `threads: 1` this is exactly the paper's
+/// sequential baseline; the defaults fan out over all cores, and
+/// `options.bound` turns on the branch-and-bound walk (field-exact
+/// winner, `stats.bounded`/`stats.dirty_ratio()` effort telemetry in
+/// the returned [`SearchResult`]).
 ///
-/// # Errors
+/// With a cross-request [`ArtifactStore`], artifacts are fetched (or
+/// built once and cached) under the request's content fingerprint,
+/// previously recorded winners at a budget within the current one are
+/// offered as warm seeds (engaged only under `options.bound` +
+/// `options.warm`), the winner is recorded back for future requests,
+/// and `stats.artifact_hits`/`artifact_misses` report the store
+/// outcome. With `store: None` the artifacts are one-shot; the result
+/// is field-identical either way, pinned by the warm/cold equivalence
+/// proptests.
 ///
-/// Propagates [`PaceError`] from partition evaluation.
-pub fn search_with_store(
-    bsbs: &BsbArray,
-    lib: &HwLibrary,
-    total_area: Area,
-    restrictions: &Restrictions,
-    pace: &PaceConfig,
-    options: &SearchOptions,
-    store: Option<&ArtifactStore>,
-) -> Result<SearchResult, PaceError> {
-    search_with_store_stop(
-        bsbs,
-        lib,
-        total_area,
-        restrictions,
-        pace,
-        options,
-        store,
-        &StopSignal::never(),
-    )
-}
-
-/// [`search_with_store`] under an external [`StopSignal`] — the
-/// anytime seam the allocation service drives with its per-connection
-/// cancel flags (the deadline half of the signal also folds in from
-/// [`SearchOptions::deadline_ms`]). On a trip the result carries the
-/// best-so-far incumbent and a non-`Complete`
+/// `stop` is the anytime seam the allocation service drives with its
+/// per-connection cancel flags (the deadline half of the signal also
+/// folds in from [`SearchOptions::deadline_ms`]); pass
+/// [`StopSignal::never`] to run to completion. On a trip the result
+/// carries the best-so-far incumbent and a non-`Complete`
 /// [`lycos_pace::Completion`]; a truncated winner is still a feasible,
 /// DP-exact point of the space, so recording it back as a warm seed
 /// stays sound (seeds only ever tighten pruning).
@@ -315,8 +289,8 @@ pub fn search_with_store(
 /// # Errors
 ///
 /// Propagates [`PaceError`] from partition evaluation.
-#[allow(clippy::too_many_arguments)] // the _with_store seam plus the stop signal
-pub fn search_with_store_stop(
+#[allow(clippy::too_many_arguments)] // the search inputs plus store and stop signal
+pub fn search(
     bsbs: &BsbArray,
     lib: &HwLibrary,
     total_area: Area,
@@ -326,7 +300,7 @@ pub fn search_with_store_stop(
     store: Option<&ArtifactStore>,
     stop: &StopSignal,
 ) -> Result<SearchResult, PaceError> {
-    Fetched::new(bsbs, lib, restrictions, pace, options, store)?
+    Fetched::new(bsbs, lib, restrictions, pace, store)?
         .search(bsbs, lib, total_area, pace, options, stop)
 }
 
@@ -335,60 +309,18 @@ pub fn search_with_store_stop(
 /// `pareto` verb share. The returned frontier covers every budget up
 /// to `total_area` in a single walk; see
 /// [`lycos_pace::search_pareto`] for the exactness guarantee.
+/// Artifacts come from `store` as in [`search`]; a frontier has no
+/// single incumbent, so there is no seeding, only the precompute
+/// reuse. On a `stop` trip the result is the partial frontier of
+/// everything visited before the stop (every point on it feasible and
+/// DP-exact), marked by its non-`Complete`
+/// [`lycos_pace::Completion`].
 ///
 /// # Errors
 ///
 /// Propagates [`PaceError`] from partition evaluation.
+#[allow(clippy::too_many_arguments)] // the search inputs plus store and stop signal
 pub fn pareto(
-    bsbs: &BsbArray,
-    lib: &HwLibrary,
-    total_area: Area,
-    restrictions: &Restrictions,
-    pace: &PaceConfig,
-    options: &SearchOptions,
-) -> Result<ParetoResult, PaceError> {
-    pareto_with_store(bsbs, lib, total_area, restrictions, pace, options, None)
-}
-
-/// [`pareto`] through a cross-request [`ArtifactStore`] — artifacts
-/// shared under the content fingerprint exactly as in
-/// [`search_with_store`]; a frontier has no single incumbent, so there
-/// is no seeding, only the precompute reuse.
-///
-/// # Errors
-///
-/// Propagates [`PaceError`] from partition evaluation.
-pub fn pareto_with_store(
-    bsbs: &BsbArray,
-    lib: &HwLibrary,
-    total_area: Area,
-    restrictions: &Restrictions,
-    pace: &PaceConfig,
-    options: &SearchOptions,
-    store: Option<&ArtifactStore>,
-) -> Result<ParetoResult, PaceError> {
-    pareto_with_store_stop(
-        bsbs,
-        lib,
-        total_area,
-        restrictions,
-        pace,
-        options,
-        store,
-        &StopSignal::never(),
-    )
-}
-
-/// [`pareto_with_store`] under an external [`StopSignal`]: on a trip
-/// the result is the partial frontier of everything visited before the
-/// stop (every point on it feasible and DP-exact), marked by its
-/// non-`Complete` [`lycos_pace::Completion`].
-///
-/// # Errors
-///
-/// Propagates [`PaceError`] from partition evaluation.
-#[allow(clippy::too_many_arguments)] // the _with_store seam plus the stop signal
-pub fn pareto_with_store_stop(
     bsbs: &BsbArray,
     lib: &HwLibrary,
     total_area: Area,
@@ -398,7 +330,7 @@ pub fn pareto_with_store_stop(
     store: Option<&ArtifactStore>,
     stop: &StopSignal,
 ) -> Result<ParetoResult, PaceError> {
-    let fetched = Fetched::new(bsbs, lib, restrictions, pace, options, store)?;
+    let fetched = Fetched::new(bsbs, lib, restrictions, pace, store)?;
     let mut result = lycos_pace::search_pareto_with_stop(
         bsbs,
         lib,
@@ -459,7 +391,7 @@ mod tests {
         )
         .unwrap();
         assert_eq!(flow.outcome.allocation, direct.allocation);
-        let p = evaluate(&bsbs, &lib, flow.allocation(), area, &pace).unwrap();
+        let p = partition(&bsbs, &lib, flow.allocation(), area, &pace).unwrap();
         assert_eq!(p.total_time, flow.partition.total_time);
         assert!(flow.speedup_pct() >= 0.0);
     }

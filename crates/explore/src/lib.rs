@@ -48,10 +48,7 @@ mod synthetic;
 mod table1;
 mod tradeoff;
 
-pub use flow::{
-    allocate_and_partition, pareto_with_store, pareto_with_store_stop, search_with_store,
-    search_with_store_stop, FlowOutcome,
-};
+pub use flow::{allocate_and_partition, FlowOutcome};
 pub use iteration::apply_iteration;
 pub use optimism::{format_optimism, optimism_report, reduce_only_walk, OptimismPoint};
 pub use pareto::{format_pareto, format_pareto_csv, pareto_csv_row, PARETO_CSV_HEADER};
@@ -59,8 +56,7 @@ pub use random::{random_search, RandomSearchResult};
 pub use sensitivity::{budget_sensitivity, format_sensitivity, SensitivityPoint};
 pub use synthetic::SyntheticSpec;
 pub use table1::{
-    format_table1, format_table1_csv, table1_csv_row, table1_row, table1_row_for,
-    table1_row_with_store, table1_row_with_store_stop, Table1Options, Table1Row, Table1Subject,
-    TABLE1_CSV_HEADER,
+    format_table1, format_table1_csv, table1_csv_row, table1_row, table1_row_for, Table1Options,
+    Table1Row, Table1Subject, TABLE1_CSV_HEADER,
 };
 pub use tradeoff::{format_tradeoff, tradeoff_sweep, TradeoffPoint};

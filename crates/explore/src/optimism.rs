@@ -10,7 +10,7 @@
 //! (ASAP as published, a scaled middle ground, and the fully serial
 //! worst case) and evaluates each allocation through PACE.
 
-use crate::flow::{allocate_and_partition, evaluate};
+use crate::flow::{allocate_and_partition, Evaluator};
 use lycos_core::{AllocConfig, RMap, Restrictions, StateEstimate};
 use lycos_hwlib::{Area, HwLibrary};
 use lycos_ir::BsbArray;
@@ -68,6 +68,10 @@ pub fn optimism_report(
 /// the best) must reach a speed-up at least as good as the starting
 /// point. Returns the best allocation found on the downward walk.
 ///
+/// Every candidate is partitioned over one artifact set, prepared once
+/// under the application's ASAP caps, with one traffic memo across the
+/// walk.
+///
 /// # Errors
 ///
 /// Propagates [`PaceError`] from partition evaluation.
@@ -78,15 +82,21 @@ pub fn reduce_only_walk(
     total_area: Area,
     pace: &PaceConfig,
 ) -> Result<(RMap, f64), PaceError> {
+    let mut eval = Evaluator::new(bsbs, lib, &Restrictions::from_asap(bsbs, lib)?, pace)?;
+    let mut speedup = |allocation: &RMap| -> Result<f64, PaceError> {
+        Ok(eval
+            .partition(bsbs, lib, allocation, total_area, pace)?
+            .speedup_pct())
+    };
     let mut current = start.clone();
-    let mut best_su = evaluate(bsbs, lib, &current, total_area, pace)?.speedup_pct();
+    let mut best_su = speedup(&current)?;
     loop {
         let mut improved = false;
         let kinds: Vec<_> = current.iter().map(|(fu, _)| fu).collect();
         for fu in kinds {
             let mut candidate = current.clone();
             candidate.decrement(fu);
-            let su = evaluate(bsbs, lib, &candidate, total_area, pace)?.speedup_pct();
+            let su = speedup(&candidate)?;
             if su > best_su {
                 best_su = su;
                 current = candidate;
@@ -202,6 +212,56 @@ mod tests {
         .unwrap();
         let (_, walked_su) = reduce_only_walk(&bsbs, &lib, flow.allocation(), area, &pace).unwrap();
         assert!(walked_su >= flow.speedup_pct());
+    }
+
+    #[test]
+    fn reduce_only_walk_matches_a_walk_through_compat_partition() {
+        // The same greedy walk, each candidate partitioned from
+        // scratch: the artifact-backed walk must take the same steps.
+        fn reference(
+            bsbs: &BsbArray,
+            lib: &HwLibrary,
+            start: &RMap,
+            area: Area,
+            pace: &PaceConfig,
+        ) -> (RMap, f64) {
+            let su = |a: &RMap| {
+                lycos_pace::partition(bsbs, lib, a, area, pace)
+                    .unwrap()
+                    .speedup_pct()
+            };
+            let mut current = start.clone();
+            let mut best_su = su(&current);
+            'walk: loop {
+                let kinds: Vec<_> = current.iter().map(|(fu, _)| fu).collect();
+                for fu in kinds {
+                    let mut candidate = current.clone();
+                    candidate.decrement(fu);
+                    let s = su(&candidate);
+                    if s > best_su {
+                        best_su = s;
+                        current = candidate;
+                        continue 'walk;
+                    }
+                }
+                return (current, best_su);
+            }
+        }
+        let lib = HwLibrary::standard();
+        let pace = PaceConfig::standard();
+        for app in [lycos_apps::man(), lycos_apps::eigen()] {
+            let bsbs = app.bsbs();
+            let area = Area::new(app.area_budget);
+            let restr = Restrictions::from_asap(&bsbs, &lib).unwrap();
+            let flow =
+                allocate_and_partition(&bsbs, &lib, area, &restr, &pace, &AllocConfig::default())
+                    .unwrap();
+            let (walked, walked_su) =
+                reduce_only_walk(&bsbs, &lib, flow.allocation(), area, &pace).unwrap();
+            let (want, want_su) = reference(&bsbs, &lib, flow.allocation(), area, &pace);
+            assert_eq!(walked, want, "{}", app.name);
+            assert_eq!(walked_su.to_bits(), want_su.to_bits(), "{}", app.name);
+        }
     }
 
     #[test]

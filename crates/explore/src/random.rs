@@ -6,7 +6,7 @@
 //! provides the equivalent tool for large spaces: uniform sampling
 //! within the restriction caps, keeping the best PACE result.
 
-use crate::flow::evaluate;
+use crate::flow::Evaluator;
 use lycos_core::{RMap, Restrictions};
 use lycos_hwlib::{Area, HwLibrary};
 use lycos_ir::BsbArray;
@@ -31,7 +31,8 @@ pub struct RandomSearchResult {
 /// (uniformly per dimension), evaluates the in-budget ones through
 /// PACE and returns the best. The all-software baseline is always
 /// included, so the result is never worse than software-only. A fixed
-/// `seed` makes runs reproducible.
+/// `seed` makes runs reproducible. Every sample is partitioned over
+/// one artifact set, prepared once.
 ///
 /// # Errors
 ///
@@ -64,11 +65,37 @@ pub fn random_search(
     samples: usize,
     seed: u64,
 ) -> Result<RandomSearchResult, PaceError> {
+    let mut eval = Evaluator::new(bsbs, lib, restrictions, pace)?;
+    sample_best(
+        &mut eval,
+        bsbs,
+        lib,
+        total_area,
+        restrictions,
+        pace,
+        samples,
+        seed,
+    )
+}
+
+/// [`random_search`] over artifacts fetched by the caller, so a sweep
+/// over budgets prepares them once per application.
+#[allow(clippy::too_many_arguments)] // random_search's inputs plus the artifacts
+pub(crate) fn sample_best(
+    eval: &mut Evaluator,
+    bsbs: &BsbArray,
+    lib: &HwLibrary,
+    total_area: Area,
+    restrictions: &Restrictions,
+    pace: &PaceConfig,
+    samples: usize,
+    seed: u64,
+) -> Result<RandomSearchResult, PaceError> {
     let dims = search_space(restrictions);
     let mut rng = StdRng::seed_from_u64(seed);
 
     let mut best_allocation = RMap::new();
-    let mut best_partition = evaluate(bsbs, lib, &best_allocation, total_area, pace)?;
+    let mut best_partition = eval.partition(bsbs, lib, &best_allocation, total_area, pace)?;
     let mut evaluated = 1usize;
     let mut rejected = 0usize;
 
@@ -81,7 +108,7 @@ pub fn random_search(
             rejected += 1;
             continue;
         }
-        let p = evaluate(bsbs, lib, &candidate, total_area, pace)?;
+        let p = eval.partition(bsbs, lib, &candidate, total_area, pace)?;
         evaluated += 1;
         if p.total_time < best_partition.total_time {
             best_allocation = candidate;

@@ -7,10 +7,11 @@
 //! heuristic / iterated / sampled-best speed-ups — showing how wide
 //! the interesting regime is and how robust the design iteration is.
 
-use crate::flow::{allocate_and_partition, evaluate};
-use crate::{apply_iteration, random_search};
+use crate::apply_iteration;
+use crate::flow::Evaluator;
+use crate::random::sample_best;
 use lycos_apps::BenchmarkApp;
-use lycos_core::{AllocConfig, Restrictions};
+use lycos_core::{allocate, AllocConfig, Restrictions};
 use lycos_hwlib::{Area, HwLibrary};
 use lycos_pace::{PaceConfig, PaceError};
 
@@ -31,6 +32,8 @@ pub struct SensitivityPoint {
 ///
 /// `samples` random allocations per point approximate the best
 /// (exhaustive search at every point would dominate the runtime).
+/// Every point partitions over one artifact set, prepared once for the
+/// application.
 ///
 /// # Errors
 ///
@@ -52,20 +55,24 @@ pub fn budget_sensitivity(
     assert!(lo <= hi, "empty budget range");
     let bsbs = app.bsbs();
     let restr = Restrictions::from_asap(&bsbs, lib)?;
+    let mut eval = Evaluator::new(&bsbs, lib, &restr, pace)?;
     let mut out = Vec::new();
     let mut budget = lo;
     while budget <= hi {
         let area = Area::new(budget);
-        let flow = allocate_and_partition(&bsbs, lib, area, &restr, pace, &AllocConfig::default())?;
-        let heuristic_su = flow.speedup_pct();
+        let outcome = allocate(&bsbs, lib, &pace.eca, area, &restr, &AllocConfig::default())?;
+        let heuristic_su = eval
+            .partition(&bsbs, lib, &outcome.allocation, area, pace)?
+            .speedup_pct();
         let iterated_su = match app.iteration {
             Some(hint) => {
-                let adjusted = apply_iteration(flow.allocation(), hint, lib);
-                evaluate(&bsbs, lib, &adjusted, area, pace)?.speedup_pct()
+                let adjusted = apply_iteration(&outcome.allocation, hint, lib);
+                eval.partition(&bsbs, lib, &adjusted, area, pace)?
+                    .speedup_pct()
             }
             None => heuristic_su,
         };
-        let sampled = random_search(&bsbs, lib, area, &restr, pace, samples, budget)?;
+        let sampled = sample_best(&mut eval, &bsbs, lib, area, &restr, pace, samples, budget)?;
         out.push(SensitivityPoint {
             budget,
             heuristic_su,

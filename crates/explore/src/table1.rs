@@ -139,10 +139,6 @@ pub struct Table1Options {
     /// The result is identical at any thread count; only the wall
     /// clock changes.
     pub threads: usize,
-    /// Worker threads *inside* one PACE DP evaluation (`1` =
-    /// sequential, `0` = one per core). Identical results at any
-    /// setting; see `SearchOptions::dp_threads` for when it pays off.
-    pub dp_threads: usize,
     /// Branch-and-bound sweep (`SearchOptions::bound`): the winner
     /// columns stay field-exact, while the `evaluated`/`bounded`
     /// effort columns shrink — and, under multiple worker threads,
@@ -159,12 +155,6 @@ pub struct Table1Options {
     /// by default; winner columns are field-identical either way —
     /// only the effort spent reaching them changes.
     pub warm: bool,
-    /// Incremental artifact builds on store misses
-    /// (`SearchOptions::incremental`): diff the request's per-block
-    /// fingerprint against resident entries and re-derive only the
-    /// dirty blocks. On by default; rows are field-identical either
-    /// way — only the reuse telemetry columns see the difference.
-    pub incremental: bool,
     /// Wall-clock budget for the search stage in milliseconds
     /// (`SearchOptions::deadline_ms`; `None` = run to completion). On
     /// expiry the winner columns hold the best-so-far incumbent and
@@ -177,11 +167,9 @@ impl Default for Table1Options {
         Table1Options {
             search_limit: None,
             threads: 0,
-            dp_threads: 1,
             bound: false,
             store_cap: 8,
             warm: true,
-            incremental: true,
             deadline_ms: None,
         }
     }
@@ -193,18 +181,16 @@ impl Table1Options {
         SearchOptions {
             threads: self.threads,
             limit: self.search_limit,
-            dp_threads: self.dp_threads,
             bound: self.bound,
             store_cap: self.store_cap,
             warm: self.warm,
-            incremental: self.incremental,
             deadline_ms: self.deadline_ms,
         }
     }
 
     /// The inverse of [`Table1Options::search_options`]: the Table 1
     /// run a resolved engine configuration implies. The two structs
-    /// carry the same eight knobs field for field, so the round trip
+    /// carry the same six knobs field for field, so the round trip
     /// is lossless — the seam the allocation service uses to merge
     /// wire-level knob overrides once, against `SearchOptions`, and
     /// feed the result to both verbs.
@@ -212,11 +198,9 @@ impl Table1Options {
         Table1Options {
             search_limit: options.limit,
             threads: options.threads,
-            dp_threads: options.dp_threads,
             bound: options.bound,
             store_cap: options.store_cap,
             warm: options.warm,
-            incremental: options.incremental,
             deadline_ms: options.deadline_ms,
         }
     }
@@ -279,12 +263,29 @@ pub fn table1_row(
         lib,
         pace,
         options,
+        None,
+        &StopSignal::never(),
     )
 }
 
 /// Runs the full Table 1 flow for an arbitrary subject — the seam the
 /// bundled-app path above, the `table1` bin and the allocation service
 /// all share.
+///
+/// With a cross-request [`ArtifactStore`], the row's artifacts are
+/// fetched (or built once) under the request's content fingerprint
+/// and, under `bound` + `warm`, the incumbent is reseeded from a
+/// previously recorded winner. The row is field-identical with or
+/// without a store; only the `artifact_hits`/`artifact_misses`/
+/// `warm_reseeded` telemetry columns see the difference. The artifacts
+/// are fetched once, before step 1, and all three PACE stages run over
+/// them.
+///
+/// `stop` governs the search stage (step 3) — on a trip the winner
+/// columns hold the best-so-far incumbent and
+/// [`Table1Row::completion`] records the reason. The allocation stage
+/// and the design iteration are single PACE evaluations and always run
+/// to completion.
 ///
 /// # Errors
 ///
@@ -294,61 +295,12 @@ pub fn table1_row_for(
     lib: &HwLibrary,
     pace: &PaceConfig,
     options: &Table1Options,
-) -> Result<Table1Row, PaceError> {
-    table1_row_with_store(subject, lib, pace, options, None)
-}
-
-/// [`table1_row_for`] through an optional cross-request
-/// [`ArtifactStore`]: the search stage fetches (or builds once) its
-/// precomputed artifacts under the request's content fingerprint and,
-/// under `bound` + `warm`, reseeds the incumbent from a previously
-/// recorded winner. The row is field-identical with or without a
-/// store; only the `artifact_hits`/`artifact_misses`/`warm_reseeded`
-/// telemetry columns see the difference.
-///
-/// # Errors
-///
-/// Propagates [`PaceError`] from allocation or partitioning.
-pub fn table1_row_with_store(
-    subject: &Table1Subject<'_>,
-    lib: &HwLibrary,
-    pace: &PaceConfig,
-    options: &Table1Options,
-    store: Option<&ArtifactStore>,
-) -> Result<Table1Row, PaceError> {
-    table1_row_with_store_stop(subject, lib, pace, options, store, &StopSignal::never())
-}
-
-/// [`table1_row_with_store`] under an external [`StopSignal`]: the
-/// signal governs the search stage (step 3) — on a trip the winner
-/// columns hold the best-so-far incumbent and
-/// [`Table1Row::completion`] records the reason. The allocation stage
-/// and the design iteration are single PACE evaluations and always run
-/// to completion. The row's artifacts are fetched once, before step 1,
-/// and all three PACE stages run over them.
-///
-/// # Errors
-///
-/// Propagates [`PaceError`] from allocation or partitioning.
-pub fn table1_row_with_store_stop(
-    subject: &Table1Subject<'_>,
-    lib: &HwLibrary,
-    pace: &PaceConfig,
-    options: &Table1Options,
     store: Option<&ArtifactStore>,
     stop: &StopSignal,
 ) -> Result<Table1Row, PaceError> {
     let bsbs = subject.bsbs;
     let area = subject.budget;
-    let search_options = options.search_options();
-    let fetched = Fetched::new(
-        bsbs,
-        lib,
-        subject.restrictions,
-        pace,
-        &search_options,
-        store,
-    )?;
+    let fetched = Fetched::new(bsbs, lib, subject.restrictions, pace, store)?;
 
     // 1–2. The allocation algorithm (timed) and PACE on its result.
     let started = Instant::now();
@@ -365,7 +317,7 @@ pub fn table1_row_with_store_stop(
 
     // 3. PACE on every allocation, through the memoised search engine
     //    (artifacts shared across requests when a store is attached).
-    let search = fetched.search(bsbs, lib, area, pace, &search_options, stop)?;
+    let search = fetched.search(bsbs, lib, area, pace, &options.search_options(), stop)?;
 
     // 4. The manual design iteration, when the paper used one.
     let iterated_su = match subject.iteration {
@@ -680,11 +632,9 @@ mod tests {
         let all_flipped = SearchOptions::new()
             .threads(3)
             .limit(Some(42))
-            .dp_threads(2)
             .bound(true)
             .store_cap(3)
             .warm(false)
-            .incremental(false)
             .deadline_ms(Some(500));
         for opts in [SearchOptions::default(), all_flipped] {
             assert_eq!(

@@ -19,7 +19,7 @@ use lycos_core::Restrictions;
 use lycos_explore::{flow, SyntheticSpec};
 use lycos_hwlib::{Area, HwLibrary};
 use lycos_ir::BsbArray;
-use lycos_pace::{ArtifactKey, ArtifactStore, PaceConfig, SearchOptions, SearchResult};
+use lycos_pace::{ArtifactKey, ArtifactStore, PaceConfig, SearchOptions, SearchResult, StopSignal};
 use proptest::prelude::*;
 
 fn spec_for(idx: usize) -> SyntheticSpec {
@@ -74,11 +74,14 @@ proptest! {
                     .threads(threads)
                     .bound(bound);
 
-                let cold = flow::search(&app, &lib, area, &restr, &pace, &options).unwrap();
+                let cold = flow::search(
+                    &app, &lib, area, &restr, &pace, &options, None, &StopSignal::never(),
+                ).unwrap();
 
                 let store = ArtifactStore::new(4);
-                let first = flow::search_with_store(
+                let first = flow::search(
                     &app, &lib, area, &restr, &pace, &options, Some(&store),
+                    &StopSignal::never(),
                 ).unwrap();
                 prop_assert_eq!(first.stats.artifact_misses, 1);
                 prop_assert_eq!(first.stats.artifact_hits, 0);
@@ -87,8 +90,9 @@ proptest! {
                 // Second identical request: artifacts hit, and the
                 // recorded winner reseeds the incumbent when the
                 // branch-and-bound walk is on.
-                let second = flow::search_with_store(
+                let second = flow::search(
                     &app, &lib, area, &restr, &pace, &options, Some(&store),
+                    &StopSignal::never(),
                 ).unwrap();
                 prop_assert_eq!(second.stats.artifact_hits, 1);
                 prop_assert_eq!(second.stats.artifact_misses, 0);
@@ -126,9 +130,12 @@ proptest! {
         // (warm: seed fits) and the low one again (warm: both fit).
         let budgets = [Area::new(lo), Area::new(lo + delta), Area::new(lo)];
         for area in budgets {
-            let cold = flow::search(&app, &lib, area, &restr, &pace, &options).unwrap();
-            let warm = flow::search_with_store(
+            let cold = flow::search(
+                &app, &lib, area, &restr, &pace, &options, None, &StopSignal::never(),
+            ).unwrap();
+            let warm = flow::search(
                 &app, &lib, area, &restr, &pace, &options, Some(&store),
+                &StopSignal::never(),
             ).unwrap();
             assert_same_winner(&warm, &cold);
         }

@@ -24,8 +24,8 @@ use lycos_explore::SyntheticSpec;
 use lycos_hwlib::{Area, HwLibrary};
 use lycos_ir::{BsbArray, OpKind};
 use lycos_pace::{
-    exhaustive_best, search_best_with, search_pareto, search_pareto_with, search_pareto_with_stop,
-    ArtifactStore, PaceConfig, SearchArtifacts, SearchOptions, StopSignal,
+    exhaustive_best, search_best_with_stop, search_pareto, search_pareto_with_stop, ArtifactStore,
+    PaceConfig, SearchArtifacts, SearchOptions, StopSignal,
 };
 use proptest::prelude::*;
 use std::sync::atomic::AtomicBool;
@@ -95,7 +95,10 @@ proptest! {
         let cap = Area::new(1_000 + extra_area);
         let (store, artifacts) = resident(&app, &restr);
 
-        let sweep = search_pareto_with(&app, &lib, cap, &config, &serving(), &artifacts).unwrap();
+        let never = StopSignal::never();
+        let sweep =
+            search_pareto_with_stop(&app, &lib, cap, &config, &serving(), &artifacts, &never)
+                .unwrap();
         prop_assert!(!sweep.stats.served, "the first sweep walks");
         let front = artifacts.stored_front().expect("a complete sweep is stored");
         prop_assert_eq!(front.cap, cap);
@@ -113,7 +116,9 @@ proptest! {
         for &b in &budgets {
             let budget = Area::new(b);
             let got =
-                search_best_with(&app, &lib, budget, &config, &serving(), &artifacts, &[]).unwrap();
+                search_best_with_stop(
+                    &app, &lib, budget, &config, &serving(), &artifacts, &[], &never,
+                ).unwrap();
             let want = exhaustive_best(&app, &lib, budget, &restr, &config, None).unwrap();
             prop_assert!(got.stats.served, "budget {} is under the cap", b);
             prop_assert_eq!(&got.best_allocation, &want.best_allocation, "allocation at {}", b);
@@ -128,8 +133,9 @@ proptest! {
 
         for f in &fractions {
             let budget = Area::new(cap.gates() * f / 1_000);
-            let got = search_pareto_with(&app, &lib, budget, &config, &serving(), &artifacts)
-                .unwrap();
+            let got = search_pareto_with_stop(
+                &app, &lib, budget, &config, &serving(), &artifacts, &never,
+            ).unwrap();
             let fresh = search_pareto(&app, &lib, budget, &restr, &config, &serving()).unwrap();
             prop_assert!(got.stats.served);
             prop_assert!(!fresh.stats.served, "one-shot artifacts are never served");
@@ -165,7 +171,9 @@ proptest! {
                     .limit(None)
                     .bound(bound)
                     .warm(true);
-                search_pareto_with(&app, &lib, cap, &config, &options, &artifacts).unwrap();
+                search_pareto_with_stop(
+                    &app, &lib, cap, &config, &options, &artifacts, &StopSignal::never(),
+                ).unwrap();
                 let front = artifacts.stored_front().expect("a complete sweep is stored");
                 match &reference {
                     None => reference = Some(front),
@@ -190,11 +198,21 @@ fn only_complete_unlimited_warm_sweeps_store_and_only_bounded_warm_searches_serv
     let restr = Restrictions::from_asap(&app, &lib).unwrap();
     let cap = Area::new(6_000);
     let (store, artifacts) = resident(&app, &restr);
+    let never = StopSignal::never();
 
     // Sweeps that must not store: limited, no-warm, cancelled.
     let limited = serving().limit(Some(2));
-    search_pareto_with(&app, &lib, cap, &config, &limited, &artifacts).unwrap();
-    search_pareto_with(&app, &lib, cap, &config, &serving().warm(false), &artifacts).unwrap();
+    search_pareto_with_stop(&app, &lib, cap, &config, &limited, &artifacts, &never).unwrap();
+    search_pareto_with_stop(
+        &app,
+        &lib,
+        cap,
+        &config,
+        &serving().warm(false),
+        &artifacts,
+        &never,
+    )
+    .unwrap();
     let cancelled = StopSignal::never().with_cancel(Arc::new(AtomicBool::new(true)));
     let stopped =
         search_pareto_with_stop(&app, &lib, cap, &config, &serving(), &artifacts, &cancelled)
@@ -205,18 +223,30 @@ fn only_complete_unlimited_warm_sweeps_store_and_only_bounded_warm_searches_serv
     // A narrower sweep stores; a wider one replaces it; a narrower one
     // after that is served from the wider staircase and keeps it.
     let narrow = Area::new(3_000);
-    search_pareto_with(&app, &lib, narrow, &config, &serving(), &artifacts).unwrap();
+    search_pareto_with_stop(&app, &lib, narrow, &config, &serving(), &artifacts, &never).unwrap();
     assert_eq!(artifacts.stored_front().unwrap().cap, narrow);
-    search_pareto_with(&app, &lib, cap, &config, &serving(), &artifacts).unwrap();
+    search_pareto_with_stop(&app, &lib, cap, &config, &serving(), &artifacts, &never).unwrap();
     assert_eq!(artifacts.stored_front().unwrap().cap, cap);
-    let again = search_pareto_with(&app, &lib, narrow, &config, &serving(), &artifacts).unwrap();
+    let again =
+        search_pareto_with_stop(&app, &lib, narrow, &config, &serving(), &artifacts, &never)
+            .unwrap();
     assert!(again.stats.served);
     assert_eq!(artifacts.stored_front().unwrap().cap, cap);
     assert_eq!(store.stats().front_hits, 1);
 
     // Searches that must not be served.
     let best = |options: &SearchOptions, budget: Area| {
-        search_best_with(&app, &lib, budget, &config, options, &artifacts, &[]).unwrap()
+        search_best_with_stop(
+            &app,
+            &lib,
+            budget,
+            &config,
+            options,
+            &artifacts,
+            &[],
+            &never,
+        )
+        .unwrap()
     };
     let within = Area::new(4_000);
     assert!(!best(&serving().bound(false), within).stats.served);
@@ -228,7 +258,7 @@ fn only_complete_unlimited_warm_sweeps_store_and_only_bounded_warm_searches_serv
 
     // One-shot artifacts neither store nor serve.
     let one_shot = SearchArtifacts::prepare(&app, &lib, &restr, &config).unwrap();
-    search_pareto_with(&app, &lib, cap, &config, &serving(), &one_shot).unwrap();
+    search_pareto_with_stop(&app, &lib, cap, &config, &serving(), &one_shot, &never).unwrap();
     assert!(one_shot.stored_front().is_none());
 }
 
@@ -241,11 +271,12 @@ fn same_time_ties_are_served_exactly() {
     let lib = HwLibrary::standard();
     let config = PaceConfig::standard();
     let cap = Area::new(9_000);
+    let never = StopSignal::never();
     for (which, seed) in [(0, 185), (2, 47)] {
         let app = spec(which, 4, 3).generate(seed);
         let restr = Restrictions::from_asap(&app, &lib).unwrap();
         let (_store, artifacts) = resident(&app, &restr);
-        search_pareto_with(&app, &lib, cap, &config, &serving(), &artifacts).unwrap();
+        search_pareto_with_stop(&app, &lib, cap, &config, &serving(), &artifacts, &never).unwrap();
         let front = artifacts
             .stored_front()
             .expect("a complete sweep is stored");
@@ -260,8 +291,17 @@ fn same_time_ties_are_served_exactly() {
         );
         for b in (0..=cap.gates()).step_by(50) {
             let budget = Area::new(b);
-            let got =
-                search_best_with(&app, &lib, budget, &config, &serving(), &artifacts, &[]).unwrap();
+            let got = search_best_with_stop(
+                &app,
+                &lib,
+                budget,
+                &config,
+                &serving(),
+                &artifacts,
+                &[],
+                &never,
+            )
+            .unwrap();
             let want = exhaustive_best(&app, &lib, budget, &restr, &config, None).unwrap();
             assert!(got.stats.served);
             assert_eq!(

@@ -24,8 +24,8 @@ use lycos_explore::{flow, SyntheticSpec};
 use lycos_hwlib::{Area, HwLibrary};
 use lycos_ir::{Bsb, BsbArray, OpKind};
 use lycos_pace::{
-    search_best_with, ArtifactStore, BlockKey, PaceConfig, SearchArtifacts, SearchOptions,
-    SearchResult,
+    search_best_with_stop, ArtifactStore, BlockKey, PaceConfig, SearchArtifacts, SearchOptions,
+    SearchResult, StopSignal,
 };
 use proptest::prelude::*;
 
@@ -146,17 +146,20 @@ proptest! {
 
                     // The from-scratch reference on the edited inputs.
                     let scratch = flow::search(
-                        &edited, &lib, area, &edited_restr, &pace, &options,
+                        &edited, &lib, area, &edited_restr, &pace, &options, None,
+                        &StopSignal::never(),
                     ).unwrap();
 
                     // Incremental: prime the store with the original,
                     // then send the edit through the diff path.
                     let store = ArtifactStore::new(4);
-                    flow::search_with_store(
+                    flow::search(
                         &app, &lib, area, &restr, &pace, &options, Some(&store),
+                        &StopSignal::never(),
                     ).unwrap();
-                    let inc = flow::search_with_store(
+                    let inc = flow::search(
                         &edited, &lib, area, &edited_restr, &pace, &options, Some(&store),
+                        &StopSignal::never(),
                     ).unwrap();
 
                     // An edit is never a whole-entry hit, and the diff
@@ -207,19 +210,22 @@ proptest! {
 
         let options = SearchOptions::new().limit(Some(512)).threads(1);
         let store = ArtifactStore::new(4);
-        flow::search_with_store(
+        flow::search(
             &app, &lib, area, &restr, &pace, &options, Some(&store),
+            &StopSignal::never(),
         ).unwrap();
-        let inc = flow::search_with_store(
+        let inc = flow::search(
             &edited, &lib, area, &edited_restr, &pace, &options, Some(&store),
+            &StopSignal::never(),
         ).unwrap();
         prop_assert_eq!(inc.stats.incremental_hits, 1);
         prop_assert_eq!(inc.stats.blocks_rederived, 1);
         prop_assert_eq!(inc.stats.blocks_reused, app.len() as u64 - 1);
 
         // And the repeat of the edited request is a plain hit.
-        let again = flow::search_with_store(
+        let again = flow::search(
             &edited, &lib, area, &edited_restr, &pace, &options, Some(&store),
+            &StopSignal::never(),
         ).unwrap();
         prop_assert_eq!(again.stats.artifact_hits, 1);
         prop_assert_eq!(again.stats.incremental_hits, 0);
@@ -299,12 +305,13 @@ proptest! {
         let options = SearchOptions::new().threads(1).limit(Some(64)).bound(true);
 
         let store = ArtifactStore::new(4);
-        flow::search_with_store(&app, &lib, area, &restr, &pace, &options, Some(&store)).unwrap();
+        let never = StopSignal::never();
+        flow::search(&app, &lib, area, &restr, &pace, &options, Some(&store), &never).unwrap();
         let (carried, _) = store
             .get_or_build_incremental(&edited, &lib, &edited_restr, &pace)
             .unwrap();
         let fresh = SearchArtifacts::prepare(&edited, &lib, &edited_restr, &pace).unwrap();
-        search_best_with(&edited, &lib, area, &pace, &options, &fresh, &[]).unwrap();
+        search_best_with_stop(&edited, &lib, area, &pace, &options, &fresh, &[], &never).unwrap();
 
         let (got, want) = (carried.schedules(), fresh.schedules());
         for b in 0..edited.len() {
@@ -316,7 +323,7 @@ proptest! {
                 }
             }
         }
-        search_best_with(&edited, &lib, area, &pace, &options, &carried, &[]).unwrap();
+        search_best_with_stop(&edited, &lib, area, &pace, &options, &carried, &[], &never).unwrap();
         for b in 0..edited.len() {
             prop_assert_eq!(got.lengths(b), want.lengths(b), "block {}", b);
         }

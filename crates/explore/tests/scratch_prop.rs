@@ -5,8 +5,7 @@
 //! [`DpScratch`] threaded through every evaluation — across *different*
 //! applications, budgets and level counts, exactly as a search worker
 //! reuses it — must produce partitions identical to a fresh
-//! [`partition`] call, and so must the intra-candidate `dp_threads`
-//! row split at any worker count.
+//! [`partition`] call.
 
 use lycos_core::{RMap, Restrictions};
 use lycos_explore::SyntheticSpec;
@@ -56,24 +55,22 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
     /// One scratch across a random sequence of apps/budgets equals a
-    /// fresh partition per call — sequentially and with the row split.
+    /// fresh partition per call.
     #[test]
     fn reused_scratch_matches_fresh_partitions(
         seed in 0u64..512,
         blocks in 1usize..9,
         max_ops in 1usize..10,
         picks in prop::collection::vec(any::<u8>(), 1..8),
-        // Up to ~9.4k controller levels: wide enough that some draws
-        // genuinely engage the dp_threads row split (≥4k cells per
-        // worker), tight enough that others prune hard.
+        // Up to ~9.4k controller levels: wide rows for some draws,
+        // tight enough that others prune hard.
         extras in prop::collection::vec(0u64..150_000, 2..5),
     ) {
         let lib = HwLibrary::standard();
         let config = PaceConfig::standard();
         let mut scratch = DpScratch::new();
-        let mut split = DpScratch::with_dp_threads(3);
 
-        // Two different applications share the same workspaces, in
+        // Two different applications share the same workspace, in
         // alternation — the reuse pattern a long-lived search worker
         // (or the allocation service) exhibits.
         let apps = [
@@ -91,10 +88,6 @@ proptest! {
                         partition_with_scratch(app, &lib, &alloc, total, &config, &mut scratch)
                             .unwrap();
                     prop_assert_eq!(&reused, &fresh, "scratch reuse diverged (+{} GE)", extra);
-                    let par =
-                        partition_with_scratch(app, &lib, &alloc, total, &config, &mut split)
-                            .unwrap();
-                    prop_assert_eq!(&par, &fresh, "dp_threads split diverged (+{} GE)", extra);
                 }
             }
         }

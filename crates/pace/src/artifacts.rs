@@ -11,7 +11,7 @@
 //! * [`SearchArtifacts`] — everything derived from one
 //!   (application, unit library, configuration) triple, built once by
 //!   [`SearchArtifacts::prepare`] and consumed by
-//!   [`crate::search_best_with`] / [`crate::search_pareto_with`] /
+//!   [`crate::search_best_with_stop`] / [`crate::search_pareto_with_stop`] /
 //!   [`crate::exhaustive_best_with`] / the partition helpers. Bound
 //!   tables stay lazy (built on first bounded use), and the comm memo
 //!   starts empty on the one-shot path — cold calls through the compat
@@ -33,7 +33,7 @@
 //!   winners ([`WarmSeed`]) so a warm repeat can reseed the engine's
 //!   shared incumbent and prune most of the space on arrival — while
 //!   staying field-exact, because the shared-incumbent prune is
-//!   strict-only (see [`crate::search_best_with`]).
+//!   strict-only (see [`crate::search_best_with_stop`]).
 //!
 //! # Incremental re-preparation (the edit loop)
 //!
@@ -419,7 +419,7 @@ impl BlockKey {
 /// and (lazily, on first bounded use) the admissible bound tables.
 ///
 /// Build one with [`SearchArtifacts::prepare`] and pass it to the
-/// `*_with` engine entry points; or let the classic wrappers
+/// engine entries that take artifacts; or let the classic wrappers
 /// ([`crate::search_best`] and friends) build a one-shot instance
 /// internally — the results are identical either way.
 pub struct SearchArtifacts {
@@ -801,7 +801,8 @@ impl SearchArtifacts {
     }
 
     /// Whether these artifacts are shared through an
-    /// [`ArtifactStore`] (set by [`ArtifactStore::get_or_build`]).
+    /// [`ArtifactStore`] (set by
+    /// [`ArtifactStore::get_or_build_incremental`]).
     /// The engines consult this before doing evaluation-memo and
     /// staircase bookkeeping: on one-shot artifacts nothing could ever
     /// read a recording back, so the sweep skips it entirely.
@@ -983,7 +984,7 @@ impl fmt::Debug for SearchArtifacts {
     }
 }
 
-/// A previous winner of [`crate::search_best_with`] over the same
+/// A previous winner of [`crate::search_best_with_stop`] over the same
 /// artifacts, usable to reseed a later run's shared incumbent.
 ///
 /// Soundness contract (enforced by [`ArtifactStore::warm_seeds`] and
@@ -1204,31 +1205,6 @@ impl ArtifactStore {
         artifacts
     }
 
-    /// [`ArtifactStore::get`] falling back to `build` +
-    /// [`ArtifactStore::insert`]. Returns the shared artifacts and
-    /// whether the lookup was a hit. Building runs outside the store
-    /// lock, so a slow build never blocks other keys.
-    ///
-    /// # Errors
-    ///
-    /// Whatever `build` returns.
-    pub fn get_or_build<F>(
-        &self,
-        key: ArtifactKey,
-        build: F,
-    ) -> Result<(Arc<SearchArtifacts>, bool), PaceError>
-    where
-        F: FnOnce() -> Result<SearchArtifacts, PaceError>,
-    {
-        if let Some(artifacts) = self.get(key) {
-            return Ok((artifacts, true));
-        }
-        let mut built = build()?;
-        self.adopt(&mut built);
-        let built = Arc::new(built);
-        Ok((self.insert(key, built), false))
-    }
-
     /// Marks freshly built artifacts as store-resident: their served
     /// lookups count on this store's [`StoreStats::front_hits`].
     fn adopt(&self, built: &mut SearchArtifacts) {
@@ -1268,8 +1244,10 @@ impl ArtifactStore {
             .map(|(_, e)| (e.artifacts.clone(), e.winners.clone()))
     }
 
-    /// [`ArtifactStore::get_or_build`] with the miss path upgraded to
-    /// an incremental diff: when a resident entry under the same
+    /// [`ArtifactStore::get`] falling back to a build +
+    /// [`ArtifactStore::insert`]. Building runs outside the store
+    /// lock, so a slow build never blocks other keys. A miss first
+    /// tries an incremental diff: when a resident entry under the same
     /// (library, configuration) context shares block fingerprints with
     /// the request, the new artifacts are built by cloning that
     /// donor's clean per-block state and re-deriving only the dirty
@@ -1305,8 +1283,9 @@ impl ArtifactStore {
             .map(|b| BlockKey::of(b, lib, restrictions))
             .collect();
         let Some((donor, donor_winners)) = self.find_donor(&fingerprint, context) else {
-            // Nothing to diff against: plain from-scratch build, warmed
-            // as the non-incremental store path would.
+            // Nothing to diff against: a from-scratch build, with the
+            // traffic memo warmed so every later hit starts from a
+            // fully known table.
             let mut built = SearchArtifacts::prepare(bsbs, lib, restrictions, config)?;
             built.warm_comm(bsbs, config);
             self.adopt(&mut built);
@@ -1699,25 +1678,27 @@ mod tests {
         let other_restr = Restrictions::from_asap(&other, &lib).unwrap();
         let key_b = ArtifactKey::of(&other, &lib, &other_restr, &config);
 
-        let (_, hit) = store
-            .get_or_build(key_a, || {
-                SearchArtifacts::prepare(&bsbs, &lib, &restr, &config)
-            })
+        let (a, outcome) = store
+            .get_or_build_incremental(&bsbs, &lib, &restr, &config)
             .unwrap();
-        assert!(!hit);
-        let (_, hit) = store
-            .get_or_build(key_a, || {
-                SearchArtifacts::prepare(&bsbs, &lib, &restr, &config)
-            })
+        assert!(!outcome.hit && !outcome.incremental);
+        assert_eq!(a.key(), key_a);
+        assert!(a.store_resident());
+        let (again, outcome) = store
+            .get_or_build_incremental(&bsbs, &lib, &restr, &config)
             .unwrap();
-        assert!(hit);
+        assert!(outcome.hit);
+        assert!(Arc::ptr_eq(&a, &again), "a hit shares the resident entry");
+        // Store-resident artifacts count their served lookups on the
+        // store.
+        a.note_front_hit();
+        assert_eq!(store.stats().front_hits, 1);
         // A second application evicts the first at cap 1.
-        let (_, hit) = store
-            .get_or_build(key_b, || {
-                SearchArtifacts::prepare(&other, &lib, &other_restr, &config)
-            })
+        let (b, outcome) = store
+            .get_or_build_incremental(&other, &lib, &other_restr, &config)
             .unwrap();
-        assert!(!hit);
+        assert!(!outcome.hit);
+        assert_eq!(b.key(), key_b);
         let stats = store.stats();
         assert_eq!((stats.hits, stats.misses, stats.evictions), (1, 2, 1));
         assert_eq!((stats.entries, stats.cap), (1, 1));
@@ -1733,9 +1714,7 @@ mod tests {
         let store = ArtifactStore::new(2);
         let key = ArtifactKey::of(&bsbs, &lib, &restr, &config);
         store
-            .get_or_build(key, || {
-                SearchArtifacts::prepare(&bsbs, &lib, &restr, &config)
-            })
+            .get_or_build_incremental(&bsbs, &lib, &restr, &config)
             .unwrap();
         let seed = |t| WarmSeed {
             time: t,

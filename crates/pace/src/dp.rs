@@ -33,14 +33,6 @@
 //!   quanta exceed the total level count are never materialised at
 //!   all: the table for start `j` is truncated at the first such run,
 //!   which also bounds the scan from the feasibility side.
-//! * **Intra-candidate parallelism** — within one row `i`, the cells
-//!   `dp[i][a]` for different area levels `a` are independent (they
-//!   read only rows `< i`), so the row can be split across scoped
-//!   worker threads ([`DpScratch::with_dp_threads`]). Rows stay
-//!   sequential. Results are bit-identical at any worker count; the
-//!   mode is opt-in because it only pays off when `levels` is large
-//!   and the caller is not already saturating the machine with
-//!   candidate-level parallelism (see `SearchOptions::dp_threads`).
 //!
 //! The pre-optimisation implementation is retained as
 //! [`reference_partition_from_metrics`] (hidden from docs): the
@@ -122,17 +114,6 @@ impl Partition {
 /// after a saturating add of any real cost.
 const INF: u64 = u64::MAX / 4;
 
-/// Minimum DP cells one intra-candidate worker must own before the row
-/// split engages. The workers are spawned and joined *per row* (the
-/// mutable row slice changes every iteration, so the scope cannot
-/// outlive it), and a spawn/join cycle costs tens of microseconds — a
-/// worker's chunk must be big enough that its scan dwarfs that, or the
-/// split makes the evaluation strictly slower. At ~4k cells a chunk
-/// costs on the order of 100 µs of scan work; smaller rows run
-/// sequentially whatever `dp_threads` says (the result is identical
-/// either way).
-const DP_PAR_MIN_CELLS: usize = 4096;
-
 /// Reusable workspace of the PACE dynamic program.
 ///
 /// Owns the flat run tables and the `dp`/`choice` grids so that
@@ -143,14 +124,10 @@ const DP_PAR_MIN_CELLS: usize = 4096;
 /// *different* applications and budgets; every evaluation resizes its
 /// views first (pinned by property tests in the exploration crate).
 ///
-/// Construct with [`DpScratch::new`] (sequential) or
-/// [`DpScratch::with_dp_threads`] (opt-in intra-candidate row
-/// parallelism), then thread `&mut` through
+/// Construct with [`DpScratch::new`], then thread `&mut` through
 /// [`partition_with_scratch`] or [`partition_from_metrics`].
 #[derive(Clone, Debug)]
 pub struct DpScratch {
-    /// Intra-candidate workers: `1` = sequential, `0` = one per core.
-    dp_threads: usize,
     /// Test seam: run the pure scalar inner scan instead of the
     /// [`LANES`]-wide chunked one, which must match it bit for bit.
     #[cfg(test)]
@@ -191,19 +168,9 @@ impl Default for DpScratch {
 }
 
 impl DpScratch {
-    /// An empty sequential workspace.
+    /// An empty workspace.
     pub fn new() -> Self {
-        Self::with_dp_threads(1)
-    }
-
-    /// A workspace whose evaluations split each DP row across
-    /// `dp_threads` scoped workers (`0` = one per available core,
-    /// `1` = sequential). Results are identical at any setting; rows
-    /// too small to give each worker ~4k cells stay sequential, since
-    /// the per-row spawn/join would otherwise outweigh the scan.
-    pub fn with_dp_threads(dp_threads: usize) -> Self {
         DpScratch {
-            dp_threads,
             #[cfg(test)]
             scalar: false,
             feasible: Vec::new(),
@@ -218,29 +185,6 @@ impl DpScratch {
             l: 0,
             levels: 0,
         }
-    }
-
-    /// The configured intra-candidate worker count.
-    pub fn dp_threads(&self) -> usize {
-        self.dp_threads
-    }
-
-    /// Reconfigures the intra-candidate worker count in place, keeping
-    /// the warmed buffers.
-    pub fn set_dp_threads(&mut self, dp_threads: usize) {
-        self.dp_threads = dp_threads;
-    }
-
-    /// Workers the next row split would actually use for `width` cells.
-    fn effective_dp_workers(&self, width: usize) -> usize {
-        let requested = if self.dp_threads == 0 {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-        } else {
-            self.dp_threads
-        };
-        requested.clamp(1, (width / DP_PAR_MIN_CELLS).max(1))
     }
 
     /// Runs the forward DP over `metrics`, filling the run tables and
@@ -271,10 +215,9 @@ impl DpScratch {
     /// rows: returns `None` if `stop` trips mid-evaluation (the grids
     /// are then partially filled and must not be backtracked), `Some`
     /// with the exact hybrid time otherwise. A row is the natural
-    /// abandon granularity — each costs `O(width × runs)` and rows are
-    /// the unit the scoped row-split parallelism already joins on, so
-    /// the check adds one branch per row and bounds deadline overrun to
-    /// a single row.
+    /// abandon granularity — each costs `O(width × runs)`, so the check
+    /// adds one branch per row and bounds deadline overrun to a single
+    /// row.
     pub(crate) fn evaluate_stoppable(
         &mut self,
         bsbs: &BsbArray,
@@ -339,7 +282,6 @@ impl DpScratch {
         self.choice.resize(need, 0);
         self.dp[..width].fill(0);
 
-        let workers = self.effective_dp_workers(width);
         let run_off: &[usize] = &self.run_off;
         let run_len: &[usize] = &self.run_len;
         let run_time: &[u64] = &self.run_time;
@@ -361,42 +303,19 @@ impl DpScratch {
             }
             let sw_prev = metrics[i - 1].sw_time.count();
             let (done, rest) = dp.split_at_mut(i * width);
-            let dp_row = &mut rest[..width];
-            let choice_row = &mut choice[i * width..(i + 1) * width];
-            if workers <= 1 {
-                kernel(
-                    i, width, 0, done, dp_row, choice_row, sw_prev, run_off, run_len, run_time,
-                    run_quanta,
-                );
-            } else {
-                // Cells of one row only read rows < i (`done`), so
-                // contiguous chunks of the area axis are independent.
-                let chunk = width.div_ceil(workers);
-                std::thread::scope(|scope| {
-                    for (w, (dp_chunk, choice_chunk)) in dp_row
-                        .chunks_mut(chunk)
-                        .zip(choice_row.chunks_mut(chunk))
-                        .enumerate()
-                    {
-                        let done = &*done;
-                        scope.spawn(move || {
-                            kernel(
-                                i,
-                                width,
-                                w * chunk,
-                                done,
-                                dp_chunk,
-                                choice_chunk,
-                                sw_prev,
-                                run_off,
-                                run_len,
-                                run_time,
-                                run_quanta,
-                            );
-                        });
-                    }
-                });
-            }
+            kernel(
+                i,
+                width,
+                0,
+                done,
+                &mut rest[..width],
+                &mut choice[i * width..(i + 1) * width],
+                sw_prev,
+                run_off,
+                run_len,
+                run_time,
+                run_quanta,
+            );
         }
         Some(self.dp[l * width + levels])
     }
@@ -1383,35 +1302,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_rows_match_sequential_on_wide_budgets() {
-        // Budgets wide enough (thousands of levels, so each worker's
-        // chunk clears DP_PAR_MIN_CELLS) that the row split actually
-        // engages, across several worker counts including the auto
-        // setting.
-        let lib = lib();
-        let cfg = PaceConfig::standard();
-        for (bsbs, alloc) in zoo() {
-            let total = Area::new(alloc.area(&lib).gates() + 140_000); // 8750 levels
-            let fresh = partition(&bsbs, &lib, &alloc, total, &cfg).unwrap();
-            for dp_threads in [0usize, 2, 5] {
-                let mut scratch = DpScratch::with_dp_threads(dp_threads);
-                let par =
-                    partition_with_scratch(&bsbs, &lib, &alloc, total, &cfg, &mut scratch).unwrap();
-                assert_eq!(par, fresh, "{} dp_threads={dp_threads}", bsbs.app_name());
-            }
-        }
-        // The split genuinely engages for multi-worker settings on a
-        // row wide enough to feed them, and genuinely does not on rows
-        // where a chunk could not amortise its per-row spawn.
-        let s = DpScratch::with_dp_threads(4);
-        assert_eq!(s.effective_dp_workers(4 * DP_PAR_MIN_CELLS), 4);
-        assert_eq!(s.effective_dp_workers(8_751), 2);
-        assert_eq!(s.effective_dp_workers(2_501), 1);
-        assert_eq!(s.effective_dp_workers(63), 1);
-        assert_eq!(DpScratch::new().dp_threads(), 1);
-    }
-
-    #[test]
     fn lane_chunked_scan_is_bit_identical_to_scalar() {
         // Not just the same partition: the full dp/choice grids must
         // match cell for cell, across row widths that exercise whole
@@ -1422,7 +1312,7 @@ mod tests {
         let cfg = PaceConfig::standard();
         for (bsbs, alloc) in zoo() {
             let dp_gates = alloc.area(&lib).gates();
-            for extra in [0u64, 16, 33, 100, 307, 1_000, 10_000] {
+            for extra in [0u64, 16, 33, 100, 307, 1_000, 10_000, 140_000] {
                 let total = Area::new(dp_gates + extra);
                 let metrics = compute_metrics(&bsbs, &lib, &alloc, &cfg).unwrap();
                 let ctl = total.checked_sub(alloc.area(&lib)).unwrap();
@@ -1453,27 +1343,6 @@ mod tests {
                     lanes.backtrack(&metrics, alloc.area(&lib)),
                     scalar.backtrack(&metrics, alloc.area(&lib)),
                 );
-            }
-        }
-    }
-
-    #[test]
-    fn lane_chunked_scan_survives_the_row_split() {
-        // lanes × dp_threads: the parallel row chunks start at arbitrary
-        // a0 offsets, so lane groups straddle chunk-local alignments.
-        let lib = lib();
-        let cfg = PaceConfig::standard();
-        for (bsbs, alloc) in zoo() {
-            let total = Area::new(alloc.area(&lib).gates() + 140_000);
-            let mut scalar = DpScratch::new();
-            scalar.scalar = true;
-            let seed =
-                partition_with_scratch(&bsbs, &lib, &alloc, total, &cfg, &mut scalar).unwrap();
-            for dp_threads in [1usize, 2, 5] {
-                let mut scratch = DpScratch::with_dp_threads(dp_threads);
-                let par =
-                    partition_with_scratch(&bsbs, &lib, &alloc, total, &cfg, &mut scratch).unwrap();
-                assert_eq!(par, seed, "{} dp_threads={dp_threads}", bsbs.app_name());
             }
         }
     }

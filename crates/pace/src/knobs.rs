@@ -52,7 +52,7 @@ pub enum KnobSetting {
 /// One search-engine knob: its name, kind and [`SearchOptions`]
 /// accessors. See [`SEARCH_KNOBS`].
 pub struct SearchKnob {
-    /// Kebab-case base name (`"dp-threads"`, `"store-cap"`, …) — the
+    /// Kebab-case base name (`"store-cap"`, `"deadline-ms"`, …) — the
     /// CLI flag stem and the [`KnobOverrides`] key.
     pub name: &'static str,
     /// The serve protocol's token for this knob: the name itself for
@@ -113,12 +113,6 @@ fn set_limit(o: &mut SearchOptions, s: KnobSetting) {
     }
 }
 
-fn set_dp_threads(o: &mut SearchOptions, s: KnobSetting) {
-    if let KnobSetting::Count(n) = s {
-        o.dp_threads = n;
-    }
-}
-
 fn set_bound(o: &mut SearchOptions, s: KnobSetting) {
     if let KnobSetting::Switch(on) = s {
         o.bound = on;
@@ -134,12 +128,6 @@ fn set_store_cap(o: &mut SearchOptions, s: KnobSetting) {
 fn set_warm(o: &mut SearchOptions, s: KnobSetting) {
     if let KnobSetting::Switch(on) = s {
         o.warm = on;
-    }
-}
-
-fn set_incremental(o: &mut SearchOptions, s: KnobSetting) {
-    if let KnobSetting::Switch(on) = s {
-        o.incremental = on;
     }
 }
 
@@ -169,13 +157,6 @@ pub const SEARCH_KNOBS: &[SearchKnob] = &[
         get: |o| KnobSetting::Limit(o.limit),
     },
     SearchKnob {
-        name: "dp-threads",
-        wire: "dp-threads",
-        kind: KnobKind::Count,
-        set: set_dp_threads,
-        get: |o| KnobSetting::Count(o.dp_threads),
-    },
-    SearchKnob {
         name: "bound",
         wire: "bound",
         kind: KnobKind::EnabledBy,
@@ -195,13 +176,6 @@ pub const SEARCH_KNOBS: &[SearchKnob] = &[
         kind: KnobKind::DisabledBy,
         set: set_warm,
         get: |o| KnobSetting::Switch(o.warm),
-    },
-    SearchKnob {
-        name: "incremental",
-        wire: "no-incremental",
-        kind: KnobKind::DisabledBy,
-        set: set_incremental,
-        get: |o| KnobSetting::Switch(o.incremental),
     },
     SearchKnob {
         name: "deadline-ms",
@@ -337,10 +311,6 @@ mod tests {
             KnobSetting::Limit(None)
         );
         assert_eq!(
-            search_knob("dp-threads").unwrap().read(&d),
-            KnobSetting::Count(1)
-        );
-        assert_eq!(
             search_knob("bound").unwrap().read(&d),
             KnobSetting::Switch(false)
         );
@@ -353,14 +323,22 @@ mod tests {
             KnobSetting::Switch(true)
         );
         assert_eq!(
-            search_knob("incremental").unwrap().read(&d),
-            KnobSetting::Switch(true)
-        );
-        assert_eq!(
             search_knob("deadline-ms").unwrap().read(&d),
             KnobSetting::Limit(None)
         );
         assert!(search_knob("no-such-knob").is_none());
+        let names: Vec<&str> = SEARCH_KNOBS.iter().map(|k| k.name).collect();
+        assert_eq!(
+            names,
+            [
+                "threads",
+                "limit",
+                "bound",
+                "store-cap",
+                "warm",
+                "deadline-ms"
+            ]
+        );
     }
 
     #[test]
@@ -381,7 +359,6 @@ mod tests {
             search_knob_by_wire("warm").is_none(),
             "only the wire spelling resolves"
         );
-        assert!(search_knob_by_wire("incremental").is_none());
     }
 
     #[test]
@@ -418,7 +395,6 @@ mod tests {
         assert_eq!(merged.threads, 4);
         assert_eq!(merged.limit, None, "limit override clears the default");
         assert!(!merged.warm);
-        assert!(merged.incremental, "untouched knobs keep the base value");
-        assert!(!merged.bound);
+        assert!(!merged.bound, "untouched knobs keep the base value");
     }
 }

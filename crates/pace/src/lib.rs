@@ -15,9 +15,8 @@
 //!   is allocation-free: a reusable [`DpScratch`] workspace carries
 //!   flat run tables and DP grids across evaluations
 //!   ([`partition_with_scratch`], [`partition_from_metrics`]), the run
-//!   scan prunes monotonically, and an opt-in `dp_threads` mode splits
-//!   each DP row across scoped workers. The row scan always runs a
-//!   lane-chunked kernel, bit-identical to the scalar one;
+//!   scan prunes monotonically, and the row scan runs a lane-chunked
+//!   kernel, bit-identical to the scalar one;
 //! * [`exhaustive_best`] — the paper's baseline: PACE over *every*
 //!   allocation, marking the best one;
 //! * [`search_best`] — the same search, memoised and parallel: per-BSB
@@ -41,9 +40,9 @@
 //!   statics, the schedule table, the run-traffic memo, the lazy bound
 //!   tables) built once
 //!   behind a content fingerprint ([`ArtifactKey`]) and shared across
-//!   requests through a bounded LRU store. Every engine has a `_with`
-//!   entry taking `&SearchArtifacts` ([`search_best_with`],
-//!   [`search_pareto_with`], [`exhaustive_best_with`],
+//!   requests through a bounded LRU store. Every engine has one entry
+//!   taking `&SearchArtifacts` ([`search_best_with_stop`],
+//!   [`search_pareto_with_stop`], [`exhaustive_best_with`],
 //!   [`greedy_partition_with`], [`partition_with_artifacts`]); the
 //!   classic signatures remain as one-shot compat wrappers. On a warm
 //!   hit the store also offers previously recorded winners
@@ -124,9 +123,8 @@ pub use knobs::{
 };
 pub use metrics::{compute_metrics, BsbMetrics, MetricsCache, ScheduleTable};
 pub use search::{
-    search_best, search_best_with, search_best_with_stop, search_pareto, search_pareto_with,
-    search_pareto_with_stop, BestLocal, BestShared, BestUnderBudget, CandidateEval, Objective,
-    ParetoFront, ParetoLocal, ParetoPoint, ParetoResult, ParetoShared, SearchOptions, SearchStats,
-    StairEntry, StoredFront,
+    search_best, search_best_with_stop, search_pareto, search_pareto_with_stop, BestLocal,
+    BestShared, BestUnderBudget, CandidateEval, Objective, ParetoFront, ParetoLocal, ParetoPoint,
+    ParetoResult, ParetoShared, SearchOptions, SearchStats, StairEntry, StoredFront,
 };
 pub use stop::{Completion, StopReason, StopSignal, STOP_CHECK_INTERVAL};

@@ -144,16 +144,6 @@ pub struct SearchOptions {
     /// walk; bound-pruned points inside the window do not count
     /// against the limit.
     pub limit: Option<usize>,
-    /// Worker threads *inside* one PACE DP evaluation: each DP row's
-    /// area axis is split across scoped workers while rows stay
-    /// sequential ([`DpScratch::with_dp_threads`]). `1` (the default)
-    /// = sequential; `0` = one per available core. Results are
-    /// bit-identical at any setting. In the fully automatic shape
-    /// (`threads: 0` with this left at `1`),
-    /// [`SearchOptions::resolve`] auto-engages the row split when a
-    /// sweep has fewer candidates than the machine has cores; any
-    /// explicitly chosen shape is honoured verbatim.
-    pub dp_threads: usize,
     /// Branch-and-bound: skip odometer subtrees whose admissible lower
     /// bound ([`crate::SearchBounds`]) proves they cannot improve the
     /// incumbent. The returned winner is *field-exact* against the
@@ -212,16 +202,6 @@ pub struct SearchOptions {
     /// ride this knob: a filled slot changes no result, so `no-warm`
     /// runs read and fill it too.
     pub warm: bool,
-    /// Whether a store miss may build its artifacts *incrementally*
-    /// from the nearest resident entry by per-block fingerprint
-    /// overlap — cloning statics, bound tables, and the traffic memo
-    /// for content-clean blocks and re-deriving only the dirty ones
-    /// (see `lycos_pace::BlockKey`). Sound — results stay
-    /// field-identical to a from-scratch build, pinned by
-    /// `incremental_prop.rs` — so this knob exists for A/B
-    /// benchmarking the edit loop. On by default; off always builds
-    /// from scratch on a miss.
-    pub incremental: bool,
     /// Anytime deadline in milliseconds, measured from the moment the
     /// engine starts its sweep; `None` (the default) searches to
     /// completion. On expiry every worker stops cleanly at its next
@@ -231,8 +211,8 @@ pub struct SearchOptions {
     /// in [`SearchStats::unvisited`] — a best-so-far incumbent for
     /// [`search_best`], a partial frontier for [`search_pareto`].
     /// Folded together with any externally supplied
-    /// [`StopSignal`] (earliest deadline wins) by the `_with_stop`
-    /// entry points.
+    /// [`StopSignal`] (earliest deadline wins) by
+    /// [`search_best_with_stop`] and [`search_pareto_with_stop`].
     pub deadline_ms: Option<u64>,
 }
 
@@ -241,11 +221,9 @@ impl Default for SearchOptions {
         SearchOptions {
             threads: 0,
             limit: None,
-            dp_threads: 1,
             bound: false,
             store_cap: 8,
             warm: true,
-            incremental: true,
             deadline_ms: None,
         }
     }
@@ -283,13 +261,6 @@ impl SearchOptions {
         self
     }
 
-    /// Replaces [`SearchOptions::dp_threads`].
-    #[must_use]
-    pub fn dp_threads(mut self, dp_threads: usize) -> Self {
-        self.dp_threads = dp_threads;
-        self
-    }
-
     /// Replaces [`SearchOptions::bound`].
     #[must_use]
     pub fn bound(mut self, bound: bool) -> Self {
@@ -311,13 +282,6 @@ impl SearchOptions {
         self
     }
 
-    /// Replaces [`SearchOptions::incremental`].
-    #[must_use]
-    pub fn incremental(mut self, incremental: bool) -> Self {
-        self.incremental = incremental;
-        self
-    }
-
     /// Replaces [`SearchOptions::deadline_ms`].
     #[must_use]
     pub fn deadline_ms(mut self, deadline_ms: Option<u64>) -> Self {
@@ -325,35 +289,18 @@ impl SearchOptions {
         self
     }
 
-    /// Resolved engine shape for a sweep over `candidates` points:
-    /// `(sweep workers, dp workers)`.
-    ///
-    /// Sweep workers follow the usual clamps (`0` = one per core,
-    /// never more workers than points, hard cap). In the fully
-    /// automatic shape — `threads: 0` ("use the machine") with
-    /// `dp_threads` at its sequential default of `1` — a sweep with
-    /// fewer candidates than the machine has cores auto-engages the
-    /// intra-candidate row split with the cores the fan-out cannot
-    /// use. Any explicitly chosen shape (a concrete `threads`, or a
-    /// `dp_threads` other than `1`, including `0`) is honoured
-    /// verbatim, so [`SearchOptions::sequential`] really is
-    /// sequential. Results are bit-identical at any resolution; only
-    /// the wall clock changes.
-    pub fn resolve(&self, candidates: u128) -> (usize, usize) {
-        self.resolve_with(candidates, available_parallelism())
-    }
-
-    /// [`SearchOptions::resolve`] with an explicit core count, so the
-    /// heuristic is testable off the build machine.
-    fn resolve_with(&self, candidates: u128, available: usize) -> (usize, usize) {
-        let threads = effective_threads_with(self.threads, candidates, available);
-        let auto_shape = self.threads == 0 && self.dp_threads == 1;
-        let dp_threads = if auto_shape && candidates < available as u128 {
-            (available / threads.max(1)).max(1)
+    /// Sweep workers for a sweep over `candidates` points: `0` = one
+    /// per available core, never more workers than points (a
+    /// degenerate `0`-point window still gets one), and never more than
+    /// a hard cap. Results are bit-identical at any count; only the
+    /// wall clock changes.
+    pub fn resolve(&self, candidates: u128) -> usize {
+        let requested = if self.threads == 0 {
+            std::thread::available_parallelism().map_or(1, |n| n.get())
         } else {
-            self.dp_threads
+            self.threads
         };
-        (threads, dp_threads)
+        requested.clamp(1, candidates.clamp(1, MAX_THREADS as u128) as usize)
     }
 }
 
@@ -1663,7 +1610,6 @@ impl<'a, O: Objective> SweepWorker<'a, O> {
         total_gates: u64,
         dims: &'a [(FuId, u32)],
         artifacts: &'a SearchArtifacts,
-        dp_threads: usize,
         bounds: Option<&'a SearchBounds>,
         eval_memo: Option<Arc<EvalMemo>>,
         memoize: bool,
@@ -1679,7 +1625,7 @@ impl<'a, O: Objective> SweepWorker<'a, O> {
             dims,
             cache: MetricsCache::from_artifacts(bsbs, lib, config, artifacts),
             comm: artifacts.comm_clone(),
-            scratch: DpScratch::with_dp_threads(dp_threads),
+            scratch: DpScratch::new(),
             metrics: Vec::with_capacity(bsbs.len()),
             candidate: RMap::new(),
             dirty: DirtyKinds::new(dims.len()),
@@ -1995,7 +1941,6 @@ fn sweep_chunks<O: Objective>(
     width: u128,
     cursor: &AtomicU64,
     artifacts: &SearchArtifacts,
-    dp_threads: usize,
     bounds: Option<&SearchBounds>,
     eval_memo: Option<Arc<EvalMemo>>,
     memoize: bool,
@@ -2010,7 +1955,6 @@ fn sweep_chunks<O: Objective>(
         total_gates,
         dims,
         artifacts,
-        dp_threads,
         bounds,
         eval_memo,
         memoize,
@@ -2044,30 +1988,6 @@ fn sweep_chunks<O: Objective>(
 /// Hard cap on sweep workers: beyond this, thread spawn/join overhead
 /// dwarfs any split benefit on every machine this could run on.
 const MAX_THREADS: usize = 1024;
-
-/// The machine's available parallelism, at least 1.
-fn available_parallelism() -> usize {
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
-}
-
-/// [`effective_threads`] with an explicit core count (testable).
-fn effective_threads_with(requested: usize, bound: u128, available: usize) -> usize {
-    let t = if requested == 0 { available } else { requested };
-    t.clamp(1, bound.clamp(1, MAX_THREADS as u128) as usize)
-}
-
-/// Resolves the worker count: `0` = available parallelism, never more
-/// workers than points, and never more than [`MAX_THREADS`]. A
-/// degenerate `bound == 0` still resolves to one worker, so the sweep
-/// always has someone to cover its (possibly empty) window.
-/// ([`SearchOptions::resolve`] is the production entry; this direct
-/// form is what its unit tests pin.)
-#[cfg(test)]
-fn effective_threads(requested: usize, bound: u128) -> usize {
-    effective_threads_with(requested, bound, available_parallelism())
-}
 
 /// Memoised, optionally parallel, optionally bound-driven search —
 /// result-identical to [`exhaustive_best`](crate::exhaustive_best)
@@ -2145,59 +2065,43 @@ pub fn search_best(
     options: &SearchOptions,
 ) -> Result<SearchResult, PaceError> {
     let artifacts = SearchArtifacts::prepare(bsbs, lib, restrictions, config)?;
-    search_best_with(bsbs, lib, total_area, config, options, &artifacts, &[])
-}
-
-/// [`search_best`] over artifacts prepared (or fetched from an
-/// [`ArtifactStore`](crate::ArtifactStore)) elsewhere — the seam every
-/// store-owning layer calls. `seeds` are previously recorded winners
-/// offered for warm-start reseeding: each seed whose odometer index
-/// lies inside the truncation window is installed as an initial shared
-/// incumbent (when [`SearchOptions::bound`] is on), which can only
-/// tighten pruning — the result is field-identical to a cold run with
-/// `&[]`, pinned by the warm/cold equivalence proptests. Callers must
-/// only offer seeds that are points of *this* search's space with a
-/// data-path area within the current budget (the store's
-/// budget-filtered `warm_seeds` guarantees it).
-///
-/// # Errors
-///
-/// Propagates [`PaceError`] as [`search_best`] does.
-pub fn search_best_with(
-    bsbs: &BsbArray,
-    lib: &HwLibrary,
-    total_area: Area,
-    config: &PaceConfig,
-    options: &SearchOptions,
-    artifacts: &SearchArtifacts,
-    seeds: &[WarmSeed],
-) -> Result<SearchResult, PaceError> {
     search_best_with_stop(
         bsbs,
         lib,
         total_area,
         config,
         options,
-        artifacts,
-        seeds,
+        &artifacts,
+        &[],
         &StopSignal::never(),
     )
 }
 
-/// [`search_best_with`] under an external [`StopSignal`] — the
-/// anytime entry point the serve layer drives. The signal is folded
-/// with [`SearchOptions::deadline_ms`] (earliest deadline wins); when
-/// it trips, every worker stops cleanly at its next check, the
-/// deterministic reduce runs over whatever was visited, and the
-/// result's [`SearchStats::completion`] reports how the run ended.
+/// [`search_best`] over artifacts prepared (or fetched from an
+/// [`ArtifactStore`](crate::ArtifactStore)) elsewhere, under an
+/// external [`StopSignal`] — the seam every store-owning layer and the
+/// serve layer call.
 ///
-/// The anytime contract: whatever the signal does, the returned
-/// winner is a *feasible, DP-exact* point of the space — the best one
-/// visited before the stop. If the signal tripped before any worker
-/// evaluated anything, the always-feasible all-software point is
-/// evaluated directly and returned, so the incumbent is never empty.
-/// A signal that never trips leaves the result bit-identical to
-/// [`search_best_with`].
+/// `seeds` are previously recorded winners offered for warm-start
+/// reseeding: each seed whose odometer index lies inside the
+/// truncation window is installed as an initial shared incumbent (when
+/// [`SearchOptions::bound`] is on), which can only tighten pruning —
+/// the result is field-identical to a cold run with `&[]`, pinned by
+/// the warm/cold equivalence proptests. Callers must only offer seeds
+/// that are points of *this* search's space with a data-path area
+/// within the current budget (the store's budget-filtered
+/// `warm_seeds` guarantees it).
+///
+/// The signal is folded with [`SearchOptions::deadline_ms`] (earliest
+/// deadline wins); when it trips, every worker stops cleanly at its
+/// next check, the deterministic reduce runs over whatever was
+/// visited, and the result's [`SearchStats::completion`] reports how
+/// the run ended. The anytime contract: whatever the signal does, the
+/// returned winner is a *feasible, DP-exact* point of the space — the
+/// best one visited before the stop. If the signal tripped before any
+/// worker evaluated anything, the always-feasible all-software point
+/// is evaluated directly and returned, so the incumbent is never
+/// empty. [`StopSignal::never`] runs the sweep to completion.
 ///
 /// Over store-resident artifacts carrying a [`StoredFront`] whose cap
 /// covers `total_area`, a bounded, unlimited, warm search is answered
@@ -2207,7 +2111,7 @@ pub fn search_best_with(
 /// # Errors
 ///
 /// Propagates [`PaceError`] as [`search_best`] does.
-#[allow(clippy::too_many_arguments)] // the _with seam plus the stop signal
+#[allow(clippy::too_many_arguments)] // the artifact seam plus seeds and the stop signal
 pub fn search_best_with_stop(
     bsbs: &BsbArray,
     lib: &HwLibrary,
@@ -2343,45 +2247,28 @@ pub fn search_pareto(
     options: &SearchOptions,
 ) -> Result<ParetoResult, PaceError> {
     let artifacts = SearchArtifacts::prepare(bsbs, lib, restrictions, config)?;
-    search_pareto_with(bsbs, lib, total_area, config, options, &artifacts)
-}
-
-/// [`search_pareto`] over artifacts prepared (or fetched from an
-/// [`ArtifactStore`](crate::ArtifactStore)) elsewhere. A frontier has
-/// no single incumbent to reseed, so there is no seed parameter — the
-/// warm win here is reusing the statics, traffic memo and bound
-/// tables.
-///
-/// # Errors
-///
-/// Propagates [`PaceError`] as [`search_pareto`] does.
-pub fn search_pareto_with(
-    bsbs: &BsbArray,
-    lib: &HwLibrary,
-    total_area: Area,
-    config: &PaceConfig,
-    options: &SearchOptions,
-    artifacts: &SearchArtifacts,
-) -> Result<ParetoResult, PaceError> {
     search_pareto_with_stop(
         bsbs,
         lib,
         total_area,
         config,
         options,
-        artifacts,
+        &artifacts,
         &StopSignal::never(),
     )
 }
 
-/// [`search_pareto_with`] under an external [`StopSignal`] (folded
-/// with [`SearchOptions::deadline_ms`], earliest deadline wins). On a
-/// trip the result is the *partial* frontier of everything visited —
-/// every point on it is feasible and DP-exact, but points a longer
-/// run would have found may be missing. If the signal tripped before
-/// anything was evaluated, the always-feasible all-software point is
-/// evaluated directly so the frontier is never empty. A signal that
-/// never trips is bit-identical to [`search_pareto_with`].
+/// [`search_pareto`] over artifacts prepared (or fetched from an
+/// [`ArtifactStore`](crate::ArtifactStore)) elsewhere, under an
+/// external [`StopSignal`] (folded with [`SearchOptions::deadline_ms`],
+/// earliest deadline wins). A frontier has no single incumbent to
+/// reseed, so there is no seed parameter — the warm win here is
+/// reusing the statics, traffic memo and bound tables. On a trip the
+/// result is the *partial* frontier of everything visited — every
+/// point on it is feasible and DP-exact, but points a longer run would
+/// have found may be missing. If the signal tripped before anything
+/// was evaluated, the always-feasible all-software point is evaluated
+/// directly so the frontier is never empty.
 ///
 /// Over store-resident artifacts with [`SearchOptions::warm`] on, a
 /// complete sweep without a `limit` keeps its staircase on the
@@ -2558,7 +2445,7 @@ struct EngineRun<T> {
 /// threaded to every worker; points no worker reached before a trip
 /// are tallied centrally as [`SearchStats::unvisited`], closing the
 /// five-bucket accounting identity.
-#[allow(clippy::too_many_arguments)] // internal seam of the _with wrappers
+#[allow(clippy::too_many_arguments)] // internal seam of the public entries
 fn run_search<O: Objective>(
     bsbs: &BsbArray,
     lib: &HwLibrary,
@@ -2582,7 +2469,7 @@ fn run_search<O: Objective>(
     // empty dimension list still spans one point — so the reduce
     // below always sees at least one evaluated candidate.
     debug_assert!(bound >= 1, "search bound excludes the all-SW point");
-    let (threads, dp_threads) = options.resolve(bound);
+    let threads = options.resolve(bound);
 
     // The artifacts carry the sweep's one-time precomputes: per-block
     // statics (software times, required resources, kind sets) and the
@@ -2658,7 +2545,6 @@ fn run_search<O: Objective>(
             width,
             &cursor,
             artifacts,
-            dp_threads,
             bounds,
             eval_memo.clone(),
             memoize,
@@ -2862,17 +2748,14 @@ mod tests {
         let area = Area::new(8_000);
         let seed = exhaustive_best(&bsbs, &lib, area, &restr, &cfg, None).unwrap();
         for threads in [1, 2, 3, 7] {
-            for dp_threads in [1, 2] {
-                let opts = SearchOptions {
-                    threads,
-                    limit: None,
-                    dp_threads,
-                    bound: false,
-                    ..SearchOptions::default()
-                };
-                let got = search_best(&bsbs, &lib, area, &restr, &cfg, &opts).unwrap();
-                assert_eq!(got, seed, "threads={threads} dp_threads={dp_threads}");
-            }
+            let opts = SearchOptions {
+                threads,
+                limit: None,
+                bound: false,
+                ..SearchOptions::default()
+            };
+            let got = search_best(&bsbs, &lib, area, &restr, &cfg, &opts).unwrap();
+            assert_eq!(got, seed, "threads={threads}");
         }
     }
 
@@ -3016,7 +2899,6 @@ mod tests {
                 let opts = SearchOptions {
                     threads,
                     limit: Some(limit),
-                    dp_threads: 1,
                     bound: false,
                     ..SearchOptions::default()
                 };
@@ -3136,59 +3018,20 @@ mod tests {
     }
 
     #[test]
-    fn effective_threads_clamps_to_points_and_cap() {
+    fn resolve_clamps_workers_to_points_and_cap() {
+        let threads = |n| SearchOptions::new().threads(n);
         // Explicit requests clamp to the number of points…
-        assert_eq!(effective_threads(8, 3), 3);
-        assert_eq!(effective_threads(1, 3), 1);
+        assert_eq!(threads(8).resolve(3), 3);
+        assert_eq!(threads(1).resolve(3), 1);
         // …a degenerate empty space still yields one worker…
-        assert_eq!(effective_threads(4, 0), 1);
-        assert_eq!(effective_threads(0, 0), 1);
+        assert_eq!(threads(4).resolve(0), 1);
+        assert_eq!(threads(0).resolve(0), 1);
         // …huge spaces cap at MAX_THREADS however much is requested…
-        assert_eq!(effective_threads(1_000_000, u128::MAX), MAX_THREADS);
+        assert_eq!(threads(1_000_000).resolve(u128::MAX), MAX_THREADS);
         // …and `0` resolves to the machine's parallelism, at least 1.
-        let auto = effective_threads(0, u128::MAX);
+        let auto = threads(0).resolve(u128::MAX);
         assert!((1..=MAX_THREADS).contains(&auto));
-    }
-
-    #[test]
-    fn resolve_auto_engages_dp_threads_on_small_sweeps() {
-        let defaults = SearchOptions::default();
-        // Fewer candidates than cores: the sweep can only use 3 of 8
-        // workers, so each gets the leftover cores for its DP rows.
-        assert_eq!(defaults.resolve_with(3, 8), (3, 2));
-        // A single candidate gets the whole machine inside the DP.
-        assert_eq!(defaults.resolve_with(1, 8), (1, 8));
-        // Enough candidates: the row split stays off.
-        assert_eq!(defaults.resolve_with(1_000, 8), (8, 1));
-        assert_eq!(defaults.resolve_with(8, 8), (8, 1));
-        // A single-core machine never engages it.
-        assert_eq!(defaults.resolve_with(3, 1), (1, 1));
-        // Explicit dp_threads settings are honoured verbatim — even 0
-        // (auto inside DpScratch) and even on small sweeps.
-        let explicit = SearchOptions {
-            dp_threads: 4,
-            ..SearchOptions::default()
-        };
-        assert_eq!(explicit.resolve_with(2, 8), (2, 4));
-        let zero = SearchOptions {
-            dp_threads: 0,
-            ..SearchOptions::default()
-        };
-        assert_eq!(zero.resolve_with(2, 8), (2, 0));
-        // An explicit sweep-thread request leaves the auto shape: the
-        // chosen configuration is honoured verbatim — sequential()
-        // really is sequential, however small the sweep.
-        let seq = SearchOptions {
-            threads: 1,
-            ..SearchOptions::default()
-        };
-        assert_eq!(seq.resolve_with(2, 8), (1, 1));
-        assert_eq!(SearchOptions::sequential().resolve_with(2, 8), (1, 1));
-        let four = SearchOptions {
-            threads: 4,
-            ..SearchOptions::default()
-        };
-        assert_eq!(four.resolve_with(2, 8), (2, 1));
+        assert_eq!(SearchOptions::sequential().resolve(2), 1);
     }
 
     #[test]
@@ -3221,7 +3064,6 @@ mod tests {
             let opts = SearchOptions {
                 threads: 4,
                 limit,
-                dp_threads: 1,
                 bound: false,
                 ..SearchOptions::default()
             };
@@ -3350,20 +3192,16 @@ mod tests {
         let built = SearchOptions::new()
             .threads(4)
             .limit(Some(9))
-            .dp_threads(2)
             .bound(true)
             .store_cap(3)
             .warm(false)
-            .incremental(false)
             .deadline_ms(Some(250));
         let literal = SearchOptions {
             threads: 4,
             limit: Some(9),
-            dp_threads: 2,
             bound: true,
             store_cap: 3,
             warm: false,
-            incremental: false,
             deadline_ms: Some(250),
         };
         assert_eq!(built, literal);

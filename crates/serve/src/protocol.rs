@@ -573,11 +573,9 @@ mod tests {
         let mut knobs = KnobOverrides::new();
         knobs.set("threads", KnobSetting::Count(2));
         knobs.set("limit", KnobSetting::Limit(None)); // `limit=0` on the wire
-        knobs.set("dp-threads", KnobSetting::Count(4));
         knobs.set("bound", KnobSetting::Switch(true));
         knobs.set("store-cap", KnobSetting::Count(1));
         knobs.set("warm", KnobSetting::Switch(false));
-        knobs.set("incremental", KnobSetting::Switch(false));
         knobs
     }
 
@@ -654,20 +652,18 @@ mod tests {
         // The byte-pinned canonical line: jobs, then knobs in engine
         // table order, then format, then timing — exactly what the
         // hand-rolled emitter produced before the knob-table refactor.
-        let line = "table1 app=hal threads=2 limit=0 dp-threads=4 bound store-cap=1 \
-                    no-warm no-incremental format=text timing";
+        let line = "table1 app=hal threads=2 limit=0 bound store-cap=1 no-warm format=text timing";
         let req = Request::parse(line).unwrap();
         assert_eq!(req.to_line(), line);
         // Scrambled client input still renders the canonical order.
         let scrambled = Request::parse(
-            "table1 no-incremental bound app=hal limit=0 timing threads=2 store-cap=1 \
-             dp-threads=4 no-warm format=text",
+            "table1 bound app=hal limit=0 timing threads=2 store-cap=1 no-warm format=text",
         )
         .unwrap();
         assert_eq!(scrambled.to_line(), line);
         // And the pareto verb shares the emitter (minus `timing`).
-        let pareto = "pareto app=eigen@12000 threads=2 limit=0 dp-threads=4 bound \
-                      store-cap=1 no-warm no-incremental format=text";
+        let pareto =
+            "pareto app=eigen@12000 threads=2 limit=0 bound store-cap=1 no-warm format=text";
         assert_eq!(Request::parse(pareto).unwrap().to_line(), pareto);
     }
 
@@ -704,6 +700,8 @@ mod tests {
             ("no-bound-comm", "no-bound-comm"),
             ("no-simd", "no-simd"),
             ("no-steal", "no-steal"),
+            ("dp-threads=2", "dp-threads"),
+            ("no-incremental", "no-incremental"),
         ] {
             assert_eq!(
                 Request::parse(&format!("table1 app=hal {token}")),
@@ -719,9 +717,9 @@ mod tests {
             })
         );
         assert_eq!(
-            Request::parse("table1 app=hal dp-threads=lots"),
+            Request::parse("table1 app=hal store-cap=lots"),
             Err(ProtocolError::BadValue {
-                field: "dp-threads",
+                field: "store-cap",
                 value: "lots".into()
             })
         );
@@ -755,18 +753,6 @@ mod tests {
                 value: "false".into()
             })
         );
-        // The default-on switches are bare too: a `no-incremental=1`
-        // must be rejected, not parsed as enabling the opposite.
-        for flag in ["no-warm", "no-incremental"] {
-            assert_eq!(
-                Request::parse(&format!("table1 app=hal {flag}=1")),
-                Err(ProtocolError::BadValue {
-                    field: flag,
-                    value: "1".into()
-                }),
-                "{flag}"
-            );
-        }
     }
 
     #[test]
@@ -811,17 +797,11 @@ mod tests {
 
     #[test]
     fn default_on_flags_round_trip_bare() {
-        let req = Request::parse("table1 app=hal no-warm no-incremental").unwrap();
+        let req = Request::parse("table1 app=hal no-warm").unwrap();
         let Request::Table1(t) = &req else {
             panic!("not a table1 request")
         };
-        for name in ["warm", "incremental"] {
-            assert_eq!(
-                t.knobs.get(name),
-                Some(KnobSetting::Switch(false)),
-                "{name}"
-            );
-        }
+        assert_eq!(t.knobs.get("warm"), Some(KnobSetting::Switch(false)));
         for name in ["threads", "bound"] {
             assert_eq!(
                 t.knobs.get(name),

@@ -922,7 +922,7 @@ fn admit<'a>(
 }
 
 /// Runs one Table 1 batch through [`Pipeline::table1_row_restricted`],
-/// the seam behind [`Pipeline::table1_batch_stop`] and the `table1`
+/// the seam behind [`Pipeline::table1_batch`] and the `table1`
 /// bin, so the service's rows are byte-identical to theirs. The
 /// request's knob overrides fold over the configured defaults in one
 /// table-driven pass ([`lycos::pace::KnobOverrides::apply_to`]); the

@@ -11,8 +11,7 @@
 use crate::LycosError;
 use lycos_apps::{BenchmarkApp, IterationHint};
 use lycos_core::{allocate, AllocConfig, AllocOutcome, RMap, Restrictions};
-use lycos_explore::flow::{pareto_with_store_stop, search_with_store_stop};
-use lycos_explore::{table1_row_with_store_stop, Table1Options, Table1Row, Table1Subject};
+use lycos_explore::{flow, table1_row_for, Table1Options, Table1Row, Table1Subject};
 use lycos_hwlib::{Area, HwLibrary};
 use lycos_ir::{extract_bsbs, BsbArray, Cdfg, ProfileOverrides};
 use lycos_pace::{
@@ -170,30 +169,17 @@ impl Pipeline {
     ///
     /// Any stage error as [`LycosError`].
     pub fn table1_row(&self, options: &Table1Options) -> Result<Table1Row, LycosError> {
-        self.table1_row_stop(options, &StopSignal::never())
+        self.table1_row_restricted(&self.compile_restricted()?, options, &StopSignal::never())
     }
 
-    /// [`Pipeline::table1_row`] under an external [`StopSignal`] — the
-    /// anytime seam the allocation service drives with its
-    /// per-connection cancel flags. The signal governs the exhaustive
-    /// search stage; on a trip the row carries the best-so-far winner
-    /// and a non-`Complete` [`lycos_pace::Completion`].
-    ///
-    /// # Errors
-    ///
-    /// Any stage error as [`LycosError`].
-    pub fn table1_row_stop(
-        &self,
-        options: &Table1Options,
-        stop: &StopSignal,
-    ) -> Result<Table1Row, LycosError> {
-        self.table1_row_restricted(&self.compile_restricted()?, options, stop)
-    }
-
-    /// [`Pipeline::table1_row_stop`] over an already-restricted stage
-    /// output, so a caller that sized the job from [`Restricted`] first
-    /// (the allocation service's admission probe) runs the frontend
-    /// and the restriction pass once.
+    /// [`Pipeline::table1_row`] over an already-restricted stage
+    /// output, under an external [`StopSignal`] — the anytime seam the
+    /// allocation service drives with its per-connection cancel flags.
+    /// A caller that sized the job from [`Restricted`] first (the
+    /// admission probe) runs the frontend and the restriction pass
+    /// once. The signal governs the exhaustive search stage; on a trip
+    /// the row carries the best-so-far winner and a non-`Complete`
+    /// [`lycos_pace::Completion`].
     ///
     /// # Errors
     ///
@@ -212,7 +198,7 @@ impl Pipeline {
             budget: self.budget,
             iteration: self.iteration,
         };
-        Ok(table1_row_with_store_stop(
+        Ok(table1_row_for(
             &subject,
             &self.library,
             &self.pace,
@@ -234,28 +220,7 @@ impl Pipeline {
         pipelines: &[Pipeline],
         options: &Table1Options,
     ) -> Result<Vec<Table1Row>, LycosError> {
-        Self::table1_batch_stop(pipelines, options, &StopSignal::never())
-    }
-
-    /// [`Pipeline::table1_batch`] under an external [`StopSignal`],
-    /// shared by every row: each row's search stage polls the same
-    /// signal, so one cancellation stops the whole batch at the next
-    /// row boundary (rows already finished keep their exact results;
-    /// the row in flight returns best-so-far).
-    ///
-    /// # Errors
-    ///
-    /// The first failing row's [`LycosError`]; earlier rows' work is
-    /// discarded.
-    pub fn table1_batch_stop(
-        pipelines: &[Pipeline],
-        options: &Table1Options,
-        stop: &StopSignal,
-    ) -> Result<Vec<Table1Row>, LycosError> {
-        pipelines
-            .iter()
-            .map(|p| p.table1_row_stop(options, stop))
-            .collect()
+        pipelines.iter().map(|p| p.table1_row(options)).collect()
     }
 
     /// Runs the frontend only: parse + lower + flatten (or reuse the
@@ -304,8 +269,8 @@ impl Pipeline {
     /// Sweeps the allocation space once under the Pareto-front
     /// objective straight from the restricted stage: the frontier
     /// never reads Algorithm 1's allocation, so unlike
-    /// [`Allocated::pareto_with_stop`] this runs none. Same frontier,
-    /// same stop semantics.
+    /// [`Allocated::pareto_with`] this runs none. Same frontier; the
+    /// stop signal works as in [`lycos_explore::flow::pareto`].
     ///
     /// # Errors
     ///
@@ -316,7 +281,7 @@ impl Pipeline {
         options: &SearchOptions,
         stop: &StopSignal,
     ) -> Result<ParetoResult, LycosError> {
-        Ok(pareto_with_store_stop(
+        Ok(flow::pareto(
             &job.compiled.bsbs,
             &self.library,
             self.budget,
@@ -479,24 +444,7 @@ impl Allocated {
     ///
     /// [`LycosError::Pace`] from partition evaluation.
     pub fn search_with(&self, options: &SearchOptions) -> Result<SearchResult, LycosError> {
-        self.search_with_stop(options, &StopSignal::never())
-    }
-
-    /// [`Allocated::search_with`] under an external [`StopSignal`]:
-    /// the anytime entry point. On a trip the result carries the best
-    /// feasible incumbent found so far and a non-`Complete`
-    /// [`lycos_pace::Completion`]; a never-tripping signal is
-    /// field-identical to [`Allocated::search_with`].
-    ///
-    /// # Errors
-    ///
-    /// [`LycosError::Pace`] from partition evaluation.
-    pub fn search_with_stop(
-        &self,
-        options: &SearchOptions,
-        stop: &StopSignal,
-    ) -> Result<SearchResult, LycosError> {
-        Ok(search_with_store_stop(
+        Ok(flow::search(
             &self.bsbs,
             &self.library,
             self.budget,
@@ -504,7 +452,7 @@ impl Allocated {
             &self.pace,
             options,
             self.artifact_store.as_deref(),
-            stop,
+            &StopSignal::never(),
         )?)
     }
 
@@ -549,22 +497,7 @@ impl Allocated {
     ///
     /// [`LycosError::Pace`] from partition evaluation.
     pub fn pareto_with(&self, options: &SearchOptions) -> Result<ParetoResult, LycosError> {
-        self.pareto_with_stop(options, &StopSignal::never())
-    }
-
-    /// [`Allocated::pareto_with`] under an external [`StopSignal`]: on
-    /// a trip the result is the partial frontier of everything visited
-    /// before the stop, marked by its [`lycos_pace::Completion`].
-    ///
-    /// # Errors
-    ///
-    /// [`LycosError::Pace`] from partition evaluation.
-    pub fn pareto_with_stop(
-        &self,
-        options: &SearchOptions,
-        stop: &StopSignal,
-    ) -> Result<ParetoResult, LycosError> {
-        Ok(pareto_with_store_stop(
+        Ok(flow::pareto(
             &self.bsbs,
             &self.library,
             self.budget,
@@ -572,7 +505,7 @@ impl Allocated {
             &self.pace,
             options,
             self.artifact_store.as_deref(),
-            stop,
+            &StopSignal::never(),
         )?)
     }
 
@@ -673,7 +606,7 @@ mod tests {
         assert!(res.evaluated <= 2);
         // Explicit options override the stored ones.
         let full = allocated
-            .search_with(&SearchOptions::new().threads(2).limit(None).dp_threads(2))
+            .search_with(&SearchOptions::new().threads(2).limit(None))
             .unwrap();
         assert!(!full.truncated);
         assert_eq!(
@@ -710,7 +643,7 @@ mod tests {
         let front = pipeline.pareto_restricted(&job, &options, &never).unwrap();
         let allocated = pipeline.allocate().unwrap();
         assert_eq!(job.restrictions, allocated.restrictions);
-        let via_allocation = allocated.pareto_with_stop(&options, &never).unwrap();
+        let via_allocation = allocated.pareto_with(&options).unwrap();
         assert_eq!(front.points, via_allocation.points);
     }
 

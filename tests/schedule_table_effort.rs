@@ -10,11 +10,12 @@
 //! kept, and still equals `compute_metrics`.
 
 use lycos::core::{required_resources, RMap, Restrictions};
-use lycos::explore::flow::search_with_store;
+use lycos::explore::flow::search;
 use lycos::hwlib::{Area, HwLibrary};
 use lycos::ir::{extract_bsbs, Bsb, BsbArray, BsbId, BsbOrigin, Dfg, OpKind};
 use lycos::pace::{
-    compute_metrics, ArtifactStore, BlockKey, MetricsCache, PaceConfig, SearchOptions, SearchResult,
+    compute_metrics, ArtifactStore, BlockKey, MetricsCache, PaceConfig, SearchOptions,
+    SearchResult, StopSignal,
 };
 
 /// Eigen with the `occurrence`-th ` + ` of its source swapped for
@@ -67,7 +68,7 @@ fn an_edit_and_a_budget_repeat_schedule_only_what_changed() {
         .bound(true)
         .limit(Some(1024));
     let run = |bsbs: &BsbArray, restr: &Restrictions, budget: u64| -> SearchResult {
-        search_with_store(
+        search(
             bsbs,
             &lib,
             Area::new(budget),
@@ -75,6 +76,7 @@ fn an_edit_and_a_budget_repeat_schedule_only_what_changed() {
             &pace,
             &options,
             Some(&store),
+            &StopSignal::never(),
         )
         .expect("search")
     };

@@ -12,9 +12,8 @@
 //! the retained PR 3 DP core (`reference_partition_from_metrics` —
 //! nested `Vec` tables, `continue`-based run scan). Everything the
 //! optimised stack does — scratch reuse, monotone pruning, run-table
-//! truncation, metric memoisation, candidate-level fan-out and the
-//! intra-candidate `dp_threads` row split — must be invisible against
-//! it, in every combination.
+//! truncation, metric memoisation and candidate-level fan-out — must
+//! be invisible against it, in every combination.
 //!
 //! `eigen`'s space is the one the paper calls "impossible" to exhaust
 //! (footnote 1); its equivalence runs under an evaluation limit so the
@@ -125,8 +124,7 @@ fn reference_best(
 
 /// Every engine configuration the optimised stack offers, against the
 /// seed: the (new-core) exhaustive walk, the memoised sequential
-/// engine, the candidate-parallel engine, and the intra-candidate
-/// `dp_threads` split.
+/// engine and the candidate-parallel engine.
 fn check_app(name: &str, limit: Option<usize>) -> (SearchResult, SearchResult) {
     let app = lycos::apps::all()
         .into_iter()
@@ -168,15 +166,9 @@ fn check_engines(
 
     // Unbounded engines must be *identical* to the seed: the chunked
     // scheduler keeps the accounting at any worker count.
-    let variants = [
-        ("parallel", 4usize, 1usize),
-        ("dp-split", 1, 2),
-        ("parallel+dp-split", 2, 2),
-        ("parallel-3", 3, 1),
-        ("parallel-2", 2, 1),
-    ];
+    let variants = [("parallel", 4usize), ("parallel-3", 3), ("parallel-2", 2)];
     let mut engines = vec![("memoised", memoised.clone())];
-    for (label, threads, dp_threads) in variants {
+    for (label, threads) in variants {
         let got = search_best(
             &bsbs,
             &lib,
@@ -186,7 +178,6 @@ fn check_engines(
             &SearchOptions {
                 threads,
                 limit,
-                dp_threads,
                 bound: false,
                 ..SearchOptions::default()
             },
@@ -214,7 +205,6 @@ fn check_engines(
             &SearchOptions {
                 threads,
                 limit,
-                dp_threads: 1,
                 bound: true,
                 ..SearchOptions::default()
             },

@@ -12,9 +12,9 @@
 //! nothing by relaxation again.
 
 use lycos::core::Restrictions;
-use lycos::explore::flow::search_with_store;
+use lycos::explore::flow::search;
 use lycos::hwlib::{Area, HwLibrary};
-use lycos::pace::{exhaustive_best, ArtifactStore, PaceConfig, SearchOptions};
+use lycos::pace::{exhaustive_best, ArtifactStore, PaceConfig, SearchOptions, StopSignal};
 
 #[test]
 fn warm_repeat_of_bounded_eigen_refreshes_only_the_winner() {
@@ -33,7 +33,18 @@ fn warm_repeat_of_bounded_eigen_refreshes_only_the_winner() {
         .bound(true)
         .warm(true);
     let budget = Area::new(12_000);
-    let run = || search_with_store(&bsbs, &lib, budget, &restr, &pace, &options, Some(&store));
+    let run = || {
+        search(
+            &bsbs,
+            &lib,
+            budget,
+            &restr,
+            &pace,
+            &options,
+            Some(&store),
+            &StopSignal::never(),
+        )
+    };
 
     let cold = run().expect("cold run");
     assert!(cold.stats.budget_pruned > 0, "the relaxation never fired");
@@ -69,8 +80,17 @@ fn unbounded_warm_run_after_a_bounded_one_keeps_the_exhaustive_accounting() {
     let store = ArtifactStore::new(2);
     let options = SearchOptions::new().threads(1).limit(None).warm(true);
     let run = |options: &SearchOptions| {
-        search_with_store(&bsbs, &lib, budget, &restr, &pace, options, Some(&store))
-            .expect("search")
+        search(
+            &bsbs,
+            &lib,
+            budget,
+            &restr,
+            &pace,
+            options,
+            Some(&store),
+            &StopSignal::never(),
+        )
+        .expect("search")
     };
 
     let bounded = run(&options.clone().bound(true));
