@@ -9,15 +9,20 @@
 //! scratch core (`partition_from_metrics`), reporting candidates/sec
 //! for both and the speedup ratio. It also runs the memoised search
 //! engine once per app and reports its `eval_rate`, cache hit rate
-//! and key-allocation saving.
+//! and key-allocation saving. A `comm_table` row times `eigen`'s full
+//! run-traffic table both ways: the one-pass `CommCosts::priced` build
+//! against pricing every run through `run_traffic`.
 //!
 //! ```text
 //! cargo run --release -p lycos_bench --bin bench_pace \
-//!     [-- --check-speedup 1.5] > BENCH_pace.json
+//!     [-- --check-speedup 1.5] [--check-comm-speedup 10] > BENCH_pace.json
 //! ```
 //!
 //! `--check-speedup X` exits non-zero when the `eigen` DP speedup
-//! falls below `X` — the ISSUE 4 acceptance gate CI runs at 1.5.
+//! falls below `X` — the acceptance gate CI runs at 1.5.
+//! `--check-comm-speedup X` exits non-zero when the one-pass table
+//! build is less than `X` times faster than the per-run pricing; both
+//! timings run in one process, so host noise moves them together.
 //! `LYCOS_BENCH_QUICK` shortens the timing windows and the search
 //! limit (CI's perf-smoke mode).
 
@@ -73,21 +78,24 @@ struct AppReport {
 
 fn main() {
     let mut check_speedup: Option<f64> = None;
+    let mut check_comm_speedup: Option<f64> = None;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--check-speedup" => {
-                let v = args.next().and_then(|s| s.parse::<f64>().ok());
-                match v {
-                    Some(v) => check_speedup = Some(v),
-                    None => {
-                        eprintln!("bench_pace: --check-speedup needs a number");
-                        std::process::exit(2);
-                    }
-                }
-            }
+        let slot = match arg.as_str() {
+            "--check-speedup" => &mut check_speedup,
+            "--check-comm-speedup" => &mut check_comm_speedup,
             other => {
-                eprintln!("bench_pace: unknown argument `{other}` (expected --check-speedup <x>)");
+                eprintln!(
+                    "bench_pace: unknown argument `{other}` \
+                     (expected --check-speedup <x> or --check-comm-speedup <x>)"
+                );
+                std::process::exit(2);
+            }
+        };
+        match args.next().and_then(|s| s.parse::<f64>().ok()) {
+            Some(v) => *slot = Some(v),
+            None => {
+                eprintln!("bench_pace: {arg} needs a number");
                 std::process::exit(2);
             }
         }
@@ -186,7 +194,41 @@ fn main() {
         reports.push(report);
     }
 
-    let mut json = String::from("{\n  \"schema\": \"lycos-bench-pace/1\",\n  \"apps\": [\n");
+    // The run-traffic table layer: eigen's every run, one pass against
+    // one `run_traffic` call per run.
+    let eigen_bsbs = lycos::apps::eigen().bsbs();
+    let n = eigen_bsbs.len();
+    let one_pass_secs = time_per_call(window, || {
+        std::hint::black_box(CommCosts::priced(&eigen_bsbs, &pace.comm));
+    });
+    let per_run_secs = time_per_call(window, || {
+        let mut table = CommCosts::new(n);
+        for j in 0..n {
+            for k in j..n {
+                table.cost(&eigen_bsbs, &pace.comm, j, k);
+            }
+        }
+        std::hint::black_box(table);
+    });
+    let comm_speedup = per_run_secs / one_pass_secs;
+    eprintln!(
+        "[bench_pace] eigen comm table: {} runs, one pass {:.3} ms vs per run {:.3} ms ({:.1}x)",
+        n * (n + 1) / 2,
+        one_pass_secs * 1e3,
+        per_run_secs * 1e3,
+        comm_speedup,
+    );
+
+    let mut json = String::from("{\n  \"schema\": \"lycos-bench-pace/2\",\n");
+    json.push_str(&format!(
+        "  \"comm_table\": {{\n    \"app\": \"eigen\",\n    \"runs\": {},\n    \
+         \"one_pass_ms\": {},\n    \"per_run_ms\": {},\n    \"speedup\": {}\n  }},\n",
+        n * (n + 1) / 2,
+        json_num(one_pass_secs * 1e3),
+        json_num(per_run_secs * 1e3),
+        json_num(comm_speedup),
+    ));
+    json.push_str("  \"apps\": [\n");
     for (i, r) in reports.iter().enumerate() {
         json.push_str(&format!(
             "    {{\n      \"name\": \"{}\",\n      \"blocks\": {},\n      \"dp\": {{\n        \
@@ -229,6 +271,17 @@ fn main() {
         eprintln!(
             "bench_pace: eigen DP speedup {:.2}x meets the {min:.2}x gate",
             eigen.speedup
+        );
+    }
+    if let Some(min) = check_comm_speedup {
+        if comm_speedup < min {
+            eprintln!(
+                "bench_pace: one-pass comm table speedup {comm_speedup:.1}x is below the {min:.1}x gate"
+            );
+            std::process::exit(1);
+        }
+        eprintln!(
+            "bench_pace: one-pass comm table speedup {comm_speedup:.1}x meets the {min:.1}x gate"
         );
     }
 }

@@ -78,10 +78,10 @@ fn note_outcome(stats: &mut lycos_pace::SearchStats, outcome: StoreOutcome) {
 }
 
 /// PACE over one application for loops over many allocations: the
-/// artifacts are prepared once, and one traffic memo and one DP
-/// workspace carry across every call, so each block projection is
-/// scheduled once and each run priced once. Results are identical to
-/// [`partition`]'s.
+/// artifacts are prepared once, and one clone of their full traffic
+/// table and one DP workspace carry across every call, so each block
+/// projection is scheduled once and every run is priced up front.
+/// Results are identical to [`partition`]'s.
 pub(crate) struct Evaluator {
     artifacts: SearchArtifacts,
     comm: CommCosts,
@@ -100,9 +100,10 @@ impl Evaluator {
         restrictions: &Restrictions,
         pace: &PaceConfig,
     ) -> Result<Self, PaceError> {
+        let artifacts = SearchArtifacts::prepare(bsbs, lib, restrictions, pace)?;
         Ok(Evaluator {
-            artifacts: SearchArtifacts::prepare(bsbs, lib, restrictions, pace)?,
-            comm: CommCosts::new(bsbs.len()),
+            comm: artifacts.comm_clone(),
+            artifacts,
             scratch: DpScratch::new(),
         })
     }
@@ -152,8 +153,7 @@ impl<'s> Fetched<'s> {
     /// there is none. A store miss builds incrementally from the
     /// nearest resident entry when one shares blocks with the request
     /// ([`ArtifactStore::get_or_build_incremental`]), and from scratch
-    /// with a warmed traffic memo otherwise, so every later hit starts
-    /// from a fully known table.
+    /// otherwise.
     ///
     /// # Errors
     ///

@@ -3,7 +3,7 @@
 //! Every engine in this crate needs the same per-application
 //! precompute before it can evaluate a single candidate: the
 //! allocation-independent per-block facts ([`bsb_statics`]), the
-//! run-traffic memo ([`CommCosts`]), the search dimensions, and — under
+//! run-traffic table ([`CommCosts`]), the search dimensions, and — under
 //! branch-and-bound — the admissible bound tables ([`SearchBounds`]).
 //! Historically each engine rebuilt all of that per call. This module
 //! hoists the whole precompute behind one seam:
@@ -13,9 +13,10 @@
 //!   [`SearchArtifacts::prepare`] and consumed by
 //!   [`crate::search_best_with_stop`] / [`crate::search_pareto_with_stop`] /
 //!   [`crate::exhaustive_best_with`] / the partition helpers. Bound
-//!   tables stay lazy (built on first bounded use), and the comm memo
-//!   starts empty on the one-shot path — cold calls through the compat
-//!   wrappers cost exactly what they always did.
+//!   tables stay lazy (built on first bounded use); the traffic table
+//!   is full from the start ([`CommCosts::priced`] prices every run in
+//!   one pass, well under a millisecond on the largest bundled app), so
+//!   no engine ever prices a run itself.
 //! * [`ArtifactKey`] — a stable content fingerprint over the BSB
 //!   array (blocks *and* their DFGs), the unit library, the allocation
 //!   caps and the PACE configuration. Same content ⇒ same key; any
@@ -52,13 +53,11 @@
 //!   filled or not; every other block starts with empty slots. No
 //!   communication floor enters a length, so this rule is simpler than
 //!   the bound tables'.
-//! * **Traffic memo** ([`CommCosts`]) prices runs over the whole block
+//! * **Traffic table** ([`CommCosts`]) prices runs over the whole block
 //!   sequence — reused wholesale iff no block's I/O content
-//!   (reads/writes/profile) changed and the block count is unchanged.
-//!   A profile-only edit (read/write sets identical everywhere)
-//!   carries every run the dirty profiles provably cannot move
-//!   ([`CommCosts::carry_clean`]); any set change, insert or delete
-//!   reprices from scratch.
+//!   (reads/writes/profile) changed and the block count is unchanged;
+//!   any other edit reprices every run in one pass
+//!   ([`CommCosts::priced`]).
 //! * **Bound tables** ([`SearchBounds`]) fold in segmented
 //!   communication floors, which an edit can move for content-clean
 //!   neighbours, so they are rebuilt whole, lazily on the first
@@ -265,7 +264,7 @@ fn context_of(lib: &HwLibrary, config: &PaceConfig) -> u64 {
 }
 
 /// Fingerprint of one block's I/O content — reads, writes, profile —
-/// the exact inputs of the run-traffic memo. The donor's [`CommCosts`]
+/// the exact inputs of the run-traffic table. The donor's [`CommCosts`]
 /// table is reusable wholesale iff every positional I/O mark matches.
 fn io_mark(bsb: &Bsb) -> u64 {
     let mut h = Fnv::new();
@@ -279,25 +278,6 @@ fn io_mark(bsb: &Bsb) -> u64 {
         h.str(v);
     }
     h.u64(bsb.profile);
-    h.0
-}
-
-/// Fingerprint of one block's read/write *sets* alone — [`io_mark`]
-/// minus the profile. When every positional set mark matches but some
-/// I/O marks differ, the edit was profile-only and the traffic memo
-/// can carry per-run instead of wholesale
-/// ([`CommCosts::carry_clean`]).
-fn rw_mark(bsb: &Bsb) -> u64 {
-    let mut h = Fnv::new();
-    h.tag(TAG_IO);
-    h.usize(bsb.reads.len());
-    for v in &bsb.reads {
-        h.str(v);
-    }
-    h.usize(bsb.writes.len());
-    for v in &bsb.writes {
-        h.str(v);
-    }
     h.0
 }
 
@@ -415,7 +395,7 @@ impl BlockKey {
 
 /// Every allocation-independent precompute the engines share, built
 /// once per [`ArtifactKey`]: the per-block statics, the schedule table
-/// (filled on first use), the run-traffic memo, the search dimensions
+/// (filled on first use), the full run-traffic table, the search dimensions
 /// and (lazily, on first bounded use) the admissible bound tables.
 ///
 /// Build one with [`SearchArtifacts::prepare`] and pass it to the
@@ -429,11 +409,9 @@ pub struct SearchArtifacts {
     /// first use and read by the bound tables, every sweep worker and
     /// every request over these artifacts.
     schedules: ScheduleTable,
-    /// The shared run-traffic memo. Empty on a one-shot `prepare` (the
-    /// cold path keeps its lazy per-worker fill); eagerly filled by
-    /// [`SearchArtifacts::warm_comm`] on the store path, where it
-    /// amortises across requests. Workers clone it, so a warmed table
-    /// makes every traffic probe a pure lookup.
+    /// The shared run-traffic table, every run priced at build time
+    /// ([`CommCosts::priced`], or the donor's table cloned). Workers
+    /// clone it, so every traffic probe is a pure lookup.
     pub(crate) comm: CommCosts,
     dims: Vec<(FuId, u32)>,
     space: u128,
@@ -442,12 +420,8 @@ pub struct SearchArtifacts {
     /// Empty on the partition-helper path (never store-diffed).
     fingerprint: Vec<BlockKey>,
     /// Per-block I/O content marks (reads/writes/profile) — the
-    /// wholesale-reuse condition for the traffic memo.
+    /// wholesale-reuse condition for the traffic table.
     io_marks: Vec<u64>,
-    /// Per-block read/write *set* marks (no profile). Equal set marks
-    /// with unequal I/O marks identify a profile-only edit, under
-    /// which the traffic memo carries per-run.
-    rw_marks: Vec<u64>,
     /// Fingerprint of the (library, configuration) context the
     /// per-block keys are relative to.
     context: u64,
@@ -600,7 +574,7 @@ const MAX_EVAL_ENTRIES: usize = 1 << 18;
 
 impl SearchArtifacts {
     /// Builds the artifacts for a full allocation-space search: block
-    /// statics, an (empty) traffic memo, and the search dimensions
+    /// statics, the full traffic table, and the search dimensions
     /// derived from `restrictions`.
     ///
     /// # Errors
@@ -619,7 +593,7 @@ impl SearchArtifacts {
             key: ArtifactKey::of(bsbs, lib, restrictions, config),
             schedules: ScheduleTable::new(&statics, &dims),
             statics: statics.into(),
-            comm: CommCosts::new(bsbs.len()),
+            comm: CommCosts::priced(bsbs, &config.comm),
             dims,
             space,
             fingerprint: bsbs
@@ -627,7 +601,6 @@ impl SearchArtifacts {
                 .map(|b| BlockKey::of(b, lib, restrictions))
                 .collect(),
             io_marks: bsbs.iter().map(io_mark).collect(),
-            rw_marks: bsbs.iter().map(rw_mark).collect(),
             context: context_of(lib, config),
             bounds: OnceLock::new(),
             eval_memos: Mutex::new(Vec::new()),
@@ -664,7 +637,6 @@ impl SearchArtifacts {
             .map(|b| BlockKey::of(b, lib, restrictions))
             .collect();
         let io_marks: Vec<u64> = bsbs.iter().map(io_mark).collect();
-        let rw_marks: Vec<u64> = bsbs.iter().map(rw_mark).collect();
         let n = bsbs.len();
 
         // Align new blocks with donor blocks by key — a multiset
@@ -694,29 +666,15 @@ impl SearchArtifacts {
         }
         let rederived = n as u64 - reused;
 
-        // The traffic memo prices runs over the whole block sequence,
-        // so it is never patched block-wise. Three tiers instead:
-        // identical positional I/O marks reuse it wholesale; equal
-        // read/write-set marks (a profile-only edit) carry every run
-        // the dirty profiles provably cannot move; anything else —
-        // changed sets, insert, delete — reprices from scratch.
-        let mut comm = if n == donor.io_marks.len() && io_marks == donor.io_marks {
+        // The traffic table prices runs over the whole block sequence,
+        // so it is never patched block-wise: identical positional I/O
+        // marks reuse it wholesale, anything else reprices every run
+        // in one pass.
+        let comm = if io_marks == donor.io_marks {
             donor.comm.clone()
-        } else if n == donor.rw_marks.len() && rw_marks == donor.rw_marks {
-            let dirty: Vec<usize> = (0..n)
-                .filter(|&i| io_marks[i] != donor.io_marks[i])
-                .collect();
-            donor.comm.carry_clean(bsbs, &dirty)
         } else {
-            CommCosts::new(n)
+            CommCosts::priced(bsbs, &config.comm)
         };
-        // Warm eagerly either way (pure lookups on the cloned table) —
-        // store-resident artifacts always carry a full table.
-        for j in 0..n {
-            for k in j..n {
-                comm.cost(bsbs, &config.comm, j, k);
-            }
-        }
 
         // Evaluation memos depend on every block and the dimensions at
         // once; only a zero-dirty edit (pure rename) may carry them.
@@ -744,7 +702,6 @@ impl SearchArtifacts {
             space,
             fingerprint,
             io_marks,
-            rw_marks,
             context: donor.context,
             bounds: OnceLock::new(),
             eval_memos: Mutex::new(eval_memos),
@@ -773,14 +730,13 @@ impl SearchArtifacts {
             // No dimensions, no slots: every schedule runs directly.
             schedules: ScheduleTable::new(&statics, &[]),
             statics: statics.into(),
-            comm: CommCosts::new(bsbs.len()),
+            comm: CommCosts::priced(bsbs, &config.comm),
             dims: Vec::new(),
             space: 1,
             // Partition-path artifacts never enter the store's diff
             // path; an empty fingerprint keeps them inert as donors.
             fingerprint: Vec::new(),
             io_marks: Vec::new(),
-            rw_marks: Vec::new(),
             context: 0,
             bounds: OnceLock::new(),
             eval_memos: Mutex::new(Vec::new()),
@@ -855,22 +811,9 @@ impl SearchArtifacts {
         self.statics.len()
     }
 
-    /// Eagerly fills the run-traffic memo — every `[j..=k]` run of the
-    /// application. One-shot searches skip this (a lazy per-worker
-    /// fill is cheaper for a single sweep); the store path calls it
-    /// once so every later request starts from a fully known table.
-    pub fn warm_comm(&mut self, bsbs: &BsbArray, config: &PaceConfig) {
-        let n = self.statics.len();
-        for j in 0..n {
-            for k in j..n {
-                self.comm.cost(bsbs, &config.comm, j, k);
-            }
-        }
-    }
-
-    /// A private clone of the traffic memo for one worker — warmed if
-    /// the artifacts were, empty (lazy) otherwise.
-    pub(crate) fn comm_clone(&self) -> CommCosts {
+    /// A private clone of the full traffic table, for one worker or
+    /// one caller's run of partitions.
+    pub fn comm_clone(&self) -> CommCosts {
         self.comm.clone()
     }
 
@@ -899,7 +842,7 @@ impl SearchArtifacts {
 
     /// The admissible bound tables, with the communication floor
     /// folded in, built on first use and shared afterwards — seeded
-    /// from this artifact set's traffic memo. The build polls `stop`
+    /// from this artifact set's traffic table. The build polls `stop`
     /// between blocks; `Ok(None)` means it tripped, and nothing was
     /// cached (the next caller builds from scratch).
     ///
@@ -1283,11 +1226,8 @@ impl ArtifactStore {
             .map(|b| BlockKey::of(b, lib, restrictions))
             .collect();
         let Some((donor, donor_winners)) = self.find_donor(&fingerprint, context) else {
-            // Nothing to diff against: a from-scratch build, with the
-            // traffic memo warmed so every later hit starts from a
-            // fully known table.
+            // Nothing to diff against: a from-scratch build.
             let mut built = SearchArtifacts::prepare(bsbs, lib, restrictions, config)?;
-            built.warm_comm(bsbs, config);
             self.adopt(&mut built);
             return Ok((self.insert(key, Arc::new(built)), StoreOutcome::default()));
         };
@@ -1563,6 +1503,18 @@ mod tests {
         }
     }
 
+    /// Every run of `bsbs` priced lazily, one [`CommCosts::cost`] call
+    /// at a time — the reference a full table must equal.
+    fn lazily_filled(bsbs: &BsbArray, config: &PaceConfig) -> CommCosts {
+        let mut lazy = CommCosts::new(bsbs.len());
+        for j in 0..bsbs.len() {
+            for k in j..bsbs.len() {
+                lazy.cost(bsbs, &config.comm, j, k);
+            }
+        }
+        lazy
+    }
+
     #[test]
     fn prepare_derives_dims_space_and_statics() {
         let (bsbs, lib, config) = inputs(3);
@@ -1572,33 +1524,38 @@ mod tests {
         assert_eq!(artifacts.space_size(), space_size(artifacts.dims()));
         assert_eq!(artifacts.block_count(), bsbs.len());
         assert_eq!(artifacts.fingerprint().len(), bsbs.len());
-        // The one-shot path leaves the traffic memo lazy.
-        assert_eq!(artifacts.comm_clone(), CommCosts::new(bsbs.len()));
+        // The traffic table is full from the start.
+        assert_eq!(artifacts.comm_clone(), lazily_filled(&bsbs, &config));
     }
 
     #[test]
-    fn warm_comm_fills_the_whole_table() {
-        let (bsbs, lib, config) = inputs(2);
+    fn prepare_prices_every_run_like_a_lazy_fill() {
+        // Blocks that share, rewrite and read back variables: the
+        // one-pass table must equal the run-by-run fill cell for cell
+        // (equality covers the known flags, so no cell is left lazy).
+        let (lib, config) = (HwLibrary::standard(), PaceConfig::standard());
+        let block = |i: u32, profile: u64, reads: &[&str], writes: &[&str]| Bsb {
+            id: BsbId(i),
+            name: format!("b{i}"),
+            dfg: Dfg::new(),
+            reads: reads.iter().map(|v| v.to_string()).collect(),
+            writes: writes.iter().map(|v| v.to_string()).collect(),
+            profile,
+            origin: BsbOrigin::Body,
+        };
+        let bsbs = BsbArray::from_bsbs(
+            "t",
+            vec![
+                block(0, 4, &["in"], &["c", "x"]),
+                block(1, 40, &["c", "x"], &["x"]),
+                block(2, 0, &["x"], &["y"]),
+                block(3, 9, &[], &["x"]),
+                block(4, 30, &["x", "y"], &[]),
+            ],
+        );
         let restr = Restrictions::from_asap(&bsbs, &lib).unwrap();
-        let mut artifacts = SearchArtifacts::prepare(&bsbs, &lib, &restr, &config).unwrap();
-        artifacts.warm_comm(&bsbs, &config);
-        let mut warmed = artifacts.comm_clone();
-        let mut fresh = CommCosts::new(bsbs.len());
-        // A warmed clone answers without deriving anything new: its
-        // memo already equals a fully filled fresh table.
-        for j in 0..bsbs.len() {
-            for k in j..bsbs.len() {
-                fresh.cost(&bsbs, &config.comm, j, k);
-            }
-        }
-        for j in 0..bsbs.len() {
-            for k in j..bsbs.len() {
-                assert_eq!(
-                    warmed.cost(&bsbs, &config.comm, j, k),
-                    fresh.cost(&bsbs, &config.comm, j, k)
-                );
-            }
-        }
+        let artifacts = SearchArtifacts::prepare(&bsbs, &lib, &restr, &config).unwrap();
+        assert_eq!(artifacts.comm_clone(), lazily_filled(&bsbs, &config));
     }
 
     #[test]
@@ -1806,18 +1763,9 @@ mod tests {
             assert_eq!(a.kinds, b.kinds);
             assert_eq!(a.movable, b.movable);
         }
-        // The incremental comm memo is fully warmed and prices every
-        // run exactly as a fresh fill does.
-        let mut fresh = CommCosts::new(edited.len());
-        let mut warmed = incremental.comm_clone();
-        for j in 0..edited.len() {
-            for k in j..edited.len() {
-                assert_eq!(
-                    warmed.cost(&edited, &config.comm, j, k),
-                    fresh.cost(&edited, &config.comm, j, k)
-                );
-            }
-        }
+        // The incremental traffic table is full and prices every run
+        // exactly as a fresh fill does.
+        assert_eq!(incremental.comm_clone(), lazily_filled(&edited, &config));
         let stats = store.stats();
         assert_eq!(
             (stats.incremental, stats.reused, stats.rederived),

@@ -286,7 +286,7 @@ impl SearchBounds {
     }
 
     /// The two public builds: fresh statics, schedule table and
-    /// traffic memo, nothing to stop them.
+    /// (with a floor) full traffic table, nothing to stop them.
     fn standalone(
         bsbs: &BsbArray,
         lib: &HwLibrary,
@@ -296,7 +296,10 @@ impl SearchBounds {
     ) -> Result<Self, PaceError> {
         let statics = bsb_statics(bsbs, lib, config)?;
         let schedules = ScheduleTable::new(&statics, dims);
-        let mut memo = CommCosts::new(bsbs.len());
+        let mut memo = match comm {
+            Some(model) => CommCosts::priced(bsbs, model),
+            None => CommCosts::new(bsbs.len()),
+        };
         let never = StopSignal::never();
         let built = Self::from_statics(
             bsbs, lib, dims, &statics, &schedules, comm, &mut memo, &never,
@@ -309,14 +312,13 @@ impl SearchBounds {
     /// whole sweep, and the tables read every length from
     /// `schedules`, filling what is missing. A
     /// `comm` model folds the communication floor into the tables;
-    /// `memo` is the caller's run-traffic table (the artifacts' —
-    /// possibly pre-warmed — memo, so the floors and the DP price runs
-    /// off the same entries).
+    /// `memo` is the caller's run-traffic table (the artifacts' full
+    /// table, so the floors and the DP price runs off the same
+    /// entries).
     ///
-    /// On a cold traffic memo the build takes tens of milliseconds on
-    /// the largest bundled app, most of it pricing runs for the floors,
-    /// so `stop` is polled between blocks of both the floors and the
-    /// tables: `Ok(None)` means it tripped and the partial build was
+    /// The per-block tables run list schedules for every projection a
+    /// block's slots do not hold yet, so `stop` is polled between
+    /// blocks: `Ok(None)` means it tripped and the partial build was
     /// abandoned.
     #[allow(clippy::too_many_arguments)] // the artifact seam plus the stop signal
     pub(crate) fn from_statics(
@@ -330,9 +332,7 @@ impl SearchBounds {
         stop: &StopSignal,
     ) -> Result<Option<Self>, PaceError> {
         let dim_fus: Vec<FuId> = dims.iter().map(|&(fu, _)| fu).collect();
-        let Some(floors) = floors_for(bsbs, dims, &dim_fus, statics, comm, memo, stop) else {
-            return Ok(None);
-        };
+        let floors = floors_for(bsbs, dims, &dim_fus, statics, comm, memo);
         let stoppable = !stop.is_never();
         let mut blocks = Vec::with_capacity(bsbs.len());
         for (b, (bsb, stat)) in bsbs.iter().zip(statics).enumerate() {
@@ -549,8 +549,7 @@ impl BudgetRelaxation {
 }
 
 /// Static barrier flags and segmented communication floors of one
-/// application over one allocation space. `None` when `stop` tripped
-/// while the floors priced runs.
+/// application over one allocation space.
 fn floors_for(
     bsbs: &BsbArray,
     dims: &[(FuId, u32)],
@@ -558,8 +557,7 @@ fn floors_for(
     statics: &[BsbStatics],
     comm: Option<&CommModel>,
     memo: &mut CommCosts,
-    stop: &StopSignal,
-) -> Option<Vec<u64>> {
+) -> Vec<u64> {
     // Static barriers — blocks hardware-infeasible under EVERY
     // allocation of this space (immovable, a kind outside the
     // dimensions, or needing more units than the cap). Runs the DP
@@ -581,8 +579,8 @@ fn floors_for(
         })
         .collect();
     match comm {
-        Some(model) => comm_floors(bsbs, model, &barrier, memo, stop),
-        None => Some(vec![0u64; bsbs.len()]),
+        Some(model) => comm_floors(bsbs, model, &barrier, memo),
+        None => vec![0u64; bsbs.len()],
     }
 }
 

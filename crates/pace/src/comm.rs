@@ -8,10 +8,9 @@
 //! loop) is transferred at its *production* rate, not its consumption
 //! rate, which models keeping it in an ASIC register across iterations.
 
-use crate::stop::StopSignal;
 use lycos_hwlib::{CommModel, Cycles};
 use lycos_ir::BsbArray;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
 
 /// Word traffic of one candidate hardware run.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
@@ -111,13 +110,16 @@ pub fn run_traffic(bsbs: &BsbArray, j: usize, k: usize) -> RunTraffic {
     }
 }
 
-/// Lazily-filled memo table of run bus costs.
+/// Memo table of run bus costs.
 ///
 /// [`run_traffic`] depends only on the BSB array, never on the
-/// allocation, so its costs can be shared across every candidate of an
+/// allocation, so its costs are shared across every candidate of an
 /// allocation-space search instead of being recomputed per partition
-/// call. Entries are filled on first use; a full table over `eigen`'s
-/// 46 blocks is ~2k words, so the memo is kept dense.
+/// call. [`CommCosts::priced`] builds the whole table in one pass — what
+/// every artifact set carries — and [`CommCosts::new`] starts an empty
+/// one that [`CommCosts::cost`] fills run by run through
+/// [`run_traffic`]. A full table over `eigen`'s 46 blocks is ~2k words,
+/// so the memo is kept dense.
 ///
 /// The DP queries each run once while building its tables and copies
 /// the cost into them — the backtrack reads the run table, never this
@@ -140,6 +142,121 @@ impl CommCosts {
         }
     }
 
+    /// The full table of `bsbs`: every run `[j, k]` priced exactly as
+    /// [`run_traffic`] prices it, in one pass shared across runs.
+    ///
+    /// Variables are interned to dense ids, and each block's reads and
+    /// writes are resolved once: a read against its latest earlier
+    /// producer, a write against its next rewriter. A run's price is
+    /// the sum of an inbound and an outbound part, built in two sweeps:
+    ///
+    /// * **Inbound**, per run start `j`, extending `k`: a read of block
+    ///   `k` crosses the boundary iff its producer lies before `j` (or
+    ///   is missing: a program input), and each variable keeps the
+    ///   running max of its crossing rates.
+    /// * **Outbound**, per run end `k`, extending `j` backwards: block
+    ///   `j`'s write of `v` is the run's last iff its next rewriter lies
+    ///   past `k`, and it is exported iff the first block after `k`
+    ///   that touches `v` reads it (a read counts before a write in the
+    ///   same block). That first touch is kept per variable as the
+    ///   sweep walks `k` down.
+    ///
+    /// No run rescans earlier blocks: each cell costs one block's reads
+    /// or writes, where [`run_traffic`] scans back over the whole
+    /// prefix for every read of every block in the run.
+    pub fn priced(bsbs: &BsbArray, comm: &CommModel) -> Self {
+        let blocks = bsbs.as_slice();
+        let n = blocks.len();
+        let mut ids: HashMap<&str, usize> = HashMap::new();
+        for v in blocks.iter().flat_map(|b| b.reads.iter().chain(&b.writes)) {
+            let next = ids.len();
+            ids.entry(v).or_insert(next);
+        }
+        let vars = ids.len();
+        let reads: Vec<Vec<usize>> = blocks
+            .iter()
+            .map(|b| b.reads.iter().map(|v| ids[v.as_str()]).collect())
+            .collect();
+        let writes: Vec<Vec<usize>> = blocks
+            .iter()
+            .map(|b| b.writes.iter().map(|v| ids[v.as_str()]).collect())
+            .collect();
+
+        // Each read as (variable, latest earlier producer + 1 — 0 for a
+        // program input — and the rate it crosses a boundary at).
+        let mut producer = vec![0usize; vars];
+        let mut imports: Vec<Vec<(usize, usize, u64)>> = Vec::with_capacity(n);
+        for (c, block) in blocks.iter().enumerate() {
+            imports.push(
+                reads[c]
+                    .iter()
+                    .map(|&v| {
+                        let p = producer[v];
+                        let rate = match p {
+                            0 => 1, // program input: load once
+                            p => blocks[p - 1].profile.min(block.profile),
+                        };
+                        (v, p, rate)
+                    })
+                    .collect(),
+            );
+            for &v in &writes[c] {
+                producer[v] = c + 1;
+            }
+        }
+        // Each write as (variable, next rewriter — `n` if none).
+        let mut rewriter = vec![n; vars];
+        let mut exports: Vec<Vec<(usize, usize)>> = vec![Vec::new(); n];
+        for w in (0..n).rev() {
+            exports[w] = writes[w].iter().map(|&v| (v, rewriter[v])).collect();
+            for &v in &writes[w] {
+                rewriter[v] = w;
+            }
+        }
+
+        let mut table = CommCosts::new(n);
+        let mut rate = vec![0u64; vars];
+        for j in 0..n {
+            rate.fill(0);
+            let mut traffic = RunTraffic::default();
+            for (k, reads_k) in imports.iter().enumerate().skip(j) {
+                for &(v, p, r) in reads_k {
+                    if p <= j && r > rate[v] {
+                        traffic.in_words += r - rate[v];
+                        traffic.in_bursts = traffic.in_bursts.max(r);
+                        rate[v] = r;
+                    }
+                }
+                table.cost[j * n + k] = traffic.cost(comm).count();
+                table.known[j * n + k] = true;
+            }
+        }
+        // The profile of the first block after `k` touching each
+        // variable, if that block reads it — `None` past a rewrite or
+        // with no later touch.
+        let mut consumer: Vec<Option<u64>> = vec![None; vars];
+        for k in (0..n).rev() {
+            let mut traffic = RunTraffic::default();
+            for j in (0..=k).rev() {
+                for &(v, next) in &exports[j] {
+                    if let Some(reader) = consumer[v].filter(|_| next > k) {
+                        let r = blocks[j].profile.min(reader);
+                        traffic.out_words += r;
+                        traffic.out_bursts = traffic.out_bursts.max(r);
+                    }
+                }
+                table.cost[j * n + k] += traffic.cost(comm).count();
+            }
+            for &v in &writes[k] {
+                consumer[v] = None;
+            }
+            for &v in &reads[k] {
+                consumer[v] = Some(blocks[k].profile);
+            }
+        }
+        table
+    }
+
     /// Bus cost (in cycles) of the hardware run `[j, k]`, memoised.
     ///
     /// # Panics
@@ -155,128 +272,6 @@ impl CommCosts {
             self.known[idx] = true;
         }
         self.cost[idx]
-    }
-
-    /// Copies into a fresh table every run price that provably
-    /// survives a profile-only edit of the blocks listed in `dirty`
-    /// (positions into `bsbs`, which must have the var sets the donor
-    /// table was priced under — the caller checks that with per-block
-    /// read/write-set marks).
-    ///
-    /// With every read/write set unchanged, a dirty block `d` can move
-    /// the price of run `[j, k]` only through its *rate* — profiles
-    /// enter [`run_traffic`] nowhere else — and a rate involving `d`
-    /// is charged in exactly four situations:
-    ///
-    /// * the run contains `d` and `d` *imports*: `d` reads `v` whose
-    ///   latest producer sits before the run — a producer inside the
-    ///   run makes the edge internal (free), and a variable nobody
-    ///   wrote yet is a program input, charged at the constant rate 1;
-    /// * the run contains `d` and `d` *exports*: `d` is the run's last
-    ///   writer of `v` (no rewrite between `d` and the run's end) and
-    ///   a later reader consumes `v` before its next rewrite;
-    /// * `d` produces a value the run imports: `d` writes `v`, the run
-    ///   starts after `d` but before `v`'s next rewrite, and some run
-    ///   block up to (and including) that rewrite reads `v` — readers
-    ///   past the rewrite are fed by it, not by `d`;
-    /// * `d` is the *first* consumer of a value the run exports: the
-    ///   run writes `v`, `d > k` reads it, and nothing touches `v`
-    ///   between the run's end and `d` — an intervening reader sets
-    ///   the outbound rate instead, an intervening writer kills the
-    ///   value.
-    ///
-    /// Killer blocks (rewrites after the run) gate outbound traffic by
-    /// *identity*, not rate, so a profile edit never acts through
-    /// them; every cell the rules above leave untouched carries over.
-    pub(crate) fn carry_clean(&self, bsbs: &BsbArray, dirty: &[usize]) -> CommCosts {
-        let n = bsbs.len();
-        assert_eq!(n, self.n, "table built for another app");
-        let blocks = bsbs.as_slice();
-        let mut stale = vec![false; n * n];
-        for &d in dirty {
-            // `d` importing from before the run: only runs that start
-            // after `v`'s producer and still contain `d` pay a rate
-            // with `d`'s profile in it.
-            for v in &blocks[d].reads {
-                let Some(p) = blocks[..d].iter().rposition(|b| b.writes.contains(v)) else {
-                    continue; // program input: rate 1, profile-free
-                };
-                for j in p + 1..=d {
-                    for cell in stale[j * n + d..j * n + n].iter_mut() {
-                        *cell = true;
-                    }
-                }
-            }
-            for v in &blocks[d].writes {
-                let nw = blocks[d + 1..]
-                    .iter()
-                    .position(|b| b.writes.contains(v))
-                    .map_or(n, |p| d + 1 + p);
-                // `d` exporting: runs ending in [d, nw) with a reader
-                // left in (k, nw] have `d` as their last writer of `v`
-                // and that reader as its consumer. (A co-located
-                // reader at `nw` consumes before rewriting — the
-                // outbound scan checks reads first.)
-                let mut reader_after = nw < n && blocks[nw].reads.contains(v);
-                for k in (d..nw.min(n)).rev() {
-                    if k + 1 < nw && blocks[k + 1].reads.contains(v) {
-                        reader_after = true;
-                    }
-                    if reader_after {
-                        for row in 0..=d {
-                            stale[row * n + k] = true;
-                        }
-                    }
-                }
-                // `d` as producer for later-starting runs: the readers
-                // it feeds lie in (d, nw] — a run starting in that
-                // window pays d's rate once it reaches the first one.
-                let mut first_reader = usize::MAX;
-                for j in (d + 1..=nw.min(n - 1)).rev() {
-                    if blocks[j].reads.contains(v) {
-                        first_reader = j;
-                    }
-                    if first_reader != usize::MAX {
-                        for cell in stale[j * n + first_reader..j * n + n].iter_mut() {
-                            *cell = true;
-                        }
-                    }
-                }
-            }
-            // `d` as first later reader: a run ending at k < d exports
-            // to `d` only if it writes `v` (last writer ≥ j) and no
-            // block in (k, d) reads or writes `v`.
-            for v in &blocks[d].reads {
-                let last_touch = blocks[..d]
-                    .iter()
-                    .rposition(|b| b.reads.contains(v) || b.writes.contains(v));
-                let mut last_writer = None;
-                for k in 0..d {
-                    if blocks[k].writes.contains(v) {
-                        last_writer = Some(k);
-                    }
-                    if last_touch.is_some_and(|t| k < t) {
-                        continue; // something still touches v after k
-                    }
-                    if let Some(w) = last_writer {
-                        for j in 0..=w {
-                            stale[j * n + k] = true;
-                        }
-                    }
-                }
-            }
-        }
-        let mut out = CommCosts::new(n);
-        for j in 0..n {
-            for k in j..n {
-                let idx = j * n + k;
-                if !stale[idx] && self.known[idx] {
-                    out.cost[idx] = self.cost[idx];
-                    out.known[idx] = true;
-                }
-            }
-        }
-        out
     }
 }
 
@@ -299,23 +294,17 @@ impl CommCosts {
 /// never exceeds the communication the DP actually pays. Barrier
 /// blocks get a zero floor — they are charged software time, never run
 /// communication. Costs come from the caller's [`CommCosts`] memo —
-/// the artifact seam hands in the same table the DP reads, so the
-/// floor and the evaluation can never disagree on a run's price (and
-/// a warmed table answers without deriving anything).
-///
-/// On a cold memo this prices every run of every segment — the
-/// expensive part of a first bound-table build — so `stop` is polled
-/// once per run start; `None` means it tripped.
+/// the artifact seam hands in the same full table the DP reads, so the
+/// floor and the evaluation can never disagree on a run's price, and
+/// every price is a lookup.
 pub(crate) fn comm_floors(
     bsbs: &BsbArray,
     comm: &CommModel,
     barrier: &[bool],
     costs: &mut CommCosts,
-    stop: &StopSignal,
-) -> Option<Vec<u64>> {
+) -> Vec<u64> {
     assert_eq!(bsbs.len(), barrier.len(), "one flag per block");
     let n = bsbs.len();
-    let stoppable = !stop.is_never();
     let mut floors = vec![0u64; n];
     let mut s = 0usize;
     while s < n {
@@ -331,9 +320,6 @@ pub(crate) fn comm_floors(
             *f = u64::MAX;
         }
         for j in s..=e {
-            if stoppable && stop.check().is_some() {
-                return None;
-            }
             for k in j..=e {
                 let share = costs.cost(bsbs, comm, j, k) / (k - j + 1) as u64;
                 for f in &mut floors[j..=k] {
@@ -343,7 +329,7 @@ pub(crate) fn comm_floors(
         }
         s = e + 1;
     }
-    Some(floors)
+    floors
 }
 
 #[cfg(test)]
@@ -351,13 +337,6 @@ mod tests {
     use super::*;
     use lycos_ir::{Bsb, BsbId, BsbOrigin, Dfg};
     use std::collections::BTreeSet;
-
-    /// The array with block `d`'s profile bumped — a pure rate edit.
-    fn with_bump(original: &BsbArray, d: usize) -> BsbArray {
-        let mut blocks = original.as_slice().to_vec();
-        blocks[d].profile += 13;
-        BsbArray::from_bsbs("t", blocks)
-    }
 
     fn bsb(i: u32, profile: u64, reads: &[&str], writes: &[&str]) -> Bsb {
         Bsb {
@@ -461,114 +440,6 @@ mod tests {
     }
 
     #[test]
-    fn carried_runs_match_a_full_reprice_exhaustively() {
-        // A producer/consumer chain with a shared constant, a block
-        // that consumes the value it rewrites (5 reads *and* rewrites
-        // `out`, so it imports the old value while being its next
-        // writer) and a tail reader behind that rewrite, edited by
-        // profile only at every position in turn: each carried cell
-        // must equal the from-scratch price of the edited array, and
-        // cells the edit can actually move must NOT be carried.
-        let original = BsbArray::from_bsbs(
-            "t",
-            vec![
-                bsb(0, 4, &["in"], &["c", "x"]),
-                bsb(1, 40, &["c", "x"], &["y"]),
-                bsb(2, 40, &["y"], &["x"]),
-                bsb(3, 7, &["q"], &["q"]),
-                bsb(4, 9, &["x", "q"], &["out"]),
-                bsb(5, 30, &["out", "x"], &["out"]),
-                bsb(6, 50, &["out"], &[]),
-            ],
-        );
-        let model = CommModel::standard();
-        let n = original.len();
-        let mut donor = CommCosts::new(n);
-        for j in 0..n {
-            for k in j..n {
-                donor.cost(&original, &model, j, k);
-            }
-        }
-        for d in 0..n {
-            let mut blocks = original.as_slice().to_vec();
-            blocks[d].profile += 13;
-            let edited = BsbArray::from_bsbs("t", blocks);
-            let carried = donor.carry_clean(&edited, &[d]);
-            let mut fresh = CommCosts::new(n);
-            for j in 0..n {
-                for k in j..n {
-                    let price = fresh.cost(&edited, &model, j, k);
-                    let idx = j * n + k;
-                    if carried.known[idx] {
-                        assert_eq!(
-                            carried.cost[idx], price,
-                            "stale carry for run [{j},{k}] under edit at {d}"
-                        );
-                    }
-                }
-            }
-            // Any cell the edit actually moved must have been dropped
-            // (the equality assert above covers carried cells; this
-            // states the contrapositive directly).
-            for j in 0..n {
-                for k in j..n {
-                    let idx = j * n + k;
-                    if donor.cost[idx] != fresh.cost[idx] {
-                        assert!(!carried.known[idx], "run [{j},{k}] moved under edit at {d}");
-                    }
-                }
-            }
-        }
-        // The isolated self-loop block (3) couples to nothing before
-        // it, so editing block 0 leaves its singleton run carried.
-        let mut blocks = original.as_slice().to_vec();
-        blocks[0].profile += 1;
-        let edited = BsbArray::from_bsbs("t", blocks);
-        let carried = donor.carry_clean(&edited, &[0]);
-        assert!(carried.known[3 * n + 3], "uncoupled run must carry over");
-        // Precision, not just soundness: run [4,4] reads `x`, but its
-        // producer is block 2's rewrite — block 0's stale `x` never
-        // reaches it, so a variable-intersection rule would give this
-        // cell up for nothing.
-        assert!(
-            carried.known[4 * n + 4],
-            "re-written producer shields the run"
-        );
-        // Block 6 reads `out`, yet editing 4 leaves its run priced:
-        // block 5's rewrite is its producer.
-        let carried = donor.carry_clean(&with_bump(&original, 4), &[4]);
-        assert!(
-            !carried.known[5 * n + 5],
-            "rewriter that consumes the value pays 4's rate"
-        );
-        assert!(
-            carried.known[6 * n + 6],
-            "reader behind the rewrite is shielded"
-        );
-        // Editing the tail reader (6) leaves run [3,4] priced even
-        // though the run writes `out`: block 5 consumes the value
-        // first, so 6's rate never enters the run's outbound price.
-        let carried = donor.carry_clean(&with_bump(&original, 6), &[6]);
-        assert!(
-            carried.known[3 * n + 4],
-            "earlier consumer shields the exporter"
-        );
-        // Even a run CONTAINING the dirty block can carry: inside
-        // [2,4], block 3 imports only the program input `q` (rate 1,
-        // profile-free) and its `q` export dies unread past the run's
-        // end — so 3's profile never enters the price.
-        let carried = donor.carry_clean(&with_bump(&original, 3), &[3]);
-        assert!(
-            carried.known[2 * n + 4],
-            "profile-decoupled run spans the edit yet carries"
-        );
-        assert!(
-            !carried.known[2 * n + 3],
-            "run [2,3] exports q to block 4 at 3's rate"
-        );
-    }
-
-    #[test]
     fn traffic_cost_uses_comm_model() {
         let t = RunTraffic {
             in_words: 4,
@@ -604,14 +475,7 @@ mod tests {
             ],
         );
         let comm = CommModel::standard();
-        let floors = comm_floors(
-            &bsbs,
-            &comm,
-            &[false; 4],
-            &mut CommCosts::new(4),
-            &StopSignal::never(),
-        )
-        .unwrap();
+        let floors = comm_floors(&bsbs, &comm, &[false; 4], &mut CommCosts::new(4));
         let mut costs = CommCosts::new(4);
         for j in 0..4 {
             for k in j..4 {
@@ -638,14 +502,7 @@ mod tests {
             ],
         );
         let comm = CommModel::standard(); // sync 10, word 4
-        let floors = comm_floors(
-            &bsbs,
-            &comm,
-            &[false, true, false],
-            &mut CommCosts::new(3),
-            &StopSignal::never(),
-        )
-        .unwrap();
+        let floors = comm_floors(&bsbs, &comm, &[false, true, false], &mut CommCosts::new(3));
         // Run [0,0]: x leaves 100 times (min(writer, reader) = 100).
         assert_eq!(floors[0], 100 * 10 + 100 * 4);
         assert_eq!(floors[1], 0, "barrier blocks never pay run comm");
@@ -654,14 +511,7 @@ mod tests {
         // Without the barrier the whole-app run [0,2] (x internal, no
         // traffic) collapses every floor to zero.
         assert_eq!(
-            comm_floors(
-                &bsbs,
-                &comm,
-                &[false; 3],
-                &mut CommCosts::new(3),
-                &StopSignal::never()
-            )
-            .unwrap(),
+            comm_floors(&bsbs, &comm, &[false; 3], &mut CommCosts::new(3),),
             vec![0, 0, 0]
         );
     }

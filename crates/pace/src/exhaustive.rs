@@ -195,7 +195,7 @@ pub fn exhaustive_best(
 /// [`exhaustive_best`] over artifacts prepared (or fetched from an
 /// [`ArtifactStore`](crate::ArtifactStore)) elsewhere: per-block
 /// metrics derive from the artifacts' statics and the run-traffic memo
-/// starts from the artifacts' table instead of empty. Results are
+/// starts from the artifacts' full table. Results are
 /// identical to the compat path; only the precompute is shared.
 ///
 /// # Errors

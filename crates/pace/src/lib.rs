@@ -37,7 +37,7 @@
 //!   [`Objective`] trait;
 //! * [`SearchArtifacts`] / [`ArtifactStore`] — the staged-artifact
 //!   seam: everything a search precomputes per application (BSB
-//!   statics, the schedule table, the run-traffic memo, the lazy bound
+//!   statics, the schedule table, the run-traffic table, the lazy bound
 //!   tables) built once
 //!   behind a content fingerprint ([`ArtifactKey`]) and shared across
 //!   requests through a bounded LRU store. Every engine has one entry

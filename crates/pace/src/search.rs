@@ -48,8 +48,8 @@
 //!   *steal* the next chunk as they finish, so a worker handed a
 //!   heavily pruned region doesn't idle while its neighbours grind. A
 //!   single worker takes the whole window as one chunk — the
-//!   sequential walk. Each worker keeps a private traffic memo and
-//!   scratch;
+//!   sequential walk. Each worker keeps a private clone of the
+//!   traffic table and its own scratch;
 //!   results reduce deterministically under the strict
 //!   `(time, area, index)` improvement order — exactly the order the
 //!   sequential walk discovers winners in — so the outcome is
@@ -2473,12 +2473,10 @@ fn run_search<O: Objective>(
 
     // The artifacts carry the sweep's one-time precomputes: per-block
     // statics (software times, required resources, kind sets) and the
-    // schedule table, which every worker reads in place, and the
-    // run-traffic memo, which each worker clones. On the compat path
-    // the memo is empty and stays lazy per worker (eagerly filling the O(L²)
-    // table costs more than a short sweep spends on traffic); the
-    // store path hands it in pre-warmed. The bound tables are built
-    // lazily inside the artifacts and shared read-only, folding in the
+    // schedule table, which every worker reads in place, and the full
+    // run-traffic table, which each worker clones. The bound tables
+    // are built lazily inside the artifacts and shared read-only,
+    // folding in the
     // admissible communication floor. Their first build polls the stop
     // signal: if it trips there, no worker runs and the whole window
     // lands in `unvisited`.
