@@ -9,9 +9,9 @@
 //! * **cold** — first request against a fresh server builds the
 //!   content-addressed `SearchArtifacts` and searches with no
 //!   incumbent;
-//! * **warm** — every repeat hits the cross-request store and reseeds
-//!   the incumbent from the recorded winner, so the bound prunes from
-//!   step 0;
+//! * **warm** — every repeat hits the cross-request store and is
+//!   served the first request's recorded answer without a sweep; the
+//!   `stats` verb must count every repeat in `front_hits`;
 //! * **edited** — one computation in eigen's output-packing block is
 //!   reworked and the mutated source re-sent to a server that holds
 //!   the original: the store diffs the block fingerprints, clones
@@ -363,6 +363,15 @@ fn main() {
         warm_stats["misses"],
         warm_stats["evictions"],
     );
+    // A repeat that silently fell back to walking would still pass the
+    // speed-up gate on a fast host; the served count does not.
+    if warm_stats["front_hits"] != warm_reps as u64 {
+        eprintln!(
+            "bench_serve: {warm_reps} exact repeat(s) were served {} time(s)",
+            warm_stats["front_hits"]
+        );
+        std::process::exit(1);
+    }
     drop(client);
     shutdown(&addr, handle);
 

@@ -81,11 +81,11 @@ search knobs (best, pareto, table1; request defaults for serve):
                     keeps resident (default 8; LRU eviction past
                     the cap; the store backs `serve` and `best`)
   --no-warm         disable cross-request warm starts: answers
-                    served from a stored Pareto staircase, incumbent
-                    reseeding from recorded winners and the
-                    evaluation memo (default on; results are
-                    field-identical either way — warm repeats are
-                    just faster)
+                    served from a stored Pareto staircase, exact
+                    repeats served their recorded answer, and
+                    incumbent reseeding from recorded winners
+                    (default on; results are field-identical either
+                    way — warm repeats are just faster)
   --deadline-ms <n> anytime search: stop each sweep after <n> ms
                     and answer with the best-so-far winner (or the
                     partial Pareto frontier); the CSV `completion`

@@ -150,8 +150,10 @@ pub struct Table1Options {
     /// (the allocation service, the CLI); a bare row run never
     /// evicts anything.
     pub store_cap: usize,
-    /// Cross-request warm starts (`SearchOptions::warm`): incumbent
-    /// reseeding from recorded winners plus the evaluation memo. On
+    /// Cross-request warm starts (`SearchOptions::warm`): answers
+    /// served from a stored Pareto staircase or, for an exact repeat,
+    /// from a recorded answer, and incumbent reseeding from recorded
+    /// winners. On
     /// by default; winner columns are field-identical either way —
     /// only the effort spent reaching them changes.
     pub warm: bool,

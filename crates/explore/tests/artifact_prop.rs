@@ -88,15 +88,14 @@ proptest! {
                 assert_same_winner(&first, &cold);
 
                 // Second identical request: artifacts hit, and the
-                // recorded winner reseeds the incumbent when the
-                // branch-and-bound walk is on.
+                // exact repeat is served the first run's answer.
                 let second = flow::search(
                     &app, &lib, area, &restr, &pace, &options, Some(&store),
                     &StopSignal::never(),
                 ).unwrap();
                 prop_assert_eq!(second.stats.artifact_hits, 1);
                 prop_assert_eq!(second.stats.artifact_misses, 0);
-                prop_assert_eq!(second.stats.warm_reseeded, bound);
+                prop_assert!(second.stats.served);
                 assert_same_winner(&second, &cold);
                 if !bound {
                     // Without pruning there is no incumbent to
@@ -127,9 +126,10 @@ proptest! {
         let store = ArtifactStore::new(4);
 
         // Prime the store at the low budget, then query the high one
-        // (warm: seed fits) and the low one again (warm: both fit).
+        // (warm: seed fits) and the low one again (an exact repeat).
         let budgets = [Area::new(lo), Area::new(lo + delta), Area::new(lo)];
-        for area in budgets {
+        let mut seed_index = 0;
+        for (request, area) in budgets.into_iter().enumerate() {
             let cold = flow::search(
                 &app, &lib, area, &restr, &pace, &options, None, &StopSignal::never(),
             ).unwrap();
@@ -138,6 +138,16 @@ proptest! {
                 &StopSignal::never(),
             ).unwrap();
             assert_same_winner(&warm, &cold);
+            match request {
+                0 => seed_index = warm.best_index,
+                1 => {
+                    // The winner recorded at `lo` reseeds the walk
+                    // whenever it lies inside this request's window.
+                    let window = warm.space_size - warm.stats.truncated_points;
+                    prop_assert_eq!(warm.stats.warm_reseeded, seed_index < window);
+                }
+                _ => prop_assert!(warm.stats.served),
+            }
         }
         let stats = store.stats();
         prop_assert_eq!(stats.misses, 1);

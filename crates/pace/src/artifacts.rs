@@ -67,10 +67,9 @@
 //!   artifacts (decode the donor's odometer index, re-encode under the
 //!   new dimensions, run the DP) — a re-evaluated seed is a real point
 //!   with its true time, so the strict-only reseed stays sound.
-//! * **Evaluation memos** depend on every block at once and carry over
-//!   only when *zero* blocks were dirty (a pure rename edit).
-//! * **Stored Pareto staircases** are never carried: they die with the
-//!   entry, and an edited application builds its own.
+//! * **Stored Pareto staircases** and **recorded answers** are never
+//!   carried: they die with the entry, and an edited application
+//!   builds its own.
 //!
 //! The hard contract — pinned by `incremental_prop.rs` in the
 //! exploration crate — is that a search over incrementally built
@@ -84,7 +83,7 @@ use crate::exhaustive::{search_space, space_size};
 use crate::metrics::{block_statics, bsb_statics, BsbStatics, ScheduleTable};
 use crate::search::StoredFront;
 use crate::stop::StopSignal;
-use crate::{BsbMetrics, DpScratch, MetricsCache};
+use crate::{BsbMetrics, DpScratch, MetricsCache, SearchResult};
 use lycos_core::{RMap, Restrictions};
 use lycos_hwlib::{Area, FuId, HwLibrary};
 use lycos_ir::{Bsb, BsbArray, BsbOrigin, Dfg, OpKind};
@@ -428,14 +427,10 @@ pub struct SearchArtifacts {
     // The comm-floored bound tables, built on first use so unbounded
     // sweeps never pay for tables they cannot read.
     bounds: OnceLock<SearchBounds>,
-    // Cross-request evaluation memos, one per total budget (MRU-last,
-    // capped): candidate odometer index → hybrid time (or, for a
-    // candidate the controller-budget relaxation pruned, its lower
-    // bound), recorded by finished sweeps and served back to later
-    // warm runs over the same artifacts. The DP and the relaxation are
-    // deterministic per (artifacts, budget, candidate), so a served
-    // value is bit-identical to a recompute.
-    eval_memos: Mutex<Vec<(u64, Arc<EvalMemo>)>>,
+    /// The results of complete walked best-under-budget searches, most
+    /// recently used last, served to exact repeats. Store-resident
+    /// artifacts only; never carried across an incremental rebuild.
+    answers: Mutex<Vec<(AnswerKey, Arc<SearchResult>)>>,
     /// The widest completed Pareto staircase swept over these
     /// artifacts, if any. It answers every best-under-budget search at
     /// a budget `B ≤ cap` and every Pareto sweep at `B′ ≤ cap` without
@@ -461,116 +456,18 @@ pub struct SearchArtifacts {
     // The owning store's served-lookup counter when these artifacts
     // live in an [`ArtifactStore`] and can outlive the current
     // request; `None` on one-shot artifacts, so sweeps over them skip
-    // the memo and staircase bookkeeping nobody could ever read back.
+    // the staircase and answer bookkeeping nobody could ever read back.
     store_front_hits: Option<Arc<AtomicU64>>,
 }
 
-/// One cross-request evaluation-memo entry.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub(crate) enum MemoEval {
-    /// The candidate's DP time under the memo's budget.
-    Exact(u64),
-    /// The controller-budget relaxation's lower bound on that time, at
-    /// the candidate's full controller budget: recorded for a
-    /// candidate the relaxation pruned, so its DP never ran.
-    Bound(u64),
-}
+/// What a recorded answer is filed under: budget gates, evaluation
+/// limit and bound — every option a complete result depends on (the
+/// worker count changes effort telemetry only).
+pub(crate) type AnswerKey = (u64, Option<usize>, bool);
 
-impl MemoEval {
-    /// The recorded time, or lower bound on it.
-    pub(crate) fn time(self) -> u64 {
-        match self {
-            MemoEval::Exact(time) | MemoEval::Bound(time) => time,
-        }
-    }
-
-    /// One word: the time shifted left, the low bit set for a bound.
-    /// `None` for a time of 2⁶³ cycles or more, which is simply not
-    /// memoised.
-    fn pack(self) -> Option<u64> {
-        let (time, bound) = match self {
-            MemoEval::Exact(time) => (time, 0),
-            MemoEval::Bound(time) => (time, 1),
-        };
-        (time < 1 << 63).then_some((time << 1) | bound)
-    }
-
-    fn unpack(word: u64) -> Self {
-        if word & 1 == 1 {
-            MemoEval::Bound(word >> 1)
-        } else {
-            MemoEval::Exact(word >> 1)
-        }
-    }
-}
-
-/// One budget's evaluation memo: `(odometer index, packed evaluation)`
-/// pairs sorted by index — 16 bytes an entry and no hash-table slack,
-/// looked up by binary search. A candidate whose index or time does
-/// not fit a word is simply not memoised.
-#[derive(Clone, Debug, Default)]
-pub(crate) struct EvalMemo(Vec<(u64, u64)>);
-
-impl EvalMemo {
-    /// The evaluation recorded for the candidate at `index`, if any.
-    pub(crate) fn get(&self, index: u128) -> Option<MemoEval> {
-        let index = u64::try_from(index).ok()?;
-        let at = self.0.binary_search_by_key(&index, |&(i, _)| i).ok()?;
-        Some(MemoEval::unpack(self.0[at].1))
-    }
-
-    /// This memo with `pairs` folded in. An exact time replaces a bound
-    /// and is never replaced by one; equal kinds must carry equal
-    /// values (the DP and the relaxation are deterministic), asserted
-    /// in debug builds. New candidates stop at [`MAX_EVAL_ENTRIES`].
-    fn merged(&self, pairs: Vec<(u128, MemoEval)>) -> EvalMemo {
-        let mut fresh: Vec<(u64, u64)> = pairs
-            .into_iter()
-            .filter_map(|(index, eval)| Some((u64::try_from(index).ok()?, eval.pack()?)))
-            .collect();
-        // Exact words (low bit clear) sort first, so dedup keeps them.
-        fresh.sort_unstable_by_key(|&(index, word)| (index, word & 1));
-        fresh.dedup_by_key(|&mut (index, _)| index);
-        let mut room = MAX_EVAL_ENTRIES.saturating_sub(self.0.len());
-        let mut out = Vec::with_capacity(self.0.len() + fresh.len().min(room));
-        let mut old = self.0.iter().copied().peekable();
-        for (index, word) in fresh {
-            while let Some(&kept) = old.peek().filter(|&&(i, _)| i < index) {
-                out.push(kept);
-                old.next();
-            }
-            match old.peek() {
-                Some(&(i, kept)) if i == index => {
-                    let merged = match (kept & 1, word & 1) {
-                        (1, 0) => word,
-                        (0, 1) => kept,
-                        _ => {
-                            debug_assert_eq!(kept, word, "eval memo disagrees at index {index}");
-                            kept
-                        }
-                    };
-                    out.push((index, merged));
-                    old.next();
-                }
-                _ if room > 0 => {
-                    room -= 1;
-                    out.push((index, word));
-                }
-                _ => {}
-            }
-        }
-        out.extend(old);
-        EvalMemo(out)
-    }
-}
-
-/// Budgets an artifact set keeps evaluation memos for.
-const MAX_EVAL_MEMOS: usize = 8;
-
-/// Entries one evaluation memo may hold, exact and bound entries
-/// together — a few MB worst case; a partial memo stays sound
-/// (missing indices just recompute).
-const MAX_EVAL_ENTRIES: usize = 1 << 18;
+/// Answers one artifact set keeps: its worst case is this many
+/// results, each about one partition in size (under 1 KiB on eigen).
+pub(crate) const MAX_ANSWERS: usize = 32;
 
 impl SearchArtifacts {
     /// Builds the artifacts for a full allocation-space search: block
@@ -603,7 +500,7 @@ impl SearchArtifacts {
             io_marks: bsbs.iter().map(io_mark).collect(),
             context: context_of(lib, config),
             bounds: OnceLock::new(),
-            eval_memos: Mutex::new(Vec::new()),
+            answers: Mutex::new(Vec::new()),
             front: Mutex::new(None),
             store_front_hits: None,
         })
@@ -676,18 +573,6 @@ impl SearchArtifacts {
             CommCosts::priced(bsbs, &config.comm)
         };
 
-        // Evaluation memos depend on every block and the dimensions at
-        // once; only a zero-dirty edit (pure rename) may carry them.
-        let eval_memos = if rederived == 0 && n == donor.statics.len() && dims == donor.dims {
-            donor
-                .eval_memos
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner)
-                .clone()
-        } else {
-            Vec::new()
-        };
-
         // Schedule lengths depend only on one block's content and its
         // caps: content-clean blocks under unchanged caps share the
         // donor's slots, filled or not.
@@ -704,7 +589,7 @@ impl SearchArtifacts {
             io_marks,
             context: donor.context,
             bounds: OnceLock::new(),
-            eval_memos: Mutex::new(eval_memos),
+            answers: Mutex::new(Vec::new()),
             front: Mutex::new(None),
             store_front_hits: None,
         };
@@ -739,7 +624,7 @@ impl SearchArtifacts {
             io_marks: Vec::new(),
             context: 0,
             bounds: OnceLock::new(),
-            eval_memos: Mutex::new(Vec::new()),
+            answers: Mutex::new(Vec::new()),
             front: Mutex::new(None),
             store_front_hits: None,
         })
@@ -759,9 +644,9 @@ impl SearchArtifacts {
     /// Whether these artifacts are shared through an
     /// [`ArtifactStore`] (set by
     /// [`ArtifactStore::get_or_build_incremental`]).
-    /// The engines consult this before doing evaluation-memo and
-    /// staircase bookkeeping: on one-shot artifacts nothing could ever
-    /// read a recording back, so the sweep skips it entirely.
+    /// The engines consult this before recording a staircase or an
+    /// answer: on one-shot artifacts nothing could ever read a
+    /// recording back, so the sweep skips it entirely.
     pub fn store_resident(&self) -> bool {
         self.store_front_hits.is_some()
     }
@@ -788,9 +673,10 @@ impl SearchArtifacts {
         }
     }
 
-    /// Counts one answer served from the stored staircase on the
-    /// owning store's [`StoreStats::front_hits`].
-    pub(crate) fn note_front_hit(&self) {
+    /// Counts one search answered without a sweep — from the stored
+    /// staircase or a recorded answer — on the owning store's
+    /// [`StoreStats::front_hits`].
+    pub(crate) fn note_served(&self) {
         if let Some(hits) = &self.store_front_hits {
             hits.fetch_add(1, Ordering::Relaxed);
         }
@@ -878,40 +764,29 @@ impl SearchArtifacts {
         Ok(Some(self.bounds.get_or_init(|| built)))
     }
 
-    /// The evaluation memo recorded under `budget_gates`, if any —
-    /// served to warm runs so non-improving candidates skip the DP
-    /// (and the metrics refresh) outright.
-    pub(crate) fn eval_memo(&self, budget_gates: u64) -> Option<Arc<EvalMemo>> {
-        let mut memos = self
-            .eval_memos
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner);
-        let pos = memos.iter().position(|(b, _)| *b == budget_gates)?;
-        let entry = memos.remove(pos);
-        let memo = entry.1.clone();
-        memos.push(entry); // MRU-last
-        Some(memo)
+    /// Serves the answer recorded under `key`, if any: it becomes the
+    /// most recently used and counts as served ([`Self::note_served`]).
+    pub(crate) fn answer(&self, key: AnswerKey) -> Option<Arc<SearchResult>> {
+        let mut answers = self.answers.lock().unwrap_or_else(PoisonError::into_inner);
+        let pos = answers.iter().position(|(k, _)| *k == key)?;
+        let entry = answers.remove(pos);
+        answers.push(entry);
+        self.note_served();
+        answers.last().map(|(_, answer)| answer.clone())
     }
 
-    /// Folds a finished run's `(index, evaluation)` pairs into the
-    /// memo for `budget_gates` ([`EvalMemo::merged`]), evicting the
-    /// coldest budget past the cap. Concurrent recorders merge.
-    pub(crate) fn record_evals(&self, budget_gates: u64, pairs: Vec<(u128, MemoEval)>) {
-        if pairs.is_empty() {
+    /// Records `answer` under `key`, replacing an earlier answer at the
+    /// same key and evicting the least recently used past
+    /// [`MAX_ANSWERS`]. A no-op on one-shot artifacts.
+    pub(crate) fn keep_answer(&self, key: AnswerKey, answer: SearchResult) {
+        if !self.store_resident() {
             return;
         }
-        let mut memos = self
-            .eval_memos
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner);
-        let merged = match memos.iter().position(|(b, _)| *b == budget_gates) {
-            Some(pos) => memos.remove(pos).1.merged(pairs),
-            None => EvalMemo::default().merged(pairs),
-        };
-        let entry = (budget_gates, Arc::new(merged));
-        memos.push(entry);
-        while memos.len() > MAX_EVAL_MEMOS {
-            memos.remove(0);
+        let mut answers = self.answers.lock().unwrap_or_else(PoisonError::into_inner);
+        answers.retain(|(k, _)| *k != key);
+        answers.push((key, Arc::new(answer)));
+        if answers.len() > MAX_ANSWERS {
+            answers.remove(0);
         }
     }
 }
@@ -983,8 +858,10 @@ pub struct StoreStats {
     pub reused: u64,
     /// Blocks re-derived from scratch across all incremental builds.
     pub rederived: u64,
-    /// Searches answered from a stored Pareto staircase instead of a
-    /// sweep ([`crate::SearchStats::served`]).
+    /// Searches answered without a sweep
+    /// ([`crate::SearchStats::served`]): from a stored Pareto staircase,
+    /// or — for an exact repeat of a best-under-budget search — from
+    /// its recorded answer.
     pub front_hits: u64,
 }
 
@@ -1584,45 +1461,47 @@ mod tests {
     }
 
     #[test]
-    fn eval_memos_merge_per_budget_and_evict_the_coldest() {
+    fn answers_evict_the_least_recently_used_past_the_cap() {
         let (bsbs, lib, config) = inputs(2);
         let restr = Restrictions::from_asap(&bsbs, &lib).unwrap();
-        let artifacts = SearchArtifacts::prepare(&bsbs, &lib, &restr, &config).unwrap();
-        assert!(artifacts.eval_memo(100).is_none());
-
-        use super::MemoEval::{Bound, Exact};
-        // Recordings under one budget merge (keep-first on equal
-        // keys, an exact time replacing a bound but never the other
-        // way round); other budgets stay isolated.
-        artifacts.record_evals(100, vec![(0, Exact(7)), (1, Exact(9)), (3, Bound(5))]);
-        artifacts.record_evals(100, vec![(1, Exact(9)), (2, Exact(4)), (3, Exact(6))]);
-        artifacts.record_evals(100, vec![(2, Bound(3)), (4, Bound(8))]);
-        artifacts.record_evals(200, vec![(0, Exact(3))]);
-        let memo = artifacts.eval_memo(100).unwrap();
-        assert_eq!(memo.0.len(), 5);
-        assert_eq!(memo.get(2), Some(Exact(4)));
-        assert_eq!(memo.get(3), Some(Exact(6)));
-        assert_eq!(memo.get(4), Some(Bound(8)));
-        assert_eq!(memo.get(5), None);
-        assert_eq!(
-            memo.get(u128::MAX),
-            None,
-            "indices past a word are never memoised"
-        );
-        assert_eq!(artifacts.eval_memo(200).unwrap().0.len(), 1);
-        assert!(artifacts.eval_memo(300).is_none());
-
-        // Re-serving budget 100 makes it most-recent, so filling the
-        // remaining slots evicts budget 200 — the coldest — first.
-        let _ = artifacts.eval_memo(100);
-        for b in 0..(super::MAX_EVAL_MEMOS as u64 - 1) {
-            artifacts.record_evals(1_000 + b, vec![(0, Exact(1))]);
+        let store = ArtifactStore::new(1);
+        let (artifacts, _) = store
+            .get_or_build_incremental(&bsbs, &lib, &restr, &config)
+            .unwrap();
+        let answer = crate::search_best(
+            &bsbs,
+            &lib,
+            Area::new(8_000),
+            &restr,
+            &config,
+            &crate::SearchOptions::sequential(),
+        )
+        .unwrap();
+        // Each recording is tagged with its budget to tell them apart.
+        let key = |budget: u64| (budget, None, true);
+        let tagged = |budget: u64| SearchResult {
+            best_index: u128::from(budget),
+            ..answer.clone()
+        };
+        assert!(artifacts.answer(key(0)).is_none());
+        for budget in 0..MAX_ANSWERS as u64 {
+            artifacts.keep_answer(key(budget), tagged(budget));
         }
-        assert!(artifacts.eval_memo(200).is_none(), "coldest budget evicted");
-        assert!(
-            artifacts.eval_memo(100).is_some(),
-            "recently served budget kept"
-        );
+        // Serving the oldest key makes it most recent, so the next
+        // recording past the cap evicts the second oldest instead.
+        assert_eq!(artifacts.answer(key(0)).unwrap().best_index, 0);
+        artifacts.keep_answer(key(1_000), tagged(1_000));
+        assert!(artifacts.answer(key(1)).is_none(), "coldest key evicted");
+        assert!(artifacts.answer(key(0)).is_some(), "served key kept");
+        assert_eq!(artifacts.answer(key(1_000)).unwrap().best_index, 1_000);
+        assert_eq!(artifacts.answers.lock().unwrap().len(), MAX_ANSWERS);
+        // The limit and the bound are part of the key.
+        assert!(artifacts.answer((0, Some(5), true)).is_none());
+        assert!(artifacts.answer((0, None, false)).is_none());
+        // One-shot artifacts record nothing.
+        let one_shot = SearchArtifacts::prepare(&bsbs, &lib, &restr, &config).unwrap();
+        one_shot.keep_answer(key(0), tagged(0));
+        assert!(one_shot.answer(key(0)).is_none());
     }
 
     #[test]
@@ -1648,7 +1527,7 @@ mod tests {
         assert!(Arc::ptr_eq(&a, &again), "a hit shares the resident entry");
         // Store-resident artifacts count their served lookups on the
         // store.
-        a.note_front_hit();
+        a.note_served();
         assert_eq!(store.stats().front_hits, 1);
         // A second application evicts the first at cap 1.
         let (b, outcome) = store

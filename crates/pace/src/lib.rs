@@ -47,10 +47,11 @@
 //!   classic signatures remain as one-shot compat wrappers. On a warm
 //!   hit the store also offers previously recorded winners
 //!   ([`WarmSeed`]) to reseed the branch-and-bound incumbent — results
-//!   stay field-identical, the prune just starts tight — and a
-//!   completed Pareto sweep's staircase ([`StoredFront`]) answers
-//!   later bounded searches at every budget up to its cap without a
-//!   sweep.
+//!   stay field-identical, the prune just starts tight. A completed
+//!   Pareto sweep's staircase ([`StoredFront`]) answers later bounded
+//!   searches at every budget up to its cap without a sweep, and an
+//!   exact repeat of a complete best-under-budget search (same budget,
+//!   limit and bound) is served the result its walk recorded.
 //!
 //! # Examples
 //!

@@ -112,8 +112,17 @@
 //! [`SearchStats::served`]; truncated, limited or `no-warm` requests
 //! are never stored, and limited, unbounded or `no-warm` requests are
 //! never served.
+//!
+//! # Serving exact repeats from a recorded answer
+//!
+//! A complete, warm best-under-budget walk over store-resident
+//! artifacts records its result under `(budget, limit, bound)` (the
+//! 32 most recently used keys are kept). An exact repeat is served a
+//! copy with the walk's own winner and accounting, so an unbounded
+//! repeat still equals [`exhaustive_best`]. Stopped runs are never
+//! recorded.
 
-use crate::artifacts::{EvalMemo, MemoEval, SearchArtifacts, WarmSeed};
+use crate::artifacts::{AnswerKey, SearchArtifacts, WarmSeed};
 use crate::bounds::{BudgetRelaxation, LevelState};
 use crate::stop::{Completion, StopReason, StopSignal, STOP_CHECK_INTERVAL};
 use crate::{
@@ -186,14 +195,13 @@ pub struct SearchOptions {
     ///   later bounded ([`SearchOptions::bound`]), unlimited search at
     ///   a budget up to that sweep's is answered from it without a
     ///   sweep ([`SearchStats::served`]);
+    /// * a complete best-under-budget walk records its answer under
+    ///   `(budget, limit, bound)`, and an exact repeat is served a copy
+    ///   without a sweep ([`SearchStats::served`]);
     /// * on an artifact-store hit the [`BestUnderBudget`] shared
     ///   incumbent is reseeded from a previously recorded winner whose
     ///   budget fits under the current one (requires
-    ///   [`SearchOptions::bound`] and store-supplied seeds);
-    /// * the per-budget evaluation memo serves recorded candidate
-    ///   times — and the controller-budget relaxation's bounds of
-    ///   candidates it pruned — so provably non-improving points skip
-    ///   the metrics refresh and the DP outright.
+    ///   [`SearchOptions::bound`] and store-supplied seeds).
     ///
     /// All three are sound — results stay field-identical to a cold
     /// run — so this knob exists purely for A/B benchmarking the warm
@@ -371,11 +379,11 @@ pub struct SearchStats {
     /// one. The result is field-identical either way; this flag is the
     /// telemetry that the prune had a head start.
     pub warm_reseeded: bool,
-    /// Whether the answer came from a stored Pareto staircase instead
-    /// of a sweep (see [`SearchOptions::warm`]). A served search books
-    /// the whole space as `bounded` except, for a best-under-budget
-    /// answer, the one winner whose DP it ran (`evaluated == 1`), so
-    /// the accounting identity holds unchanged.
+    /// Whether the answer came without a sweep (see
+    /// [`SearchOptions::warm`]): a stored staircase books the space as
+    /// `bounded` bar a best answer's one DP (`evaluated == 1`), and a
+    /// recorded answer replays its walk's counts, so the accounting
+    /// identity holds unchanged.
     pub served: bool,
     /// Blocks whose allocation-independent artifacts (statics, bound
     /// tables) were cloned from a resident store entry on the
@@ -820,30 +828,6 @@ pub trait Objective: Sync {
         false
     }
 
-    /// Whether a candidate whose evaluation is already known from a
-    /// cross-request memo may skip the metrics refresh, the DP *and*
-    /// its [`Objective::record`] call entirely. `time` is the
-    /// candidate's DP time under the full controller budget — or a
-    /// lower bound on it, for a candidate the controller-budget
-    /// relaxation pruned in an earlier run — and `gates` its data
-    /// path. Return `true` only when no candidate with these gates, a
-    /// time of at least `time` and an index later than everything this
-    /// local has recorded could change the reduced output: the
-    /// [`Objective::prune`] contract for a one-point subtree. The
-    /// default keeps every objective on the always-evaluate path;
-    /// [`BestUnderBudget`] opts in.
-    fn cached_eval_skips(&self, _local: &Self::Local, _time: u64, _gates: u64) -> bool {
-        false
-    }
-
-    /// Whether candidates the controller-budget relaxation prunes are
-    /// remembered in the cross-request evaluation memo, as bound
-    /// entries holding the relaxation's lower bound at full levels,
-    /// for [`Objective::cached_eval_skips`] to skip on a warm repeat.
-    /// Worth it only for an objective whose skip test can use a
-    /// full-budget bound.
-    const MEMO_BOUNDS: bool = false;
-
     /// The worker is about to jump to a non-adjacent index (a stolen
     /// chunk): refresh whatever view of `shared` the local caches.
     fn reseed(&self, _local: &mut Self::Local, _shared: &Self::Shared) {}
@@ -962,24 +946,6 @@ impl Objective for BestUnderBudget {
             .as_ref()
             .map(|(_, p, area, _)| (p.total_time.count(), *area));
         local.inherited = unpack_incumbent(shared.0.load(Ordering::Relaxed));
-    }
-
-    const MEMO_BOUNDS: bool = true;
-
-    // The subtree prune of a one-point subtree whose time is at least
-    // `time`. Against the worker's own best it is the exact negation
-    // of `record`'s improvement test (a later index loses ties), so a
-    // skipped exact entry leaves `record` a no-op; against the shared
-    // incumbent it is the strict cross-worker prune. Both hold for any
-    // time ≥ `time`, so a bound entry skips on the same test. Unbounded
-    // walks never observe a shared incumbent, so only the own rule
-    // applies there.
-    fn cached_eval_skips(&self, local: &BestLocal, time: u64, gates: u64) -> bool {
-        let own = local
-            .best
-            .as_ref()
-            .map(|(_, p, area, _)| (p.total_time.count(), *area));
-        subtree_pruned(time, gates, own, local.inherited)
     }
 
     fn prune(&self, local: &BestLocal, lb: u64, min_area: u64) -> bool {
@@ -1524,12 +1490,6 @@ struct WorkerOut<L> {
     key_allocs: u64,
     dirty_probes: u64,
     clean_reuses: u64,
-    /// `(index, evaluation)` of every DP this worker actually ran and,
-    /// for objectives with [`Objective::MEMO_BOUNDS`], of every
-    /// candidate the controller-budget relaxation pruned — the
-    /// material [`SearchArtifacts::record_evals`] folds into the
-    /// cross-request evaluation memo.
-    recorded: Vec<(u128, MemoEval)>,
     /// Why this worker stopped before exhausting its points, if it
     /// did; `None` means it covered everything it was handed.
     stopped: Option<StopReason>,
@@ -1549,7 +1509,6 @@ impl<L> WorkerOut<L> {
             key_allocs: 0,
             dirty_probes: 0,
             clean_reuses: 0,
-            recorded: Vec::new(),
             stopped: None,
         }
     }
@@ -1580,13 +1539,6 @@ struct SweepWorker<'a, O: Objective> {
     /// The current candidate's controller-budget relaxation, rebuilt
     /// in place after each metrics refresh (bounded walks only).
     relax: BudgetRelaxation,
-    /// Cross-request evaluation memo for this exact budget, if a
-    /// previous run over the same artifacts recorded one.
-    eval_memo: Option<Arc<EvalMemo>>,
-    /// Whether evaluated times are collected for
-    /// [`SearchArtifacts::record_evals`] — only when the artifacts
-    /// are store-resident, so one-shot sweeps skip the bookkeeping.
-    memoize: bool,
     objective: &'a O,
     shared: &'a O::Shared,
     /// Whether improving candidates should be advertised cross-worker
@@ -1611,8 +1563,6 @@ impl<'a, O: Objective> SweepWorker<'a, O> {
         dims: &'a [(FuId, u32)],
         artifacts: &'a SearchArtifacts,
         bounds: Option<&'a SearchBounds>,
-        eval_memo: Option<Arc<EvalMemo>>,
-        memoize: bool,
         objective: &'a O,
         shared: &'a O::Shared,
         stop: &'a StopSignal,
@@ -1633,8 +1583,6 @@ impl<'a, O: Objective> SweepWorker<'a, O> {
             bounds,
             levels: bounds.map(LevelState::new),
             relax: BudgetRelaxation::new(),
-            eval_memo,
-            memoize,
             objective,
             shared,
             publish: bounds.is_some(),
@@ -1711,9 +1659,6 @@ impl<'a, O: Objective> SweepWorker<'a, O> {
             return false;
         };
         self.out.evaluated += 1;
-        if self.memoize {
-            self.out.recorded.push((index, MemoEval::Exact(time)));
-        }
         let eval = CandidateEval {
             scratch: &self.scratch,
             metrics: &self.metrics,
@@ -1728,35 +1673,18 @@ impl<'a, O: Objective> SweepWorker<'a, O> {
         true
     }
 
-    /// The cross-request memo entry of the candidate at `index` (data
-    /// path `gates`), if the objective certifies it may be skipped.
-    fn memo_skip(&self, index: u128, gates: u64) -> Option<MemoEval> {
-        let eval = self.eval_memo.as_ref()?.get(index)?;
-        self.objective
-            .cached_eval_skips(&self.out.local, eval.time(), gates)
-            .then_some(eval)
-    }
-
     /// Whether the controller-budget relaxation of the freshly
-    /// refreshed candidate (data path `gates`, odometer `index`)
-    /// proves its DP hopeless to the objective. Always `false` on
-    /// unbounded walks. A pruned candidate is remembered as a bound
-    /// entry of the evaluation memo when the objective asks for it.
-    fn budget_prunes(&mut self, index: u128, gates: u64) -> bool {
+    /// refreshed candidate (data path `gates`) proves its DP hopeless
+    /// to the objective. Always `false` on unbounded walks.
+    fn budget_prunes(&mut self, gates: u64) -> bool {
         let Some(bounds) = self.bounds else {
             return false;
         };
         self.relax.rebuild(&self.metrics, bounds.comm_floors());
         let quantum = self.config.quantum;
         let levels = ((self.total_gates - gates) / quantum) as usize;
-        let pruned =
-            self.objective
-                .prune_candidate(&self.out.local, &self.relax, gates, levels, quantum);
-        if pruned && O::MEMO_BOUNDS && self.memoize {
-            let bound = self.relax.lower_bound(levels as u64 * quantum);
-            self.out.recorded.push((index, MemoEval::Bound(bound)));
-        }
-        pruned
+        self.objective
+            .prune_candidate(&self.out.local, &self.relax, gates, levels, quantum)
     }
 
     /// Evaluates every point of `range`, exactly as the sequential
@@ -1844,22 +1772,9 @@ impl<'a, O: Objective> SweepWorker<'a, O> {
             let gates = odo.area_gates();
             if gates > self.total_gates {
                 self.out.skipped += 1;
-            } else if let Some(eval) = self.memo_skip(index, gates) {
-                // Cross-request memo hit on a candidate the objective
-                // certifies non-improving: no metrics refresh, no DP,
-                // no record — only the accounting, in the bucket the
-                // recording run put it in. An unbounded run keeps the
-                // exhaustive walk's accounting, where every feasible
-                // point of the window is evaluated. The dirty set keeps
-                // accumulating so the next real evaluation refreshes
-                // every block touched since.
-                match eval {
-                    MemoEval::Bound(_) if self.bounds.is_some() => self.out.bounded += 1,
-                    _ => self.out.evaluated += 1,
-                }
             } else {
                 self.refresh_metrics(&odo)?;
-                if self.budget_prunes(index, gates) {
+                if self.budget_prunes(gates) {
                     // Hopeless under its own controller budget: tallied
                     // like a leaf-level skip, and the walk advances
                     // past it below like past any other point.
@@ -1942,8 +1857,6 @@ fn sweep_chunks<O: Objective>(
     cursor: &AtomicU64,
     artifacts: &SearchArtifacts,
     bounds: Option<&SearchBounds>,
-    eval_memo: Option<Arc<EvalMemo>>,
-    memoize: bool,
     objective: &O,
     shared: &O::Shared,
     stop: &StopSignal,
@@ -1956,8 +1869,6 @@ fn sweep_chunks<O: Objective>(
         dims,
         artifacts,
         bounds,
-        eval_memo,
-        memoize,
         objective,
         shared,
         stop,
@@ -2107,6 +2018,8 @@ pub fn search_best(
 /// covers `total_area`, a bounded, unlimited, warm search is answered
 /// from the staircase instead — one DP of the winner, no sweep, and a
 /// complete result whatever the signal does ([`SearchStats::served`]).
+/// Otherwise an exact repeat of a complete warm walk over
+/// store-resident artifacts is served that walk's recorded answer.
 ///
 /// # Errors
 ///
@@ -2124,6 +2037,15 @@ pub fn search_best_with_stop(
 ) -> Result<SearchResult, PaceError> {
     if let Some(front) = serving_front(options, artifacts, total_area) {
         return serve_best(bsbs, lib, total_area, config, artifacts, &front);
+    }
+    let key: AnswerKey = (total_area.gates(), options.limit, options.bound);
+    if options.warm {
+        let started = Instant::now();
+        if let Some(answer) = artifacts.answer(key) {
+            let mut served = SearchResult::clone(&answer);
+            served.stats.elapsed = started.elapsed();
+            return Ok(served);
+        }
     }
     let mut run = run_search(
         bsbs,
@@ -2155,7 +2077,7 @@ pub fn search_best_with_stop(
             (RMap::new(), partition, 0, 0)
         }
     };
-    Ok(SearchResult {
+    let result = SearchResult {
         best_allocation,
         best_partition,
         best_gates,
@@ -2165,7 +2087,26 @@ pub fn search_best_with_stop(
         space_size: run.space_size,
         truncated: run.truncated,
         stats: run.stats,
-    })
+    };
+    if options.warm && result.stats.completion.is_complete() {
+        artifacts.keep_answer(key, recorded_answer(&result));
+    }
+    Ok(result)
+}
+
+/// A walked result as an exact repeat replays it: the winner and the
+/// accounting, none of the walk's effort, and [`SearchStats::served`].
+fn recorded_answer(result: &SearchResult) -> SearchResult {
+    SearchResult {
+        stats: SearchStats {
+            bounded: result.stats.bounded,
+            budget_pruned: result.stats.budget_pruned,
+            truncated_points: result.stats.truncated_points,
+            served: true,
+            ..SearchStats::default()
+        },
+        ..result.clone()
+    }
 }
 
 /// One multi-objective sweep emitting the entire Pareto frontier of
@@ -2290,7 +2231,7 @@ pub fn search_pareto_with_stop(
 ) -> Result<ParetoResult, PaceError> {
     if let Some(front) = serving_front(options, artifacts, total_area) {
         let started = Instant::now();
-        artifacts.note_front_hit();
+        artifacts.note_served();
         let space = artifacts.space_size();
         return Ok(ParetoResult {
             points: front.frontier_within(total_area),
@@ -2408,7 +2349,7 @@ fn serve_best(
         artifacts,
     )?;
     debug_assert_eq!(partition.total_time, winner.point.time());
-    artifacts.note_front_hit();
+    artifacts.note_served();
     let space = artifacts.space_size();
     let mut stats = served_stats(space, started);
     stats.bounded -= 1;
@@ -2509,20 +2450,6 @@ fn run_search<O: Objective>(
         }
     }
 
-    // Cross-request evaluation memo for this exact budget: served
-    // candidates the objective certifies non-improving skip the DP
-    // outright; everything actually evaluated is recorded back. Both
-    // directions ride the `warm` knob (so `--no-warm` runs are fully
-    // cold and leave no trace) and require store-resident artifacts —
-    // a one-shot sweep's recordings could never be read back, so it
-    // skips the bookkeeping entirely.
-    let memoize = options.warm && artifacts.store_resident();
-    let eval_memo = if memoize {
-        artifacts.eval_memo(total_gates)
-    } else {
-        None
-    };
-
     // Workers take subtree-aligned chunks off one cursor. A single
     // worker takes the whole window as one chunk: the sequential walk,
     // with no reseeds.
@@ -2544,8 +2471,6 @@ fn run_search<O: Objective>(
             &cursor,
             artifacts,
             bounds,
-            eval_memo.clone(),
-            memoize,
             objective,
             &shared,
             stop,
@@ -2574,9 +2499,8 @@ fn run_search<O: Objective>(
         ..SearchStats::default()
     };
     let mut locals = Vec::with_capacity(outs.len());
-    let mut recorded = Vec::new();
     for out in outs {
-        let mut out = out?;
+        let out = out?;
         evaluated += out.evaluated;
         skipped += out.skipped;
         stats.bounded += out.bounded;
@@ -2588,7 +2512,6 @@ fn run_search<O: Objective>(
         stats.dirty_probes += out.dirty_probes;
         stats.clean_reuses += out.clean_reuses;
         objective.fold_stats(&out.local, &mut stats);
-        recorded.append(&mut out.recorded);
         locals.push(out.local);
         // Cancellation outranks a deadline: an explicitly cancelled
         // run reports `Cancelled` even if its deadline also expired
@@ -2600,9 +2523,6 @@ fn run_search<O: Objective>(
             }
             None => {}
         }
-    }
-    if memoize {
-        artifacts.record_evals(total_gates, recorded);
     }
     // The objective's reduce is deterministic whatever scheduler
     // handed points to workers — ties resolve by odometer index, the

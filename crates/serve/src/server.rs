@@ -7,9 +7,10 @@
 //! * the **acceptor** (the thread that called [`Server::run`]) blocks
 //!   in `accept()`, so a fresh connection is served the moment it
 //!   arrives. It gives each connection a scoped **reader** thread while
-//!   fewer than `workers + queue` connections are open; past that cap
-//!   it answers [`Response::Busy`] and closes — **backpressure**
-//!   instead of unbounded growth;
+//!   fewer than `workers + queue` connections are open; at that cap it
+//!   waits a few milliseconds for a closing connection's reader to
+//!   free its slot, then answers [`Response::Busy`] and closes —
+//!   **backpressure** instead of unbounded growth;
 //! * a reader frames request lines and answers `ping`, `stats`,
 //!   `cancel`, `shutdown` and malformed requests itself. It hands each
 //!   `table1`/`pareto` job — with its cancel flag and the connection's
@@ -48,7 +49,7 @@ use std::collections::HashMap;
 use std::io::{BufWriter, Read, Write};
 use std::net::{Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{self, Receiver, Sender, SyncSender, TryRecvError};
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::time::{Duration, Instant};
@@ -72,6 +73,12 @@ const WRITE_TIMEOUT: Duration = Duration::from_secs(10);
 /// the acceptor.
 const BUSY_LINGER: Duration = Duration::from_millis(100);
 
+/// How long the acceptor waits at the connection cap for a slot to
+/// free before it answers `busy`. A client that closes and reconnects
+/// at once would otherwise find its old slot still held: the slot is
+/// released by the old reader, which may not have woken to see EOF.
+const ADMIT_WAIT: Duration = Duration::from_millis(10);
+
 /// Configuration of one [`Server`].
 #[derive(Clone, Debug)]
 pub struct ServeConfig {
@@ -84,7 +91,8 @@ pub struct ServeConfig {
     /// Connections the server holds open beyond `workers`: at most
     /// `workers + queue` connections are served at once (each by its
     /// own reader thread), and a connection past that cap is answered
-    /// `busy` and closed.
+    /// `busy` and closed once 10 ms pass without a slot
+    /// freeing.
     pub queue: usize,
     /// Search knobs applied when a request leaves them unset.
     pub defaults: SearchOptions,
@@ -188,7 +196,7 @@ impl Server {
             n => n,
         };
         let gate = AdmissionGate::new(big_jobs);
-        let open = AtomicUsize::new(0);
+        let slots = ConnSlots::new(max_conns);
         // Each open connection has at most one job queued or running,
         // so a channel as deep as the connection cap never blocks.
         let (jobs_tx, jobs_rx) = mpsc::sync_channel::<Ticket<'_>>(max_conns);
@@ -236,7 +244,7 @@ impl Server {
                 // produced instead of parking behind Nagle for the
                 // client's delayed ACK.
                 let _ = stream.set_nodelay(true);
-                let Some(slot) = ConnSlot::take(&open, max_conns) else {
+                let Some(slot) = slots.take() else {
                     reject_busy(&stream, workers, config.queue);
                     continue;
                 };
@@ -278,28 +286,53 @@ fn wake_address(bound: SocketAddr) -> SocketAddr {
     addr
 }
 
-/// One open connection's claim on the `workers + queue` cap, released
-/// when its reader exits — panic or not.
-struct ConnSlot<'a> {
-    open: &'a AtomicUsize,
+/// The `workers + queue` cap on open connections.
+struct ConnSlots {
+    open: Mutex<usize>,
+    freed: Condvar,
+    cap: usize,
 }
 
-impl<'a> ConnSlot<'a> {
-    /// Claims a slot, or `None` at the cap. Only the acceptor claims,
-    /// so the check and the increment cannot race each other; the
-    /// count publishes no other data, hence `Relaxed`.
-    fn take(open: &'a AtomicUsize, cap: usize) -> Option<ConnSlot<'a>> {
-        if open.load(Ordering::Relaxed) >= cap {
+impl ConnSlots {
+    fn new(cap: usize) -> ConnSlots {
+        ConnSlots {
+            open: Mutex::new(0),
+            freed: Condvar::new(),
+            cap,
+        }
+    }
+
+    /// Claims a slot, waiting at most [`ADMIT_WAIT`] for one to free;
+    /// `None` if the cap still holds after that.
+    fn take(&self) -> Option<ConnSlot<'_>> {
+        let open = self.open.lock().unwrap_or_else(PoisonError::into_inner);
+        let (mut open, _) = self
+            .freed
+            .wait_timeout_while(open, ADMIT_WAIT, |open| *open >= self.cap)
+            .unwrap_or_else(PoisonError::into_inner);
+        if *open >= self.cap {
             return None;
         }
-        open.fetch_add(1, Ordering::Relaxed);
-        Some(ConnSlot { open })
+        *open += 1;
+        Some(ConnSlot { slots: self })
     }
+}
+
+/// One open connection's claim on the cap, released when its reader
+/// exits — panic or not.
+struct ConnSlot<'a> {
+    slots: &'a ConnSlots,
 }
 
 impl Drop for ConnSlot<'_> {
     fn drop(&mut self) {
-        self.open.fetch_sub(1, Ordering::Relaxed);
+        let mut open = self
+            .slots
+            .open
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
+        *open = open.saturating_sub(1);
+        self.slots.freed.notify_one();
     }
 }
 
@@ -779,7 +812,9 @@ fn route<'a>(line: &str, ctx: ServerCtx<'a>) -> Routed<'a> {
     Routed::Answer(response)
 }
 
-/// Header of the `stats` verb's two-line CSV body.
+/// Header of the `stats` verb's two-line CSV body. `front_hits` counts
+/// searches answered without a sweep: from a stored Pareto staircase,
+/// or an exact repeat from its recorded answer.
 pub const STATS_CSV_HEADER: &str =
     "hits,misses,evictions,entries,cap,incremental,reused,rederived,panics,front_hits";
 
@@ -787,8 +822,8 @@ pub const STATS_CSV_HEADER: &str =
 /// server's caught-panic count as a two-line CSV (header + values),
 /// so clients can watch hit ratios, residency, edit-loop reuse rates
 /// (incremental builds, blocks reused vs re-derived), fault
-/// containment and searches served from stored Pareto staircases
-/// without scraping logs. Columns only ever append; read them by
+/// containment and searches answered without a sweep, without
+/// scraping logs. Columns only ever append; read them by
 /// header name.
 fn run_stats(ctx: ServerCtx<'_>) -> Response {
     let s = ctx.store.stats();

@@ -839,6 +839,32 @@ fn full_pool_answers_busy_instead_of_queueing() {
 }
 
 #[test]
+fn reconnecting_after_a_close_is_never_answered_busy() {
+    // A cap of one open connection. Each cycle closes its connection
+    // before the next one opens, so the cap is never really exceeded:
+    // the acceptor must wait for the closed connection's reader to
+    // free its slot instead of rejecting the next one.
+    let (addr, handle) = spawn_server(ServeConfig {
+        workers: 1,
+        queue: 0,
+        ..ServeConfig::default()
+    });
+    for cycle in 0..200 {
+        let mut client = Client::connect_with_retry(&addr, CONNECT_DEADLINE).expect("connect");
+        match client.send(&Request::Ping).expect("send") {
+            Response::Pong => {}
+            other => panic!("cycle {cycle}: expected pong, got {other:?}"),
+        }
+    }
+    let mut client = Client::connect_with_retry(&addr, CONNECT_DEADLINE).expect("connect");
+    assert_eq!(
+        client.send(&Request::Shutdown).expect("send"),
+        Response::Bye
+    );
+    handle.join().expect("server thread");
+}
+
+#[test]
 fn busy_rejections_past_the_cap_never_reset_the_connection() {
     // A cap of one open connection, held: every other fresh connection
     // must read its `busy` answer. Closing a rejected socket before its

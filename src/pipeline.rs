@@ -713,7 +713,7 @@ mod tests {
         assert!(cold.store_stats().is_none(), "no store attached");
         let warm = Pipeline::new(HOT_LOOP)
             .with_budget(Area::new(6_000))
-            .with_artifact_store(store)
+            .with_artifact_store(store.clone())
             .allocate()
             .unwrap();
         let opts = SearchOptions::new().bound(true);
@@ -726,9 +726,25 @@ mod tests {
         }
         assert_eq!(first.stats.artifact_misses, 1);
         assert_eq!(second.stats.artifact_hits, 1);
-        assert!(second.stats.warm_reseeded, "recorded winner must seed");
+        assert!(second.stats.served, "an exact repeat is served its answer");
+        // A request at a wider budget walks again, reseeded by the
+        // winner recorded at the narrower one.
+        let wider = |pipeline: Pipeline| {
+            pipeline
+                .with_budget(Area::new(8_000))
+                .allocate()
+                .unwrap()
+                .search_with(&opts)
+                .unwrap()
+        };
+        let third = wider(Pipeline::new(HOT_LOOP).with_artifact_store(store.clone()));
+        let third_cold = wider(Pipeline::new(HOT_LOOP));
+        assert_eq!(third.best_allocation, third_cold.best_allocation);
+        assert_eq!(third.best_partition, third_cold.best_partition);
+        assert_eq!(third.stats.artifact_hits, 1);
+        assert!(third.stats.warm_reseeded, "recorded winner must seed");
         let stats = warm.store_stats().unwrap();
-        assert_eq!((stats.hits, stats.misses, stats.entries), (1, 1, 1));
+        assert_eq!((stats.hits, stats.misses, stats.entries), (2, 1, 1));
     }
 
     #[test]
