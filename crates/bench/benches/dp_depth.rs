@@ -2,14 +2,16 @@
 //! level count `levels` (the §4.4 `O(L²·levels)` term of one PACE
 //! evaluation).
 //!
-//! The monotone pruning is `levels`-sensitive by construction: at a
-//! tight budget the run scan breaks after one or two probes, while at
-//! a generous one most runs stay admissible and the scan degenerates
-//! toward the baseline's full walk. Sweeping both axes over the same
-//! `SyntheticSpec` applications makes that visible — the
-//! `scratch`-vs-`baseline` gap should widen as `levels` shrinks
-//! relative to the run table and stay positive everywhere (the scratch
-//! core also never allocates).
+//! The dense baseline pays for every level of every row. The scratch
+//! core stores each row as its staircase steps, so it pays for steps:
+//! at a tight budget few runs fit and rows hold a handful of steps,
+//! while at a generous one most runs stay admissible and rows carry
+//! the most steps. Sweeping both axes over the same `SyntheticSpec`
+//! applications makes that visible — the `scratch`-vs-`baseline` gap
+//! should widen as `levels` grows faster than the steps do, and stay
+//! positive everywhere (the scratch core also never allocates). The
+//! generous-budget corner (largest `L` and `levels`) is the one to
+//! watch: it is where rows have the most steps.
 //!
 //! `LYCOS_BENCH_QUICK` (CI's perf-smoke mode) trims both the sample
 //! count (criterion shim) and the sweep grid.
@@ -83,6 +85,10 @@ fn bench_dp_depth(c: &mut Criterion) {
                     ))
                 })
             });
+            println!(
+                "dp_depth/L{l}_lv{levels}: {:.1} steps per row",
+                scratch.stored_steps() as f64 / l as f64
+            );
         }
     }
     group.finish();

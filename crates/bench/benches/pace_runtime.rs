@@ -74,8 +74,8 @@ fn bench_metrics(c: &mut Criterion) {
 
 /// The DP core alone, per candidate, as a memoised sweep pays for it:
 /// metrics precomputed once (a cache hit), the run-traffic memo shared
-/// and warm. `baseline` is the PR 3 core; `scratch` is the
-/// allocation-free core with monotone pruning.
+/// and warm. `baseline` is the dense PR 3 core; `scratch` is the
+/// allocation-free core with staircase rows.
 fn bench_dp_core(c: &mut Criterion) {
     let lib = HwLibrary::standard();
     let pace = PaceConfig::standard();

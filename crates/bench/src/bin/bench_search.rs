@@ -5,7 +5,7 @@
 //! For each bundled benchmark it runs the *full-sweep* `search_best`
 //! end to end twice: the unbounded memoised engine (the baseline),
 //! then the default engine with branch-and-bound on — the
-//! communication-floored bound, the lane-chunked DP kernel and the
+//! communication-floored bound, the staircase DP rows and the
 //! work-stealing scheduler, all unconditional. It reports wall time,
 //! candidates visited vs space size, the prune ratio and the steal
 //! count, and verifies on the spot that the bounded engine returns the

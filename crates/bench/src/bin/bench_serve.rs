@@ -26,11 +26,11 @@
 //!
 //! * **deadline** — a bounded eigen *full* sweep issued in-process
 //!   with a 25 ms deadline must return within 2× the deadline with a
-//!   feasible winner and exhaustive accounting; the same request over
-//!   the wire (a 25 ms tiny deadline, primed store, warm reseeding
-//!   off so the bound cannot finish the sweep early) must answer
-//!   within 2× with the `deadline` completion marker and a non-empty
-//!   incumbent;
+//!   feasible winner and exhaustive accounting; a bounded eigen sweep
+//!   over the wire (a 25 ms tiny deadline, primed store, a 16 000 GE
+//!   budget and warm reseeding off so the bound cannot finish the
+//!   sweep early) must answer within 2× with the `deadline`
+//!   completion marker and a non-empty incumbent;
 //! * **soak** — a cancelled, a panicking and a deadline-truncated
 //!   request run concurrently, after which the `stats` verb must
 //!   count the caught panic and a clean batch must stay byte-identical
@@ -103,9 +103,11 @@ const FRONT_LINE: &str = "pareto app=eigen@13000 bound format=csv";
 const DEADLINE_MS: u64 = 25;
 
 /// The tiny deadline of the over-the-wire anytime gate. It must stay
-/// well below the whole `no-warm` sweep over a primed store (~45 ms on
-/// a 2-vCPU container since the schedule table is shared), or the
-/// request completes instead of truncating. The 2× wall budget also
+/// well below the whole `no-warm` sweep over a primed store, or the
+/// request completes instead of truncating. Since the DP rows became
+/// staircases, the sweep at eigen's Table 1 budget takes ~25–45 ms on
+/// a 2-vCPU container — within reach of the deadline — so the gate
+/// sweeps at 16 000 GE, ~95–160 ms. The 2× wall budget also
 /// covers the fixed pipeline cost (frontend compile, allocation,
 /// partition replays, the wire), which the in-process gate excludes.
 const WIRE_DEADLINE_MS: u64 = 25;
@@ -521,11 +523,13 @@ fn main() {
     // Deadline, over the wire. Against a primed store the round trip
     // is search-dominated — but with warm reseeding *off*, or the
     // recorded winner would let the bound finish the whole sweep
-    // inside the deadline. The tiny deadline must answer within 2×,
-    // marked `deadline`, with a non-empty best-so-far incumbent.
+    // inside the deadline, and at a budget whose bounded sweep takes
+    // several deadlines (see `WIRE_DEADLINE_MS`). The tiny deadline
+    // must answer within 2×, marked `deadline`, with a non-empty
+    // best-so-far incumbent.
     let deadline_line = format!(
-        "table1 app=eigen bound no-warm limit=0 threads=1 deadline-ms={WIRE_DEADLINE_MS} timing \
-         format=csv"
+        "table1 app=eigen@16000 bound no-warm limit=0 threads=1 \
+         deadline-ms={WIRE_DEADLINE_MS} timing format=csv"
     );
     let (addr, handle) = spawn_server(defaults.clone());
     let mut client = Client::connect_with_retry(&addr, CONNECT_DEADLINE).expect("connect");

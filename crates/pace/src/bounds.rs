@@ -80,8 +80,9 @@
 //! per-block floors sum to at most each run's communication (see
 //! above), so the time is at least `Σ sw − Σ_hw s_b` over a block set
 //! of weight `≤ a·q` — an integral knapsack, which the fractional one
-//! bounds from above. Hence `final_row[a] ≥ lb(a·q)` for every level.
-//! With an unbounded capacity every item fits and `lb` is exactly
+//! bounds from above. Hence `time_at_level(a) ≥ lb(a·q)` for every
+//! level: each segment of the final row's staircase lies on or above
+//! the bound at every level it covers. With an unbounded capacity every item fits and `lb` is exactly
 //! `Σ_b min(sw_b, hw_b + floor_b)`, the leaf bound of the tables — so
 //! the relaxation is never weaker than the leaf check it follows.
 
@@ -1198,17 +1199,15 @@ mod tests {
                 let metrics = compute_metrics(&bsbs, &lib, &alloc, &cfg).unwrap();
                 let ctl = total.checked_sub(datapath).unwrap();
                 scratch.evaluate(&bsbs, &metrics, &mut comm, ctl, &cfg);
-                let row = scratch.final_row();
                 for bounds in &tables {
                     relax.rebuild(&metrics, bounds.comm_floors());
-                    let levels = row.len() - 1;
-                    for (a, lb) in relax.level_bounds(cfg.quantum, levels).enumerate() {
+                    for (a, lb) in relax
+                        .level_bounds(cfg.quantum, scratch.levels())
+                        .enumerate()
+                    {
                         assert_eq!(lb, relax.lower_bound(a as u64 * cfg.quantum));
-                        assert!(
-                            lb <= row[a],
-                            "level {a}: {lb} beats {} at {counts:?}",
-                            row[a]
-                        );
+                        let time = scratch.time_at_level(a);
+                        assert!(lb <= time, "level {a}: {lb} beats {time} at {counts:?}");
                     }
                     assert_eq!(relax.lower_bound(u64::MAX), bounds.prefix_bound(&counts, 0));
                 }

@@ -13,31 +13,51 @@
 //! [`crate::compute_metrics`], so a partition produced here reflects
 //! what the synthesised system would actually cost (§5.1).
 //!
-//! # The allocation-free hot path
+//! # Staircase rows
 //!
-//! An allocation-space sweep runs this DP millions of times, so the
-//! core is built around a reusable [`DpScratch`] workspace instead of
-//! per-call heap tables:
+//! An allocation-space sweep runs this DP millions of times. Row `i`
+//! of the DP, the minimal time of blocks `0..i` as a function of the
+//! controller level `a`, is non-increasing in `a` and changes at only
+//! a few levels: on `eigen` a row of 343 levels holds about 20
+//! distinct values. The core therefore stores each row as its *steps*
+//! instead of one cell per level:
 //!
-//! * **Scratch reuse** — the run tables are flat structure-of-arrays
-//!   slabs (`run_off[j] .. run_off[j] + run_len[j]` indexes the runs
-//!   starting at block `j`) and the `dp`/`choice` grids are flat
-//!   vectors, all owned by the [`DpScratch`] a caller threads through
+//! * **Steps** — row `i` is a level-sorted run of `(level, time,
+//!   choice)` triples in flat structure-of-arrays slabs, delimited by
+//!   `row_off[i] .. row_off[i + 1]`. Each step starts a segment of
+//!   levels on which both the time and the choice stay constant; row
+//!   0 is the single step `(0, 0, 0)`.
+//! * **Merge** — row `i` is the pointwise minimum of `1 + R` shifted
+//!   copies of finished rows: row `i-1` plus the block's software time
+//!   (choice 0), and, for each run `j-1..=i-1` the run tables keep, row
+//!   `j-1` shifted right by the run's controller quanta and up by its
+//!   time (choice `j`). Every copy is itself a non-increasing
+//!   staircase, so one level-ordered sweep over their steps keeps the
+//!   running minimum under the key `(time, source order)` and emits a
+//!   step wherever the time *or* the choice changes. Source order is
+//!   software first, then the shortest run — the order in which the
+//!   dense per-level scan met its candidates under its strict-`<`
+//!   tie-break — so every level reads the same time and choice the
+//!   dense grid held. A row costs its sources' steps, not its levels.
+//! * **Bounded run tables** — the run tables are flat slabs too
+//!   (`run_off[j] .. run_off[j] + run_len[j]` indexes the runs starting
+//!   at block `j`). A run's controller quanta only grow as it extends
+//!   (`ctl_sum` is a sum of non-negative areas), so the slab for start
+//!   `j` stops at the first run over the level budget: no longer run
+//!   could fit either.
+//! * **Scratch reuse** — the run tables, the step slabs and the merge
+//!   cursors are owned by the [`DpScratch`] a caller threads through
 //!   repeated evaluations. After warm-up, evaluating a candidate
 //!   allocates nothing: buffers are cleared and refilled in place.
-//! * **Monotone pruning** — a run's controller quanta only grow as the
-//!   run extends (`ctl_sum` is a sum of non-negative areas), so the
-//!   per-cell scan over runs ending at block `i-1` can *stop* at the
-//!   first run that exceeds the remaining area budget `a`, instead of
-//!   skipping it and scanning on. For the same reason, runs whose
-//!   quanta exceed the total level count are never materialised at
-//!   all: the table for start `j` is truncated at the first such run,
-//!   which also bounds the scan from the feasibility side.
 //!
-//! The pre-optimisation implementation is retained as
-//! [`reference_partition_from_metrics`] (hidden from docs): the
-//! equivalence tests pin the new core against it, and the perf
-//! harness uses it as the measured baseline.
+//! Readers find the segment holding a level by binary search over a
+//! row's step levels, so a backtrack costs `O(L log steps)` and the
+//! Pareto search walks only the final row's steps.
+//!
+//! The pre-optimisation implementation, a dense `(L + 1) × (levels +
+//! 1)` grid, is retained as [`reference_partition_from_metrics`]
+//! (hidden from docs): the equivalence tests pin the staircase core
+//! against it, and the perf harness uses it as the measured baseline.
 
 use crate::artifacts::SearchArtifacts;
 use crate::metrics::BsbMetrics;
@@ -110,30 +130,49 @@ impl Partition {
     }
 }
 
-/// Sentinel for an unreachable DP cell, far from `u64` overflow even
-/// after a saturating add of any real cost.
+/// Sentinel for an unreachable cell of the dense reference grid, far
+/// from `u64` overflow even after a saturating add of any real cost.
 const INF: u64 = u64::MAX / 4;
+
+/// One input of a row merge: a finished row, shifted right by a run's
+/// controller quanta and up by its time, standing for one choice.
+#[derive(Clone, Copy, Debug)]
+struct Source {
+    /// Next unread step of the source row.
+    next: usize,
+    /// One past the source row's last step.
+    end: usize,
+    /// Shifted level of step `next`, or `usize::MAX` once the source
+    /// is exhausted or past the level budget.
+    at: usize,
+    /// Level shift: the run's quanta, 0 for software.
+    shift: usize,
+    /// Time added to every step: the run's time, or the block's
+    /// software time.
+    add: u64,
+    /// `0` = software; `j` = hardware run `j-1..=i-1` (1-based start).
+    choice: u32,
+}
 
 /// Reusable workspace of the PACE dynamic program.
 ///
-/// Owns the flat run tables and the `dp`/`choice` grids so that
-/// repeated evaluations — one per candidate of an allocation-space
-/// sweep — perform no steady-state heap allocation: buffers are
-/// cleared and refilled in place, and capacity ratchets up to the
-/// largest problem seen. A scratch is freely reusable across
+/// Each DP row — the minimal time of a block prefix as a function of
+/// the controller level — is stored as its staircase of `(level, time,
+/// choice)` steps and built by merging shifted copies of earlier rows,
+/// so a row costs its steps, not its levels.
+///
+/// Owns the flat run tables, the staircase rows and the merge cursors
+/// so that repeated evaluations — one per candidate of an
+/// allocation-space sweep — perform no steady-state heap allocation:
+/// buffers are cleared and refilled in place, and capacity ratchets up
+/// to the largest problem seen. A scratch is freely reusable across
 /// *different* applications and budgets; every evaluation resizes its
 /// views first (pinned by property tests in the exploration crate).
 ///
 /// Construct with [`DpScratch::new`], then thread `&mut` through
 /// [`partition_with_scratch`] or [`partition_from_metrics`].
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct DpScratch {
-    /// Test seam: run the pure scalar inner scan instead of the
-    /// [`LANES`]-wide chunked one, which must match it bit for bit.
-    #[cfg(test)]
-    scalar: bool,
-    /// Per-block hardware feasibility under the current metrics.
-    feasible: Vec<bool>,
     /// `run_off[j]` = first flat index of the runs starting at `j`.
     run_off: Vec<usize>,
     /// Number of materialised runs starting at `j` (truncated at the
@@ -150,48 +189,32 @@ pub struct DpScratch {
     /// Run boundary bus cost, so the backtrack reads the table instead
     /// of re-querying the [`CommCosts`] memo.
     run_comm: Vec<u64>,
-    /// `dp[i * (levels+1) + a]`: min time for blocks `0..i` within `a`
-    /// quanta.
-    dp: Vec<u64>,
-    /// `0` = block `i-1` in software; `j` = hardware run `j-1..=i-1`
-    /// (1-based start).
-    choice: Vec<u32>,
+    /// `row_off[i] .. row_off[i + 1]` = the steps of DP row `i`.
+    row_off: Vec<usize>,
+    /// Step start level, strictly increasing within a row.
+    step_level: Vec<u32>,
+    /// Min time for blocks `0..i` on the step's segment.
+    step_time: Vec<u64>,
+    /// The choice on the step's segment, coded as [`Source::choice`].
+    step_choice: Vec<u32>,
+    /// Merge cursors of the row being built.
+    sources: Vec<Source>,
     /// Problem shape of the last [`DpScratch::evaluate`] call.
     l: usize,
     levels: usize,
 }
 
-impl Default for DpScratch {
-    fn default() -> Self {
-        DpScratch::new()
-    }
-}
-
 impl DpScratch {
     /// An empty workspace.
     pub fn new() -> Self {
-        DpScratch {
-            #[cfg(test)]
-            scalar: false,
-            feasible: Vec::new(),
-            run_off: Vec::new(),
-            run_len: Vec::new(),
-            run_time: Vec::new(),
-            run_quanta: Vec::new(),
-            run_ctl: Vec::new(),
-            run_comm: Vec::new(),
-            dp: Vec::new(),
-            choice: Vec::new(),
-            l: 0,
-            levels: 0,
-        }
+        DpScratch::default()
     }
 
     /// Runs the forward DP over `metrics`, filling the run tables and
-    /// the `dp`/`choice` grids in place, and returns the hybrid total
-    /// time at the full controller budget — everything a sweep needs
-    /// to rank a candidate. Call [`DpScratch::backtrack`] afterwards
-    /// to materialise the winning [`Partition`].
+    /// the staircase rows in place, and returns the hybrid total time
+    /// at the full controller budget — everything a sweep needs to
+    /// rank a candidate. Call [`DpScratch::backtrack`] afterwards to
+    /// materialise the winning [`Partition`].
     pub(crate) fn evaluate(
         &mut self,
         bsbs: &BsbArray,
@@ -212,12 +235,16 @@ impl DpScratch {
     }
 
     /// [`DpScratch::evaluate`] with a cooperative stop check between DP
-    /// rows: returns `None` if `stop` trips mid-evaluation (the grids
-    /// are then partially filled and must not be backtracked), `Some`
-    /// with the exact hybrid time otherwise. A row is the natural
-    /// abandon granularity — each costs `O(width × runs)`, so the check
-    /// adds one branch per row and bounds deadline overrun to a single
-    /// row.
+    /// rows: returns `None` if `stop` trips mid-evaluation (the rows
+    /// are then partially built and must not be read), `Some` with the
+    /// exact hybrid time otherwise. A row is the natural abandon
+    /// granularity — each costs one merge over its sources' steps,
+    /// `O(steps × sources)` — so the check adds one branch per row and
+    /// bounds deadline overrun to a single row.
+    ///
+    /// Levels are capped at `u32::MAX`, the widest step level: only a
+    /// partition whose controllers need more than 2^32 quanta could
+    /// tell the difference.
     pub(crate) fn evaluate_stoppable(
         &mut self,
         bsbs: &BsbArray,
@@ -230,7 +257,7 @@ impl DpScratch {
         let l = bsbs.len();
         debug_assert_eq!(metrics.len(), l, "one metrics entry per block");
         let q = config.quantum;
-        let levels = (ctl_budget.gates() / q) as usize;
+        let levels = (ctl_budget.gates() / q).min(u64::from(u32::MAX)) as usize;
         self.l = l;
         self.levels = levels;
 
@@ -238,9 +265,6 @@ impl DpScratch {
         // runs j..=i for growing i; it stops at the first infeasible
         // block, and at the first run whose quanta exceed `levels` —
         // ctl_sum only grows, so no longer run could ever fit either.
-        self.feasible.clear();
-        self.feasible
-            .extend(metrics.iter().map(|m| m.hw_feasible()));
         self.run_off.clear();
         self.run_len.clear();
         self.run_time.clear();
@@ -252,12 +276,12 @@ impl DpScratch {
             let mut hw_sum = 0u64;
             let mut ctl_sum = 0u64;
             let mut len = 0usize;
-            for (i, m) in metrics.iter().enumerate().take(l).skip(j) {
-                if !self.feasible[i] {
-                    break;
-                }
-                hw_sum += m.hw_time.expect("feasible").count();
-                ctl_sum += m.controller_area.expect("feasible").gates();
+            for (i, m) in metrics.iter().enumerate().skip(j) {
+                let (Some(hw), Some(ctl)) = (m.hw_time, m.controller_area) else {
+                    break; // infeasible block: no run crosses it
+                };
+                hw_sum += hw.count();
+                ctl_sum += ctl.gates();
                 let quanta = ctl_sum.div_ceil(q) as usize;
                 if quanta > levels {
                     break; // over budget now and for every longer run
@@ -272,70 +296,105 @@ impl DpScratch {
             self.run_len.push(len);
         }
 
-        // dp/choice grids. Only row 0 needs initialising: every cell of
-        // rows 1..=l is written before it is read, so stale values from
-        // the previous evaluation are harmless and the resize is a
-        // no-op whenever the shape already fits.
-        let width = levels + 1;
-        let need = (l + 1) * width;
-        self.dp.resize(need, INF);
-        self.choice.resize(need, 0);
-        self.dp[..width].fill(0);
-
-        let run_off: &[usize] = &self.run_off;
-        let run_len: &[usize] = &self.run_len;
-        let run_time: &[u64] = &self.run_time;
-        let run_quanta: &[usize] = &self.run_quanta;
-        let dp = &mut self.dp;
-        let choice = &mut self.choice;
-        #[cfg(not(test))]
-        let kernel = dp_row_cells_lanes;
-        #[cfg(test)]
-        let kernel = if self.scalar {
-            dp_row_cells
-        } else {
-            dp_row_cells_lanes
-        };
+        self.row_off.clear();
+        self.step_level.clear();
+        self.step_time.clear();
+        self.step_choice.clear();
+        self.row_off.extend([0, 1]);
+        self.step_level.push(0);
+        self.step_time.push(0);
+        self.step_choice.push(0);
         let stoppable = !stop.is_never();
         for i in 1..=l {
             if stoppable && stop.check().is_some() {
                 return None;
             }
-            let sw_prev = metrics[i - 1].sw_time.count();
-            let (done, rest) = dp.split_at_mut(i * width);
-            kernel(
-                i,
-                width,
-                0,
-                done,
-                &mut rest[..width],
-                &mut choice[i * width..(i + 1) * width],
-                sw_prev,
-                run_off,
-                run_len,
-                run_time,
-                run_quanta,
+            // Sources in the dense scan's tie-break order: software,
+            // then runs ending at block i-1 from shortest to longest.
+            // Every kept run fits `levels`, so each source's first
+            // step (level 0 of its row) lands inside the budget.
+            self.sources.clear();
+            self.sources.push(Source {
+                next: self.row_off[i - 1],
+                end: self.row_off[i],
+                at: 0,
+                shift: 0,
+                add: metrics[i - 1].sw_time.count(),
+                choice: 0,
+            });
+            for j in (1..=i).rev() {
+                let idx = i - j; // offset into the slab of start j-1
+                if self.run_len[j - 1] <= idx {
+                    break; // infeasible or over-budget block inside the run
+                }
+                let e = self.run_off[j - 1] + idx;
+                self.sources.push(Source {
+                    next: self.row_off[j - 1],
+                    end: self.row_off[j],
+                    at: self.run_quanta[e],
+                    shift: self.run_quanta[e],
+                    add: self.run_time[e],
+                    choice: j as u32,
+                });
+            }
+            merge_row(
+                &mut self.sources,
+                levels,
+                &mut self.step_level,
+                &mut self.step_time,
+                &mut self.step_choice,
             );
+            self.row_off.push(self.step_level.len());
         }
-        Some(self.dp[l * width + levels])
+        Some(self.step_time[self.step_time.len() - 1])
     }
 
     /// Controller levels of the last [`DpScratch::evaluate`] call —
-    /// the controller budget in quanta, i.e. the top index of
-    /// [`DpScratch::final_row`].
+    /// the controller budget in quanta, the top level of every row.
     pub(crate) fn levels(&self) -> usize {
         self.levels
     }
 
-    /// The final DP row of the last [`DpScratch::evaluate`] call:
-    /// `row[a]` is the minimal hybrid time over all blocks within `a`
-    /// controller quanta, non-increasing in `a`, with `row[levels]`
-    /// the value `evaluate` returned. This is the whole time×area
-    /// trade-off of one candidate at quantum granularity — the seam
-    /// the Pareto-front search harvests.
-    pub(crate) fn final_row(&self) -> &[u64] {
-        let width = self.levels + 1;
-        &self.dp[self.l * width..][..width]
+    /// Staircase steps the last evaluation (e.g. by
+    /// [`partition_from_metrics`]) stored over rows `1..=L` — the DP's
+    /// working size. A dense grid would hold `L × (levels + 1)` cells
+    /// instead.
+    pub fn stored_steps(&self) -> usize {
+        self.step_level.len().saturating_sub(1) // row 0 is one step
+    }
+
+    /// Flat index of the step of row `i` whose segment holds level `a`.
+    fn step_at(&self, i: usize, a: usize) -> usize {
+        let row = self.row_off[i]..self.row_off[i + 1];
+        // Every row starts at level 0, so the count is at least 1.
+        row.start + self.step_level[row].partition_point(|&lv| lv as usize <= a) - 1
+    }
+
+    /// Minimal hybrid time over all blocks within `level` controller
+    /// quanta, after the last [`DpScratch::evaluate`] call:
+    /// non-increasing in `level`, equal to the evaluated time at
+    /// `levels()`.
+    pub(crate) fn time_at_level(&self, level: usize) -> u64 {
+        self.step_time[self.step_at(self.l, level)]
+    }
+
+    /// The final row's `(level, time)` corners, level-ascending: level
+    /// 0, then every level where the minimal time strictly falls. The
+    /// time at any level is that of the last corner at or below it —
+    /// the whole time×area trade-off of one candidate at quantum
+    /// granularity, the seam the Pareto-front search harvests.
+    pub(crate) fn time_falls(&self) -> impl Iterator<Item = (usize, u64)> + '_ {
+        let row = self.row_off[self.l]..self.row_off[self.l + 1];
+        let mut prev = u64::MAX;
+        self.step_level[row.clone()]
+            .iter()
+            .zip(&self.step_time[row])
+            .filter(move |&(_, &time)| {
+                let falls = time < prev;
+                prev = time;
+                falls
+            })
+            .map(|(&level, &time)| (level as usize, time))
     }
 
     /// Materialises the [`Partition`] chosen by the last
@@ -349,18 +408,17 @@ impl DpScratch {
     /// [`DpScratch::backtrack`] at an arbitrary controller level
     /// `level ≤ levels`: the partition the same evaluation would have
     /// produced under a controller budget of exactly `level` quanta.
-    /// Sound because a cell `dp[i][a]` only ever reads cells and runs
-    /// with quanta `≤ a` — the grid under `level` is bit-identical to
-    /// the grid a smaller-budget evaluation would fill.
+    /// Sound because a row's value at level `a` only ever depends on
+    /// levels and runs with quanta `≤ a` — the rows cut at `level` are
+    /// exactly the rows a smaller-budget evaluation would build.
     pub(crate) fn backtrack_at(
         &self,
         metrics: &[BsbMetrics],
         datapath_area: Area,
         level: usize,
     ) -> Partition {
-        debug_assert!(level <= self.levels, "level outside the evaluated grid");
+        debug_assert!(level <= self.levels, "level outside the evaluated rows");
         let l = self.l;
-        let width = self.levels + 1;
         let all_sw_time: Cycles = metrics.iter().map(|m| m.sw_time).sum();
 
         let mut in_hw = vec![false; l];
@@ -370,7 +428,7 @@ impl DpScratch {
         let mut i = l;
         let mut a = level;
         while i > 0 {
-            let pick = self.choice[i * width + a];
+            let pick = self.step_choice[self.step_at(i, a)];
             if pick == 0 {
                 i -= 1;
             } else {
@@ -390,7 +448,7 @@ impl DpScratch {
 
         Partition {
             in_hw,
-            total_time: Cycles::new(self.dp[l * width + level]),
+            total_time: Cycles::new(self.time_at_level(level)),
             all_sw_time,
             comm_time: Cycles::new(comm_time),
             controller_area: Area::new(controller_area),
@@ -400,147 +458,68 @@ impl DpScratch {
     }
 }
 
-/// Computes the cells `a0 .. a0 + dp_row.len()` of DP row `i`.
+/// Appends one DP row: the pointwise minimum of `sources` over levels
+/// `0..=levels`, as steps.
 ///
-/// The run scan walks start positions `j` from `i` down to `1`, i.e.
-/// runs ending at block `i-1` from shortest to longest. Both stopping
-/// conditions are monotone in run length — a truncated table stays
-/// truncated, and `run_quanta` is nondecreasing along a slab — so the
-/// scan `break`s where the pre-optimisation core `continue`d.
-#[allow(clippy::too_many_arguments)] // internal kernel of DpScratch::evaluate
-fn dp_row_cells(
-    i: usize,
-    width: usize,
-    a0: usize,
-    done: &[u64],
-    dp_row: &mut [u64],
-    choice_row: &mut [u32],
-    sw_prev: u64,
-    run_off: &[usize],
-    run_len: &[usize],
-    run_time: &[u64],
-    run_quanta: &[usize],
-) {
-    for (k, (cell, pick_cell)) in dp_row.iter_mut().zip(choice_row).enumerate() {
-        let a = a0 + k;
-        let mut best = done[(i - 1) * width + a].saturating_add(sw_prev);
-        let mut pick = 0u32;
-        for j in (1..=i).rev() {
-            let idx = i - j; // offset into the slab of start j-1
-            if run_len[j - 1] <= idx {
-                break; // infeasible or over-budget block inside the run
-            }
-            let e = run_off[j - 1] + idx;
-            let quanta = run_quanta[e];
-            if quanta > a {
-                break; // monotone: every longer run needs more quanta
-            }
-            let t = done[(j - 1) * width + (a - quanta)].saturating_add(run_time[e]);
-            if t < best {
-                best = t;
-                pick = j as u32;
-            }
-        }
-        *cell = best;
-        *pick_cell = pick;
-    }
-}
-
-/// Fixed lane width of [`dp_row_cells_lanes`]. Four `u64` accumulators
-/// fill one 256-bit vector register; the manual unroll keeps the hot
-/// loop autovectorisable on stable Rust without `std::simd`.
-const LANES: usize = 4;
-
-/// [`dp_row_cells`], processing the area axis in [`LANES`]-wide groups
-/// over the flat SoA run tables, scalar tail included.
+/// Each source is a non-increasing staircase from its shift on, so its
+/// key `(time, position in sources)` only falls as the level grows, and
+/// the row's minimum key can be kept as a running minimum: at each
+/// level where some source steps, fold that source's new key in. A
+/// step is emitted wherever the resulting time or choice differs from
+/// the last step — a choice can change at equal time, when a
+/// higher-priority source catches up with the incumbent, and the
+/// backtrack must see that.
 ///
-/// Bit-identical to the scalar kernel by construction: the `j` scan is
-/// shared across the group, and because `run_quanta` is nondecreasing
-/// along a slab, a lane whose budget `a` a run overflows stays
-/// overflowed for every later (longer) run — exactly where the scalar
-/// loop `break`s. Each lane therefore sees the same candidate
-/// sequence, in the same order, under the same strict-`<` tie-break.
-/// The group itself breaks only once the *largest* budget in it
-/// overflows; lanes below it fall into the partial-range arm until
-/// then. When `quanta <= a0k` every lane's `done` read is contiguous
-/// (`a - quanta` shifts with the lane), which is the load the unroll
-/// exists to coalesce.
-#[allow(clippy::too_many_arguments)] // internal kernel of DpScratch::evaluate
-fn dp_row_cells_lanes(
-    i: usize,
-    width: usize,
-    a0: usize,
-    done: &[u64],
-    dp_row: &mut [u64],
-    choice_row: &mut [u32],
-    sw_prev: u64,
-    run_off: &[usize],
-    run_len: &[usize],
-    run_time: &[u64],
-    run_quanta: &[usize],
+/// `sources` arrive sorted by shift (software at 0, then runs of
+/// nondecreasing quanta), so the sources that have started form a
+/// prefix and only that prefix is scanned at each level.
+fn merge_row(
+    sources: &mut [Source],
+    levels: usize,
+    step_level: &mut Vec<u32>,
+    step_time: &mut Vec<u64>,
+    step_choice: &mut Vec<u32>,
 ) {
-    let n = dp_row.len();
-    let mut k = 0usize;
-    while k + LANES <= n {
-        let a0k = a0 + k;
-        let base = (i - 1) * width + a0k;
-        let mut best = [0u64; LANES];
-        for (l, b) in best.iter_mut().enumerate() {
-            *b = done[base + l].saturating_add(sw_prev);
+    debug_assert!(sources.windows(2).all(|w| w[0].shift <= w[1].shift));
+    let mut best = (u64::MAX, usize::MAX, 0u32); // (time, source, choice)
+    let mut last = (u64::MAX, u32::MAX); // (time, choice) of the last step
+    let mut live = 0usize; // sources[..live] have reached their shift
+    let mut at = 0usize; // the software source steps at level 0
+    loop {
+        while live < sources.len() && sources[live].at == at {
+            live += 1;
         }
-        let mut pick = [0u32; LANES];
-        for j in (1..=i).rev() {
-            let idx = i - j;
-            if run_len[j - 1] <= idx {
-                break;
-            }
-            let e = run_off[j - 1] + idx;
-            let quanta = run_quanta[e];
-            if quanta > a0k + (LANES - 1) {
-                break; // monotone: over even the group's largest budget
-            }
-            let rt = run_time[e];
-            let row = (j - 1) * width;
-            if quanta <= a0k {
-                // All lanes active: one contiguous done load.
-                let src = &done[row + (a0k - quanta)..][..LANES];
-                for l in 0..LANES {
-                    let t = src[l].saturating_add(rt);
-                    if t < best[l] {
-                        best[l] = t;
-                        pick[l] = j as u32;
-                    }
+        let mut next_at = sources.get(live).map_or(usize::MAX, |s| s.at);
+        for (k, s) in sources[..live].iter_mut().enumerate() {
+            if s.at == at {
+                let t = step_time[s.next].saturating_add(s.add);
+                if t < best.0 || (t == best.0 && k < best.1) {
+                    best = (t, k, s.choice);
                 }
-            } else {
-                // Low lanes over budget (and, by monotonicity, out for
-                // the rest of the scan — as if the scalar loop broke).
-                for l in (quanta - a0k)..LANES {
-                    let t = done[row + (a0k + l - quanta)].saturating_add(rt);
-                    if t < best[l] {
-                        best[l] = t;
-                        pick[l] = j as u32;
+                s.next += 1;
+                s.at = if s.next < s.end {
+                    let lv = step_level[s.next] as usize + s.shift;
+                    if lv <= levels {
+                        lv
+                    } else {
+                        usize::MAX // past the budget, as is every later step
                     }
-                }
+                } else {
+                    usize::MAX
+                };
             }
+            next_at = next_at.min(s.at);
         }
-        dp_row[k..k + LANES].copy_from_slice(&best);
-        choice_row[k..k + LANES].copy_from_slice(&pick);
-        k += LANES;
-    }
-    if k < n {
-        dp_row_cells(
-            i,
-            width,
-            a0 + k,
-            done,
-            &mut dp_row[k..],
-            &mut choice_row[k..],
-            sw_prev,
-            run_off,
-            run_len,
-            run_time,
-            run_quanta,
-        );
+        if (best.0, best.2) != last {
+            last = (best.0, best.2);
+            step_level.push(at as u32);
+            step_time.push(best.0);
+            step_choice.push(best.2);
+        }
+        if next_at == usize::MAX {
+            return;
+        }
+        at = next_at;
     }
 }
 
@@ -808,6 +787,7 @@ mod tests {
     use super::*;
     use crate::compute_metrics;
     use lycos_ir::{Bsb, BsbId, BsbOrigin, Dfg, OpKind};
+    use proptest::prelude::*;
     use std::collections::BTreeSet;
 
     fn lib() -> HwLibrary {
@@ -1301,49 +1281,214 @@ mod tests {
         assert_eq!(new.hw_count(), 3);
     }
 
+    /// The dense oracle: the scalar per-level scan the staircase core
+    /// replaced, run over the scratch's own run tables after an
+    /// evaluation. Returns the full `(L + 1) × (levels + 1)` time and
+    /// choice grids.
+    fn dense_grid(s: &DpScratch, metrics: &[BsbMetrics]) -> (Vec<u64>, Vec<u32>) {
+        let width = s.levels + 1;
+        let mut dp = vec![INF; (s.l + 1) * width];
+        let mut choice = vec![0u32; (s.l + 1) * width];
+        dp[..width].fill(0);
+        for i in 1..=s.l {
+            for a in 0..width {
+                let mut best =
+                    dp[(i - 1) * width + a].saturating_add(metrics[i - 1].sw_time.count());
+                let mut pick = 0u32;
+                for j in (1..=i).rev() {
+                    let idx = i - j;
+                    if s.run_len[j - 1] <= idx {
+                        break;
+                    }
+                    let e = s.run_off[j - 1] + idx;
+                    let quanta = s.run_quanta[e];
+                    if quanta > a {
+                        break;
+                    }
+                    let t = dp[(j - 1) * width + (a - quanta)].saturating_add(s.run_time[e]);
+                    if t < best {
+                        best = t;
+                        pick = j as u32;
+                    }
+                }
+                dp[i * width + a] = best;
+                choice[i * width + a] = pick;
+            }
+        }
+        (dp, choice)
+    }
+
+    /// Asserts every `(i, a)` of the staircase rows reads the dense
+    /// oracle's time and choice, and that every row is a minimal
+    /// staircase: starts at level 0, levels strictly rise, times never
+    /// rise, and consecutive steps differ in time or choice.
+    fn assert_matches_dense(s: &DpScratch, metrics: &[BsbMetrics], what: &str) {
+        let (dp, choice) = dense_grid(s, metrics);
+        let width = s.levels + 1;
+        for i in 0..=s.l {
+            let row = s.row_off[i]..s.row_off[i + 1];
+            assert_eq!(s.step_level[row.start], 0, "{what}: row {i} starts at 0");
+            for k in row.start + 1..row.end {
+                assert!(s.step_level[k - 1] < s.step_level[k], "{what}: row {i}");
+                assert!(s.step_time[k - 1] >= s.step_time[k], "{what}: row {i}");
+                assert_ne!(
+                    (s.step_time[k - 1], s.step_choice[k - 1]),
+                    (s.step_time[k], s.step_choice[k]),
+                    "{what}: row {i} repeats a step"
+                );
+            }
+            for a in 0..width {
+                let k = s.step_at(i, a);
+                assert_eq!(s.step_time[k], dp[i * width + a], "{what}: time ({i}, {a})");
+                assert_eq!(
+                    s.step_choice[k],
+                    choice[i * width + a],
+                    "{what}: choice ({i}, {a})"
+                );
+            }
+        }
+    }
+
     #[test]
-    fn lane_chunked_scan_is_bit_identical_to_scalar() {
-        // Not just the same partition: the full dp/choice grids must
-        // match cell for cell, across row widths that exercise whole
-        // lane groups, the partial-lane arm (tight budgets where
-        // `quanta > a0k` mid-group) and the scalar tail (widths not a
-        // multiple of LANES).
+    fn staircase_rows_expand_to_the_dense_grid() {
+        // Not just the same partition: every cell the dense grid held
+        // must read the same time and choice off the staircase, across
+        // budgets from none (every row one step) to generous ones
+        // where most runs fit and rows carry the most steps.
         let lib = lib();
         let cfg = PaceConfig::standard();
+        let mut scratch = DpScratch::new();
         for (bsbs, alloc) in zoo() {
             let dp_gates = alloc.area(&lib).gates();
             for extra in [0u64, 16, 33, 100, 307, 1_000, 10_000, 140_000] {
                 let total = Area::new(dp_gates + extra);
                 let metrics = compute_metrics(&bsbs, &lib, &alloc, &cfg).unwrap();
                 let ctl = total.checked_sub(alloc.area(&lib)).unwrap();
-
-                let mut lanes = DpScratch::new();
-                let mut scalar = DpScratch::new();
-                scalar.scalar = true;
-
-                let mut comm_a = CommCosts::new(bsbs.len());
-                let ta = lanes.evaluate(&bsbs, &metrics, &mut comm_a, ctl, &cfg);
-                let mut comm_b = CommCosts::new(bsbs.len());
-                let tb = scalar.evaluate(&bsbs, &metrics, &mut comm_b, ctl, &cfg);
-                assert_eq!(ta, tb, "{} +{extra}", bsbs.app_name());
-                let need = (lanes.l + 1) * (lanes.levels + 1);
-                assert_eq!(
-                    lanes.dp[..need],
-                    scalar.dp[..need],
-                    "{} +{extra}: dp grid diverged",
-                    bsbs.app_name()
+                let mut comm = CommCosts::new(bsbs.len());
+                let time = scratch.evaluate(&bsbs, &metrics, &mut comm, ctl, &cfg);
+                let what = format!("{} +{extra}", bsbs.app_name());
+                assert_matches_dense(&scratch, &metrics, &what);
+                assert_eq!(time, scratch.time_at_level(scratch.levels()), "{what}");
+                assert!(scratch.stored_steps() <= bsbs.len() * (scratch.levels() + 1));
+                let mut comm_ref = CommCosts::new(bsbs.len());
+                let seed = reference_partition_from_metrics(
+                    &bsbs,
+                    &metrics,
+                    &mut comm_ref,
+                    alloc.area(&lib),
+                    ctl,
+                    &cfg,
                 );
                 assert_eq!(
-                    lanes.choice[..need],
-                    scalar.choice[..need],
-                    "{} +{extra}: choice grid diverged",
-                    bsbs.app_name()
-                );
-                assert_eq!(
-                    lanes.backtrack(&metrics, alloc.area(&lib)),
-                    scalar.backtrack(&metrics, alloc.area(&lib)),
+                    scratch.backtrack(&metrics, alloc.area(&lib)),
+                    seed,
+                    "{what}"
                 );
             }
+        }
+    }
+
+    /// Metrics of a block with no bus traffic: `sw` software time and,
+    /// if feasible, `hw` hardware time under a `ctl`-gate controller.
+    fn metric(sw: u64, hw: Option<(u64, u64)>) -> BsbMetrics {
+        BsbMetrics {
+            sw_time: Cycles::new(sw),
+            hw_time: hw.map(|(t, _)| Cycles::new(t)),
+            hw_states: hw.map(|_| 1),
+            controller_area: hw.map(|(_, g)| Area::new(g)),
+        }
+    }
+
+    #[test]
+    fn choice_only_steps_survive_equal_times() {
+        // Two blocks, 10 cycles each in software and 2 in hardware,
+        // 8-gate controllers: alone or merged, a run costs one 16-gate
+        // quantum. Row 2 at one quantum is the merged run (4 cycles);
+        // at two quanta the block-1 run on top of block 0's row ties
+        // at 4 cycles and wins the tie (it is the shorter run). The
+        // staircase must keep that choice-only step.
+        let bsbs = BsbArray::from_bsbs(
+            "tie",
+            vec![
+                bsb_full(0, OpKind::Add, 1, 1, &[], &[]),
+                bsb_full(1, OpKind::Add, 1, 1, &[], &[]),
+            ],
+        );
+        let metrics = [metric(10, Some((2, 8))), metric(10, Some((2, 8)))];
+        let cfg = PaceConfig::standard();
+        let mut scratch = DpScratch::new();
+        let ctl = Area::new(2 * cfg.quantum);
+        let mut comm = CommCosts::new(2);
+        assert_eq!(scratch.evaluate(&bsbs, &metrics, &mut comm, ctl, &cfg), 4);
+        let row = scratch.row_off[2]..scratch.row_off[3];
+        let steps: Vec<_> = row
+            .map(|k| {
+                (
+                    scratch.step_level[k],
+                    scratch.step_time[k],
+                    scratch.step_choice[k],
+                )
+            })
+            .collect();
+        assert_eq!(steps, vec![(0, 20, 0), (1, 4, 1), (2, 4, 2)]);
+        assert_matches_dense(&scratch, &metrics, "tie");
+        assert_eq!(
+            scratch.time_falls().collect::<Vec<_>>(),
+            vec![(0, 20), (1, 4)]
+        );
+        let at = |level| scratch.backtrack_at(&metrics, Area::ZERO, level).runs;
+        assert_eq!(at(1), vec![0..2]);
+        assert_eq!(at(2), vec![0..1, 1..2]);
+        for level in 0..=2 {
+            let mut comm_ref = CommCosts::new(2);
+            let seed = reference_partition_from_metrics(
+                &bsbs,
+                &metrics,
+                &mut comm_ref,
+                Area::ZERO,
+                Area::new(level as u64 * cfg.quantum),
+                &cfg,
+            );
+            assert_eq!(
+                scratch.backtrack_at(&metrics, Area::ZERO, level),
+                seed,
+                "level {level}"
+            );
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn staircase_matches_the_dense_grid_under_ties(
+            blocks in prop::collection::vec((0u64..8, 0u64..3, 0u64..40, any::<bool>()), 1..8),
+            extra in 0u64..400,
+        ) {
+            // Small integer times on traffic-free blocks make equal
+            // times common, so the software-first / shortest-run-first
+            // tie-break and the choice-only steps are exercised.
+            let bsbs = BsbArray::from_bsbs(
+                "prop",
+                (0..blocks.len() as u32)
+                    .map(|i| bsb_full(i, OpKind::Add, 1, 1, &[], &[]))
+                    .collect(),
+            );
+            let metrics: Vec<BsbMetrics> = blocks
+                .iter()
+                .map(|&(sw, hw, ctl, feasible)| metric(sw, feasible.then_some((hw, ctl))))
+                .collect();
+            let cfg = PaceConfig::standard();
+            let ctl = Area::new(extra);
+            let mut scratch = DpScratch::new();
+            let mut comm = CommCosts::new(bsbs.len());
+            scratch.evaluate(&bsbs, &metrics, &mut comm, ctl, &cfg);
+            assert_matches_dense(&scratch, &metrics, "prop");
+            let mut comm_ref = CommCosts::new(bsbs.len());
+            let seed = reference_partition_from_metrics(
+                &bsbs, &metrics, &mut comm_ref, Area::ZERO, ctl, &cfg,
+            );
+            prop_assert_eq!(scratch.backtrack(&metrics, Area::ZERO), seed);
         }
     }
 }

@@ -13,10 +13,11 @@
 //! * [`partition`] — the dynamic program choosing which blocks move to
 //!   hardware within the area left over by the data path. Its hot path
 //!   is allocation-free: a reusable [`DpScratch`] workspace carries
-//!   flat run tables and DP grids across evaluations
-//!   ([`partition_with_scratch`], [`partition_from_metrics`]), the run
-//!   scan prunes monotonically, and the row scan runs a lane-chunked
-//!   kernel, bit-identical to the scalar one;
+//!   flat run tables and DP rows across evaluations
+//!   ([`partition_with_scratch`], [`partition_from_metrics`]), and
+//!   each row is stored as the staircase of its `(level, time,
+//!   choice)` steps, merged from earlier rows in time proportional to
+//!   their steps rather than to the level count;
 //! * [`exhaustive_best`] — the paper's baseline: PACE over *every*
 //!   allocation, marking the best one;
 //! * [`search_best`] — the same search, memoised and parallel: per-BSB

@@ -56,8 +56,8 @@
 //!   bit-identical to [`exhaustive_best`] at any worker count:
 //!   including `evaluated`, `skipped` and truncation behaviour when
 //!   bounding is off, and the field-exact winner when it is on. The
-//!   per-candidate DP leaf itself runs the lane-chunked inner scan,
-//!   bit-identical to the scalar kernel.
+//!   per-candidate DP leaf stores each row as a staircase of steps
+//!   merged from earlier rows ([`DpScratch`]).
 //!
 //! The incumbent/record/reduce seam of the engine is pluggable through
 //! the [`Objective`] trait: [`BestUnderBudget`] *is* the classic
@@ -764,7 +764,15 @@ impl CandidateEval<'_> {
     /// quanta — non-increasing in `level`, with
     /// `time_at_level(levels()) == time()`.
     pub fn time_at_level(&self, level: usize) -> u64 {
-        self.scratch.final_row()[level]
+        self.scratch.time_at_level(level)
+    }
+
+    /// The trade-off row's corners, level-ascending: `(0,
+    /// time_at_level(0))`, then each `(level, time)` where
+    /// [`CandidateEval::time_at_level`] strictly falls. Every other
+    /// level repeats the time of the last corner below it.
+    pub(crate) fn time_falls(&self) -> impl Iterator<Item = (usize, u64)> + '_ {
+        self.scratch.time_falls()
     }
 
     /// Materialises the partition behind [`CandidateEval::time`].
@@ -1278,13 +1286,9 @@ impl Objective for ParetoFront {
         }
         let quantum = eval.quantum();
         let mut fresh: Vec<(u64, u64)> = Vec::new();
-        let mut prev = u64::MAX;
-        for level in 0..=eval.levels() {
-            let time = eval.time_at_level(level);
-            if time >= prev {
-                continue; // same time already available at less area
-            }
-            prev = time;
+        // Levels between corners repeat a time already available at
+        // less area, so only the corners can enter the staircase.
+        for (level, time) in eval.time_falls() {
             let area = gates + level as u64 * quantum;
             // Shared-dominated points can never reach the final
             // staircase (some worker keeps a dominator, transitively):
