@@ -56,7 +56,7 @@ fn bench_dp_depth(c: &mut Criterion) {
         let alloc: RMap = restr.iter().collect();
         let datapath = alloc.area(&lib);
         let metrics = compute_metrics(&app, &lib, &alloc, &pace).unwrap();
-        let mut comm = CommCosts::new(app.len());
+        let comm = CommCosts::priced(&app, &pace.comm);
         let mut scratch = DpScratch::new();
         for &levels in level_counts {
             let ctl = Area::new(levels * pace.quantum);
@@ -65,7 +65,7 @@ fn bench_dp_depth(c: &mut Criterion) {
                     black_box(reference_partition_from_metrics(
                         black_box(&app),
                         &metrics,
-                        &mut comm,
+                        &comm,
                         datapath,
                         ctl,
                         &pace,
@@ -75,9 +75,8 @@ fn bench_dp_depth(c: &mut Criterion) {
             group.bench_function(format!("L{l}_lv{levels}/scratch"), |b| {
                 b.iter(|| {
                     black_box(partition_from_metrics(
-                        black_box(&app),
-                        &metrics,
-                        &mut comm,
+                        black_box(&metrics),
+                        &comm,
                         &mut scratch,
                         datapath,
                         ctl,

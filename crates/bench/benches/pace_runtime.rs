@@ -5,7 +5,7 @@
 //! the scale for the search benchmarks.
 //!
 //! The `pace_dp` group isolates the DP core the way a cached sweep
-//! exercises it — metrics precomputed, run-traffic memo warm — and
+//! exercises it — metrics precomputed, every run priced — and
 //! compares the allocation-free scratch core against the retained
 //! PR 3 baseline (fresh heap tables, `continue` scan). The machine-
 //! readable version of this comparison is the `bench_pace` bin, which
@@ -73,8 +73,8 @@ fn bench_metrics(c: &mut Criterion) {
 }
 
 /// The DP core alone, per candidate, as a memoised sweep pays for it:
-/// metrics precomputed once (a cache hit), the run-traffic memo shared
-/// and warm. `baseline` is the dense PR 3 core; `scratch` is the
+/// metrics precomputed once (a cache hit), the run-traffic table
+/// priced once and shared. `baseline` is the dense PR 3 core; `scratch` is the
 /// allocation-free core with staircase rows.
 fn bench_dp_core(c: &mut Criterion) {
     let lib = HwLibrary::standard();
@@ -96,14 +96,14 @@ fn bench_dp_core(c: &mut Criterion) {
         let datapath = out.allocation.area(&lib);
         let ctl = area.checked_sub(datapath).unwrap();
         let metrics = compute_metrics(&bsbs, &lib, &out.allocation, &pace).unwrap();
-        let mut comm = CommCosts::new(bsbs.len());
+        let comm = CommCosts::priced(&bsbs, &pace.comm);
         let mut scratch = DpScratch::new();
         group.bench_function(format!("{}/baseline", app.name), |b| {
             b.iter(|| {
                 black_box(reference_partition_from_metrics(
                     black_box(&bsbs),
                     &metrics,
-                    &mut comm,
+                    &comm,
                     datapath,
                     ctl,
                     &pace,
@@ -113,9 +113,8 @@ fn bench_dp_core(c: &mut Criterion) {
         group.bench_function(format!("{}/scratch", app.name), |b| {
             b.iter(|| {
                 black_box(partition_from_metrics(
-                    black_box(&bsbs),
-                    &metrics,
-                    &mut comm,
+                    black_box(&metrics),
+                    &comm,
                     &mut scratch,
                     datapath,
                     ctl,

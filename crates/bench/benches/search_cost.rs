@@ -112,7 +112,7 @@ fn bench_search_engine(c: &mut Criterion) {
 /// sweep the paper calls "impossible" (footnote 1). A fixed evaluation
 /// limit keeps the bench bounded; the per-candidate gap between the
 /// seed walk and the memoised engine is the ≥2× claim of ISSUE 2 (the
-/// 46-block schedules and the shared run-traffic memo dominate here).
+/// 46-block schedules and the shared run-traffic table dominate here).
 fn bench_search_engine_eigen(c: &mut Criterion) {
     let lib = HwLibrary::standard();
     let pace = PaceConfig::standard();

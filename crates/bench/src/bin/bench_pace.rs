@@ -3,8 +3,8 @@
 //! comparable across PRs.
 //!
 //! For each bundled benchmark it measures the DP core per candidate
-//! exactly as a cached sweep pays for it (metrics precomputed, run
-//! memo warm): the retained PR 3 baseline
+//! exactly as a cached sweep pays for it (metrics precomputed, every
+//! run priced): the retained PR 3 baseline
 //! (`reference_partition_from_metrics`) against the allocation-free
 //! scratch core (`partition_from_metrics`), reporting candidates/sec
 //! for both, the speedup ratio, and the shape of the DP: its level
@@ -33,8 +33,8 @@
 use lycos::core::{allocate, AllocConfig, Restrictions};
 use lycos::hwlib::{Area, HwLibrary};
 use lycos::pace::{
-    compute_metrics, partition_from_metrics, reference_partition_from_metrics, search_best,
-    CommCosts, DpScratch, PaceConfig, SearchOptions,
+    compute_metrics, partition_from_metrics, reference_partition_from_metrics, run_traffic,
+    search_best, CommCosts, DpScratch, PaceConfig, SearchOptions,
 };
 use std::time::{Duration, Instant};
 
@@ -134,20 +134,19 @@ fn main() {
         let ctl = area.checked_sub(datapath).unwrap();
         let metrics = compute_metrics(&bsbs, &lib, &out.allocation, &pace).unwrap();
 
-        // DP core, per candidate, metrics cached and comm memo warm —
+        // DP core, per candidate, metrics cached and every run priced —
         // the steady state of a memoised sweep.
-        let mut comm = CommCosts::new(bsbs.len());
+        let comm = CommCosts::priced(&bsbs, &pace.comm);
         let baseline_secs = time_per_call(window, || {
             std::hint::black_box(reference_partition_from_metrics(
-                &bsbs, &metrics, &mut comm, datapath, ctl, &pace,
+                &bsbs, &metrics, &comm, datapath, ctl, &pace,
             ));
         });
         let mut scratch = DpScratch::new();
         let scratch_secs = time_per_call(window, || {
             std::hint::black_box(partition_from_metrics(
-                &bsbs,
                 &metrics,
-                &mut comm,
+                &comm,
                 &mut scratch,
                 datapath,
                 ctl,
@@ -213,13 +212,11 @@ fn main() {
         std::hint::black_box(CommCosts::priced(&eigen_bsbs, &pace.comm));
     });
     let per_run_secs = time_per_call(window, || {
-        let mut table = CommCosts::new(n);
         for j in 0..n {
             for k in j..n {
-                table.cost(&eigen_bsbs, &pace.comm, j, k);
+                std::hint::black_box(run_traffic(&eigen_bsbs, j, k).cost(&pace.comm));
             }
         }
-        std::hint::black_box(table);
     });
     let comm_speedup = per_run_secs / one_pass_secs;
     eprintln!(

@@ -10,9 +10,9 @@ use lycos_core::{allocate, AllocConfig, AllocOutcome, RMap, Restrictions};
 use lycos_hwlib::{Area, HwLibrary};
 use lycos_ir::BsbArray;
 use lycos_pace::{
-    partition, partition_from_metrics, partition_with_artifacts, ArtifactStore, CommCosts,
-    DpScratch, PaceConfig, PaceError, ParetoResult, Partition, SearchArtifacts, SearchOptions,
-    SearchResult, StopSignal, StoreOutcome, WarmSeed,
+    partition, partition_with_artifacts, ArtifactStore, DpScratch, PaceConfig, PaceError,
+    ParetoResult, Partition, SearchArtifacts, SearchOptions, SearchResult, StopSignal,
+    StoreOutcome, WarmSeed,
 };
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -78,13 +78,11 @@ fn note_outcome(stats: &mut lycos_pace::SearchStats, outcome: StoreOutcome) {
 }
 
 /// PACE over one application for loops over many allocations: the
-/// artifacts are prepared once, and one clone of their full traffic
-/// table and one DP workspace carry across every call, so each block
-/// projection is scheduled once and every run is priced up front.
-/// Results are identical to [`partition`]'s.
+/// artifacts are prepared once and one DP workspace carries across
+/// every call, so each block projection is scheduled once and every
+/// run is priced up front. Results are identical to [`partition`]'s.
 pub(crate) struct Evaluator {
     artifacts: SearchArtifacts,
-    comm: CommCosts,
     scratch: DpScratch,
 }
 
@@ -100,10 +98,8 @@ impl Evaluator {
         restrictions: &Restrictions,
         pace: &PaceConfig,
     ) -> Result<Self, PaceError> {
-        let artifacts = SearchArtifacts::prepare(bsbs, lib, restrictions, pace)?;
         Ok(Evaluator {
-            comm: artifacts.comm_clone(),
-            artifacts,
+            artifacts: SearchArtifacts::prepare(bsbs, lib, restrictions, pace)?,
             scratch: DpScratch::new(),
         })
     }
@@ -121,23 +117,15 @@ impl Evaluator {
         total_area: Area,
         pace: &PaceConfig,
     ) -> Result<Partition, PaceError> {
-        let datapath = allocation.area(lib);
-        let ctl_budget = total_area
-            .checked_sub(datapath)
-            .ok_or(PaceError::DatapathTooLarge {
-                datapath,
-                total: total_area,
-            })?;
-        let metrics = self.artifacts.metrics(bsbs, lib, allocation, pace)?;
-        Ok(partition_from_metrics(
+        partition_with_artifacts(
             bsbs,
-            &metrics,
-            &mut self.comm,
-            &mut self.scratch,
-            datapath,
-            ctl_budget,
+            lib,
+            allocation,
+            total_area,
             pace,
-        ))
+            &mut self.scratch,
+            &self.artifacts,
+        )
     }
 }
 

@@ -58,22 +58,14 @@ fn check_allocation(bsbs: &BsbArray, digits: &[u32], extra_quanta: u64, remainde
     let levels = extra_quanta as usize;
     // The DP's time at level `a` is its total under a controller
     // budget of `a` quanta.
-    let mut comm = CommCosts::new(bsbs.len());
+    let comm = CommCosts::priced(bsbs, &config.comm);
     let mut scratch = DpScratch::new();
     let row: Vec<u64> = (0..=extra_quanta)
         .map(|a| {
             let ctl = Area::new(a * q + if a == extra_quanta { remainder } else { 0 });
-            partition_from_metrics(
-                bsbs,
-                &metrics,
-                &mut comm,
-                &mut scratch,
-                datapath,
-                ctl,
-                &config,
-            )
-            .total_time
-            .count()
+            partition_from_metrics(&metrics, &comm, &mut scratch, datapath, ctl, &config)
+                .total_time
+                .count()
         })
         .collect();
     let mut relax = BudgetRelaxation::new();

@@ -1,17 +1,19 @@
-//! Property: the reusable DP workspace is invisible.
+//! Property: the reusable DP workspace and the reusable artifacts are
+//! invisible.
 //!
 //! For any sequence of synthetic applications and any allocations
 //! drawn within (and slightly beyond) their ASAP restriction caps, a
 //! [`DpScratch`] threaded through every evaluation — across *different*
 //! applications, budgets and level counts, exactly as a search worker
-//! reuses it — must produce partitions identical to a fresh
-//! [`partition`] call.
+//! reuses it — and one [`SearchArtifacts::for_partition`] set per
+//! application, shared by every allocation and budget, must produce
+//! partitions identical to a fresh [`partition`] call.
 
 use lycos_core::{RMap, Restrictions};
 use lycos_explore::SyntheticSpec;
 use lycos_hwlib::{Area, HwLibrary};
 use lycos_ir::OpKind;
-use lycos_pace::{partition, partition_with_scratch, DpScratch, PaceConfig};
+use lycos_pace::{partition, partition_with_artifacts, DpScratch, PaceConfig, SearchArtifacts};
 use proptest::prelude::*;
 
 fn spec(blocks: usize, max_ops: usize) -> SyntheticSpec {
@@ -54,8 +56,8 @@ fn probe_allocations(restr: &Restrictions, picks: &[u8]) -> Vec<RMap> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// One scratch across a random sequence of apps/budgets equals a
-    /// fresh partition per call.
+    /// One scratch across a random sequence of apps/budgets, and one
+    /// artifact set per app, equal a fresh partition per call.
     #[test]
     fn reused_scratch_matches_fresh_partitions(
         seed in 0u64..512,
@@ -79,15 +81,23 @@ proptest! {
         ];
         for app in &apps {
             let restr = Restrictions::from_asap(app, &lib).unwrap();
+            let artifacts = SearchArtifacts::for_partition(app, &lib, &config).unwrap();
             for alloc in probe_allocations(&restr, &picks) {
                 let datapath = alloc.area(&lib).gates();
                 for &extra in &extras {
                     let total = Area::new(datapath + extra);
                     let fresh = partition(app, &lib, &alloc, total, &config).unwrap();
-                    let reused =
-                        partition_with_scratch(app, &lib, &alloc, total, &config, &mut scratch)
-                            .unwrap();
-                    prop_assert_eq!(&reused, &fresh, "scratch reuse diverged (+{} GE)", extra);
+                    let reused = partition_with_artifacts(
+                        app,
+                        &lib,
+                        &alloc,
+                        total,
+                        &config,
+                        &mut scratch,
+                        &artifacts,
+                    )
+                    .unwrap();
+                    prop_assert_eq!(&reused, &fresh, "reuse diverged (+{} GE)", extra);
                 }
             }
         }

@@ -12,11 +12,11 @@
 //!   (application, unit library, configuration) triple, built once by
 //!   [`SearchArtifacts::prepare`] and consumed by
 //!   [`crate::search_best_with_stop`] / [`crate::search_pareto_with_stop`] /
-//!   [`crate::exhaustive_best_with`] / the partition helpers. Bound
-//!   tables stay lazy (built on first bounded use); the traffic table
-//!   is full from the start ([`CommCosts::priced`] prices every run in
-//!   one pass, well under a millisecond on the largest bundled app), so
-//!   no engine ever prices a run itself.
+//!   [`crate::partition_with_artifacts`]. Bound tables stay lazy (built
+//!   on first bounded use); the traffic table is full from the start
+//!   ([`CommCosts::priced`] prices every run in one pass, well under a
+//!   millisecond on the largest bundled app) and read-only, so every
+//!   engine borrows it and none ever prices a run itself.
 //! * [`ArtifactKey`] — a stable content fingerprint over the BSB
 //!   array (blocks *and* their DFGs), the unit library, the allocation
 //!   caps and the PACE configuration. Same content ⇒ same key; any
@@ -408,10 +408,10 @@ pub struct SearchArtifacts {
     /// first use and read by the bound tables, every sweep worker and
     /// every request over these artifacts.
     schedules: ScheduleTable,
-    /// The shared run-traffic table, every run priced at build time
-    /// ([`CommCosts::priced`], or the donor's table cloned). Workers
-    /// clone it, so every traffic probe is a pure lookup.
-    pub(crate) comm: CommCosts,
+    /// The run-traffic table, every run priced at build time
+    /// ([`CommCosts::priced`], or the donor's table cloned). Every
+    /// engine, worker and request borrows it read-only.
+    comm: CommCosts,
     dims: Vec<(FuId, u32)>,
     space: u128,
     /// Per-block content keys, in block order — what the store's
@@ -697,10 +697,9 @@ impl SearchArtifacts {
         self.statics.len()
     }
 
-    /// A private clone of the full traffic table, for one worker or
-    /// one caller's run of partitions.
-    pub fn comm_clone(&self) -> CommCosts {
-        self.comm.clone()
+    /// The full traffic table every DP over these artifacts reads.
+    pub fn comm(&self) -> &CommCosts {
+        &self.comm
     }
 
     /// The schedule table every engine over these artifacts reads.
@@ -739,21 +738,18 @@ impl SearchArtifacts {
         &self,
         bsbs: &BsbArray,
         lib: &HwLibrary,
-        config: &PaceConfig,
         stop: &StopSignal,
     ) -> Result<Option<&SearchBounds>, PaceError> {
         if let Some(bounds) = self.bounds.get() {
             return Ok(Some(bounds));
         }
-        let mut memo = self.comm.clone();
         let Some(built) = SearchBounds::from_statics(
             bsbs,
             lib,
             &self.dims,
             &self.statics,
             &self.schedules,
-            Some(&config.comm),
-            &mut memo,
+            Some(&self.comm),
             stop,
         )?
         else {
@@ -1380,16 +1376,16 @@ mod tests {
         }
     }
 
-    /// Every run of `bsbs` priced lazily, one [`CommCosts::cost`] call
-    /// at a time — the reference a full table must equal.
-    fn lazily_filled(bsbs: &BsbArray, config: &PaceConfig) -> CommCosts {
-        let mut lazy = CommCosts::new(bsbs.len());
+    /// Asserts `table` covers `bsbs` and prices every run exactly as
+    /// [`crate::run_traffic`] does, one run at a time.
+    fn assert_prices_every_run(table: &CommCosts, bsbs: &BsbArray, config: &PaceConfig) {
+        assert_eq!(table.blocks(), bsbs.len());
         for j in 0..bsbs.len() {
             for k in j..bsbs.len() {
-                lazy.cost(bsbs, &config.comm, j, k);
+                let want = crate::run_traffic(bsbs, j, k).cost(&config.comm).count();
+                assert_eq!(table.cost(j, k), want, "run [{j}, {k}]");
             }
         }
-        lazy
     }
 
     #[test]
@@ -1402,14 +1398,14 @@ mod tests {
         assert_eq!(artifacts.block_count(), bsbs.len());
         assert_eq!(artifacts.fingerprint().len(), bsbs.len());
         // The traffic table is full from the start.
-        assert_eq!(artifacts.comm_clone(), lazily_filled(&bsbs, &config));
+        assert_prices_every_run(artifacts.comm(), &bsbs, &config);
     }
 
     #[test]
-    fn prepare_prices_every_run_like_a_lazy_fill() {
+    fn prepare_prices_every_run_like_run_traffic() {
         // Blocks that share, rewrite and read back variables: the
-        // one-pass table must equal the run-by-run fill cell for cell
-        // (equality covers the known flags, so no cell is left lazy).
+        // one-pass table must equal the run-by-run pricing cell for
+        // cell.
         let (lib, config) = (HwLibrary::standard(), PaceConfig::standard());
         let block = |i: u32, profile: u64, reads: &[&str], writes: &[&str]| Bsb {
             id: BsbId(i),
@@ -1432,7 +1428,7 @@ mod tests {
         );
         let restr = Restrictions::from_asap(&bsbs, &lib).unwrap();
         let artifacts = SearchArtifacts::prepare(&bsbs, &lib, &restr, &config).unwrap();
-        assert_eq!(artifacts.comm_clone(), lazily_filled(&bsbs, &config));
+        assert_prices_every_run(artifacts.comm(), &bsbs, &config);
     }
 
     #[test]
@@ -1441,7 +1437,7 @@ mod tests {
         let restr = Restrictions::from_asap(&bsbs, &lib).unwrap();
         let artifacts = SearchArtifacts::prepare(&bsbs, &lib, &restr, &config).unwrap();
         let cancelled = StopSignal::never().with_cancel(Arc::new(AtomicBool::new(true)));
-        let stopped = artifacts.bounds_for(&bsbs, &lib, &config, &cancelled);
+        let stopped = artifacts.bounds_for(&bsbs, &lib, &cancelled);
         assert!(
             stopped.unwrap().is_none(),
             "the build stops at its first poll"
@@ -1452,7 +1448,7 @@ mod tests {
         );
         // The next caller builds the full tables from scratch.
         let built = artifacts
-            .bounds_for(&bsbs, &lib, &config, &StopSignal::never())
+            .bounds_for(&bsbs, &lib, &StopSignal::never())
             .unwrap()
             .expect("a never-signal builds");
         let fresh = SearchBounds::with_comm_floor(&bsbs, &lib, artifacts.dims(), &config).unwrap();
@@ -1644,7 +1640,7 @@ mod tests {
         }
         // The incremental traffic table is full and prices every run
         // exactly as a fresh fill does.
-        assert_eq!(incremental.comm_clone(), lazily_filled(&edited, &config));
+        assert_prices_every_run(incremental.comm(), &edited, &config);
         let stats = store.stats();
         assert_eq!(
             (stats.incremental, stats.reused, stats.rederived),

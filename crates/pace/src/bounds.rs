@@ -297,13 +297,16 @@ impl SearchBounds {
     ) -> Result<Self, PaceError> {
         let statics = bsb_statics(bsbs, lib, config)?;
         let schedules = ScheduleTable::new(&statics, dims);
-        let mut memo = match comm {
-            Some(model) => CommCosts::priced(bsbs, model),
-            None => CommCosts::new(bsbs.len()),
-        };
+        let costs = comm.map(|model| CommCosts::priced(bsbs, model));
         let never = StopSignal::never();
         let built = Self::from_statics(
-            bsbs, lib, dims, &statics, &schedules, comm, &mut memo, &never,
+            bsbs,
+            lib,
+            dims,
+            &statics,
+            &schedules,
+            costs.as_ref(),
+            &never,
         )?;
         Ok(built.expect("a never-signal cannot stop the build"))
     }
@@ -311,29 +314,25 @@ impl SearchBounds {
     /// [`SearchBounds::new`] over statics and a schedule table already
     /// built elsewhere — the artifact seam derives them once for the
     /// whole sweep, and the tables read every length from
-    /// `schedules`, filling what is missing. A
-    /// `comm` model folds the communication floor into the tables;
-    /// `memo` is the caller's run-traffic table (the artifacts' full
-    /// table, so the floors and the DP price runs off the same
-    /// entries).
+    /// `schedules`, filling what is missing. A traffic table (the
+    /// artifacts' own, so the floors and the DP price runs off the
+    /// same entries) folds the communication floor into the tables.
     ///
     /// The per-block tables run list schedules for every projection a
     /// block's slots do not hold yet, so `stop` is polled between
     /// blocks: `Ok(None)` means it tripped and the partial build was
     /// abandoned.
-    #[allow(clippy::too_many_arguments)] // the artifact seam plus the stop signal
     pub(crate) fn from_statics(
         bsbs: &BsbArray,
         lib: &HwLibrary,
         dims: &[(FuId, u32)],
         statics: &[BsbStatics],
         schedules: &ScheduleTable,
-        comm: Option<&CommModel>,
-        memo: &mut CommCosts,
+        comm: Option<&CommCosts>,
         stop: &StopSignal,
     ) -> Result<Option<Self>, PaceError> {
         let dim_fus: Vec<FuId> = dims.iter().map(|&(fu, _)| fu).collect();
-        let floors = floors_for(bsbs, dims, &dim_fus, statics, comm, memo);
+        let floors = floors_for(dims, &dim_fus, statics, comm);
         let stoppable = !stop.is_never();
         let mut blocks = Vec::with_capacity(bsbs.len());
         for (b, (bsb, stat)) in bsbs.iter().zip(statics).enumerate() {
@@ -552,12 +551,10 @@ impl BudgetRelaxation {
 /// Static barrier flags and segmented communication floors of one
 /// application over one allocation space.
 fn floors_for(
-    bsbs: &BsbArray,
     dims: &[(FuId, u32)],
     dim_fus: &[FuId],
     statics: &[BsbStatics],
-    comm: Option<&CommModel>,
-    memo: &mut CommCosts,
+    comm: Option<&CommCosts>,
 ) -> Vec<u64> {
     // Static barriers — blocks hardware-infeasible under EVERY
     // allocation of this space (immovable, a kind outside the
@@ -580,8 +577,8 @@ fn floors_for(
         })
         .collect();
     match comm {
-        Some(model) => comm_floors(bsbs, model, &barrier, memo),
-        None => vec![0u64; bsbs.len()],
+        Some(costs) => comm_floors(&barrier, costs),
+        None => vec![0u64; statics.len()],
     }
 }
 
@@ -769,9 +766,9 @@ mod tests {
         let metrics = compute_metrics(bsbs, lib, alloc, &cfg).unwrap();
         let datapath = alloc.area(lib);
         let ctl = total.checked_sub(datapath).unwrap();
-        let mut comm = CommCosts::new(bsbs.len());
+        let comm = CommCosts::priced(bsbs, &cfg.comm);
         let mut scratch = DpScratch::new();
-        partition_from_metrics(bsbs, &metrics, &mut comm, &mut scratch, datapath, ctl, &cfg)
+        partition_from_metrics(&metrics, &comm, &mut scratch, datapath, ctl, &cfg)
             .total_time
             .count()
     }
@@ -1184,7 +1181,7 @@ mod tests {
             SearchBounds::with_comm_floor(&bsbs, &lib, &dims, &cfg).unwrap(),
         ];
         let mut scratch = DpScratch::new();
-        let mut comm = CommCosts::new(bsbs.len());
+        let comm = CommCosts::priced(&bsbs, &cfg.comm);
         let mut relax = BudgetRelaxation::new();
         let mut checked = 0;
         let mut counts = vec![0u32; dims.len()];
@@ -1198,7 +1195,7 @@ mod tests {
             if datapath <= total {
                 let metrics = compute_metrics(&bsbs, &lib, &alloc, &cfg).unwrap();
                 let ctl = total.checked_sub(datapath).unwrap();
-                scratch.evaluate(&bsbs, &metrics, &mut comm, ctl, &cfg);
+                scratch.evaluate(&metrics, &comm, ctl, &cfg);
                 for bounds in &tables {
                     relax.rebuild(&metrics, bounds.comm_floors());
                     for (a, lb) in relax

@@ -110,38 +110,27 @@ pub fn run_traffic(bsbs: &BsbArray, j: usize, k: usize) -> RunTraffic {
     }
 }
 
-/// Memo table of run bus costs.
+/// The bus cost of every hardware run, priced once.
 ///
 /// [`run_traffic`] depends only on the BSB array, never on the
-/// allocation, so its costs are shared across every candidate of an
+/// allocation, so one table serves every candidate of an
 /// allocation-space search instead of being recomputed per partition
-/// call. [`CommCosts::priced`] builds the whole table in one pass — what
-/// every artifact set carries — and [`CommCosts::new`] starts an empty
-/// one that [`CommCosts::cost`] fills run by run through
-/// [`run_traffic`]. A full table over `eigen`'s 46 blocks is ~2k words,
-/// so the memo is kept dense.
+/// call. [`CommCosts::priced`] builds the whole table in one pass —
+/// what every artifact set carries — and every consumer borrows it
+/// read-only. A full table over `eigen`'s 46 blocks is ~2k words, so
+/// it is kept dense.
 ///
-/// The DP queries each run once while building its tables and copies
+/// The DP reads each run once while building its tables and copies
 /// the cost into them — the backtrack reads the run table, never this
-/// memo, and runs the controller budget can never admit are not
-/// queried at all (see `crate::DpScratch`).
+/// one, and runs the controller budget can never admit are not read
+/// at all (see `crate::DpScratch`).
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub struct CommCosts {
     n: usize,
     cost: Vec<u64>,
-    known: Vec<bool>,
 }
 
 impl CommCosts {
-    /// An empty table for an application of `n` blocks.
-    pub fn new(n: usize) -> Self {
-        CommCosts {
-            n,
-            cost: vec![0; n * n],
-            known: vec![false; n * n],
-        }
-    }
-
     /// The full table of `bsbs`: every run `[j, k]` priced exactly as
     /// [`run_traffic`] prices it, in one pass shared across runs.
     ///
@@ -214,7 +203,10 @@ impl CommCosts {
             }
         }
 
-        let mut table = CommCosts::new(n);
+        let mut table = CommCosts {
+            n,
+            cost: vec![0; n * n],
+        };
         let mut rate = vec![0u64; vars];
         for j in 0..n {
             rate.fill(0);
@@ -228,7 +220,6 @@ impl CommCosts {
                     }
                 }
                 table.cost[j * n + k] = traffic.cost(comm).count();
-                table.known[j * n + k] = true;
             }
         }
         // The profile of the first block after `k` touching each
@@ -257,21 +248,19 @@ impl CommCosts {
         table
     }
 
-    /// Bus cost (in cycles) of the hardware run `[j, k]`, memoised.
+    /// Number of blocks of the application the table was priced for.
+    pub fn blocks(&self) -> usize {
+        self.n
+    }
+
+    /// Bus cost (in cycles) of the hardware run `[j, k]`.
     ///
     /// # Panics
     ///
-    /// Panics if `j > k`, `k` is out of range, or `bsbs` has a
-    /// different length than the table was created for.
-    pub fn cost(&mut self, bsbs: &BsbArray, comm: &CommModel, j: usize, k: usize) -> u64 {
-        assert_eq!(bsbs.len(), self.n, "table built for another app");
+    /// Panics if `j > k` or `k` is out of range.
+    pub fn cost(&self, j: usize, k: usize) -> u64 {
         assert!(j <= k && k < self.n, "invalid run [{j}, {k}]");
-        let idx = j * self.n + k;
-        if !self.known[idx] {
-            self.cost[idx] = run_traffic(bsbs, j, k).cost(comm).count();
-            self.known[idx] = true;
-        }
-        self.cost[idx]
+        self.cost[j * self.n + k]
     }
 }
 
@@ -293,18 +282,12 @@ impl CommCosts {
 /// so adding `floors[b]` to every hardware block's bound contribution
 /// never exceeds the communication the DP actually pays. Barrier
 /// blocks get a zero floor — they are charged software time, never run
-/// communication. Costs come from the caller's [`CommCosts`] memo —
-/// the artifact seam hands in the same full table the DP reads, so the
-/// floor and the evaluation can never disagree on a run's price, and
-/// every price is a lookup.
-pub(crate) fn comm_floors(
-    bsbs: &BsbArray,
-    comm: &CommModel,
-    barrier: &[bool],
-    costs: &mut CommCosts,
-) -> Vec<u64> {
-    assert_eq!(bsbs.len(), barrier.len(), "one flag per block");
-    let n = bsbs.len();
+/// communication. Costs come from the artifacts' [`CommCosts`] — the
+/// same table the DP reads, so the floor and the evaluation can never
+/// disagree on a run's price.
+pub(crate) fn comm_floors(barrier: &[bool], costs: &CommCosts) -> Vec<u64> {
+    assert_eq!(costs.blocks(), barrier.len(), "one flag per block");
+    let n = barrier.len();
     let mut floors = vec![0u64; n];
     let mut s = 0usize;
     while s < n {
@@ -321,7 +304,7 @@ pub(crate) fn comm_floors(
         }
         for j in s..=e {
             for k in j..=e {
-                let share = costs.cost(bsbs, comm, j, k) / (k - j + 1) as u64;
+                let share = costs.cost(j, k) / (k - j + 1) as u64;
                 for f in &mut floors[j..=k] {
                     *f = (*f).min(share);
                 }
@@ -461,6 +444,13 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "invalid run")]
+    fn a_lookup_past_the_table_panics() {
+        let bsbs = BsbArray::from_bsbs("t", vec![bsb(0, 1, &[], &[])]);
+        CommCosts::priced(&bsbs, &CommModel::standard()).cost(0, 1);
+    }
+
+    #[test]
     fn comm_floors_never_exceed_any_run_share() {
         // The documented inequality, checked exhaustively: for every
         // run within a barrier-free segment, the floors of its blocks
@@ -475,13 +465,13 @@ mod tests {
             ],
         );
         let comm = CommModel::standard();
-        let floors = comm_floors(&bsbs, &comm, &[false; 4], &mut CommCosts::new(4));
-        let mut costs = CommCosts::new(4);
+        let costs = CommCosts::priced(&bsbs, &comm);
+        let floors = comm_floors(&[false; 4], &costs);
         for j in 0..4 {
             for k in j..4 {
                 let total: u64 = floors[j..=k].iter().sum();
                 assert!(
-                    total <= costs.cost(&bsbs, &comm, j, k),
+                    total <= costs.cost(j, k),
                     "floors {floors:?} overcharge run [{j}, {k}]"
                 );
             }
@@ -502,7 +492,8 @@ mod tests {
             ],
         );
         let comm = CommModel::standard(); // sync 10, word 4
-        let floors = comm_floors(&bsbs, &comm, &[false, true, false], &mut CommCosts::new(3));
+        let costs = CommCosts::priced(&bsbs, &comm);
+        let floors = comm_floors(&[false, true, false], &costs);
         // Run [0,0]: x leaves 100 times (min(writer, reader) = 100).
         assert_eq!(floors[0], 100 * 10 + 100 * 4);
         assert_eq!(floors[1], 0, "barrier blocks never pay run comm");
@@ -510,9 +501,6 @@ mod tests {
         assert_eq!(floors[2], 100 * 10 + 100 * 4);
         // Without the barrier the whole-app run [0,2] (x internal, no
         // traffic) collapses every floor to zero.
-        assert_eq!(
-            comm_floors(&bsbs, &comm, &[false; 3], &mut CommCosts::new(3),),
-            vec![0, 0, 0]
-        );
+        assert_eq!(comm_floors(&[false; 3], &costs), vec![0, 0, 0]);
     }
 }

@@ -170,7 +170,7 @@ struct Source {
 /// views first (pinned by property tests in the exploration crate).
 ///
 /// Construct with [`DpScratch::new`], then thread `&mut` through
-/// [`partition_with_scratch`] or [`partition_from_metrics`].
+/// [`partition_with_artifacts`] or [`partition_from_metrics`].
 #[derive(Clone, Debug, Default)]
 pub struct DpScratch {
     /// `run_off[j]` = first flat index of the runs starting at `j`.
@@ -186,8 +186,8 @@ pub struct DpScratch {
     run_quanta: Vec<usize>,
     /// Exact run controller area, for the backtrack's accounting.
     run_ctl: Vec<u64>,
-    /// Run boundary bus cost, so the backtrack reads the table instead
-    /// of re-querying the [`CommCosts`] memo.
+    /// Run boundary bus cost, so the backtrack reads the run table
+    /// instead of the [`CommCosts`].
     run_comm: Vec<u64>,
     /// `row_off[i] .. row_off[i + 1]` = the steps of DP row `i`.
     row_off: Vec<usize>,
@@ -217,21 +217,13 @@ impl DpScratch {
     /// materialise the winning [`Partition`].
     pub(crate) fn evaluate(
         &mut self,
-        bsbs: &BsbArray,
         metrics: &[BsbMetrics],
-        comm: &mut CommCosts,
+        comm: &CommCosts,
         ctl_budget: Area,
         config: &PaceConfig,
     ) -> u64 {
-        self.evaluate_stoppable(
-            bsbs,
-            metrics,
-            comm,
-            ctl_budget,
-            config,
-            &StopSignal::never(),
-        )
-        .expect("a never-signal cannot stop the DP")
+        self.evaluate_stoppable(metrics, comm, ctl_budget, config, &StopSignal::never())
+            .expect("a never-signal cannot stop the DP")
     }
 
     /// [`DpScratch::evaluate`] with a cooperative stop check between DP
@@ -245,17 +237,21 @@ impl DpScratch {
     /// Levels are capped at `u32::MAX`, the widest step level: only a
     /// partition whose controllers need more than 2^32 quanta could
     /// tell the difference.
+    ///
+    /// # Panics
+    ///
+    /// If `comm` was priced for an application of another length than
+    /// `metrics`.
     pub(crate) fn evaluate_stoppable(
         &mut self,
-        bsbs: &BsbArray,
         metrics: &[BsbMetrics],
-        comm: &mut CommCosts,
+        comm: &CommCosts,
         ctl_budget: Area,
         config: &PaceConfig,
         stop: &StopSignal,
     ) -> Option<u64> {
-        let l = bsbs.len();
-        debug_assert_eq!(metrics.len(), l, "one metrics entry per block");
+        let l = metrics.len();
+        assert_eq!(comm.blocks(), l, "traffic table priced for another app");
         let q = config.quantum;
         let levels = (ctl_budget.gates() / q).min(u64::from(u32::MAX)) as usize;
         self.l = l;
@@ -286,7 +282,7 @@ impl DpScratch {
                 if quanta > levels {
                     break; // over budget now and for every longer run
                 }
-                let c = comm.cost(bsbs, &config.comm, j, i);
+                let c = comm.cost(j, i);
                 self.run_time.push(hw_sum + c);
                 self.run_quanta.push(quanta);
                 self.run_ctl.push(ctl_sum);
@@ -400,7 +396,7 @@ impl DpScratch {
     /// Materialises the [`Partition`] chosen by the last
     /// [`DpScratch::evaluate`] call. Reads the run tables for the
     /// per-run communication and controller figures — the
-    /// [`CommCosts`] memo is never re-queried.
+    /// [`CommCosts`] is never read again.
     pub(crate) fn backtrack(&self, metrics: &[BsbMetrics], datapath_area: Area) -> Partition {
         self.backtrack_at(metrics, datapath_area, self.levels)
     }
@@ -526,10 +522,11 @@ fn merge_row(
 /// Runs PACE: partitions `bsbs` for the data path `allocation` within
 /// `total_area` of hardware.
 ///
-/// One-shot convenience over [`partition_with_scratch`]: a fresh
-/// workspace is built per call. Hot loops — anything evaluating many
-/// allocations — should hold a [`DpScratch`] (and a [`CommCosts`])
-/// and use the reusable seams instead.
+/// One-shot convenience over [`partition_with_artifacts`]: fresh
+/// artifacts and a fresh workspace are built per call. Hot loops —
+/// anything evaluating many allocations — should hold one
+/// [`SearchArtifacts`] and one [`DpScratch`] and use the reusable
+/// seams instead.
 ///
 /// # Errors
 ///
@@ -577,42 +574,31 @@ pub fn partition(
     total_area: Area,
     config: &PaceConfig,
 ) -> Result<Partition, PaceError> {
-    let mut scratch = DpScratch::new();
-    partition_with_scratch(bsbs, lib, allocation, total_area, config, &mut scratch)
-}
-
-/// [`partition`] reusing a caller-owned [`DpScratch`] — identical
-/// results, no steady-state DP allocations across calls. The scratch
-/// may have served any other application or budget before.
-///
-/// # Errors
-///
-/// Same conditions as [`partition`].
-pub fn partition_with_scratch(
-    bsbs: &BsbArray,
-    lib: &HwLibrary,
-    allocation: &RMap,
-    total_area: Area,
-    config: &PaceConfig,
-    scratch: &mut DpScratch,
-) -> Result<Partition, PaceError> {
     let artifacts = SearchArtifacts::for_partition(bsbs, lib, config)?;
+    let mut scratch = DpScratch::new();
     partition_with_artifacts(
-        bsbs, lib, allocation, total_area, config, scratch, &artifacts,
+        bsbs,
+        lib,
+        allocation,
+        total_area,
+        config,
+        &mut scratch,
+        &artifacts,
     )
 }
 
-/// [`partition_with_scratch`] over artifacts prepared (or fetched from
-/// an [`ArtifactStore`](crate::ArtifactStore)) elsewhere: metrics
-/// derive from the artifacts' statics and the run-traffic memo starts
-/// from the artifacts' table. Results are identical to the compat
-/// path; repeated calls over one application stop re-deriving the
-/// per-block facts.
+/// [`partition`] over artifacts prepared (or fetched from an
+/// [`ArtifactStore`](crate::ArtifactStore)) elsewhere and a
+/// caller-owned [`DpScratch`]: metrics derive from the artifacts'
+/// statics and schedule table, and the DP reads the artifacts' traffic
+/// table in place. Results are identical to [`partition`]'s; repeated
+/// calls over one application stop re-deriving the per-block facts,
+/// and the scratch may have served any other application or budget
+/// before.
 ///
 /// # Errors
 ///
 /// Same conditions as [`partition`].
-#[allow(clippy::too_many_arguments)] // the documented artifact seam
 pub fn partition_with_artifacts(
     bsbs: &BsbArray,
     lib: &HwLibrary,
@@ -631,11 +617,9 @@ pub fn partition_with_artifacts(
         })?;
 
     let metrics = artifacts.metrics(bsbs, lib, allocation, config)?;
-    let mut comm = artifacts.comm_clone();
     Ok(partition_from_metrics(
-        bsbs,
         &metrics,
-        &mut comm,
+        artifacts.comm(),
         scratch,
         datapath_area,
         ctl_budget,
@@ -645,29 +629,32 @@ pub fn partition_with_artifacts(
 
 /// The PACE dynamic program over precomputed per-block metrics — the
 /// seam the allocation-search engine drives: metrics come from its
-/// memo cache ([`crate::MetricsCache`]), `comm` is shared across every
-/// candidate (run traffic never depends on the allocation), and
+/// memo cache ([`crate::MetricsCache`]), `comm` is the one table every
+/// candidate reads (run traffic never depends on the allocation), and
 /// `scratch` carries the DP tables from evaluation to evaluation.
 ///
-/// `metrics` must hold one entry per block of `bsbs`, e.g. from
-/// [`crate::compute_metrics`].
-#[allow(clippy::too_many_arguments)] // the documented hot-path seam
+/// `metrics` must hold one entry per block of the application, e.g.
+/// from [`crate::compute_metrics`], and `comm` must be that
+/// application's table ([`CommCosts::priced`]).
+///
+/// # Panics
+///
+/// If `comm` was priced for an application of another length.
 pub fn partition_from_metrics(
-    bsbs: &BsbArray,
     metrics: &[BsbMetrics],
-    comm: &mut CommCosts,
+    comm: &CommCosts,
     scratch: &mut DpScratch,
     datapath_area: Area,
     ctl_budget: Area,
     config: &PaceConfig,
 ) -> Partition {
-    scratch.evaluate(bsbs, metrics, comm, ctl_budget, config);
+    scratch.evaluate(metrics, comm, ctl_budget, config);
     scratch.backtrack(metrics, datapath_area)
 }
 
 /// The pre-optimisation (PR 3) DP core, kept verbatim: fresh nested
 /// `Vec` run tables per call, a `continue`-based run scan, and a
-/// backtrack that re-queries the [`CommCosts`] memo. Not part of the
+/// backtrack that re-reads the [`CommCosts`]. Not part of the
 /// public API — it exists so equivalence tests can pin the optimised
 /// core against the exact seed behaviour, and so the perf harness has
 /// a real baseline to measure against.
@@ -675,12 +662,13 @@ pub fn partition_from_metrics(
 pub fn reference_partition_from_metrics(
     bsbs: &BsbArray,
     metrics: &[BsbMetrics],
-    comm: &mut CommCosts,
+    comm: &CommCosts,
     datapath_area: Area,
     ctl_budget: Area,
     config: &PaceConfig,
 ) -> Partition {
     let l = bsbs.len();
+    assert_eq!(comm.blocks(), l, "traffic table priced for another app");
     let all_sw_time: Cycles = metrics.iter().map(|m| m.sw_time).sum();
 
     if l == 0 {
@@ -711,7 +699,7 @@ pub fn reference_partition_from_metrics(
             }
             hw_sum += metrics[i].hw_time.expect("feasible").count();
             ctl_sum += metrics[i].controller_area.expect("feasible").gates();
-            let comm = comm.cost(bsbs, &config.comm, j, i);
+            let comm = comm.cost(j, i);
             run_time[j].push(hw_sum + comm);
             run_quanta[j].push(ctl_sum.div_ceil(q) as usize);
             run_ctl[j].push(ctl_sum);
@@ -763,7 +751,7 @@ pub fn reference_partition_from_metrics(
                 *b = true;
             }
             runs.push(j - 1..i);
-            comm_time += comm.cost(bsbs, &config.comm, j - 1, i - 1);
+            comm_time += comm.cost(j - 1, i - 1);
             controller_area += run_ctl[j - 1][idx];
             a -= run_quanta[j - 1][idx];
             i = j - 1;
@@ -840,15 +828,8 @@ mod tests {
         let datapath_area = allocation.area(lib);
         let ctl_budget = total_area.checked_sub(datapath_area).expect("fits");
         let metrics = compute_metrics(bsbs, lib, allocation, config).unwrap();
-        let mut comm = CommCosts::new(bsbs.len());
-        reference_partition_from_metrics(
-            bsbs,
-            &metrics,
-            &mut comm,
-            datapath_area,
-            ctl_budget,
-            config,
-        )
+        let comm = CommCosts::priced(bsbs, &config.comm);
+        reference_partition_from_metrics(bsbs, &metrics, &comm, datapath_area, ctl_budget, config)
     }
 
     #[test]
@@ -1146,39 +1127,46 @@ mod tests {
     #[test]
     fn new_core_matches_the_reference_everywhere() {
         // The optimised core (scratch reuse, truncated tables, break
-        // scan) against the retained seed core, across shapes and
-        // budgets — including budgets tight enough that most runs are
-        // never materialised.
+        // scan) against the retained seed core and a fresh partition,
+        // across shapes and budgets — including budgets tight enough
+        // that most runs are never materialised. One scratch is
+        // interleaved across applications of different sizes and
+        // budgets of different level counts, each app over one
+        // artifact set.
         let lib = lib();
         let cfg = PaceConfig::standard();
+        let apps: Vec<_> = zoo()
+            .into_iter()
+            .map(|(bsbs, alloc)| {
+                let artifacts = SearchArtifacts::for_partition(&bsbs, &lib, &cfg).unwrap();
+                (bsbs, alloc, artifacts)
+            })
+            .collect();
         let mut scratch = DpScratch::new();
-        for (bsbs, alloc) in zoo() {
-            let dp_gates = alloc.area(&lib).gates();
-            for extra in [0u64, 16, 100, 300, 1_000, 10_000] {
-                let total = Area::new(dp_gates + extra);
-                let seed = reference_partition(&bsbs, &lib, &alloc, total, &cfg);
-                let new =
-                    partition_with_scratch(&bsbs, &lib, &alloc, total, &cfg, &mut scratch).unwrap();
-                assert_eq!(new, seed, "{} +{extra}", bsbs.app_name());
-            }
-        }
-    }
-
-    #[test]
-    fn scratch_reuse_is_invisible_across_apps_and_budgets() {
-        // One scratch, interleaved across applications of different
-        // sizes and budgets of different level counts: identical to a
-        // fresh partition every time.
-        let lib = lib();
-        let cfg = PaceConfig::standard();
-        let mut scratch = DpScratch::new();
-        for round in 0..3 {
-            for (bsbs, alloc) in zoo() {
-                let total = Area::new(alloc.area(&lib).gates() + 400 * (round + 1));
-                let fresh = partition(&bsbs, &lib, &alloc, total, &cfg).unwrap();
-                let reused =
-                    partition_with_scratch(&bsbs, &lib, &alloc, total, &cfg, &mut scratch).unwrap();
-                assert_eq!(reused, fresh, "{} round {round}", bsbs.app_name());
+        for extra in [0u64, 16, 100, 300, 400, 800, 1_000, 1_200, 10_000] {
+            for (bsbs, alloc, artifacts) in &apps {
+                let total = Area::new(alloc.area(&lib).gates() + extra);
+                let new = partition_with_artifacts(
+                    bsbs,
+                    &lib,
+                    alloc,
+                    total,
+                    &cfg,
+                    &mut scratch,
+                    artifacts,
+                )
+                .unwrap();
+                let what = format!("{} +{extra}", bsbs.app_name());
+                assert_eq!(
+                    new,
+                    reference_partition(bsbs, &lib, alloc, total, &cfg),
+                    "{what}"
+                );
+                assert_eq!(
+                    new,
+                    partition(bsbs, &lib, alloc, total, &cfg).unwrap(),
+                    "{what}"
+                );
             }
         }
     }
@@ -1213,25 +1201,17 @@ mod tests {
             let total = Area::new(dp_gates + extra_quanta * cfg.quantum);
             let metrics = compute_metrics(&bsbs, &lib, &alloc, &cfg).unwrap();
             let ctl = total.checked_sub(alloc.area(&lib)).unwrap();
-            let mut comm_ref = CommCosts::new(bsbs.len());
+            let comm = CommCosts::priced(&bsbs, &cfg.comm);
             let seed = reference_partition_from_metrics(
                 &bsbs,
                 &metrics,
-                &mut comm_ref,
+                &comm,
                 alloc.area(&lib),
                 ctl,
                 &cfg,
             );
-            let mut comm_new = CommCosts::new(bsbs.len());
-            let new = partition_from_metrics(
-                &bsbs,
-                &metrics,
-                &mut comm_new,
-                &mut scratch,
-                alloc.area(&lib),
-                ctl,
-                &cfg,
-            );
+            let new =
+                partition_from_metrics(&metrics, &comm, &mut scratch, alloc.area(&lib), ctl, &cfg);
             assert_eq!(new, seed, "+{extra_quanta} quanta");
             // The plateau really is exercised: one quantum admits the
             // full six-block run, whose intra-run traffic is free.
@@ -1256,9 +1236,9 @@ mod tests {
         let cfg = PaceConfig::standard();
         let metrics = compute_metrics(&bsbs, &lib, &alloc, &cfg).unwrap();
         let ctl = Area::new(18 * cfg.quantum); // three 6-quanta controllers
-        let mut comm = CommCosts::new(bsbs.len());
+        let comm = CommCosts::priced(&bsbs, &cfg.comm);
         let mut scratch = DpScratch::new();
-        let time = scratch.evaluate(&bsbs, &metrics, &mut comm, ctl, &cfg);
+        let time = scratch.evaluate(&metrics, &comm, ctl, &cfg);
         assert!(time < u64::MAX / 8);
         // Every slab holds at most 3 runs (4+ controllers > 18 quanta),
         // and the result still matches the reference.
@@ -1268,15 +1248,8 @@ mod tests {
             scratch.run_len
         );
         let new = scratch.backtrack(&metrics, alloc.area(&lib));
-        let mut comm_ref = CommCosts::new(bsbs.len());
-        let seed = reference_partition_from_metrics(
-            &bsbs,
-            &metrics,
-            &mut comm_ref,
-            alloc.area(&lib),
-            ctl,
-            &cfg,
-        );
+        let seed =
+            reference_partition_from_metrics(&bsbs, &metrics, &comm, alloc.area(&lib), ctl, &cfg);
         assert_eq!(new, seed);
         assert_eq!(new.hw_count(), 3);
     }
@@ -1364,17 +1337,16 @@ mod tests {
                 let total = Area::new(dp_gates + extra);
                 let metrics = compute_metrics(&bsbs, &lib, &alloc, &cfg).unwrap();
                 let ctl = total.checked_sub(alloc.area(&lib)).unwrap();
-                let mut comm = CommCosts::new(bsbs.len());
-                let time = scratch.evaluate(&bsbs, &metrics, &mut comm, ctl, &cfg);
+                let comm = CommCosts::priced(&bsbs, &cfg.comm);
+                let time = scratch.evaluate(&metrics, &comm, ctl, &cfg);
                 let what = format!("{} +{extra}", bsbs.app_name());
                 assert_matches_dense(&scratch, &metrics, &what);
                 assert_eq!(time, scratch.time_at_level(scratch.levels()), "{what}");
                 assert!(scratch.stored_steps() <= bsbs.len() * (scratch.levels() + 1));
-                let mut comm_ref = CommCosts::new(bsbs.len());
                 let seed = reference_partition_from_metrics(
                     &bsbs,
                     &metrics,
-                    &mut comm_ref,
+                    &comm,
                     alloc.area(&lib),
                     ctl,
                     &cfg,
@@ -1418,8 +1390,8 @@ mod tests {
         let cfg = PaceConfig::standard();
         let mut scratch = DpScratch::new();
         let ctl = Area::new(2 * cfg.quantum);
-        let mut comm = CommCosts::new(2);
-        assert_eq!(scratch.evaluate(&bsbs, &metrics, &mut comm, ctl, &cfg), 4);
+        let comm = CommCosts::priced(&bsbs, &cfg.comm);
+        assert_eq!(scratch.evaluate(&metrics, &comm, ctl, &cfg), 4);
         let row = scratch.row_off[2]..scratch.row_off[3];
         let steps: Vec<_> = row
             .map(|k| {
@@ -1440,11 +1412,10 @@ mod tests {
         assert_eq!(at(1), vec![0..2]);
         assert_eq!(at(2), vec![0..1, 1..2]);
         for level in 0..=2 {
-            let mut comm_ref = CommCosts::new(2);
             let seed = reference_partition_from_metrics(
                 &bsbs,
                 &metrics,
-                &mut comm_ref,
+                &comm,
                 Area::ZERO,
                 Area::new(level as u64 * cfg.quantum),
                 &cfg,
@@ -1455,6 +1426,27 @@ mod tests {
                 "level {level}"
             );
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "traffic table priced for another app")]
+    fn a_table_priced_for_another_app_is_refused() {
+        let lib = lib();
+        let cfg = PaceConfig::standard();
+        let (bsbs, alloc) = zoo().swap_remove(0);
+        let other = BsbArray::from_bsbs(
+            "other",
+            (0..bsbs.len() as u32 + 1)
+                .map(|i| bsb_full(i, OpKind::Add, 1, 1, &[], &[]))
+                .collect(),
+        );
+        let metrics = compute_metrics(&bsbs, &lib, &alloc, &cfg).unwrap();
+        DpScratch::new().evaluate(
+            &metrics,
+            &CommCosts::priced(&other, &cfg.comm),
+            Area::new(10_000),
+            &cfg,
+        );
     }
 
     proptest! {
@@ -1481,12 +1473,11 @@ mod tests {
             let cfg = PaceConfig::standard();
             let ctl = Area::new(extra);
             let mut scratch = DpScratch::new();
-            let mut comm = CommCosts::new(bsbs.len());
-            scratch.evaluate(&bsbs, &metrics, &mut comm, ctl, &cfg);
+            let comm = CommCosts::priced(&bsbs, &cfg.comm);
+            scratch.evaluate(&metrics, &comm, ctl, &cfg);
             assert_matches_dense(&scratch, &metrics, "prop");
-            let mut comm_ref = CommCosts::new(bsbs.len());
             let seed = reference_partition_from_metrics(
-                &bsbs, &metrics, &mut comm_ref, Area::ZERO, ctl, &cfg,
+                &bsbs, &metrics, &comm, Area::ZERO, ctl, &cfg,
             );
             prop_assert_eq!(scratch.backtrack(&metrics, Area::ZERO), seed);
         }

@@ -15,9 +15,7 @@
 use crate::artifacts::SearchArtifacts;
 use crate::metrics::metrics_from_statics;
 use crate::stop::Completion;
-use crate::{
-    partition_from_metrics, CommCosts, DpScratch, PaceConfig, PaceError, Partition, SearchStats,
-};
+use crate::{partition_from_metrics, DpScratch, PaceConfig, PaceError, Partition, SearchStats};
 use lycos_core::{RMap, Restrictions};
 use lycos_hwlib::{Area, FuId, HwLibrary};
 use lycos_ir::BsbArray;
@@ -189,52 +187,25 @@ pub fn exhaustive_best(
     limit: Option<usize>,
 ) -> Result<SearchResult, PaceError> {
     let artifacts = SearchArtifacts::prepare(bsbs, lib, restrictions, config)?;
-    exhaustive_best_with(bsbs, lib, total_area, config, limit, &artifacts)
-}
-
-/// [`exhaustive_best`] over artifacts prepared (or fetched from an
-/// [`ArtifactStore`](crate::ArtifactStore)) elsewhere: per-block
-/// metrics derive from the artifacts' statics and the run-traffic memo
-/// starts from the artifacts' full table. Results are
-/// identical to the compat path; only the precompute is shared.
-///
-/// # Errors
-///
-/// Propagates [`PaceError`] as [`exhaustive_best`] does.
-pub fn exhaustive_best_with(
-    bsbs: &BsbArray,
-    lib: &HwLibrary,
-    total_area: Area,
-    config: &PaceConfig,
-    limit: Option<usize>,
-    artifacts: &SearchArtifacts,
-) -> Result<SearchResult, PaceError> {
     let started = Instant::now();
     let dims = artifacts.dims();
     let space = artifacts.space_size();
 
-    // Reused across every candidate: metrics are recomputed per point
-    // (this is the uncached reference walk — only the statics behind
-    // them come from the artifacts), but the DP workspace and the
-    // allocation-independent run-traffic memo carry over — results
-    // are identical either way, the walk just stops paying their
-    // allocation cost per call.
+    // Metrics are recomputed per point (this is the uncached reference
+    // walk — only the statics behind them come from the artifacts),
+    // but the DP workspace carries over and every candidate reads the
+    // artifacts' traffic table — results are identical either way,
+    // the walk just stops paying their allocation cost per call.
     let mut scratch = DpScratch::new();
-    let mut comm = artifacts.comm_clone();
-    let eval = |allocation: &RMap,
-                datapath_area: Area,
-                scratch: &mut DpScratch,
-                comm: &mut CommCosts|
-     -> Result<Partition, PaceError> {
+    let mut eval = |allocation: &RMap, datapath_area: Area| -> Result<Partition, PaceError> {
         let ctl_budget = total_area
             .checked_sub(datapath_area)
             .expect("candidate fits the area");
         let metrics = metrics_from_statics(bsbs, lib, &artifacts.statics, allocation, config)?;
         Ok(partition_from_metrics(
-            bsbs,
             &metrics,
-            comm,
-            scratch,
+            artifacts.comm(),
+            &mut scratch,
             datapath_area,
             ctl_budget,
             config,
@@ -245,7 +216,7 @@ pub fn exhaustive_best_with(
     // Hoisted alongside `best_partition`: the tie-break reads the
     // incumbent's area on every candidate, so never recompute it there.
     let mut best_area = best_allocation.area(lib);
-    let mut best_partition = eval(&best_allocation, best_area, &mut scratch, &mut comm)?;
+    let mut best_partition = eval(&best_allocation, best_area)?;
     let mut best_index = 0u128;
     let mut evaluated = 1usize; // the all-software point
     let mut skipped = 0usize;
@@ -286,7 +257,7 @@ pub fn exhaustive_best_with(
                 break;
             }
         }
-        let p = eval(&candidate, candidate_area, &mut scratch, &mut comm)?;
+        let p = eval(&candidate, candidate_area)?;
         evaluated += 1;
         let better = p.total_time < best_partition.total_time
             || (p.total_time == best_partition.total_time && candidate_area < best_area);

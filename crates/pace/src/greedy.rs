@@ -24,11 +24,6 @@ use lycos_ir::BsbArray;
 /// exactly as [`crate::partition`] charges it, so the two results are
 /// comparable.
 ///
-/// One-shot convenience over [`greedy_partition_from_metrics`]: loops
-/// comparing the baseline against many allocations should precompute
-/// metrics (or serve them from a [`crate::MetricsCache`]) and share a
-/// [`CommCosts`] memo, exactly as the DP's hot path does.
-///
 /// # Errors
 ///
 /// Same conditions as [`crate::partition`].
@@ -40,25 +35,6 @@ pub fn greedy_partition(
     config: &PaceConfig,
 ) -> Result<Partition, PaceError> {
     let artifacts = SearchArtifacts::for_partition(bsbs, lib, config)?;
-    greedy_partition_with(bsbs, lib, allocation, total_area, config, &artifacts)
-}
-
-/// [`greedy_partition`] over artifacts prepared (or fetched from an
-/// [`ArtifactStore`](crate::ArtifactStore)) elsewhere: metrics derive
-/// from the artifacts' statics and the run-traffic memo starts from
-/// the artifacts' table. Results are identical to the compat path.
-///
-/// # Errors
-///
-/// Same conditions as [`greedy_partition`].
-pub fn greedy_partition_with(
-    bsbs: &BsbArray,
-    lib: &HwLibrary,
-    allocation: &RMap,
-    total_area: Area,
-    config: &PaceConfig,
-    artifacts: &SearchArtifacts,
-) -> Result<Partition, PaceError> {
     let datapath_area = allocation.area(lib);
     let ctl_budget = total_area
         .checked_sub(datapath_area)
@@ -67,32 +43,23 @@ pub fn greedy_partition_with(
             total: total_area,
         })?;
     let metrics = artifacts.metrics(bsbs, lib, allocation, config)?;
-    let mut comm = artifacts.comm_clone();
-    Ok(greedy_partition_from_metrics(
-        bsbs,
+    Ok(greedy_from_metrics(
         &metrics,
-        &mut comm,
+        artifacts.comm(),
         datapath_area,
         ctl_budget,
-        config,
     ))
 }
 
-/// The greedy baseline over precomputed per-block metrics — the mirror
-/// of [`crate::partition_from_metrics`], so sweeps can drive both
-/// partitioners from one metrics cache and one run-traffic memo.
-///
-/// `metrics` must hold one entry per block of `bsbs`.
-pub fn greedy_partition_from_metrics(
-    bsbs: &BsbArray,
+/// The greedy selection over precomputed per-block metrics, charging
+/// each resulting run its price from `comm`.
+fn greedy_from_metrics(
     metrics: &[BsbMetrics],
-    comm: &mut CommCosts,
+    comm: &CommCosts,
     datapath_area: Area,
     ctl_budget: Area,
-    config: &PaceConfig,
 ) -> Partition {
-    let l = bsbs.len();
-    debug_assert_eq!(metrics.len(), l, "one metrics entry per block");
+    let l = metrics.len();
 
     // Rank hardware-feasible blocks by gain density.
     let mut order: Vec<usize> = (0..l).filter(|&i| metrics[i].hw_feasible()).collect();
@@ -147,7 +114,7 @@ pub fn greedy_partition_from_metrics(
         }
     }
     for run in &runs {
-        let c = Cycles::new(comm.cost(bsbs, &config.comm, run.start, run.end - 1));
+        let c = Cycles::new(comm.cost(run.start, run.end - 1));
         total += c;
         comm_time += c;
     }

@@ -14,7 +14,7 @@
 //!   hardware within the area left over by the data path. Its hot path
 //!   is allocation-free: a reusable [`DpScratch`] workspace carries
 //!   flat run tables and DP rows across evaluations
-//!   ([`partition_with_scratch`], [`partition_from_metrics`]), and
+//!   ([`partition_with_artifacts`], [`partition_from_metrics`]), and
 //!   each row is stored as the staircase of its `(level, time,
 //!   choice)` steps, merged from earlier rows in time proportional to
 //!   their steps rather than to the level count;
@@ -38,14 +38,14 @@
 //!   [`Objective`] trait;
 //! * [`SearchArtifacts`] / [`ArtifactStore`] — the staged-artifact
 //!   seam: everything a search precomputes per application (BSB
-//!   statics, the schedule table, the run-traffic table, the lazy bound
-//!   tables) built once
-//!   behind a content fingerprint ([`ArtifactKey`]) and shared across
-//!   requests through a bounded LRU store. Every engine has one entry
-//!   taking `&SearchArtifacts` ([`search_best_with_stop`],
-//!   [`search_pareto_with_stop`], [`exhaustive_best_with`],
-//!   [`greedy_partition_with`], [`partition_with_artifacts`]); the
-//!   classic signatures remain as one-shot compat wrappers. On a warm
+//!   statics, the schedule table, the read-only run-traffic table, the
+//!   lazy bound tables) built once behind a content fingerprint
+//!   ([`ArtifactKey`]) and shared across requests through a bounded
+//!   LRU store. The search and partition engines take
+//!   `&SearchArtifacts` ([`search_best_with_stop`],
+//!   [`search_pareto_with_stop`], [`partition_with_artifacts`]) and
+//!   borrow its one traffic table; [`partition`], [`exhaustive_best`]
+//!   and [`greedy_partition`] build one-shot artifacts. On a warm
 //!   hit the store also offers previously recorded winners
 //!   ([`WarmSeed`]) to reseed the branch-and-bound incumbent — results
 //!   stay field-identical, the prune just starts tight. A completed
@@ -110,15 +110,10 @@ pub use comm::{run_traffic, CommCosts, RunTraffic};
 pub use config::PaceConfig;
 #[doc(hidden)]
 pub use dp::reference_partition_from_metrics;
-pub use dp::{
-    partition, partition_from_metrics, partition_with_artifacts, partition_with_scratch, DpScratch,
-    Partition,
-};
+pub use dp::{partition, partition_from_metrics, partition_with_artifacts, DpScratch, Partition};
 pub use error::PaceError;
-pub use exhaustive::{
-    exhaustive_best, exhaustive_best_with, search_space, space_size, SearchResult,
-};
-pub use greedy::{greedy_partition, greedy_partition_from_metrics, greedy_partition_with};
+pub use exhaustive::{exhaustive_best, search_space, space_size, SearchResult};
+pub use greedy::greedy_partition;
 pub use knobs::{
     search_knob, search_knob_by_wire, KnobKind, KnobOverrides, KnobSetting, SearchKnob,
     SEARCH_KNOBS,

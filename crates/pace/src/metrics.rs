@@ -129,15 +129,17 @@ struct BlockSlots {
 }
 
 impl BlockSlots {
-    fn new(radix: Vec<u32>) -> Self {
-        let size = radix
-            .iter()
-            .try_fold(1usize, |acc, &r| acc.checked_mul(r as usize))
-            .filter(|&size| size <= MAX_TABLE);
-        let (radix, size) = match size {
-            Some(size) => (radix, size),
-            None => (Vec::new(), 0),
-        };
+    /// Slots over `radix` (from [`block_radix`]): none for `None` or a
+    /// projection space over [`MAX_TABLE`], one for a kind-less block.
+    fn new(radix: Option<Vec<u32>>) -> Self {
+        let sized = radix.and_then(|radix| {
+            let size = radix
+                .iter()
+                .try_fold(1usize, |acc, &r| acc.checked_mul(r as usize))
+                .filter(|&size| size <= MAX_TABLE)?;
+            Some((radix, size))
+        });
+        let (radix, size) = sized.unwrap_or_default();
         let slots = (0..size).map(|_| AtomicU32::new(UNSET)).collect();
         BlockSlots { radix, slots }
     }
@@ -202,8 +204,8 @@ impl ScheduleTable {
 
     /// The table of an edited application: a block that matched a
     /// donor block by content (`matched[b] == Some(j)`) shares the
-    /// donor's slots when its layout is unchanged, every other block
-    /// starts empty. A length depends only on the block's content, the
+    /// donor's slots when the donor block keeps some and its layout is
+    /// unchanged, every other block starts empty. A length depends only on the block's content, the
     /// library and the projection, and the layout only on the block's
     /// caps, so a shared slot holds exactly what a fresh fill would.
     pub(crate) fn carried(
@@ -218,7 +220,11 @@ impl ScheduleTable {
             .map(|(stat, m)| {
                 let radix = block_radix(stat, dims);
                 match m.map(|j| &donor.blocks[j]) {
-                    Some(slots) if slots.radix == radix => Arc::clone(slots),
+                    Some(slots)
+                        if !slots.slots.is_empty() && Some(&slots.radix) == radix.as_ref() =>
+                    {
+                        Arc::clone(slots)
+                    }
                     _ => Arc::new(BlockSlots::new(radix)),
                 }
             })
@@ -295,13 +301,12 @@ impl ScheduleTable {
 }
 
 /// `cap + 1` per kind of a movable block whose kinds all lie in
-/// `dims`; empty otherwise (no table).
-fn block_radix(stat: &BsbStatics, dims: &[(FuId, u32)]) -> Vec<u32> {
+/// `dims` (empty for a block with no kinds: one projection); `None`
+/// for any other block, which keeps no table.
+fn block_radix(stat: &BsbStatics, dims: &[(FuId, u32)]) -> Option<Vec<u32>> {
     let dim_fus: Vec<FuId> = dims.iter().map(|&(fu, _)| fu).collect();
-    match kind_positions(&dim_fus, &stat.kinds) {
-        Some(positions) if stat.movable => positions.iter().map(|&p| dims[p].1 + 1).collect(),
-        _ => Vec::new(),
-    }
+    let positions = kind_positions(&dim_fus, &stat.kinds).filter(|_| stat.movable)?;
+    Some(positions.iter().map(|&p| dims[p].1 + 1).collect())
 }
 
 /// Metrics of a block the allocation cannot (or need not) execute.

@@ -13,9 +13,8 @@
 //!   and every worker ([`MetricsCache`]), so a projection is scheduled
 //!   once per artifact set — across workers, requests and budgets, and
 //!   for the content-clean blocks of an edit. Run communication costs
-//!   never depend on the allocation at all and are memoised across
-//!   every candidate a worker evaluates ([`CommCosts`]), instead of
-//!   being recomputed per partition call.
+//!   never depend on the allocation at all: the artifacts price every
+//!   run once ([`CommCosts`]), and every worker reads that one table.
 //! * **Incremental frontier metrics** — one odometer step changes one
 //!   (occasionally a few) unit-kind counts, so the sweep keeps a
 //!   per-kind → affected-block index and re-derives only the *dirty*
@@ -48,10 +47,10 @@
 //!   *steal* the next chunk as they finish, so a worker handed a
 //!   heavily pruned region doesn't idle while its neighbours grind. A
 //!   single worker takes the whole window as one chunk — the
-//!   sequential walk. Each worker keeps a private clone of the
-//!   traffic table and its own scratch;
-//!   results reduce deterministically under the strict
-//!   `(time, area, index)` improvement order — exactly the order the
+//!   sequential walk. Workers share the artifacts' traffic table
+//!   read-only, and each keeps its own scratch; results reduce
+//!   deterministically under the strict `(time, area, index)`
+//!   improvement order — exactly the order the
 //!   sequential walk discovers winners in — so the outcome is
 //!   bit-identical to [`exhaustive_best`] at any worker count:
 //!   including `evaluated`, `skipped` and truncation behaviour when
@@ -1519,20 +1518,19 @@ impl<L> WorkerOut<L> {
 }
 
 /// One sweep worker's whole private state: the metrics cache (over the
-/// artifacts' shared schedule table), the run-traffic memo, the DP scratch, the metrics buffer, the candidate
-/// map and the bound chain — everything reused across every point the
-/// worker visits across every chunk it takes. After warm-up a non-improving
-/// evaluation performs no heap allocation at all (the winning
-/// [`Partition`] is only materialised when a candidate actually
-/// improves on the worker's best).
+/// artifacts' shared schedule table), the DP scratch, the metrics
+/// buffer, the candidate map and the bound chain — everything reused
+/// across every point the worker visits across every chunk it takes.
+/// After warm-up a non-improving evaluation performs no heap
+/// allocation at all (the winning [`Partition`] is only materialised
+/// when a candidate actually improves on the worker's best).
 struct SweepWorker<'a, O: Objective> {
-    bsbs: &'a BsbArray,
     lib: &'a HwLibrary,
     config: &'a PaceConfig,
     total_gates: u64,
     dims: &'a [(FuId, u32)],
     cache: MetricsCache<'a>,
-    comm: CommCosts,
+    comm: &'a CommCosts,
     scratch: DpScratch,
     metrics: Vec<BsbMetrics>,
     candidate: RMap,
@@ -1572,13 +1570,12 @@ impl<'a, O: Objective> SweepWorker<'a, O> {
         stop: &'a StopSignal,
     ) -> Self {
         SweepWorker {
-            bsbs,
             lib,
             config,
             total_gates,
             dims,
             cache: MetricsCache::from_artifacts(bsbs, lib, config, artifacts),
-            comm: artifacts.comm_clone(),
+            comm: artifacts.comm(),
             scratch: DpScratch::new(),
             metrics: Vec::with_capacity(bsbs.len()),
             candidate: RMap::new(),
@@ -1652,9 +1649,8 @@ impl<'a, O: Objective> SweepWorker<'a, O> {
     /// recorded) and the worker must stop.
     fn evaluate_and_record(&mut self, index: u128, gates: u64) -> bool {
         let Some(time) = self.scratch.evaluate_stoppable(
-            self.bsbs,
             &self.metrics,
-            &mut self.comm,
+            self.comm,
             Area::new(self.total_gates - gates),
             self.config,
             self.stop,
@@ -2417,17 +2413,16 @@ fn run_search<O: Objective>(
     let threads = options.resolve(bound);
 
     // The artifacts carry the sweep's one-time precomputes: per-block
-    // statics (software times, required resources, kind sets) and the
-    // schedule table, which every worker reads in place, and the full
-    // run-traffic table, which each worker clones. The bound tables
-    // are built lazily inside the artifacts and shared read-only,
-    // folding in the
-    // admissible communication floor. Their first build polls the stop
+    // statics (software times, required resources, kind sets), the
+    // schedule table and the full run-traffic table, which every
+    // worker reads in place. The bound tables are built lazily inside
+    // the artifacts and shared read-only, folding in the admissible
+    // communication floor. Their first build polls the stop
     // signal: if it trips there, no worker runs and the whole window
     // lands in `unvisited`.
     let mut stop_reason: Option<StopReason> = None;
     let bounds = if options.bound {
-        let built = artifacts.bounds_for(bsbs, lib, config, stop)?;
+        let built = artifacts.bounds_for(bsbs, lib, stop)?;
         if built.is_none() {
             stop_reason = Some(stop.check().unwrap_or(StopReason::Deadline));
         }

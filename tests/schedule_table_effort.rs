@@ -7,15 +7,16 @@
 //! A lookup counts as a `cache_hits` when its slot was already filled
 //! and as a `cache_misses` when the list scheduler had to run. A
 //! projection outside the table is scheduled every time and never
-//! kept, and still equals `compute_metrics`.
+//! kept, and still equals `compute_metrics`; so is every projection of
+//! a block whose kinds lie outside the table's dimensions.
 
 use lycos::core::{required_resources, RMap, Restrictions};
 use lycos::explore::flow::search;
 use lycos::hwlib::{Area, HwLibrary};
 use lycos::ir::{extract_bsbs, Bsb, BsbArray, BsbId, BsbOrigin, Dfg, OpKind};
 use lycos::pace::{
-    compute_metrics, ArtifactStore, BlockKey, MetricsCache, PaceConfig, SearchOptions,
-    SearchResult, StopSignal,
+    compute_metrics, partition, partition_with_artifacts, ArtifactStore, BlockKey, DpScratch,
+    MetricsCache, PaceConfig, SearchArtifacts, SearchOptions, SearchResult, StopSignal,
 };
 
 /// Eigen with the `occurrence`-th ` + ` of its source swapped for
@@ -176,4 +177,39 @@ fn a_block_over_the_table_cap_is_scheduled_every_time() {
         (cache.hits(), cache.misses(), cache.key_allocs()),
         (0, 3, 0)
     );
+}
+
+#[test]
+fn one_partition_artifact_set_serves_every_allocation() {
+    // Partition artifacts span no dimensions, so no block keeps a
+    // schedule slot: a length memoised under one allocation must never
+    // be read back under another.
+    let bsbs = lycos::apps::eigen().bsbs();
+    let lib = HwLibrary::standard();
+    let pace = PaceConfig::standard();
+    let total = Area::new(30_000);
+    let restr = Restrictions::from_asap(&bsbs, &lib).expect("restrictions");
+    let artifacts = SearchArtifacts::for_partition(&bsbs, &lib, &pace).expect("artifacts");
+    let mut scratch = DpScratch::new();
+    let mut checked = 0;
+    for units in [1, 2, 4, 3, 1] {
+        let alloc: RMap = restr.iter().map(|(fu, cap)| (fu, cap.min(units))).collect();
+        if alloc.area(&lib) > total {
+            continue;
+        }
+        assert_eq!(
+            artifacts
+                .metrics(&bsbs, &lib, &alloc, &pace)
+                .expect("metrics"),
+            compute_metrics(&bsbs, &lib, &alloc, &pace).expect("metrics"),
+            "metrics at {units} units per kind"
+        );
+        let shared =
+            partition_with_artifacts(&bsbs, &lib, &alloc, total, &pace, &mut scratch, &artifacts)
+                .expect("partition");
+        let fresh = partition(&bsbs, &lib, &alloc, total, &pace).expect("partition");
+        assert_eq!(shared, fresh, "{units} units per kind");
+        checked += 1;
+    }
+    assert!(checked >= 4, "only {checked} allocations fit");
 }

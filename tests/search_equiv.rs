@@ -39,8 +39,8 @@ fn reference_partition(
     let datapath = allocation.area(lib);
     let ctl = total_area.checked_sub(datapath).expect("candidate fits");
     let metrics = compute_metrics(bsbs, lib, allocation, pace).expect("schedulable");
-    let mut comm = CommCosts::new(bsbs.len());
-    reference_partition_from_metrics(bsbs, &metrics, &mut comm, datapath, ctl, pace)
+    let comm = CommCosts::priced(bsbs, &pace.comm);
+    reference_partition_from_metrics(bsbs, &metrics, &comm, datapath, ctl, pace)
 }
 
 /// The seed exhaustive walk, reproduced from the pre-optimisation
