@@ -77,63 +77,15 @@ fn note_outcome(stats: &mut lycos_pace::SearchStats, outcome: StoreOutcome) {
     stats.blocks_rederived = outcome.blocks_rederived;
 }
 
-/// PACE over one application for loops over many allocations: the
-/// artifacts are prepared once and one DP workspace carries across
-/// every call, so each block projection is scheduled once and every
-/// run is priced up front. Results are identical to [`partition`]'s.
-pub(crate) struct Evaluator {
-    artifacts: SearchArtifacts,
-    scratch: DpScratch,
-}
-
-impl Evaluator {
-    /// Prepares the artifacts of `bsbs` under `restrictions`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`PaceError`] from the artifact build.
-    pub(crate) fn new(
-        bsbs: &BsbArray,
-        lib: &HwLibrary,
-        restrictions: &Restrictions,
-        pace: &PaceConfig,
-    ) -> Result<Self, PaceError> {
-        Ok(Evaluator {
-            artifacts: SearchArtifacts::prepare(bsbs, lib, restrictions, pace)?,
-            scratch: DpScratch::new(),
-        })
-    }
-
-    /// PACE on one explicit allocation.
-    ///
-    /// # Errors
-    ///
-    /// As [`partition`].
-    pub(crate) fn partition(
-        &mut self,
-        bsbs: &BsbArray,
-        lib: &HwLibrary,
-        allocation: &RMap,
-        total_area: Area,
-        pace: &PaceConfig,
-    ) -> Result<Partition, PaceError> {
-        partition_with_artifacts(
-            bsbs,
-            lib,
-            allocation,
-            total_area,
-            pace,
-            &mut self.scratch,
-            &self.artifacts,
-        )
-    }
-}
-
-/// The artifacts one request runs every PACE stage over: fetched from
-/// (or built into) a store, or prepared one-shot without one.
+/// The artifacts one request runs every PACE stage over — fetched
+/// from (or built into) a store, or prepared one-shot without one —
+/// plus one DP workspace that carries across every partition over
+/// them, so loops over many allocations schedule each block
+/// projection once and price every run up front.
 pub(crate) struct Fetched<'s> {
     artifacts: Arc<SearchArtifacts>,
     store: Option<(&'s ArtifactStore, StoreOutcome)>,
+    scratch: DpScratch,
 }
 
 impl<'s> Fetched<'s> {
@@ -153,19 +105,21 @@ impl<'s> Fetched<'s> {
         pace: &PaceConfig,
         store: Option<&'s ArtifactStore>,
     ) -> Result<Self, PaceError> {
-        Ok(match store {
-            None => Fetched {
-                artifacts: Arc::new(SearchArtifacts::prepare(bsbs, lib, restrictions, pace)?),
-                store: None,
-            },
+        let (artifacts, store) = match store {
+            None => (
+                Arc::new(SearchArtifacts::prepare(bsbs, lib, restrictions, pace)?),
+                None,
+            ),
             Some(store) => {
                 let (artifacts, outcome) =
                     store.get_or_build_incremental(bsbs, lib, restrictions, pace)?;
-                Fetched {
-                    artifacts,
-                    store: Some((store, outcome)),
-                }
+                (artifacts, Some((store, outcome)))
             }
+        };
+        Ok(Fetched {
+            artifacts,
+            store,
+            scratch: DpScratch::new(),
         })
     }
 
@@ -177,21 +131,20 @@ impl<'s> Fetched<'s> {
     ///
     /// Propagates [`PaceError`] from the partitioner.
     pub(crate) fn partition(
-        &self,
+        &mut self,
         bsbs: &BsbArray,
         lib: &HwLibrary,
         allocation: &RMap,
         total_area: Area,
         pace: &PaceConfig,
     ) -> Result<Partition, PaceError> {
-        let mut scratch = DpScratch::new();
         partition_with_artifacts(
             bsbs,
             lib,
             allocation,
             total_area,
             pace,
-            &mut scratch,
+            &mut self.scratch,
             &self.artifacts,
         )
     }

@@ -10,7 +10,7 @@
 //! (ASAP as published, a scaled middle ground, and the fully serial
 //! worst case) and evaluates each allocation through PACE.
 
-use crate::flow::{allocate_and_partition, Evaluator};
+use crate::flow::{allocate_and_partition, Fetched};
 use lycos_core::{AllocConfig, RMap, Restrictions, StateEstimate};
 use lycos_hwlib::{Area, HwLibrary};
 use lycos_ir::BsbArray;
@@ -82,7 +82,7 @@ pub fn reduce_only_walk(
     total_area: Area,
     pace: &PaceConfig,
 ) -> Result<(RMap, f64), PaceError> {
-    let mut eval = Evaluator::new(bsbs, lib, &Restrictions::from_asap(bsbs, lib)?, pace)?;
+    let mut eval = Fetched::new(bsbs, lib, &Restrictions::from_asap(bsbs, lib)?, pace, None)?;
     let mut speedup = |allocation: &RMap| -> Result<f64, PaceError> {
         Ok(eval
             .partition(bsbs, lib, allocation, total_area, pace)?

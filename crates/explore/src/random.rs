@@ -6,7 +6,7 @@
 //! provides the equivalent tool for large spaces: uniform sampling
 //! within the restriction caps, keeping the best PACE result.
 
-use crate::flow::Evaluator;
+use crate::flow::Fetched;
 use lycos_core::{RMap, Restrictions};
 use lycos_hwlib::{Area, HwLibrary};
 use lycos_ir::BsbArray;
@@ -65,7 +65,7 @@ pub fn random_search(
     samples: usize,
     seed: u64,
 ) -> Result<RandomSearchResult, PaceError> {
-    let mut eval = Evaluator::new(bsbs, lib, restrictions, pace)?;
+    let mut eval = Fetched::new(bsbs, lib, restrictions, pace, None)?;
     sample_best(
         &mut eval,
         bsbs,
@@ -82,7 +82,7 @@ pub fn random_search(
 /// over budgets prepares them once per application.
 #[allow(clippy::too_many_arguments)] // random_search's inputs plus the artifacts
 pub(crate) fn sample_best(
-    eval: &mut Evaluator,
+    eval: &mut Fetched<'_>,
     bsbs: &BsbArray,
     lib: &HwLibrary,
     total_area: Area,

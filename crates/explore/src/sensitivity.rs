@@ -8,7 +8,7 @@
 //! the interesting regime is and how robust the design iteration is.
 
 use crate::apply_iteration;
-use crate::flow::Evaluator;
+use crate::flow::Fetched;
 use crate::random::sample_best;
 use lycos_apps::BenchmarkApp;
 use lycos_core::{allocate, AllocConfig, Restrictions};
@@ -55,7 +55,7 @@ pub fn budget_sensitivity(
     assert!(lo <= hi, "empty budget range");
     let bsbs = app.bsbs();
     let restr = Restrictions::from_asap(&bsbs, lib)?;
-    let mut eval = Evaluator::new(&bsbs, lib, &restr, pace)?;
+    let mut eval = Fetched::new(&bsbs, lib, &restr, pace, None)?;
     let mut out = Vec::new();
     let mut budget = lo;
     while budget <= hi {

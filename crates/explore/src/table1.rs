@@ -302,7 +302,7 @@ pub fn table1_row_for(
 ) -> Result<Table1Row, PaceError> {
     let bsbs = subject.bsbs;
     let area = subject.budget;
-    let fetched = Fetched::new(bsbs, lib, subject.restrictions, pace, store)?;
+    let mut fetched = Fetched::new(bsbs, lib, subject.restrictions, pace, store)?;
 
     // 1–2. The allocation algorithm (timed) and PACE on its result.
     let started = Instant::now();

@@ -2,15 +2,17 @@
 //!
 //! Every engine in this crate needs the same per-application
 //! precompute before it can evaluate a single candidate: the
-//! allocation-independent per-block facts ([`bsb_statics`]), the
+//! allocation-independent per-block facts ([`block_statics`]), the
 //! run-traffic table ([`CommCosts`]), the search dimensions, and — under
 //! branch-and-bound — the admissible bound tables ([`SearchBounds`]).
 //! Historically each engine rebuilt all of that per call. This module
 //! hoists the whole precompute behind one seam:
 //!
 //! * [`SearchArtifacts`] — everything derived from one
-//!   (application, unit library, configuration) triple, built once by
-//!   [`SearchArtifacts::prepare`] and consumed by
+//!   (application, unit library, configuration) triple, built once —
+//!   by [`SearchArtifacts::prepare`], [`SearchArtifacts::for_partition`]
+//!   or a store miss, all through one private constructor — and
+//!   consumed by
 //!   [`crate::search_best_with_stop`] / [`crate::search_pareto_with_stop`] /
 //!   [`crate::partition_with_artifacts`]. Bound tables stay lazy (built
 //!   on first bounded use); the traffic table is full from the start
@@ -30,8 +32,10 @@
 //!   diff path aligns an edited application against.
 //! * [`ArtifactStore`] — a thread-safe bounded-LRU map from key to
 //!   shared artifacts, for servers that see the same application
-//!   repeatedly. It also remembers each application's previous
-//!   winners ([`WarmSeed`]) so a warm repeat can reseed the engine's
+//!   repeatedly; [`ArtifactStore::get_or_build_incremental`] is its
+//!   one entry point. Entries are artifacts plus an LRU stamp;
+//!   artifacts keep winners, answers and the staircase. A previous
+//!   winner ([`WarmSeed`]) lets a warm repeat reseed the engine's
 //!   shared incumbent and prune most of the space on arrival — while
 //!   staying field-exact, because the shared-incumbent prune is
 //!   strict-only (see [`crate::search_best_with_stop`]).
@@ -80,7 +84,7 @@ use crate::comm::CommCosts;
 use crate::config::PaceConfig;
 use crate::error::PaceError;
 use crate::exhaustive::{search_space, space_size};
-use crate::metrics::{block_statics, bsb_statics, BsbStatics, ScheduleTable};
+use crate::metrics::{block_statics, BsbStatics, ScheduleTable};
 use crate::search::StoredFront;
 use crate::stop::StopSignal;
 use crate::{BsbMetrics, DpScratch, MetricsCache, SearchResult};
@@ -146,7 +150,6 @@ const TAG_BLOCKS: u8 = 0x01;
 const TAG_LIBRARY: u8 = 0x02;
 const TAG_RESTRICTIONS: u8 = 0x03;
 const TAG_CONFIG: u8 = 0x04;
-const TAG_PARTITION: u8 = 0x05;
 const TAG_DFG: u8 = 0x06;
 const TAG_IO: u8 = 0x07;
 const TAG_UNMAPPED: u8 = 0x08;
@@ -322,24 +325,6 @@ impl ArtifactKey {
         ArtifactKey(h.0)
     }
 
-    /// Fingerprint for the restriction-free partition helpers: same
-    /// scheme, with a fixed marker in the restrictions slot.
-    fn of_partition(bsbs: &BsbArray, lib: &HwLibrary, config: &PaceConfig) -> Self {
-        let mut h = Fnv::new();
-        h.tag(TAG_BLOCKS);
-        h.str(bsbs.app_name());
-        h.usize(bsbs.len());
-        for bsb in bsbs {
-            h.u64(u64::from(bsb.id.0));
-            h.str(&bsb.name);
-            hash_block_content(&mut h, bsb);
-        }
-        hash_library(&mut h, lib);
-        h.tag(TAG_PARTITION);
-        hash_config(&mut h, config);
-        ArtifactKey(h.0)
-    }
-
     /// The raw 64-bit fingerprint.
     pub fn value(self) -> u64 {
         self.0
@@ -431,6 +416,11 @@ pub struct SearchArtifacts {
     /// recently used last, served to exact repeats. Store-resident
     /// artifacts only; never carried across an incremental rebuild.
     answers: Mutex<Vec<(AnswerKey, Arc<SearchResult>)>>,
+    /// `(budget gates, winner)` per budget searched so far over these
+    /// artifacts, most recently recorded last — seed material for warm
+    /// restarts ([`ArtifactStore::warm_seeds`]). An incremental
+    /// rebuild re-evaluates them under the new artifacts.
+    winners: Mutex<Vec<(u64, WarmSeed)>>,
     /// The widest completed Pareto staircase swept over these
     /// artifacts, if any. It answers every best-under-budget search at
     /// a budget `B ≤ cap` and every Pareto sweep at `B′ ≤ cap` without
@@ -465,9 +455,29 @@ pub struct SearchArtifacts {
 /// worker count changes effort telemetry only).
 pub(crate) type AnswerKey = (u64, Option<usize>, bool);
 
-/// Answers one artifact set keeps: its worst case is this many
-/// results, each about one partition in size (under 1 KiB on eigen).
-pub(crate) const MAX_ANSWERS: usize = 32;
+/// Records of each kind one artifact set keeps — answers and winners
+/// alike. An answer's worst case is this many results, each about one
+/// partition in size (under 1 KiB on eigen); a winner is 32 bytes.
+const MAX_RECORDED: usize = 32;
+
+/// Files `value` under `key` as the most recent record, replacing an
+/// earlier record at the same key and dropping the least recently
+/// used past [`MAX_RECORDED`].
+fn keep_recent<K: PartialEq, V>(records: &Mutex<Vec<(K, V)>>, key: K, value: V) {
+    let mut records = records.lock().unwrap_or_else(PoisonError::into_inner);
+    records.retain(|(k, _)| *k != key);
+    records.push((key, value));
+    if records.len() > MAX_RECORDED {
+        records.remove(0);
+    }
+}
+
+/// Every block's [`BlockKey`] under `restrictions`, in block order.
+fn block_keys(bsbs: &BsbArray, lib: &HwLibrary, restrictions: &Restrictions) -> Vec<BlockKey> {
+    bsbs.iter()
+        .map(|b| BlockKey::of(b, lib, restrictions))
+        .collect()
+}
 
 impl SearchArtifacts {
     /// Builds the artifacts for a full allocation-space search: block
@@ -483,123 +493,16 @@ impl SearchArtifacts {
         restrictions: &Restrictions,
         config: &PaceConfig,
     ) -> Result<Self, PaceError> {
-        let dims = search_space(restrictions);
-        let space = space_size(&dims);
-        let statics = bsb_statics(bsbs, lib, config)?;
-        Ok(SearchArtifacts {
-            key: ArtifactKey::of(bsbs, lib, restrictions, config),
-            schedules: ScheduleTable::new(&statics, &dims),
-            statics: statics.into(),
-            comm: CommCosts::priced(bsbs, &config.comm),
-            dims,
-            space,
-            fingerprint: bsbs
-                .iter()
-                .map(|b| BlockKey::of(b, lib, restrictions))
-                .collect(),
-            io_marks: bsbs.iter().map(io_mark).collect(),
-            context: context_of(lib, config),
-            bounds: OnceLock::new(),
-            answers: Mutex::new(Vec::new()),
-            front: Mutex::new(None),
-            store_front_hits: None,
-        })
-    }
-
-    /// [`SearchArtifacts::prepare`] against a resident donor: clean
-    /// blocks (matching [`BlockKey`]s, under an equal context) clone
-    /// the donor's per-block state instead of re-deriving it — see the
-    /// module docs for the full clean/dirty invalidation rules.
-    /// Returns the artifacts plus `(blocks reused, blocks re-derived)`.
-    ///
-    /// The caller guarantees `donor.context` equals this request's
-    /// context (the store's donor selection filters on it); everything
-    /// else — block alignment, dimension equality, floor equality — is
-    /// checked here.
-    ///
-    /// # Errors
-    ///
-    /// As [`SearchArtifacts::prepare`].
-    fn prepare_incremental(
-        bsbs: &BsbArray,
-        lib: &HwLibrary,
-        restrictions: &Restrictions,
-        config: &PaceConfig,
-        donor: &SearchArtifacts,
-    ) -> Result<(Self, u64, u64), PaceError> {
-        let dims = search_space(restrictions);
-        let space = space_size(&dims);
-        let fingerprint: Vec<BlockKey> = bsbs
-            .iter()
-            .map(|b| BlockKey::of(b, lib, restrictions))
-            .collect();
-        let io_marks: Vec<u64> = bsbs.iter().map(io_mark).collect();
-        let n = bsbs.len();
-
-        // Align new blocks with donor blocks by key — a multiset
-        // matching (first unconsumed donor occurrence wins), so
-        // insert/delete shifts still pair every surviving block.
-        let mut donor_at: HashMap<BlockKey, VecDeque<usize>> = HashMap::new();
-        for (j, &bk) in donor.fingerprint.iter().enumerate() {
-            donor_at.entry(bk).or_default().push_back(j);
-        }
-        let matched: Vec<Option<usize>> = fingerprint
-            .iter()
-            .map(|bk| donor_at.get_mut(bk).and_then(VecDeque::pop_front))
-            .collect();
-
-        // Statics are per-block pure functions of (content, library,
-        // configuration): clean blocks clone, dirty blocks re-derive.
-        let mut reused = 0u64;
-        let mut statics = Vec::with_capacity(n);
-        for (bsb, m) in bsbs.iter().zip(&matched) {
-            match m {
-                Some(j) => {
-                    reused += 1;
-                    statics.push(donor.statics[*j].clone());
-                }
-                None => statics.push(block_statics(bsb, lib, config)?),
-            }
-        }
-        let rederived = n as u64 - reused;
-
-        // The traffic table prices runs over the whole block sequence,
-        // so it is never patched block-wise: identical positional I/O
-        // marks reuse it wholesale, anything else reprices every run
-        // in one pass.
-        let comm = if io_marks == donor.io_marks {
-            donor.comm.clone()
-        } else {
-            CommCosts::priced(bsbs, &config.comm)
-        };
-
-        // Schedule lengths depend only on one block's content and its
-        // caps: content-clean blocks under unchanged caps share the
-        // donor's slots, filled or not.
-        let schedules = ScheduleTable::carried(&donor.schedules, &matched, &statics, &dims);
-
-        let artifacts = SearchArtifacts {
-            key: ArtifactKey::of(bsbs, lib, restrictions, config),
-            statics: statics.into(),
-            schedules,
-            comm,
-            dims,
-            space,
-            fingerprint,
-            io_marks,
-            context: donor.context,
-            bounds: OnceLock::new(),
-            answers: Mutex::new(Vec::new()),
-            front: Mutex::new(None),
-            store_front_hits: None,
-        };
-        Ok((artifacts, reused, rederived))
+        let key = ArtifactKey::of(bsbs, lib, restrictions, config);
+        let fingerprint = block_keys(bsbs, lib, restrictions);
+        Self::build(bsbs, lib, restrictions, config, key, fingerprint, None).map(|(a, _)| a)
     }
 
     /// Builds the artifacts for a single-allocation partition
     /// evaluation (no search dimensions) — the seam the
     /// [`crate::partition`] / [`crate::greedy_partition`] helper paths
-    /// route through instead of hand-building their own memos.
+    /// route through. The fingerprint stays empty: these artifacts
+    /// never enter the store, so no block key is ever hashed.
     ///
     /// # Errors
     ///
@@ -609,25 +512,95 @@ impl SearchArtifacts {
         lib: &HwLibrary,
         config: &PaceConfig,
     ) -> Result<Self, PaceError> {
-        let statics = bsb_statics(bsbs, lib, config)?;
-        Ok(SearchArtifacts {
-            key: ArtifactKey::of_partition(bsbs, lib, config),
-            // No dimensions, no slots: every schedule runs directly.
-            schedules: ScheduleTable::new(&statics, &[]),
+        let none = Restrictions::new();
+        let key = ArtifactKey::of(bsbs, lib, &none, config);
+        Self::build(bsbs, lib, &none, config, key, Vec::new(), None).map(|(a, _)| a)
+    }
+
+    /// The one constructor, from scratch or against a resident `donor`
+    /// (the store's diff path). Without a donor every block is dirty.
+    /// With one, blocks align to donor blocks by [`BlockKey`] and clean
+    /// blocks clone the donor's per-block state instead of re-deriving
+    /// it — see the module docs for the full clean/dirty invalidation
+    /// rules. `key` and `fingerprint` are the caller's, computed once
+    /// for the lookup. Returns the artifacts plus the blocks reused.
+    ///
+    /// The caller guarantees the donor's context equals this
+    /// request's (the store's donor selection filters on it).
+    fn build(
+        bsbs: &BsbArray,
+        lib: &HwLibrary,
+        restrictions: &Restrictions,
+        config: &PaceConfig,
+        key: ArtifactKey,
+        fingerprint: Vec<BlockKey>,
+        donor: Option<&SearchArtifacts>,
+    ) -> Result<(Self, u64), PaceError> {
+        let dims = search_space(restrictions);
+        let space = space_size(&dims);
+        let io_marks: Vec<u64> = bsbs.iter().map(io_mark).collect();
+
+        // Align new blocks with donor blocks by key — a multiset
+        // matching (first unconsumed donor occurrence wins), so
+        // insert/delete shifts still pair every surviving block.
+        let matched: Vec<Option<usize>> = match donor {
+            None => vec![None; bsbs.len()],
+            Some(donor) => {
+                let mut donor_at: HashMap<BlockKey, VecDeque<usize>> = HashMap::new();
+                for (j, &bk) in donor.fingerprint.iter().enumerate() {
+                    donor_at.entry(bk).or_default().push_back(j);
+                }
+                fingerprint
+                    .iter()
+                    .map(|bk| donor_at.get_mut(bk).and_then(VecDeque::pop_front))
+                    .collect()
+            }
+        };
+
+        // Statics are per-block pure functions of (content, library,
+        // configuration): clean blocks clone, dirty blocks re-derive.
+        let statics = bsbs
+            .iter()
+            .zip(&matched)
+            .map(|(bsb, m)| match (donor, m) {
+                (Some(donor), Some(j)) => Ok(donor.statics[*j].clone()),
+                _ => block_statics(bsb, lib, config),
+            })
+            .collect::<Result<Vec<_>, _>>()?;
+        let reused = matched.iter().flatten().count() as u64;
+
+        // The traffic table prices runs over the whole block sequence,
+        // so it is never patched block-wise: identical positional I/O
+        // marks reuse it wholesale, anything else reprices every run
+        // in one pass.
+        let comm = match donor {
+            Some(donor) if donor.io_marks == io_marks => donor.comm.clone(),
+            _ => CommCosts::priced(bsbs, &config.comm),
+        };
+
+        // Schedule lengths depend only on one block's content and its
+        // caps: content-clean blocks under unchanged caps share the
+        // donor's slots, filled or not.
+        let schedules =
+            ScheduleTable::new(&statics, &dims, donor.map(|d| (&d.schedules, &matched[..])));
+
+        let artifacts = SearchArtifacts {
+            key,
             statics: statics.into(),
-            comm: CommCosts::priced(bsbs, &config.comm),
-            dims: Vec::new(),
-            space: 1,
-            // Partition-path artifacts never enter the store's diff
-            // path; an empty fingerprint keeps them inert as donors.
-            fingerprint: Vec::new(),
-            io_marks: Vec::new(),
-            context: 0,
+            schedules,
+            comm,
+            dims,
+            space,
+            fingerprint,
+            io_marks,
+            context: context_of(lib, config),
             bounds: OnceLock::new(),
             answers: Mutex::new(Vec::new()),
+            winners: Mutex::new(Vec::new()),
             front: Mutex::new(None),
             store_front_hits: None,
-        })
+        };
+        Ok((artifacts, reused))
     }
 
     /// The content fingerprint these artifacts were built under.
@@ -771,18 +744,11 @@ impl SearchArtifacts {
         answers.last().map(|(_, answer)| answer.clone())
     }
 
-    /// Records `answer` under `key`, replacing an earlier answer at the
-    /// same key and evicting the least recently used past
-    /// [`MAX_ANSWERS`]. A no-op on one-shot artifacts.
+    /// Records `answer` under `key` ([`keep_recent`]). A no-op on
+    /// one-shot artifacts.
     pub(crate) fn keep_answer(&self, key: AnswerKey, answer: SearchResult) {
-        if !self.store_resident() {
-            return;
-        }
-        let mut answers = self.answers.lock().unwrap_or_else(PoisonError::into_inner);
-        answers.retain(|(k, _)| *k != key);
-        answers.push((key, Arc::new(answer)));
-        if answers.len() > MAX_ANSWERS {
-            answers.remove(0);
+        if self.store_resident() {
+            keep_recent(&self.answers, key, Arc::new(answer));
         }
     }
 }
@@ -861,13 +827,11 @@ pub struct StoreStats {
     pub front_hits: u64,
 }
 
-/// One resident application: its artifacts plus the winners recorded
-/// against it (seed material for warm restarts). Winners die with the
-/// entry on eviction.
+/// One resident application: its artifacts — which keep everything
+/// searches learn over them — plus an LRU stamp. Every record dies
+/// with the entry on eviction.
 struct StoreEntry {
     artifacts: Arc<SearchArtifacts>,
-    /// `(budget gates, winner)` per budget searched so far.
-    winners: Vec<(u64, WarmSeed)>,
     /// Monotonic last-use stamp — the LRU order without a list.
     used: u64,
 }
@@ -928,10 +892,6 @@ impl StoreInner {
     }
 }
 
-/// Most winners one entry remembers — enough for a realistic budget
-/// sweep, bounded so a store entry cannot grow without limit.
-const MAX_WINNERS: usize = 32;
-
 /// Thread-safe bounded-LRU store of [`SearchArtifacts`], shared across
 /// requests (one per server, or one per CLI invocation). Entries are
 /// indexed by key — lookup cost stays flat as the cap grows — with a
@@ -954,10 +914,6 @@ pub struct ArtifactStore {
     inner: Mutex<StoreInner>,
 }
 
-/// A donor picked for an incremental rebuild: the resident artifacts
-/// plus a snapshot of their recorded per-budget winners.
-type Donor = (Arc<SearchArtifacts>, Vec<(u64, WarmSeed)>);
-
 impl ArtifactStore {
     /// A store holding at most `cap` applications (`cap` is clamped to
     /// at least 1 — a store that can hold nothing is never useful).
@@ -977,7 +933,7 @@ impl ArtifactStore {
 
     /// Looks `key` up, refreshing its LRU position. Counts a hit or a
     /// miss.
-    pub fn get(&self, key: ArtifactKey) -> Option<Arc<SearchArtifacts>> {
+    fn get(&self, key: ArtifactKey) -> Option<Arc<SearchArtifacts>> {
         let mut inner = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
         let stamp = inner.stamp();
         if let Some(entry) = inner.map.get_mut(&key) {
@@ -994,11 +950,7 @@ impl ArtifactStore {
     /// coldest entries past the cap. If a concurrent builder already
     /// installed this key, the resident artifacts win (and are
     /// returned) — winners recorded against them survive.
-    pub fn insert(
-        &self,
-        key: ArtifactKey,
-        artifacts: Arc<SearchArtifacts>,
-    ) -> Arc<SearchArtifacts> {
+    fn insert(&self, key: ArtifactKey, artifacts: Arc<SearchArtifacts>) -> Arc<SearchArtifacts> {
         let mut inner = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
         let stamp = inner.stamp();
         if let Some(entry) = inner.map.get_mut(&key) {
@@ -1010,7 +962,6 @@ impl ArtifactStore {
             key,
             StoreEntry {
                 artifacts: artifacts.clone(),
-                winners: Vec::new(),
                 used: stamp,
             },
         );
@@ -1021,17 +972,11 @@ impl ArtifactStore {
         artifacts
     }
 
-    /// Marks freshly built artifacts as store-resident: their served
-    /// lookups count on this store's [`StoreStats::front_hits`].
-    fn adopt(&self, built: &mut SearchArtifacts) {
-        built.store_front_hits = Some(self.front_hits.clone());
-    }
-
     /// The resident entry with the largest fingerprint overlap against
     /// `fingerprint` under an equal (library, configuration) context —
-    /// the incremental donor — along with a snapshot of its recorded
-    /// winners. Ties break towards the most recently used entry.
-    fn find_donor(&self, fingerprint: &[BlockKey], context: u64) -> Option<Donor> {
+    /// the incremental donor. Ties break towards the most recently used
+    /// entry.
+    fn find_donor(&self, fingerprint: &[BlockKey], context: u64) -> Option<Arc<SearchArtifacts>> {
         let inner = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
         let mut mult: HashMap<BlockKey, usize> = HashMap::new();
         for &bk in fingerprint {
@@ -1057,12 +1002,15 @@ impl ArtifactStore {
             .filter_map(|(k, n)| inner.map.get(&k).map(|e| (n, e)))
             .filter(|&(n, e)| n > 0 && e.artifacts.context == context)
             .max_by_key(|&(n, e)| (n, e.used))
-            .map(|(_, e)| (e.artifacts.clone(), e.winners.clone()))
+            .map(|(_, e)| e.artifacts.clone())
     }
 
-    /// [`ArtifactStore::get`] falling back to a build +
-    /// [`ArtifactStore::insert`]. Building runs outside the store
-    /// lock, so a slow build never blocks other keys. A miss first
+    /// The store's one entry point: a lookup by [`ArtifactKey`]
+    /// (counting a hit or a miss and refreshing the LRU order), falling
+    /// back to a build and an insert. The key and the per-block
+    /// fingerprint are hashed once, for the lookup and the donor
+    /// choice, and the build reuses them. Building runs outside the
+    /// store lock, so a slow build never blocks other keys. A miss first
     /// tries an incremental diff: when a resident entry under the same
     /// (library, configuration) context shares block fingerprints with
     /// the request, the new artifacts are built by cloning that
@@ -1093,44 +1041,53 @@ impl ArtifactStore {
                 },
             ));
         }
-        let context = context_of(lib, config);
-        let fingerprint: Vec<BlockKey> = bsbs
-            .iter()
-            .map(|b| BlockKey::of(b, lib, restrictions))
-            .collect();
-        let Some((donor, donor_winners)) = self.find_donor(&fingerprint, context) else {
+        let fingerprint = block_keys(bsbs, lib, restrictions);
+        let donor = self.find_donor(&fingerprint, context_of(lib, config));
+        let (mut built, reused) = SearchArtifacts::build(
+            bsbs,
+            lib,
+            restrictions,
+            config,
+            key,
+            fingerprint,
+            donor.as_deref(),
+        )?;
+        // Store-resident: served lookups count on this store's
+        // `front_hits`, and searches record answers and staircases.
+        built.store_front_hits = Some(self.front_hits.clone());
+        let Some(donor) = donor else {
             // Nothing to diff against: a from-scratch build.
-            let mut built = SearchArtifacts::prepare(bsbs, lib, restrictions, config)?;
-            self.adopt(&mut built);
             return Ok((self.insert(key, Arc::new(built)), StoreOutcome::default()));
         };
-        let (mut built, reused, rederived) =
-            SearchArtifacts::prepare_incremental(bsbs, lib, restrictions, config, &donor)?;
-        self.adopt(&mut built);
-        let artifacts = self.insert(key, Arc::new(built));
         // Carry the donor's winners forward by re-evaluation: a
         // re-evaluated seed is a real point of the new space with its
         // true DP time, so the strict-only reseed stays sound.
         let mut scratch = DpScratch::new();
+        let donor_winners = donor
+            .winners
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .clone();
         for (budget_gates, seed) in donor_winners {
             if let Some(seed) = reevaluate_winner(
                 bsbs,
                 lib,
                 config,
                 &donor,
-                &artifacts,
+                &built,
                 seed,
                 budget_gates,
                 &mut scratch,
             ) {
-                self.record_winner(key, Area::new(budget_gates), seed);
+                keep_recent(&built.winners, budget_gates, seed);
             }
         }
+        let rederived = bsbs.len() as u64 - reused;
         self.incremental.fetch_add(1, Ordering::Relaxed);
         self.reused.fetch_add(reused, Ordering::Relaxed);
         self.rederived.fetch_add(rederived, Ordering::Relaxed);
         Ok((
-            artifacts,
+            self.insert(key, Arc::new(built)),
             StoreOutcome {
                 hit: false,
                 incremental: true,
@@ -1140,40 +1097,38 @@ impl ArtifactStore {
         ))
     }
 
+    /// The resident artifacts under `key`, without counting a lookup
+    /// or refreshing the LRU order.
+    fn resident(&self, key: ArtifactKey) -> Option<Arc<SearchArtifacts>> {
+        let inner = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
+        inner.map.get(&key).map(|e| e.artifacts.clone())
+    }
+
     /// The winners recorded against `key` that are sound seeds for a
     /// run at `budget`: exactly those recorded at a budget no larger
     /// than the current one (their points are still area-feasible).
     pub fn warm_seeds(&self, key: ArtifactKey, budget: Area) -> Vec<WarmSeed> {
-        let inner = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
-        inner
-            .map
-            .get(&key)
-            .map(|e| {
-                e.winners
-                    .iter()
-                    .filter(|&&(b, _)| b <= budget.gates())
-                    .map(|&(_, seed)| seed)
-                    .collect()
-            })
-            .unwrap_or_default()
+        let Some(artifacts) = self.resident(key) else {
+            return Vec::new();
+        };
+        let winners = artifacts
+            .winners
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
+        winners
+            .iter()
+            .filter(|&&(b, _)| b <= budget.gates())
+            .map(|&(_, seed)| seed)
+            .collect()
     }
 
-    /// Records the winner of a finished run, replacing any earlier
-    /// winner at the same budget. A no-op if `key` was evicted in the
-    /// meantime.
+    /// Records the winner of a finished run on the resident artifacts,
+    /// replacing any earlier winner at the same budget. A no-op if
+    /// `key` was evicted in the meantime.
     pub fn record_winner(&self, key: ArtifactKey, budget: Area, seed: WarmSeed) {
-        let mut inner = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
-        let Some(entry) = inner.map.get_mut(&key) else {
-            return;
-        };
-        if let Some(slot) = entry.winners.iter_mut().find(|(b, _)| *b == budget.gates()) {
-            slot.1 = seed;
-            return;
+        if let Some(artifacts) = self.resident(key) {
+            keep_recent(&artifacts.winners, budget.gates(), seed);
         }
-        if entry.winners.len() >= MAX_WINNERS {
-            entry.winners.remove(0);
-        }
-        entry.winners.push((budget.gates(), seed));
     }
 
     /// A snapshot of the store's counters.
@@ -1346,9 +1301,6 @@ mod tests {
         // A different configuration knob.
         let quantum = config.clone().with_quantum(8);
         assert_ne!(base, ArtifactKey::of(&bsbs, &lib, &restr, &quantum));
-        // The partition-path fingerprint never collides with the
-        // search-path one.
-        assert_ne!(base, ArtifactKey::of_partition(&bsbs, &lib, &config));
     }
 
     #[test]
@@ -1395,10 +1347,34 @@ mod tests {
         let artifacts = SearchArtifacts::prepare(&bsbs, &lib, &restr, &config).unwrap();
         assert_eq!(artifacts.dims(), search_space(&restr).as_slice());
         assert_eq!(artifacts.space_size(), space_size(artifacts.dims()));
-        assert_eq!(artifacts.block_count(), bsbs.len());
         assert_eq!(artifacts.fingerprint().len(), bsbs.len());
         // The traffic table is full from the start.
         assert_prices_every_run(artifacts.comm(), &bsbs, &config);
+
+        // Every caller of `build` covers every block: prepare, the
+        // partition helper (empty fingerprint, no dimensions) and a
+        // store diff build.
+        let partition = SearchArtifacts::for_partition(&bsbs, &lib, &config).unwrap();
+        assert!(partition.fingerprint().is_empty() && partition.dims().is_empty());
+        let store = ArtifactStore::new(2);
+        store
+            .get_or_build_incremental(&bsbs, &lib, &restr, &config)
+            .unwrap();
+        let mut grown = bsbs.as_slice().to_vec();
+        let mut extra = grown[0].clone();
+        extra.id = BsbId(1);
+        extra.profile += 1;
+        grown.push(extra);
+        let grown = BsbArray::from_bsbs("t", grown);
+        let grown_restr = Restrictions::from_asap(&grown, &lib).unwrap();
+        let (diffed, outcome) = store
+            .get_or_build_incremental(&grown, &lib, &grown_restr, &config)
+            .unwrap();
+        assert!(outcome.incremental, "the first block is clean");
+        for (built, blocks) in [(&artifacts, &bsbs), (&partition, &bsbs), (&*diffed, &grown)] {
+            assert_eq!(built.block_count(), blocks.len());
+            assert_eq!(built.comm().blocks(), blocks.len());
+        }
     }
 
     #[test]
@@ -1480,7 +1456,7 @@ mod tests {
             ..answer.clone()
         };
         assert!(artifacts.answer(key(0)).is_none());
-        for budget in 0..MAX_ANSWERS as u64 {
+        for budget in 0..MAX_RECORDED as u64 {
             artifacts.keep_answer(key(budget), tagged(budget));
         }
         // Serving the oldest key makes it most recent, so the next
@@ -1490,7 +1466,7 @@ mod tests {
         assert!(artifacts.answer(key(1)).is_none(), "coldest key evicted");
         assert!(artifacts.answer(key(0)).is_some(), "served key kept");
         assert_eq!(artifacts.answer(key(1_000)).unwrap().best_index, 1_000);
-        assert_eq!(artifacts.answers.lock().unwrap().len(), MAX_ANSWERS);
+        assert_eq!(artifacts.answers.lock().unwrap().len(), MAX_RECORDED);
         // The limit and the bound are part of the key.
         assert!(artifacts.answer((0, Some(5), true)).is_none());
         assert!(artifacts.answer((0, None, false)).is_none());

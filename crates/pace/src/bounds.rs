@@ -296,7 +296,7 @@ impl SearchBounds {
         comm: Option<&CommModel>,
     ) -> Result<Self, PaceError> {
         let statics = bsb_statics(bsbs, lib, config)?;
-        let schedules = ScheduleTable::new(&statics, dims);
+        let schedules = ScheduleTable::new(&statics, dims, None);
         let costs = comm.map(|model| CommCosts::priced(bsbs, model));
         let never = StopSignal::never();
         let built = Self::from_statics(

@@ -45,8 +45,12 @@
 //!   `&SearchArtifacts` ([`search_best_with_stop`],
 //!   [`search_pareto_with_stop`], [`partition_with_artifacts`]) and
 //!   borrow its one traffic table; [`partition`], [`exhaustive_best`]
-//!   and [`greedy_partition`] build one-shot artifacts. On a warm
-//!   hit the store also offers previously recorded winners
+//!   and [`greedy_partition`] build one-shot artifacts. Every build
+//!   — one-shot, from scratch or diffed against a resident donor —
+//!   goes through one constructor, and everything a search learns is
+//!   kept on the artifacts themselves: a store entry is only artifacts
+//!   plus an LRU stamp. On a warm hit the store also offers previously
+//!   recorded winners
 //!   ([`WarmSeed`]) to reseed the branch-and-bound incumbent — results
 //!   stay field-identical, the prune just starts tight. A completed
 //!   Pareto sweep's staircase ([`StoredFront`]) answers later bounded

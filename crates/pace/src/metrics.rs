@@ -191,35 +191,28 @@ pub struct ScheduleTable {
 }
 
 impl ScheduleTable {
-    /// Empty slots for every block over the space spanned by `dims`.
+    /// Slots for every block over the space spanned by `dims`.
     /// Immovable blocks, blocks using a kind outside `dims`, and
-    /// blocks over the table cap keep none.
-    pub(crate) fn new(statics: &[BsbStatics], dims: &[(FuId, u32)]) -> Self {
-        let blocks = statics
-            .iter()
-            .map(|stat| Arc::new(BlockSlots::new(block_radix(stat, dims))))
-            .collect();
-        ScheduleTable { blocks }
-    }
-
-    /// The table of an edited application: a block that matched a
-    /// donor block by content (`matched[b] == Some(j)`) shares the
-    /// donor's slots when the donor block keeps some and its layout is
-    /// unchanged, every other block starts empty. A length depends only on the block's content, the
-    /// library and the projection, and the layout only on the block's
-    /// caps, so a shared slot holds exactly what a fresh fill would.
-    pub(crate) fn carried(
-        donor: &ScheduleTable,
-        matched: &[Option<usize>],
+    /// blocks over the table cap keep none. With a `donor` table (an
+    /// edited application's), a block that matched a donor block by
+    /// content (`matched[b] == Some(j)`) shares the donor's slots when
+    /// the donor block keeps some and its layout is unchanged; every
+    /// other block starts empty. A length depends only on the block's
+    /// content, the library and the projection, and the layout only
+    /// on the block's caps, so a shared slot holds exactly what a
+    /// fresh fill would.
+    pub(crate) fn new(
         statics: &[BsbStatics],
         dims: &[(FuId, u32)],
+        donor: Option<(&ScheduleTable, &[Option<usize>])>,
     ) -> Self {
         let blocks = statics
             .iter()
-            .zip(matched)
-            .map(|(stat, m)| {
+            .enumerate()
+            .map(|(b, stat)| {
                 let radix = block_radix(stat, dims);
-                match m.map(|j| &donor.blocks[j]) {
+                let carried = donor.and_then(|(table, matched)| Some(&table.blocks[matched[b]?]));
+                match carried {
                     Some(slots)
                         if !slots.slots.is_empty() && Some(&slots.radix) == radix.as_ref() =>
                     {

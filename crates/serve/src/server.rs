@@ -42,7 +42,7 @@ use lycos::explore::{
     PARETO_CSV_HEADER,
 };
 use lycos::hwlib::Area;
-use lycos::pace::{ArtifactStore, SearchOptions, StopSignal};
+use lycos::pace::{ArtifactStore, KnobOverrides, SearchOptions, StopSignal};
 use lycos::{Pipeline, Restricted};
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
@@ -195,8 +195,8 @@ impl Server {
             0 => workers.saturating_sub(1).max(1),
             n => n,
         };
-        let gate = AdmissionGate::new(big_jobs);
-        let slots = ConnSlots::new(max_conns);
+        let gate = Slots::new(big_jobs);
+        let slots = Slots::new(max_conns);
         // Each open connection has at most one job queued or running,
         // so a channel as deep as the connection cap never blocks.
         let (jobs_tx, jobs_rx) = mpsc::sync_channel::<Ticket<'_>>(max_conns);
@@ -244,7 +244,7 @@ impl Server {
                 // produced instead of parking behind Nagle for the
                 // client's delayed ACK.
                 let _ = stream.set_nodelay(true);
-                let Some(slot) = slots.take() else {
+                let Some(slot) = slots.take(ADMIT_WAIT) else {
                     reject_busy(&stream, workers, config.queue);
                     continue;
                 };
@@ -286,52 +286,52 @@ fn wake_address(bound: SocketAddr) -> SocketAddr {
     addr
 }
 
-/// The `workers + queue` cap on open connections.
-struct ConnSlots {
-    open: Mutex<usize>,
+/// A counting cap with RAII release: the `workers + queue` cap on
+/// open connections, and the cap on concurrent big jobs.
+struct Slots {
+    taken: Mutex<usize>,
     freed: Condvar,
     cap: usize,
 }
 
-impl ConnSlots {
-    fn new(cap: usize) -> ConnSlots {
-        ConnSlots {
-            open: Mutex::new(0),
+impl Slots {
+    fn new(cap: usize) -> Slots {
+        Slots {
+            taken: Mutex::new(0),
             freed: Condvar::new(),
             cap,
         }
     }
 
-    /// Claims a slot, waiting at most [`ADMIT_WAIT`] for one to free;
-    /// `None` if the cap still holds after that.
-    fn take(&self) -> Option<ConnSlot<'_>> {
-        let open = self.open.lock().unwrap_or_else(PoisonError::into_inner);
-        let (mut open, _) = self
+    /// Claims a slot, waiting at most `wait` for one to free; `None`
+    /// if the cap still holds after that.
+    fn take(&self, wait: Duration) -> Option<Slot<'_>> {
+        let taken = self.taken.lock().unwrap_or_else(PoisonError::into_inner);
+        let (mut taken, _) = self
             .freed
-            .wait_timeout_while(open, ADMIT_WAIT, |open| *open >= self.cap)
+            .wait_timeout_while(taken, wait, |taken| *taken >= self.cap)
             .unwrap_or_else(PoisonError::into_inner);
-        if *open >= self.cap {
+        if *taken >= self.cap {
             return None;
         }
-        *open += 1;
-        Some(ConnSlot { slots: self })
+        *taken += 1;
+        Some(Slot { slots: self })
     }
 }
 
-/// One open connection's claim on the cap, released when its reader
-/// exits — panic or not.
-struct ConnSlot<'a> {
-    slots: &'a ConnSlots,
+/// One claim on a [`Slots`] cap, released on drop — panic or not.
+struct Slot<'a> {
+    slots: &'a Slots,
 }
 
-impl Drop for ConnSlot<'_> {
+impl Drop for Slot<'_> {
     fn drop(&mut self) {
-        let mut open = self
+        let mut taken = self
             .slots
-            .open
+            .taken
             .lock()
             .unwrap_or_else(PoisonError::into_inner);
-        *open = open.saturating_sub(1);
+        *taken = taken.saturating_sub(1);
         self.slots.freed.notify_one();
     }
 }
@@ -339,7 +339,9 @@ impl Drop for ConnSlot<'_> {
 /// The per-server state every reader and worker shares: configuration,
 /// the artifact store, the shutdown flag and the address that wakes
 /// the acceptor, the panic counter, the job registry the `cancel` verb
-/// consults, and the big-job admission gate.
+/// consults, and the big-job admission gate (at most
+/// [`ServeConfig::big_jobs`] big jobs run at once, so small jobs
+/// always find a worker promptly).
 #[derive(Clone, Copy)]
 struct ServerCtx<'a> {
     config: &'a ServeConfig,
@@ -348,7 +350,7 @@ struct ServerCtx<'a> {
     wake: SocketAddr,
     panics: &'a AtomicU64,
     registry: &'a JobRegistry,
-    gate: &'a AdmissionGate,
+    gate: &'a Slots,
 }
 
 /// The submitted jobs a `cancel <id>` can reach, keyed by the client-
@@ -399,62 +401,6 @@ impl Drop for JobGuard<'_> {
             .lock()
             .unwrap_or_else(PoisonError::into_inner)
             .remove(&self.id);
-    }
-}
-
-/// Caps how many *big* jobs (allocation space above
-/// [`ServeConfig::big_job_threshold`]) run concurrently, so small
-/// jobs always find a worker promptly.
-struct AdmissionGate {
-    running: Mutex<usize>,
-    freed: Condvar,
-    cap: usize,
-}
-
-impl AdmissionGate {
-    fn new(cap: usize) -> AdmissionGate {
-        AdmissionGate {
-            running: Mutex::new(0),
-            freed: Condvar::new(),
-            cap,
-        }
-    }
-
-    /// Waits for a big-job slot; `None` once the server is draining
-    /// (the caller answers `busy` instead of queueing into shutdown).
-    fn acquire(&self, shutdown: &AtomicBool) -> Option<AdmissionPermit<'_>> {
-        let mut running = self.running.lock().unwrap_or_else(PoisonError::into_inner);
-        loop {
-            if *running < self.cap {
-                *running += 1;
-                return Some(AdmissionPermit { gate: self });
-            }
-            if shutdown.load(Ordering::Acquire) {
-                return None;
-            }
-            running = self
-                .freed
-                .wait_timeout(running, POLL)
-                .unwrap_or_else(PoisonError::into_inner)
-                .0;
-        }
-    }
-}
-
-/// Releases its big-job slot on drop — panic or not.
-struct AdmissionPermit<'a> {
-    gate: &'a AdmissionGate,
-}
-
-impl Drop for AdmissionPermit<'_> {
-    fn drop(&mut self) {
-        let mut running = self
-            .gate
-            .running
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner);
-        *running = running.saturating_sub(1);
-        self.gate.freed.notify_one();
     }
 }
 
@@ -935,13 +881,14 @@ fn compile_all(pipelines: Vec<Pipeline>) -> Result<Vec<(Pipeline, Restricted)>, 
 /// Pre-walk admission: jobs whose widest allocation space (from the
 /// ASAP restrictions alone — Algorithm 1 does not change the space)
 /// crosses [`ServeConfig::big_job_threshold`] take a big-job slot from
-/// the [`AdmissionGate`] before searching; everything else rides the
-/// fast lane untouched. `Err(busy)` only if the server starts draining
-/// while the job is queued for a slot.
+/// the admission gate before searching, waiting for one [`POLL`] at a
+/// time; everything else rides the fast lane untouched. `Err(busy)`
+/// only if the server starts draining while the job is queued for a
+/// slot.
 fn admit<'a>(
     ctx: ServerCtx<'a>,
     jobs: &[(Pipeline, Restricted)],
-) -> Result<Option<AdmissionPermit<'a>>, Response> {
+) -> Result<Option<Slot<'a>>, Response> {
     let widest = jobs
         .iter()
         .map(|(_, job)| job.space_size())
@@ -950,10 +897,26 @@ fn admit<'a>(
     if widest <= ctx.config.big_job_threshold {
         return Ok(None);
     }
-    match ctx.gate.acquire(ctx.shutdown) {
-        Some(permit) => Ok(Some(permit)),
-        None => Err(Response::Busy("server shutting down".to_owned())),
+    loop {
+        if let Some(slot) = ctx.gate.take(POLL) {
+            return Ok(Some(slot));
+        }
+        if ctx.shutdown.load(Ordering::Acquire) {
+            return Err(Response::Busy("server shutting down".to_owned()));
+        }
     }
+}
+
+/// The request's knob overrides folded over the configured defaults.
+/// `store-cap` is refused: the server's one store is sized once, at
+/// start-up, so a per-request cap could only be silently ignored.
+fn request_options(knobs: &KnobOverrides, ctx: ServerCtx<'_>) -> Result<SearchOptions, Response> {
+    if knobs.get("store-cap").is_some() {
+        return Err(Response::Error(
+            "store-cap is fixed at start-up (lycos serve --store-cap)".to_owned(),
+        ));
+    }
+    Ok(knobs.apply_to(&ctx.config.defaults))
 }
 
 /// Runs one Table 1 batch through [`Pipeline::table1_row_restricted`],
@@ -964,13 +927,16 @@ fn admit<'a>(
 /// connection's cancel flag rides the [`StopSignal`] into every sweep
 /// (the `deadline-ms` knob merges inside the engine).
 fn run_table1(req: &Table1Request, ctx: ServerCtx<'_>, cancel: &Arc<AtomicBool>) -> Response {
+    let search_options = match request_options(&req.knobs, ctx) {
+        Ok(options) => options,
+        Err(response) => return response,
+    };
     let jobs = match pipelines_for("table1", &req.jobs, ctx.store, ctx.config.fault_injection)
         .and_then(compile_all)
     {
         Ok(jobs) => jobs,
         Err(response) => return response,
     };
-    let search_options = req.knobs.apply_to(&ctx.config.defaults);
     let _permit = match admit(ctx, &jobs) {
         Ok(permit) => permit,
         Err(response) => return response,
@@ -1001,13 +967,16 @@ fn run_table1(req: &Table1Request, ctx: ServerCtx<'_>, cancel: &Arc<AtomicBool>)
 /// Cancellation or an expired deadline still answers — with the
 /// partial frontier over whatever the sweep had visited.
 fn run_pareto(req: &ParetoRequest, ctx: ServerCtx<'_>, cancel: &Arc<AtomicBool>) -> Response {
+    let options = match request_options(&req.knobs, ctx) {
+        Ok(options) => options,
+        Err(response) => return response,
+    };
     let jobs = match pipelines_for("pareto", &req.jobs, ctx.store, ctx.config.fault_injection)
         .and_then(compile_all)
     {
         Ok(jobs) => jobs,
         Err(response) => return response,
     };
-    let options = req.knobs.apply_to(&ctx.config.defaults);
     let _permit = match admit(ctx, &jobs) {
         Ok(permit) => permit,
         Err(response) => return response,

@@ -124,6 +124,15 @@ fn per_request_options_and_budgets_are_honoured() {
         Response::Error(msg) => assert!(msg.contains("no jobs"), "{msg}"),
         other => panic!("unexpected response {other:?}"),
     }
+    // The store is sized once, at start-up: a per-request cap is
+    // refused, never silently ignored.
+    match client
+        .send_line("table1 app=hal store-cap=1")
+        .expect("send")
+    {
+        Response::Error(msg) => assert!(msg.contains("store-cap"), "{msg}"),
+        other => panic!("unexpected response {other:?}"),
+    }
     assert_eq!(client.send(&Request::Ping).expect("send"), Response::Pong);
 
     assert_eq!(
