@@ -36,34 +36,8 @@ use lycos::pace::{
     compute_metrics, partition_from_metrics, reference_partition_from_metrics, run_traffic,
     search_best, CommCosts, DpScratch, PaceConfig, SearchOptions,
 };
-use std::time::{Duration, Instant};
-
-/// Runs `f` repeatedly for at least `window` (and at least 16 calls),
-/// returning the mean seconds per call.
-fn time_per_call(window: Duration, mut f: impl FnMut()) -> f64 {
-    // Warm up: buffers, memo tables, branch predictors.
-    f();
-    let mut calls = 0u64;
-    let start = Instant::now();
-    loop {
-        f();
-        calls += 1;
-        if calls >= 16 && start.elapsed() >= window {
-            break;
-        }
-    }
-    start.elapsed().as_secs_f64() / calls as f64
-}
-
-/// JSON number that degrades to `null` for non-finite values (a zero
-/// wall clock makes `eval_rate` +∞, which JSON cannot carry).
-fn json_num(x: f64) -> String {
-    if x.is_finite() {
-        format!("{x:.6}")
-    } else {
-        "null".to_owned()
-    }
-}
+use lycos_bench::{check_flags, gate, json_num, time_per_call};
+use std::time::Duration;
 
 struct AppReport {
     name: &'static str,
@@ -83,29 +57,8 @@ struct AppReport {
 }
 
 fn main() {
-    let mut check_speedup: Option<f64> = None;
-    let mut check_comm_speedup: Option<f64> = None;
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        let slot = match arg.as_str() {
-            "--check-speedup" => &mut check_speedup,
-            "--check-comm-speedup" => &mut check_comm_speedup,
-            other => {
-                eprintln!(
-                    "bench_pace: unknown argument `{other}` \
-                     (expected --check-speedup <x> or --check-comm-speedup <x>)"
-                );
-                std::process::exit(2);
-            }
-        };
-        match args.next().and_then(|s| s.parse::<f64>().ok()) {
-            Some(v) => *slot = Some(v),
-            None => {
-                eprintln!("bench_pace: {arg} needs a number");
-                std::process::exit(2);
-            }
-        }
-    }
+    let [check_speedup, check_comm_speedup] =
+        check_flags("bench_pace", ["--check-speedup", "--check-comm-speedup"]);
 
     let quick = std::env::var_os("LYCOS_BENCH_QUICK").is_some();
     let window = if quick {
@@ -267,32 +220,15 @@ fn main() {
     json.push_str("  ]\n}\n");
     print!("{json}");
 
-    if let Some(min) = check_speedup {
-        let eigen = reports
-            .iter()
-            .find(|r| r.name == "eigen")
-            .expect("eigen is bundled");
-        if eigen.speedup < min {
-            eprintln!(
-                "bench_pace: eigen DP speedup {:.2}x is below the {min:.2}x gate",
-                eigen.speedup
-            );
-            std::process::exit(1);
-        }
-        eprintln!(
-            "bench_pace: eigen DP speedup {:.2}x meets the {min:.2}x gate",
-            eigen.speedup
-        );
-    }
-    if let Some(min) = check_comm_speedup {
-        if comm_speedup < min {
-            eprintln!(
-                "bench_pace: one-pass comm table speedup {comm_speedup:.1}x is below the {min:.1}x gate"
-            );
-            std::process::exit(1);
-        }
-        eprintln!(
-            "bench_pace: one-pass comm table speedup {comm_speedup:.1}x meets the {min:.1}x gate"
-        );
-    }
+    let eigen = reports
+        .iter()
+        .find(|r| r.name == "eigen")
+        .expect("eigen is bundled");
+    gate("bench_pace", "eigen DP", eigen.speedup, check_speedup);
+    gate(
+        "bench_pace",
+        "one-pass comm table",
+        comm_speedup,
+        check_comm_speedup,
+    );
 }

@@ -32,31 +32,8 @@
 use lycos::core::Restrictions;
 use lycos::hwlib::{Area, HwLibrary};
 use lycos::pace::{search_best, search_pareto, PaceConfig, SearchOptions};
+use lycos_bench::{best_of, check_flags, gate, json_num};
 use std::time::Instant;
-
-/// Runs `f` `reps` times, returning the fastest wall time and the last
-/// result (identical across reps — the engines are deterministic in
-/// everything the report keeps).
-fn best_of<T, F: FnMut() -> T>(reps: usize, mut f: F) -> (f64, T) {
-    let mut best = f64::INFINITY;
-    let mut last = None;
-    for _ in 0..reps.max(1) {
-        let started = Instant::now();
-        let res = f();
-        best = best.min(started.elapsed().as_secs_f64());
-        last = Some(res);
-    }
-    (best, last.expect("at least one rep"))
-}
-
-/// JSON number that degrades to `null` for non-finite values.
-fn json_num(x: f64) -> String {
-    if x.is_finite() {
-        format!("{x:.6}")
-    } else {
-        "null".to_owned()
-    }
-}
 
 /// The default engine with branch-and-bound on.
 struct BoundedReport {
@@ -97,28 +74,7 @@ struct AppReport {
 }
 
 fn main() {
-    let mut check_speedup: Option<f64> = None;
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--check-speedup" => {
-                let v = args.next().and_then(|s| s.parse::<f64>().ok());
-                match v {
-                    Some(v) => check_speedup = Some(v),
-                    None => {
-                        eprintln!("bench_search: --check-speedup needs a number");
-                        std::process::exit(2);
-                    }
-                }
-            }
-            other => {
-                eprintln!(
-                    "bench_search: unknown argument `{other}` (expected --check-speedup <x>)"
-                );
-                std::process::exit(2);
-            }
-        }
-    }
+    let [check_speedup] = check_flags("bench_search", ["--check-speedup"]);
 
     let reps = if std::env::var_os("LYCOS_BENCH_QUICK").is_some() {
         1
@@ -298,17 +254,11 @@ fn main() {
             .iter()
             .find(|r| r.name == "eigen")
             .expect("eigen is bundled");
-        if eigen.speedup_vs_baseline < min {
-            eprintln!(
-                "bench_search: eigen full-sweep bounded speedup {:.2}x is below the \
-                 {min:.2}x gate",
-                eigen.speedup_vs_baseline
-            );
-            std::process::exit(1);
-        }
-        eprintln!(
-            "bench_search: eigen full-sweep bounded speedup {:.2}x meets the {min:.2}x gate",
-            eigen.speedup_vs_baseline
+        gate(
+            "bench_search",
+            "eigen full-sweep bounded",
+            eigen.speedup_vs_baseline,
+            Some(min),
         );
         // The Pareto claim rides the same flag: one frontier sweep
         // must beat replaying a bounded search per frontier budget.

@@ -1195,7 +1195,7 @@ mod tests {
             if datapath <= total {
                 let metrics = compute_metrics(&bsbs, &lib, &alloc, &cfg).unwrap();
                 let ctl = total.checked_sub(datapath).unwrap();
-                scratch.evaluate(&metrics, &comm, ctl, &cfg);
+                scratch.evaluate(&metrics, &comm, ctl, &cfg, &StopSignal::never());
                 for bounds in &tables {
                     relax.rebuild(&metrics, bounds.comm_floors());
                     for (a, lb) in relax

@@ -1,5 +1,5 @@
 //! The PACE dynamic-programming partitioner (Knudsen & Madsen, Codes/
-//! CASHE '96 — reference [7] of the paper).
+//! CASHE '96 — reference \[7\] of the paper).
 //!
 //! Given a fixed data-path allocation, PACE chooses which BSBs to move
 //! to hardware so that total execution time is minimal under the area
@@ -215,24 +215,14 @@ impl DpScratch {
     /// at the full controller budget — everything a sweep needs to
     /// rank a candidate. Call [`DpScratch::backtrack`] afterwards to
     /// materialise the winning [`Partition`].
-    pub(crate) fn evaluate(
-        &mut self,
-        metrics: &[BsbMetrics],
-        comm: &CommCosts,
-        ctl_budget: Area,
-        config: &PaceConfig,
-    ) -> u64 {
-        self.evaluate_stoppable(metrics, comm, ctl_budget, config, &StopSignal::never())
-            .expect("a never-signal cannot stop the DP")
-    }
-
-    /// [`DpScratch::evaluate`] with a cooperative stop check between DP
-    /// rows: returns `None` if `stop` trips mid-evaluation (the rows
-    /// are then partially built and must not be read), `Some` with the
-    /// exact hybrid time otherwise. A row is the natural abandon
-    /// granularity — each costs one merge over its sources' steps,
-    /// `O(steps × sources)` — so the check adds one branch per row and
-    /// bounds deadline overrun to a single row.
+    ///
+    /// `stop` is checked between DP rows: the result is `None` if it
+    /// trips mid-evaluation (the rows are then partially built and
+    /// must not be read), and always `Some` under
+    /// [`StopSignal::never`]. A row is the natural abandon granularity
+    /// — each costs one merge over its sources' steps, `O(steps ×
+    /// sources)` — so the check adds one branch per row and bounds
+    /// deadline overrun to a single row.
     ///
     /// Levels are capped at `u32::MAX`, the widest step level: only a
     /// partition whose controllers need more than 2^32 quanta could
@@ -242,7 +232,7 @@ impl DpScratch {
     ///
     /// If `comm` was priced for an application of another length than
     /// `metrics`.
-    pub(crate) fn evaluate_stoppable(
+    pub(crate) fn evaluate(
         &mut self,
         metrics: &[BsbMetrics],
         comm: &CommCosts,
@@ -347,6 +337,7 @@ impl DpScratch {
 
     /// Controller levels of the last [`DpScratch::evaluate`] call —
     /// the controller budget in quanta, the top level of every row.
+    #[cfg(test)]
     pub(crate) fn levels(&self) -> usize {
         self.levels
     }
@@ -648,7 +639,7 @@ pub fn partition_from_metrics(
     ctl_budget: Area,
     config: &PaceConfig,
 ) -> Partition {
-    scratch.evaluate(metrics, comm, ctl_budget, config);
+    scratch.evaluate(metrics, comm, ctl_budget, config, &StopSignal::never());
     scratch.backtrack(metrics, datapath_area)
 }
 
@@ -1238,7 +1229,9 @@ mod tests {
         let ctl = Area::new(18 * cfg.quantum); // three 6-quanta controllers
         let comm = CommCosts::priced(&bsbs, &cfg.comm);
         let mut scratch = DpScratch::new();
-        let time = scratch.evaluate(&metrics, &comm, ctl, &cfg);
+        let time = scratch
+            .evaluate(&metrics, &comm, ctl, &cfg, &StopSignal::never())
+            .unwrap();
         assert!(time < u64::MAX / 8);
         // Every slab holds at most 3 runs (4+ controllers > 18 quanta),
         // and the result still matches the reference.
@@ -1338,7 +1331,9 @@ mod tests {
                 let metrics = compute_metrics(&bsbs, &lib, &alloc, &cfg).unwrap();
                 let ctl = total.checked_sub(alloc.area(&lib)).unwrap();
                 let comm = CommCosts::priced(&bsbs, &cfg.comm);
-                let time = scratch.evaluate(&metrics, &comm, ctl, &cfg);
+                let time = scratch
+                    .evaluate(&metrics, &comm, ctl, &cfg, &StopSignal::never())
+                    .unwrap();
                 let what = format!("{} +{extra}", bsbs.app_name());
                 assert_matches_dense(&scratch, &metrics, &what);
                 assert_eq!(time, scratch.time_at_level(scratch.levels()), "{what}");
@@ -1391,7 +1386,10 @@ mod tests {
         let mut scratch = DpScratch::new();
         let ctl = Area::new(2 * cfg.quantum);
         let comm = CommCosts::priced(&bsbs, &cfg.comm);
-        assert_eq!(scratch.evaluate(&metrics, &comm, ctl, &cfg), 4);
+        assert_eq!(
+            scratch.evaluate(&metrics, &comm, ctl, &cfg, &StopSignal::never()),
+            Some(4)
+        );
         let row = scratch.row_off[2]..scratch.row_off[3];
         let steps: Vec<_> = row
             .map(|k| {
@@ -1446,6 +1444,7 @@ mod tests {
             &CommCosts::priced(&other, &cfg.comm),
             Area::new(10_000),
             &cfg,
+            &StopSignal::never(),
         );
     }
 
@@ -1474,7 +1473,7 @@ mod tests {
             let ctl = Area::new(extra);
             let mut scratch = DpScratch::new();
             let comm = CommCosts::priced(&bsbs, &cfg.comm);
-            scratch.evaluate(&metrics, &comm, ctl, &cfg);
+            scratch.evaluate(&metrics, &comm, ctl, &cfg, &StopSignal::never());
             assert_matches_dense(&scratch, &metrics, "prop");
             let seed = reference_partition_from_metrics(
                 &bsbs, &metrics, &comm, Area::ZERO, ctl, &cfg,

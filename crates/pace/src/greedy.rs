@@ -1,6 +1,6 @@
 //! A greedy baseline partitioner.
 //!
-//! PACE's dynamic program (reference [7]) is the paper's evaluation
+//! PACE's dynamic program (reference \[7\]) is the paper's evaluation
 //! vehicle; this module provides the obvious simpler alternative as a
 //! baseline: sort blocks by gain density (cycles saved per controller
 //! area) and move them while they fit, with no run-merging awareness

@@ -31,11 +31,13 @@
 //!   [`SearchBounds`] and, per candidate, the controller-budget
 //!   knapsack of [`BudgetRelaxation`], returning the field-exact
 //!   optimum while visiting a fraction of the space;
-//! * [`search_pareto`] — the same engine under the [`ParetoFront`]
+//! * [`search_pareto`] — the same engine under a Pareto-front
 //!   objective: one sweep emits the entire Pareto frontier of the
 //!   time×area trade-off instead of one point per budget. The
-//!   incumbent/record/reduce seam both searches share is the pluggable
-//!   [`Objective`] trait;
+//!   incumbent/record/reduce seam both searches share is a
+//!   crate-internal `Objective` trait, run only through these entry
+//!   points. Every walk evaluates the all-software point first, so a
+//!   stopped search still answers a feasible, DP-exact point;
 //! * [`SearchArtifacts`] / [`ArtifactStore`] — the staged-artifact
 //!   seam: everything a search precomputes per application (BSB
 //!   statics, the schedule table, the read-only run-traffic table, the
@@ -124,8 +126,7 @@ pub use knobs::{
 };
 pub use metrics::{compute_metrics, BsbMetrics, MetricsCache, ScheduleTable};
 pub use search::{
-    search_best, search_best_with_stop, search_pareto, search_pareto_with_stop, BestLocal,
-    BestShared, BestUnderBudget, CandidateEval, Objective, ParetoFront, ParetoLocal, ParetoPoint,
-    ParetoResult, ParetoShared, SearchOptions, SearchStats, StairEntry, StoredFront,
+    search_best, search_best_with_stop, search_pareto, search_pareto_with_stop, ParetoPoint,
+    ParetoResult, SearchOptions, SearchStats, StairEntry, StoredFront,
 };
 pub use stop::{Completion, StopReason, StopSignal, STOP_CHECK_INTERVAL};

@@ -52,21 +52,38 @@
 //!   deterministically under the strict `(time, area, index)`
 //!   improvement order — exactly the order the
 //!   sequential walk discovers winners in — so the outcome is
-//!   bit-identical to [`exhaustive_best`] at any worker count:
+//!   bit-identical to [`exhaustive_best`](crate::exhaustive_best) at any worker count:
 //!   including `evaluated`, `skipped` and truncation behaviour when
 //!   bounding is off, and the field-exact winner when it is on. The
 //!   per-candidate DP leaf stores each row as a staircase of steps
 //!   merged from earlier rows ([`DpScratch`]).
 //!
-//! The incumbent/record/reduce seam of the engine is pluggable through
-//! the [`Objective`] trait: [`BestUnderBudget`] *is* the classic
-//! single-incumbent engine described above (bit-identical, including
-//! the [`AtomicU64`]-packed cross-worker incumbent and the
+//! The incumbent/record/reduce seam of the engine is the
+//! crate-internal [`Objective`] trait: [`BestUnderBudget`] *is* the
+//! classic single-incumbent engine described above (bit-identical,
+//! including the [`AtomicU64`]-packed cross-worker incumbent and the
 //! lexicographic `(time, area, index)` reduce), while [`ParetoFront`]
 //! keeps a dominance frontier instead — branch-and-bound prunes
 //! against the frontier's area-conditional best time, still
 //! admissibly — so one sweep ([`search_pareto`]) emits the whole
-//! time×area trade-off curve instead of one point per budget.
+//! time×area trade-off curve instead of one point per budget. The seam
+//! is not exported: the public entries ([`search_best_with_stop`],
+//! [`search_pareto_with_stop`] and their conveniences) are the only
+//! way to run an objective.
+//!
+//! # The all-software anchor
+//!
+//! The walk evaluates the all-software point (odometer index 0) first,
+//! under a never-signal and with no subtree or budget prune, exactly
+//! as the paper's baseline and [`exhaustive_best`](crate::exhaustive_best) start. Whichever
+//! worker takes chunk 0 does it, and every run starts its workers — a
+//! stop that trips while the bound tables are built included — so
+//! index 0 is booked exactly once whatever a warm seed or a shared
+//! incumbent would prune. Every reduce therefore holds a feasible,
+//! DP-exact point: a stopped best answers at least the all-software
+//! point, and a stopped Pareto sweep's frontier starts with it. A stop
+//! costs at most that one DP past its trip, and a window holding only
+//! index 0 is `Complete` whatever the signal does.
 //!
 //! # Serving every budget from one stored staircase
 //!
@@ -118,7 +135,7 @@
 //! artifacts records its result under `(budget, limit, bound)` (the
 //! 32 most recently used keys are kept). An exact repeat is served a
 //! copy with the walk's own winner and accounting, so an unbounded
-//! repeat still equals [`exhaustive_best`]. Stopped runs are never
+//! repeat still equals [`exhaustive_best`](crate::exhaustive_best). Stopped runs are never
 //! recorded.
 
 use crate::artifacts::{AnswerKey, SearchArtifacts, WarmSeed};
@@ -197,7 +214,7 @@ pub struct SearchOptions {
     /// * a complete best-under-budget walk records its answer under
     ///   `(budget, limit, bound)`, and an exact repeat is served a copy
     ///   without a sweep ([`SearchStats::served`]);
-    /// * on an artifact-store hit the [`BestUnderBudget`] shared
+    /// * on an artifact-store hit the best-under-budget shared
     ///   incumbent is reseeded from a previously recorded winner whose
     ///   budget fits under the current one (requires
     ///   [`SearchOptions::bound`] and store-supplied seeds).
@@ -216,7 +233,10 @@ pub struct SearchOptions {
     /// visited, and the result carries
     /// [`Completion::DeadlineTruncated`] plus the unvisited remainder
     /// in [`SearchStats::unvisited`] — a best-so-far incumbent for
-    /// [`search_best`], a partial frontier for [`search_pareto`].
+    /// [`search_best`], a partial frontier for [`search_pareto`]. The
+    /// all-software point is the walk's own first point and is always
+    /// evaluated, so a deadline overruns by at most that one DP (plus
+    /// one DP row or one stop-check interval of the sweep).
     /// Folded together with any externally supplied
     /// [`StopSignal`] (earliest deadline wins) by
     /// [`search_best_with_stop`] and [`search_pareto_with_stop`].
@@ -439,11 +459,30 @@ impl SearchStats {
             self.dirty_probes as f64 / total as f64
         }
     }
+
+    /// Folds a sweep worker's telemetry into the run's: every count a
+    /// worker keeps adds up, and the graver stop wins — a cancel
+    /// outranks a deadline, either outranks completion. The rest is
+    /// the run's own to set.
+    pub(crate) fn merge(&mut self, worker: &SearchStats) {
+        self.cache_hits += worker.cache_hits;
+        self.cache_misses += worker.cache_misses;
+        self.key_allocs += worker.key_allocs;
+        self.unpacked_incumbents += worker.unpacked_incumbents;
+        self.bounded += worker.bounded;
+        self.budget_pruned += worker.budget_pruned;
+        self.dirty_probes += worker.dirty_probes;
+        self.clean_reuses += worker.clean_reuses;
+        self.steals += worker.steals;
+        if self.completion.is_complete() || worker.completion == Completion::Cancelled {
+            self.completion = worker.completion;
+        }
+    }
 }
 
 /// Mixed-radix odometer over the allocation space, with incremental
 /// data-path area tracking. Dimension 0 is the least-significant digit,
-/// matching the sequential walk of [`exhaustive_best`]: the point at
+/// matching the sequential walk of [`exhaustive_best`](crate::exhaustive_best): the point at
 /// index `i` is the `i`-th allocation that walk visits.
 struct Odometer {
     caps: Vec<u32>,
@@ -712,7 +751,7 @@ fn subtree_pruned(
 /// gates, odometer index) plus read access to the full area×time
 /// trade-off row the PACE DP just computed, including on-demand
 /// backtracks at any controller-area level.
-pub struct CandidateEval<'w> {
+pub(crate) struct CandidateEval<'w> {
     scratch: &'w DpScratch,
     metrics: &'w [BsbMetrics],
     allocation: &'w RMap,
@@ -747,30 +786,18 @@ impl CandidateEval<'_> {
         self.allocation
     }
 
-    /// Controller-area levels of the evaluated DP grid: the trade-off
-    /// row spans `0..=levels()` quanta.
-    pub fn levels(&self) -> usize {
-        self.scratch.levels()
-    }
-
     /// The DP area quantum in gates: level `a` is a controller budget
     /// of `a * quantum()` gates.
     pub fn quantum(&self) -> u64 {
         self.quantum
     }
 
-    /// Hybrid time when the controller may spend at most `level`
-    /// quanta — non-increasing in `level`, with
-    /// `time_at_level(levels()) == time()`.
-    pub fn time_at_level(&self, level: usize) -> u64 {
-        self.scratch.time_at_level(level)
-    }
-
-    /// The trade-off row's corners, level-ascending: `(0,
-    /// time_at_level(0))`, then each `(level, time)` where
-    /// [`CandidateEval::time_at_level`] strictly falls. Every other
-    /// level repeats the time of the last corner below it.
-    pub(crate) fn time_falls(&self) -> impl Iterator<Item = (usize, u64)> + '_ {
+    /// The trade-off row's corners, level-ascending: level 0 and its
+    /// time, then each `(level, time)` where the hybrid time under a
+    /// controller budget of `level` quanta strictly falls. Every other
+    /// level repeats the time of the last corner below it; the last
+    /// corner's time is [`CandidateEval::time`].
+    pub fn time_falls(&self) -> impl Iterator<Item = (usize, u64)> + '_ {
         self.scratch.time_falls()
     }
 
@@ -779,10 +806,9 @@ impl CandidateEval<'_> {
         self.scratch.backtrack(self.metrics, Area::new(self.gates))
     }
 
-    /// Materialises the partition behind
-    /// [`CandidateEval::time_at_level`] — bit-identical to the
-    /// backtrack a separate evaluation under a controller budget of
-    /// `level` quanta would produce.
+    /// Materialises the partition at controller level `level` —
+    /// bit-identical to the backtrack a separate evaluation under a
+    /// controller budget of `level` quanta would produce.
     pub fn backtrack_at_level(&self, level: usize) -> Partition {
         self.scratch
             .backtrack_at(self.metrics, Area::new(self.gates), level)
@@ -810,7 +836,7 @@ impl CandidateEval<'_> {
 /// point's data-path gates. Cross-worker state read from `Shared` is
 /// racy by design: an implementation must keep its pruning sound and
 /// its reduce deterministic under any interleaving.
-pub trait Objective: Sync {
+pub(crate) trait Objective: Sync {
     /// Cross-worker state (the shared incumbent / frontier).
     type Shared: Sync;
     /// Per-worker state, moved into the reduce.
@@ -881,7 +907,7 @@ pub trait Objective: Sync {
         eval: &CandidateEval<'_>,
     );
 
-    /// Folds a worker's objective-specific telemetry into the run's
+    /// Folds a worker's objective-specific telemetry into the worker's
     /// [`SearchStats`].
     fn fold_stats(&self, _local: &Self::Local, _stats: &mut SearchStats) {}
 
@@ -898,14 +924,14 @@ pub trait Objective: Sync {
 /// bit-identical to the historical hard-wired incumbent — including
 /// the [`AtomicU64`]-packed cross-worker incumbent and the
 /// lexicographic `(time, area, index)` reduce.
-pub struct BestUnderBudget;
+pub(crate) struct BestUnderBudget;
 
 /// Cross-worker state of [`BestUnderBudget`]: the packed incumbent.
-pub struct BestShared(AtomicU64);
+pub(crate) struct BestShared(AtomicU64);
 
 /// Per-worker state of [`BestUnderBudget`].
 #[derive(Default)]
-pub struct BestLocal {
+pub(crate) struct BestLocal {
     /// Best candidate evaluated: allocation, partition, data-path
     /// gates, odometer index (the earliest point achieving the
     /// worker's minimal `(time, area)`).
@@ -921,7 +947,7 @@ pub struct BestLocal {
 impl Objective for BestUnderBudget {
     type Shared = BestShared;
     type Local = BestLocal;
-    type Output = Option<(RMap, Partition, u64, u128)>;
+    type Output = (RMap, Partition, u64, u128);
 
     fn shared(&self) -> BestShared {
         BestShared(AtomicU64::new(NO_INCUMBENT))
@@ -994,7 +1020,8 @@ impl Objective for BestUnderBudget {
         // Strict lexicographic (time, area, index) — the exact order
         // the sequential walk discovers winners in — so the reduce is
         // deterministic whatever scheduler handed points to workers:
-        // ties keep the earliest odometer index.
+        // ties keep the earliest odometer index. The walk always
+        // evaluates the all-software point, so some worker has a best.
         let mut best: Option<(RMap, Partition, u64, u128)> = None;
         for local in locals {
             if let Some((alloc, part, gates, index)) = local.best {
@@ -1009,7 +1036,7 @@ impl Objective for BestUnderBudget {
                 }
             }
         }
-        best
+        best.expect("the walk evaluates the all-software point first")
     }
 }
 
@@ -1139,12 +1166,12 @@ fn frontier_insert(
 /// survives to the deterministic reduce and the output is identical at
 /// any thread count. The reduce emits the whole staircase
 /// ([`StairEntry`]); [`ParetoResult::points`] is its time frontier.
-pub struct ParetoFront;
+pub(crate) struct ParetoFront;
 
 /// Cross-worker state of [`ParetoFront`]: the merged `(area, time)`
 /// staircase, behind a mutex — workers touch it only on publish and
 /// every `SNAPSHOT_EVERY` (1024) bound rounds.
-pub struct ParetoShared {
+pub(crate) struct ParetoShared {
     frontier: Mutex<Vec<(u64, u64)>>,
 }
 
@@ -1159,7 +1186,7 @@ impl ParetoShared {
 }
 
 /// Per-worker state of [`ParetoFront`].
-pub struct ParetoLocal {
+pub(crate) struct ParetoLocal {
     /// The worker's own staircase: area-ascending, strictly
     /// descending in `(time, gates, index)`, mutually non-dominated.
     points: Vec<ParetoEntry>,
@@ -1429,7 +1456,7 @@ impl ParetoPoint {
 pub struct ParetoResult {
     /// The frontier, area-ascending and therefore strictly
     /// time-descending: the first point is the cheapest (the
-    /// all-software fallback, unless hardware is free), the last the
+    /// all-software point, unless hardware is free), the last the
     /// fastest achievable within the sweep's total area.
     pub points: Vec<ParetoPoint>,
     /// Allocations actually evaluated (engine effort under `bound`).
@@ -1476,45 +1503,18 @@ impl PartialEq for ParetoResult {
 }
 
 /// What one worker brings back from the odometer indices it covered:
-/// its objective-local state (incumbent, frontier, …) plus the engine
-/// counters. The objective's per-point odometer indices make the
-/// final reduce order-free: whichever worker a chunk landed on, the
-/// objective's deterministic order decides.
+/// its objective-local state (incumbent, frontier, …) plus its
+/// accounting — `evaluated` and `skipped` beside the engine counters,
+/// as in a [`SearchResult`]. The objective's per-point odometer indices
+/// make the final reduce order-free: whichever worker a chunk landed
+/// on, the objective's deterministic order decides. A worker that
+/// stopped before exhausting its points says why in
+/// [`SearchStats::completion`].
 struct WorkerOut<L> {
     local: L,
     evaluated: usize,
     skipped: usize,
-    bounded: u128,
-    budget_pruned: u64,
-    /// Chunks this worker took beyond its first.
-    steals: u64,
-    hits: u64,
-    misses: u64,
-    key_allocs: u64,
-    dirty_probes: u64,
-    clean_reuses: u64,
-    /// Why this worker stopped before exhausting its points, if it
-    /// did; `None` means it covered everything it was handed.
-    stopped: Option<StopReason>,
-}
-
-impl<L> WorkerOut<L> {
-    fn new(local: L) -> Self {
-        WorkerOut {
-            local,
-            evaluated: 0,
-            skipped: 0,
-            bounded: 0,
-            budget_pruned: 0,
-            steals: 0,
-            hits: 0,
-            misses: 0,
-            key_allocs: 0,
-            dirty_probes: 0,
-            clean_reuses: 0,
-            stopped: None,
-        }
-    }
+    stats: SearchStats,
 }
 
 /// One sweep worker's whole private state: the metrics cache (over the
@@ -1589,7 +1589,12 @@ impl<'a, O: Objective> SweepWorker<'a, O> {
             publish: bounds.is_some(),
             stop,
             stop_countdown: STOP_CHECK_INTERVAL,
-            out: WorkerOut::new(objective.local()),
+            out: WorkerOut {
+                local: objective.local(),
+                evaluated: 0,
+                skipped: 0,
+                stats: SearchStats::default(),
+            },
         }
     }
 
@@ -1597,11 +1602,11 @@ impl<'a, O: Objective> SweepWorker<'a, O> {
     /// Used before every expensive step (a candidate's DP evaluation);
     /// free on never-signals.
     fn stop_tripped(&mut self) -> bool {
-        if self.out.stopped.is_some() {
+        if !self.out.stats.completion.is_complete() {
             return true;
         }
         if let Some(reason) = self.stop.check() {
-            self.out.stopped = Some(reason);
+            self.out.stats.completion = reason.into();
             return true;
         }
         false
@@ -1643,19 +1648,19 @@ impl<'a, O: Objective> SweepWorker<'a, O> {
         Ok(())
     }
 
-    /// Runs the refreshed candidate's DP and hands it to the
-    /// objective. Returns `false` when the stop signal tripped between
-    /// DP rows: the point then stays unvisited (neither evaluated nor
+    /// Runs the refreshed candidate's DP under `stop` and hands it to
+    /// the objective. Returns `false` when `stop` tripped between DP
+    /// rows: the point then stays unvisited (neither evaluated nor
     /// recorded) and the worker must stop.
-    fn evaluate_and_record(&mut self, index: u128, gates: u64) -> bool {
-        let Some(time) = self.scratch.evaluate_stoppable(
+    fn evaluate_and_record(&mut self, index: u128, gates: u64, stop: &StopSignal) -> bool {
+        let Some(time) = self.scratch.evaluate(
             &self.metrics,
             self.comm,
             Area::new(self.total_gates - gates),
             self.config,
-            self.stop,
+            stop,
         ) else {
-            self.out.stopped = Some(self.stop.check().unwrap_or(StopReason::Deadline));
+            self.out.stats.completion = stop.check().unwrap_or(StopReason::Deadline).into();
             return false;
         };
         self.out.evaluated += 1;
@@ -1700,15 +1705,32 @@ impl<'a, O: Objective> SweepWorker<'a, O> {
     ///
     /// Anytime: the walk polls the run's [`StopSignal`] before every
     /// candidate DP (and, throttled, in the subtree-skip loop); when
-    /// it trips the worker returns immediately with
-    /// [`WorkerOut::stopped`] set, leaving its unprocessed tail to the
-    /// engine's `unvisited` accounting.
+    /// it trips the worker returns immediately with the reason in its
+    /// [`SearchStats::completion`], leaving its unprocessed tail to
+    /// the engine's `unvisited` accounting.
+    ///
+    /// The all-software point anchors every run: a range starting at
+    /// index 0 evaluates it first, under a never-signal and with no
+    /// subtree or budget prune, exactly as the reference walk starts.
+    /// The chunk cursor hands chunk 0 to the first worker that asks and
+    /// every run starts its workers, so index 0 is booked exactly once
+    /// and every reduce, a stopped one included, holds a feasible,
+    /// DP-exact point. The anchor costs one DP past a stop.
     fn walk(&mut self, range: Range<u128>) -> Result<(), PaceError> {
         if range.is_empty() {
             return Ok(());
         }
         let mut odo = Odometer::at(self.dims, self.lib, range.start);
         let mut index = range.start;
+        if index == 0 {
+            self.refresh_metrics(&odo)?;
+            let anchored = self.evaluate_and_record(0, 0, &StopSignal::never());
+            debug_assert!(anchored, "a never-signal cannot stop the DP");
+            index = 1;
+            if index < range.end {
+                self.advance(&mut odo, 0);
+            }
+        }
         'walk: while index < range.end {
             if self.stop_tripped() {
                 return Ok(());
@@ -1745,7 +1767,7 @@ impl<'a, O: Objective> SweepWorker<'a, O> {
                         }
                     }
                     let Some((pos, width)) = skip else { break };
-                    self.out.bounded += width;
+                    self.out.stats.bounded += width;
                     index += width;
                     if index >= range.end {
                         break 'walk;
@@ -1761,7 +1783,7 @@ impl<'a, O: Objective> SweepWorker<'a, O> {
                     if self.stop_countdown == 0 {
                         self.stop_countdown = STOP_CHECK_INTERVAL;
                         if let Some(reason) = self.stop.check() {
-                            self.out.stopped = Some(reason);
+                            self.out.stats.completion = reason.into();
                             return Ok(());
                         }
                     }
@@ -1778,9 +1800,9 @@ impl<'a, O: Objective> SweepWorker<'a, O> {
                     // Hopeless under its own controller budget: tallied
                     // like a leaf-level skip, and the walk advances
                     // past it below like past any other point.
-                    self.out.bounded += 1;
-                    self.out.budget_pruned += 1;
-                } else if !self.evaluate_and_record(index, gates) {
+                    self.out.stats.bounded += 1;
+                    self.out.stats.budget_pruned += 1;
+                } else if !self.evaluate_and_record(index, gates, self.stop) {
                     return Ok(());
                 }
             }
@@ -1788,24 +1810,65 @@ impl<'a, O: Objective> SweepWorker<'a, O> {
             if index >= range.end {
                 break;
             }
-            let changed = odo.advance(0).expect("range ends within the space");
-            self.dirty.mark_upto(changed);
-            if let Some(levels) = self.levels.as_mut() {
-                levels.invalidate_upto(changed);
-            }
+            self.advance(&mut odo, 0);
         }
         Ok(())
     }
 
-    /// The worker's accumulated output, with the cache counters folded
-    /// in.
-    fn finish(mut self) -> WorkerOut<O::Local> {
-        self.out.hits = self.cache.hits();
-        self.out.misses = self.cache.misses();
-        self.out.key_allocs = self.cache.key_allocs();
-        self.out.dirty_probes = self.cache.dirty_probes();
-        self.out.clean_reuses = self.cache.clean_reuses();
-        self.out
+    /// Steps the odometer past the subtree rooted at digit `pos`,
+    /// marking the changed digits dirty for the next metrics refresh
+    /// and the bound chain.
+    fn advance(&mut self, odo: &mut Odometer, pos: usize) {
+        let changed = odo.advance(pos).expect("range ends within the space");
+        self.dirty.mark_upto(changed);
+        if let Some(levels) = self.levels.as_mut() {
+            levels.invalidate_upto(changed);
+        }
+    }
+
+    /// Work-stealing loop: takes subtree-aligned chunks of `width`
+    /// indices off the shared `cursor` until the window `[0, bound)` is
+    /// exhausted, reseeding the incremental state at every non-first
+    /// chunk, then returns the accumulated output with the cache
+    /// counters and the objective's telemetry folded in. Chunk indices
+    /// are taken in increasing order (the cursor only grows), so the
+    /// objective's own-progress tie pruning stays sound, and every
+    /// index of the window lands in exactly one worker's chunks — the
+    /// accounting identity is preserved chunk by chunk.
+    fn sweep_chunks(
+        mut self,
+        bound: u128,
+        width: u128,
+        cursor: &AtomicU64,
+    ) -> Result<WorkerOut<O::Local>, PaceError> {
+        let mut taken = 0u64;
+        loop {
+            let chunk = u128::from(cursor.fetch_add(1, Ordering::Relaxed));
+            let start = chunk.saturating_mul(width);
+            if start >= bound {
+                break;
+            }
+            if taken > 0 {
+                self.reseed();
+            }
+            taken += 1;
+            self.walk(start..(start + width).min(bound))?;
+            if !self.out.stats.completion.is_complete() {
+                // A tripped signal ends the chunk loop too: chunks the
+                // cursor already moved past this one stay with their
+                // owners, everything else lands in `unvisited`.
+                break;
+            }
+        }
+        let stats = &mut self.out.stats;
+        stats.steals = taken.saturating_sub(1);
+        stats.cache_hits = self.cache.hits();
+        stats.cache_misses = self.cache.misses();
+        stats.key_allocs = self.cache.key_allocs();
+        stats.dirty_probes = self.cache.dirty_probes();
+        stats.clean_reuses = self.cache.clean_reuses();
+        self.objective.fold_stats(&self.out.local, stats);
+        Ok(self.out)
     }
 }
 
@@ -1836,64 +1899,6 @@ fn steal_chunk_width(weights: &[u128], bound: u128, threads: usize) -> u128 {
         }
     }
     width
-}
-
-/// Work-stealing worker: takes subtree-aligned chunks of `width`
-/// indices off the shared `cursor` until the window `[0, bound)` is
-/// exhausted, reseeding its incremental state at every non-first
-/// chunk. Chunk indices are taken in increasing order (the cursor only
-/// grows), so the worker's own-best tie pruning stays sound, and every
-/// index of the window lands in exactly one worker's chunks — the
-/// accounting identity is preserved chunk by chunk.
-#[allow(clippy::too_many_arguments)] // internal seam of run_search
-fn sweep_chunks<O: Objective>(
-    bsbs: &BsbArray,
-    lib: &HwLibrary,
-    config: &PaceConfig,
-    total_gates: u64,
-    dims: &[(FuId, u32)],
-    bound: u128,
-    width: u128,
-    cursor: &AtomicU64,
-    artifacts: &SearchArtifacts,
-    bounds: Option<&SearchBounds>,
-    objective: &O,
-    shared: &O::Shared,
-    stop: &StopSignal,
-) -> Result<WorkerOut<O::Local>, PaceError> {
-    let mut worker = SweepWorker::new(
-        bsbs,
-        lib,
-        config,
-        total_gates,
-        dims,
-        artifacts,
-        bounds,
-        objective,
-        shared,
-        stop,
-    );
-    let mut taken = 0u64;
-    loop {
-        let chunk = u128::from(cursor.fetch_add(1, Ordering::Relaxed));
-        let start = chunk.saturating_mul(width);
-        if start >= bound {
-            break;
-        }
-        if taken > 0 {
-            worker.reseed();
-        }
-        taken += 1;
-        worker.walk(start..(start + width).min(bound))?;
-        if worker.out.stopped.is_some() {
-            // A tripped signal ends the chunk loop too: chunks the
-            // cursor already moved past this one stay with their
-            // owners, everything else lands in `unvisited`.
-            break;
-        }
-    }
-    worker.out.steals = taken.saturating_sub(1);
-    Ok(worker.finish())
 }
 
 /// Hard cap on sweep workers: beyond this, thread spawn/join overhead
@@ -2009,10 +2014,11 @@ pub fn search_best(
 /// visited, and the result's [`SearchStats::completion`] reports how
 /// the run ended. The anytime contract: whatever the signal does, the
 /// returned winner is a *feasible, DP-exact* point of the space — the
-/// best one visited before the stop. If the signal tripped before any
-/// worker evaluated anything, the always-feasible all-software point
-/// is evaluated directly and returned, so the incumbent is never
-/// empty. [`StopSignal::never`] runs the sweep to completion.
+/// best one visited before the stop. The anchor is the walk's own
+/// first point: every run evaluates the all-software point before it
+/// polls the signal, so the incumbent is never empty and a stop
+/// overruns by at most that one DP, with no artifact rebuild.
+/// [`StopSignal::never`] runs the sweep to completion.
 ///
 /// Over store-resident artifacts carrying a [`StoredFront`] whose cap
 /// covers `total_area`, a bounded, unlimited, warm search is answered
@@ -2047,7 +2053,7 @@ pub fn search_best_with_stop(
             return Ok(served);
         }
     }
-    let mut run = run_search(
+    let run = run_search(
         bsbs,
         lib,
         total_area,
@@ -2058,25 +2064,7 @@ pub fn search_best_with_stop(
         seeds,
         stop,
     )?;
-    let (best_allocation, best_partition, best_gates, best_index) = match run.output {
-        Some(winner) => winner,
-        None => {
-            // Only a tripped stop signal can leave the reduce empty
-            // (a complete run always evaluates the all-software
-            // point). The anytime contract still promises a feasible,
-            // DP-exact incumbent: evaluate the all-software point
-            // directly and move it out of the unvisited bucket.
-            debug_assert!(
-                !run.stats.completion.is_complete(),
-                "a complete run always evaluates at least one candidate"
-            );
-            let partition = crate::partition(bsbs, lib, &RMap::new(), total_area, config)?;
-            run.evaluated += 1;
-            debug_assert!(run.stats.unvisited >= 1);
-            run.stats.unvisited = run.stats.unvisited.saturating_sub(1);
-            (RMap::new(), partition, 0, 0)
-        }
-    };
+    let (best_allocation, best_partition, best_gates, best_index) = run.output;
     let result = SearchResult {
         best_allocation,
         best_partition,
@@ -2207,9 +2195,10 @@ pub fn search_pareto(
 /// reusing the statics, traffic memo and bound tables. On a trip the
 /// result is the *partial* frontier of everything visited — every
 /// point on it is feasible and DP-exact, but points a longer run would
-/// have found may be missing. If the signal tripped before anything
-/// was evaluated, the always-feasible all-software point is evaluated
-/// directly so the frontier is never empty.
+/// have found may be missing. The anchor is the walk's own first
+/// point: every run evaluates the all-software point before it polls
+/// the signal, so the frontier is never empty and a stop overruns by
+/// at most that one DP, with no artifact rebuild.
 ///
 /// Over store-resident artifacts with [`SearchOptions::warm`] on, a
 /// complete sweep without a `limit` keeps its staircase on the
@@ -2242,7 +2231,7 @@ pub fn search_pareto_with_stop(
             stats: served_stats(space, started),
         });
     }
-    let mut run = run_search(
+    let run = run_search(
         bsbs,
         lib,
         total_area,
@@ -2253,29 +2242,6 @@ pub fn search_pareto_with_stop(
         &[],
         stop,
     )?;
-    if run.output.is_empty() {
-        // Stopped before any candidate was evaluated: anchor the
-        // partial frontier with the always-feasible all-software
-        // point (area 0 — the same first point every complete
-        // frontier carries) and move it out of the unvisited bucket.
-        debug_assert!(
-            !run.stats.completion.is_complete(),
-            "a complete frontier always carries the all-software point"
-        );
-        let partition = crate::partition(bsbs, lib, &RMap::new(), total_area, config)?;
-        run.output.push(StairEntry {
-            point: ParetoPoint {
-                allocation: RMap::new(),
-                partition,
-                area: Area::new(0),
-                index: 0,
-            },
-            gates: 0,
-        });
-        run.evaluated += 1;
-        debug_assert!(run.stats.unvisited >= 1);
-        run.stats.unvisited = run.stats.unvisited.saturating_sub(1);
-    }
     let front = StoredFront {
         cap: total_area,
         staircase: run.output,
@@ -2417,18 +2383,18 @@ fn run_search<O: Objective>(
     // schedule table and the full run-traffic table, which every
     // worker reads in place. The bound tables are built lazily inside
     // the artifacts and shared read-only, folding in the admissible
-    // communication floor. Their first build polls the stop
-    // signal: if it trips there, no worker runs and the whole window
-    // lands in `unvisited`.
-    let mut stop_reason: Option<StopReason> = None;
+    // communication floor. Their first build polls the stop signal: if
+    // it trips there, the workers still run, unbounded, and stop right
+    // after the all-software anchor.
     let bounds = if options.bound {
-        let built = artifacts.bounds_for(bsbs, lib, stop)?;
-        if built.is_none() {
-            stop_reason = Some(stop.check().unwrap_or(StopReason::Deadline));
-        }
-        built
+        artifacts.bounds_for(bsbs, lib, stop)?
     } else {
         None
+    };
+    let mut stats = SearchStats {
+        threads,
+        truncated_points: space - bound,
+        ..SearchStats::default()
     };
     let shared = objective.shared();
     // Warm-start: install stored previous winners as the initial
@@ -2438,13 +2404,12 @@ fn run_search<O: Objective>(
     // the window describes a point this walk would never visit, so its
     // `(time, area)` is not an outcome the window's exhaustive
     // reference could produce. Shared state is only ever read for
-    // pruning, so without `bound` seeding would be inert — skip it and
+    // pruning, so without bounds seeding would be inert — skip it and
     // keep the telemetry honest.
-    let mut warm_reseeded = false;
-    if options.bound {
+    if bounds.is_some() {
         for seed in seeds {
             if seed.index < bound {
-                warm_reseeded |= objective.seed_shared(&shared, *seed);
+                stats.warm_reseeded |= objective.seed_shared(&shared, *seed);
             }
         }
     }
@@ -2459,25 +2424,21 @@ fn run_search<O: Objective>(
     };
     let cursor = AtomicU64::new(0);
     let sweep = || {
-        sweep_chunks(
+        SweepWorker::new(
             bsbs,
             lib,
             config,
             total_gates,
             dims,
-            bound,
-            width,
-            &cursor,
             artifacts,
             bounds,
             objective,
             &shared,
             stop,
         )
+        .sweep_chunks(bound, width, &cursor)
     };
-    let outs: Vec<Result<WorkerOut<O::Local>, PaceError>> = if stop_reason.is_some() {
-        Vec::new()
-    } else if threads == 1 {
+    let outs: Vec<Result<WorkerOut<O::Local>, PaceError>> = if threads == 1 {
         vec![sweep()]
     } else {
         std::thread::scope(|scope| {
@@ -2491,58 +2452,32 @@ fn run_search<O: Objective>(
 
     let mut evaluated = 0usize;
     let mut skipped = 0usize;
-    let mut stats = SearchStats {
-        threads,
-        truncated_points: space - bound,
-        warm_reseeded,
-        ..SearchStats::default()
-    };
     let mut locals = Vec::with_capacity(outs.len());
     for out in outs {
         let out = out?;
         evaluated += out.evaluated;
         skipped += out.skipped;
-        stats.bounded += out.bounded;
-        stats.budget_pruned += out.budget_pruned;
-        stats.steals += out.steals;
-        stats.cache_hits += out.hits;
-        stats.cache_misses += out.misses;
-        stats.key_allocs += out.key_allocs;
-        stats.dirty_probes += out.dirty_probes;
-        stats.clean_reuses += out.clean_reuses;
-        objective.fold_stats(&out.local, &mut stats);
+        stats.merge(&out.stats);
         locals.push(out.local);
-        // Cancellation outranks a deadline: an explicitly cancelled
-        // run reports `Cancelled` even if its deadline also expired
-        // on some other worker.
-        match out.stopped {
-            Some(StopReason::Cancelled) => stop_reason = Some(StopReason::Cancelled),
-            Some(StopReason::Deadline) => {
-                stop_reason = Some(stop_reason.unwrap_or(StopReason::Deadline));
-            }
-            None => {}
-        }
     }
     // The objective's reduce is deterministic whatever scheduler
     // handed points to workers — ties resolve by odometer index, the
     // exact order the sequential walk discovers winners in.
     let output = objective.reduce(locals);
-    stats.completion = match stop_reason {
-        None => Completion::Complete,
-        Some(StopReason::Deadline) => Completion::DeadlineTruncated,
-        Some(StopReason::Cancelled) => Completion::Cancelled,
-    };
     // Whatever no worker reached before the stop is the fifth bucket,
     // tallied centrally: the per-worker counters only ever cover what
     // was actually visited, so the remainder of the candidate window
-    // is exactly the unvisited tail. Zero on complete runs.
+    // is exactly the unvisited tail. A worker only stops with a point
+    // of its chunk still ahead, so a run that visited its whole window
+    // is complete, whatever tripped on the way.
     let visited = evaluated as u128 + skipped as u128 + stats.bounded;
     debug_assert!(visited <= bound, "workers never visit past the window");
     stats.unvisited = bound - visited;
     stats.elapsed = started.elapsed();
-    debug_assert!(
-        stats.unvisited == 0 || !stats.completion.is_complete(),
-        "a complete run leaves nothing unvisited"
+    debug_assert_eq!(
+        stats.unvisited == 0,
+        stats.completion.is_complete(),
+        "a run is complete exactly when it left nothing unvisited"
     );
     debug_assert_eq!(
         evaluated as u128
@@ -2567,7 +2502,7 @@ fn run_search<O: Objective>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{compute_metrics, exhaustive_best, search_space, space_size};
+    use crate::{compute_metrics, exhaustive_best, partition, search_space, space_size};
     use lycos_ir::{Bsb, BsbId, BsbOrigin, Dfg, OpKind};
     use std::collections::BTreeSet;
 
@@ -3074,7 +3009,7 @@ mod tests {
     fn stats_equality_is_ignored() {
         let a = SearchResult {
             best_allocation: RMap::new(),
-            best_partition: crate::partition(
+            best_partition: partition(
                 &app(),
                 &lib(),
                 &RMap::new(),
@@ -3156,7 +3091,7 @@ mod tests {
 
     #[test]
     fn frontier_insert_ties_keep_the_lexicographic_winner() {
-        let part = crate::partition(
+        let part = partition(
             &app(),
             &lib(),
             &RMap::new(),
@@ -3191,7 +3126,7 @@ mod tests {
 
     #[test]
     fn staircase_keeps_same_time_entries_with_smaller_data_paths() {
-        let part = crate::partition(
+        let part = partition(
             &app(),
             &lib(),
             &RMap::new(),
@@ -3451,5 +3386,85 @@ mod tests {
         )
         .unwrap();
         assert_eq!(plain.stats.unpacked_incumbents, 0);
+    }
+
+    /// The walk books the all-software point first and exactly once,
+    /// even when a shared incumbent prunes every subtree: a fabricated
+    /// seed at time 0, which no real point achieves, leaves index 0 the
+    /// only evaluated point and the winner.
+    #[test]
+    fn all_software_point_is_booked_once_under_a_pruning_incumbent() {
+        let bsbs = app();
+        let lib = lib();
+        let config = PaceConfig::standard();
+        let artifacts =
+            SearchArtifacts::prepare(&bsbs, &lib, &restr(&bsbs, &lib), &config).unwrap();
+        let area = Area::new(8_000);
+        let seed = WarmSeed {
+            time: 0,
+            gates: 0,
+            index: 0,
+        };
+        for threads in [1usize, 3] {
+            let res = search_best_with_stop(
+                &bsbs,
+                &lib,
+                area,
+                &config,
+                &SearchOptions::new().threads(threads).bound(true),
+                &artifacts,
+                &[seed],
+                &StopSignal::never(),
+            )
+            .unwrap();
+            let all_sw = partition(&bsbs, &lib, &RMap::new(), area, &config).unwrap();
+            assert!(res.stats.warm_reseeded, "threads={threads}");
+            assert_eq!(res.evaluated, 1, "threads={threads}");
+            assert_eq!(res.best_index, 0, "threads={threads}");
+            assert!(res.best_allocation.is_empty(), "threads={threads}");
+            assert_eq!(res.best_partition, all_sw, "threads={threads}");
+            assert_eq!(res.stats.completion, Completion::Complete);
+            assert_eq!(res.points_accounted(), res.space_size, "threads={threads}");
+        }
+    }
+
+    /// Under a signal tripped before the sweep the anchor is the one
+    /// evaluation: a larger window is truncated after it, while a window
+    /// holding only the all-software point was fully visited.
+    #[test]
+    fn a_tripped_signal_still_books_the_anchor() {
+        let (bsbs, lib, config) = (app(), lib(), PaceConfig::standard());
+        let stop = StopSignal::never().with_cancel(Arc::new(true.into()));
+        for (restrictions, completion) in [
+            (restr(&bsbs, &lib), Completion::Cancelled),
+            (Restrictions::new(), Completion::Complete),
+        ] {
+            let artifacts = SearchArtifacts::prepare(&bsbs, &lib, &restrictions, &config).unwrap();
+            for bound in [false, true] {
+                let options = SearchOptions::new().threads(2).bound(bound);
+                let area = Area::new(8_000);
+                let best = search_best_with_stop(
+                    &bsbs,
+                    &lib,
+                    area,
+                    &config,
+                    &options,
+                    &artifacts,
+                    &[],
+                    &stop,
+                )
+                .unwrap();
+                let front = search_pareto_with_stop(
+                    &bsbs, &lib, area, &config, &options, &artifacts, &stop,
+                )
+                .unwrap();
+                assert_eq!((best.evaluated, best.best_index), (1, 0), "bound={bound}");
+                assert_eq!(best.stats.completion, completion, "bound={bound}");
+                assert_eq!(best.points_accounted(), best.space_size);
+                assert_eq!((front.evaluated, front.points[0].index), (1, 0));
+                assert_eq!(front.completion(), completion, "bound={bound}");
+                assert_eq!(front.points_accounted(), front.space_size);
+            }
+        }
     }
 }

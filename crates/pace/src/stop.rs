@@ -64,6 +64,15 @@ impl Completion {
     }
 }
 
+impl From<StopReason> for Completion {
+    fn from(reason: StopReason) -> Self {
+        match reason {
+            StopReason::Deadline => Completion::DeadlineTruncated,
+            StopReason::Cancelled => Completion::Cancelled,
+        }
+    }
+}
+
 impl fmt::Display for Completion {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(self.as_str())
@@ -81,7 +90,7 @@ impl fmt::Display for Completion {
 /// loop to `interval × round cost` — single-digit microseconds.
 /// Expensive steps need no counter: every surviving candidate checks
 /// the signal once before its DP, and the DP itself re-checks between
-/// rows ([`DpScratch::evaluate_stoppable`](crate::DpScratch)), so the
+/// rows ([`DpScratch::evaluate`](crate::DpScratch)), so the
 /// worst-case overrun is one DP row plus one check interval. Shrinking
 /// the interval below the cost of a clock read buys nothing; growing
 /// it past ~10⁴ lets a prune-heavy sweep overshoot a millisecond-scale

@@ -907,46 +907,61 @@ fn admit<'a>(
     }
 }
 
-/// The request's knob overrides folded over the configured defaults.
-/// `store-cap` is refused: the server's one store is sized once, at
-/// start-up, so a per-request cap could only be silently ignored.
-fn request_options(knobs: &KnobOverrides, ctx: ServerCtx<'_>) -> Result<SearchOptions, Response> {
+/// A search request past its shared prologue: merged options, one
+/// compiled pipeline per job, the big-job slot admission took (if
+/// any, released on drop) and the cancel flag as a stop signal.
+struct Admitted<'a> {
+    options: SearchOptions,
+    jobs: Vec<(Pipeline, Restricted)>,
+    stop: StopSignal,
+    _permit: Option<Slot<'a>>,
+}
+
+/// The prologue of every search verb: the knob overrides fold over the
+/// configured defaults ([`lycos::pace::KnobOverrides::apply_to`]), with
+/// `store-cap` refused — the one store is sized at start-up, so a
+/// per-request cap could only be silently ignored. Each job is then
+/// compiled, admitted ([`admit`]) and held if it asks
+/// ([`hold_if_asked`]). The `deadline-ms` knob merges with the cancel
+/// flag inside the engine.
+fn admitted<'a>(
+    verb: &str,
+    jobs: &[Job],
+    knobs: &KnobOverrides,
+    ctx: ServerCtx<'a>,
+    cancel: &Arc<AtomicBool>,
+) -> Result<Admitted<'a>, Response> {
     if knobs.get("store-cap").is_some() {
         return Err(Response::Error(
             "store-cap is fixed at start-up (lycos serve --store-cap)".to_owned(),
         ));
     }
-    Ok(knobs.apply_to(&ctx.config.defaults))
+    let options = knobs.apply_to(&ctx.config.defaults);
+    let pipelines = pipelines_for(verb, jobs, ctx.store, ctx.config.fault_injection)?;
+    let compiled = compile_all(pipelines)?;
+    let permit = admit(ctx, &compiled)?;
+    hold_if_asked(jobs, ctx, cancel);
+    Ok(Admitted {
+        options,
+        jobs: compiled,
+        stop: StopSignal::never().with_cancel(cancel.clone()),
+        _permit: permit,
+    })
 }
 
 /// Runs one Table 1 batch through [`Pipeline::table1_row_restricted`],
 /// the seam behind [`Pipeline::table1_batch`] and the `table1`
-/// bin, so the service's rows are byte-identical to theirs. The
-/// request's knob overrides fold over the configured defaults in one
-/// table-driven pass ([`lycos::pace::KnobOverrides::apply_to`]); the
-/// connection's cancel flag rides the [`StopSignal`] into every sweep
-/// (the `deadline-ms` knob merges inside the engine).
+/// bin, so the service's rows are byte-identical to theirs.
 fn run_table1(req: &Table1Request, ctx: ServerCtx<'_>, cancel: &Arc<AtomicBool>) -> Response {
-    let search_options = match request_options(&req.knobs, ctx) {
-        Ok(options) => options,
+    let run = match admitted("table1", &req.jobs, &req.knobs, ctx, cancel) {
+        Ok(run) => run,
         Err(response) => return response,
     };
-    let jobs = match pipelines_for("table1", &req.jobs, ctx.store, ctx.config.fault_injection)
-        .and_then(compile_all)
-    {
-        Ok(jobs) => jobs,
-        Err(response) => return response,
-    };
-    let _permit = match admit(ctx, &jobs) {
-        Ok(permit) => permit,
-        Err(response) => return response,
-    };
-    hold_if_asked(&req.jobs, ctx, cancel);
-    let options = Table1Options::from_search_options(&search_options);
-    let stop = StopSignal::never().with_cancel(cancel.clone());
-    let rows: Result<Vec<_>, _> = jobs
+    let options = Table1Options::from_search_options(&run.options);
+    let rows: Result<Vec<_>, _> = run
+        .jobs
         .iter()
-        .map(|(pipeline, job)| pipeline.table1_row_restricted(job, &options, &stop))
+        .map(|(pipeline, job)| pipeline.table1_row_restricted(job, &options, &run.stop))
         .collect();
     match rows {
         Err(e) => Response::Error(e.to_string()),
@@ -963,33 +978,21 @@ fn run_table1(req: &Table1Request, ctx: ServerCtx<'_>, cancel: &Arc<AtomicBool>)
 /// Runs one Pareto batch: each job's whole time×area frontier from a
 /// single [`lycos::pace::search_pareto`] sweep, straight from the
 /// restricted stage ([`Pipeline::pareto_restricted`], no Algorithm 1) and
-/// under the same knob merge as `table1`.
+/// after the same prologue as `table1`.
 /// Cancellation or an expired deadline still answers — with the
 /// partial frontier over whatever the sweep had visited.
 fn run_pareto(req: &ParetoRequest, ctx: ServerCtx<'_>, cancel: &Arc<AtomicBool>) -> Response {
-    let options = match request_options(&req.knobs, ctx) {
-        Ok(options) => options,
+    let run = match admitted("pareto", &req.jobs, &req.knobs, ctx, cancel) {
+        Ok(run) => run,
         Err(response) => return response,
     };
-    let jobs = match pipelines_for("pareto", &req.jobs, ctx.store, ctx.config.fault_injection)
-        .and_then(compile_all)
-    {
-        Ok(jobs) => jobs,
-        Err(response) => return response,
-    };
-    let _permit = match admit(ctx, &jobs) {
-        Ok(permit) => permit,
-        Err(response) => return response,
-    };
-    hold_if_asked(&req.jobs, ctx, cancel);
-    let stop = StopSignal::never().with_cancel(cancel.clone());
     let mut body = String::new();
     if req.format == Format::Csv {
         body.push_str(PARETO_CSV_HEADER);
         body.push('\n');
     }
-    for (pipeline, job) in &jobs {
-        let front = match pipeline.pareto_restricted(job, &options, &stop) {
+    for (pipeline, job) in &run.jobs {
+        let front = match pipeline.pareto_restricted(job, &run.options, &run.stop) {
             Ok(front) => front,
             Err(e) => return Response::Error(e.to_string()),
         };
