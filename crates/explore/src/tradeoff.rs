@@ -10,10 +10,12 @@
 //! move fewer ("few large speed-ups"). The sweep makes the crossover
 //! visible.
 
+use crate::flow::Fetched;
+use lycos_core::RMap;
 use lycos_core::Restrictions;
 use lycos_hwlib::{Area, HwLibrary};
 use lycos_ir::BsbArray;
-use lycos_pace::{partition, search_space, PaceConfig, PaceError};
+use lycos_pace::{search_space, PaceConfig, PaceError};
 
 /// One bucket of the Figure 3 sweep.
 #[derive(Clone, Debug, PartialEq)]
@@ -33,7 +35,9 @@ pub struct TradeoffPoint {
 }
 
 /// Sweeps every allocation within `restrictions`, bucketed into
-/// `buckets` equal ranges of data-path fraction.
+/// `buckets` equal ranges of data-path fraction. Every allocation is
+/// partitioned over one artifact set, so each block projection is
+/// scheduled once for the whole sweep.
 ///
 /// # Errors
 ///
@@ -52,6 +56,7 @@ pub fn tradeoff_sweep(
 ) -> Result<Vec<TradeoffPoint>, PaceError> {
     assert!(buckets > 0, "need at least one bucket");
     let dims = search_space(restrictions);
+    let mut eval = Fetched::new(bsbs, lib, restrictions, pace, None)?;
     let mut points: Vec<TradeoffPoint> = (0..buckets)
         .map(|i| TradeoffPoint {
             dp_fraction_lo: i as f64 / buckets as f64,
@@ -66,7 +71,7 @@ pub fn tradeoff_sweep(
     // Odometer over the space, including the all-zero point.
     let mut counts = vec![0u32; dims.len()];
     loop {
-        let candidate: lycos_core::RMap = dims
+        let candidate: RMap = dims
             .iter()
             .zip(&counts)
             .map(|(&(fu, _), &c)| (fu, c))
@@ -75,7 +80,7 @@ pub fn tradeoff_sweep(
         if dp <= total_area {
             let frac = dp.fraction_of(total_area);
             let idx = ((frac * buckets as f64) as usize).min(buckets - 1);
-            let p = partition(bsbs, lib, &candidate, total_area, pace)?;
+            let p = eval.partition(bsbs, lib, &candidate, total_area, pace)?;
             let point = &mut points[idx];
             point.allocations += 1;
             let su = p.speedup_pct();

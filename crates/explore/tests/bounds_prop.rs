@@ -2,10 +2,11 @@
 //!
 //! For any synthetic application over a small allocation space:
 //!
-//! * **Admissibility** — every prefix bound of [`SearchBounds`]
-//!   (any level, any fixed digits) is ≤ the true PACE time of every
-//!   allocation consistent with that prefix — in particular, the
-//!   relaxed bound never exceeds the exhaustive optimum's time.
+//! * **Admissibility** — every prefix bound of the artifacts' bound
+//!   tables ([`lycos_pace::SearchBounds`], any level, any fixed
+//!   digits) is ≤ the true PACE time of every allocation consistent
+//!   with that prefix — in particular, the relaxed bound never exceeds
+//!   the exhaustive optimum's time.
 //! * **Field-exactness** — `search_best` with `bound: true` returns
 //!   exactly the exhaustive walk's winner (allocation, partition,
 //!   time, area — the full `(time, area)` tie-break), at any thread
@@ -18,7 +19,7 @@ use lycos_explore::SyntheticSpec;
 use lycos_hwlib::{Area, HwLibrary};
 use lycos_ir::OpKind;
 use lycos_pace::{
-    exhaustive_best, search_best, search_space, PaceConfig, SearchBounds, SearchOptions,
+    exhaustive_best, search_best, PaceConfig, SearchArtifacts, SearchOptions, StopSignal,
 };
 use proptest::prelude::*;
 
@@ -67,24 +68,35 @@ fn dp_time(
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(16))]
+    #![proptest_config(ProptestConfig::with_cases(32))]
 
-    /// Every prefix bound is ≤ the DP time of every consistent
-    /// allocation; the relaxed bound is ≤ the optimum.
+    /// Every prefix bound of the artifacts' (communication-floored)
+    /// tables is ≤ the DP time of every consistent allocation — on the
+    /// plain synthetic spec and on the hardness profiles (wide read
+    /// fans, software barriers, flat plateaus) — and the relaxed bound
+    /// is ≤ the optimum.
     #[test]
     fn prefix_bounds_are_admissible(
         seed in 0u64..512,
+        which in 0usize..3,
         blocks in 1usize..6,
         max_ops in 1usize..4,
         extra_area in 0u64..6_000,
     ) {
-        let app = spec(blocks, max_ops).generate(seed);
+        let app = match which {
+            0 => spec(blocks, max_ops).generate(seed),
+            _ => hardness_profile(which - 1, blocks.clamp(2, 4)).generate(seed),
+        };
         let lib = HwLibrary::standard();
         let config = PaceConfig::standard();
         let restr = Restrictions::from_asap(&app, &lib).unwrap();
-        let dims = search_space(&restr);
         let total = Area::new(1_000 + extra_area);
-        let bounds = SearchBounds::new(&app, &lib, &dims, &config).unwrap();
+        let artifacts = SearchArtifacts::prepare(&app, &lib, &restr, &config).unwrap();
+        let dims = artifacts.dims();
+        let bounds = artifacts
+            .bounds(&app, &lib, &StopSignal::never())
+            .unwrap()
+            .expect("a never-signal builds");
 
         let mut best_time = u64::MAX;
         let mut counts = vec![0u32; dims.len()];
@@ -101,8 +113,8 @@ proptest! {
                     let lb = bounds.prefix_bound(&counts, pos);
                     prop_assert!(
                         lb <= time,
-                        "level {} bound {} beats the DP time {} at {:?}",
-                        pos, lb, time, counts
+                        "app {} level {} bound {} beats the DP time {} at {:?}",
+                        which, pos, lb, time, counts
                     );
                 }
             }
@@ -125,70 +137,10 @@ proptest! {
             bounds.relaxed_bound(), best_time
         );
     }
+}
 
-    /// The communication-floored bounds stay admissible on the
-    /// hardness profiles (wide read fans, software barriers, flat
-    /// plateaus) — at every level, for every consistent allocation —
-    /// and never fall below the relaxed bounds they tighten.
-    #[test]
-    fn comm_floor_bounds_are_admissible_on_hardness_profiles(
-        seed in 0u64..512,
-        which in 0usize..2,
-        blocks in 2usize..5,
-        extra_area in 0u64..6_000,
-    ) {
-        let app = hardness_profile(which, blocks).generate(seed);
-        let lib = HwLibrary::standard();
-        let config = PaceConfig::standard();
-        let restr = Restrictions::from_asap(&app, &lib).unwrap();
-        let dims = search_space(&restr);
-        let total = Area::new(1_000 + extra_area);
-        let relaxed = SearchBounds::new(&app, &lib, &dims, &config).unwrap();
-        let comm = SearchBounds::with_comm_floor(&app, &lib, &dims, &config).unwrap();
-
-        let mut best_time = u64::MAX;
-        let mut counts = vec![0u32; dims.len()];
-        'space: loop {
-            let alloc: RMap = dims
-                .iter()
-                .zip(&counts)
-                .map(|(&(fu, _), &c)| (fu, c))
-                .collect();
-            if alloc.area(&lib) <= total {
-                let time = dp_time(&app, &lib, &alloc, total, &config);
-                best_time = best_time.min(time);
-                for pos in 0..=dims.len() {
-                    let lb = comm.prefix_bound(&counts, pos);
-                    prop_assert!(
-                        lb <= time,
-                        "profile {} level {} comm bound {} beats the DP time {} at {:?}",
-                        which, pos, lb, time, counts
-                    );
-                    prop_assert!(
-                        lb >= relaxed.prefix_bound(&counts, pos),
-                        "the comm floor never loosens the bound"
-                    );
-                }
-            }
-            let mut pos = 0;
-            loop {
-                if pos == dims.len() {
-                    break 'space;
-                }
-                counts[pos] += 1;
-                if counts[pos] <= dims[pos].1 {
-                    break;
-                }
-                counts[pos] = 0;
-                pos += 1;
-            }
-        }
-        prop_assert!(
-            comm.relaxed_bound() <= best_time,
-            "comm-floored relaxed bound {} beats the optimum {}",
-            comm.relaxed_bound(), best_time
-        );
-    }
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
 
     /// Branch-and-bound equals the exhaustive walk field-exactly,
     /// across thread counts.

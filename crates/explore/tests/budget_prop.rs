@@ -7,7 +7,7 @@
 //!
 //! * **Admissibility** — at every controller level `a` the relaxation's
 //!   bound at `a · quantum` gates is ≤ the DP's time under a controller
-//!   budget of `a` quanta, with and without communication floors;
+//!   budget of `a` quanta, with the artifacts' communication floors;
 //! * the one-pass level sweep agrees with the direct lookup;
 //! * at unbounded capacity the relaxation equals the tables' leaf
 //!   bound ([`SearchBounds::prefix_bound`] at level 0), so it is never
@@ -18,8 +18,8 @@ use lycos_explore::SyntheticSpec;
 use lycos_hwlib::{Area, FuId, HwLibrary};
 use lycos_ir::BsbArray;
 use lycos_pace::{
-    compute_metrics, partition_from_metrics, search_space, BudgetRelaxation, CommCosts, DpScratch,
-    PaceConfig, SearchBounds,
+    compute_metrics, partition_from_metrics, BudgetRelaxation, DpScratch, PaceConfig,
+    SearchArtifacts, StopSignal,
 };
 use proptest::prelude::*;
 
@@ -47,50 +47,46 @@ fn check_allocation(bsbs: &BsbArray, digits: &[u32], extra_quanta: u64, remainde
     let config = PaceConfig::standard();
     let q = config.quantum;
     let restr = Restrictions::from_asap(bsbs, &lib).unwrap();
-    let dims = search_space(&restr);
-    let tables = [
-        SearchBounds::new(bsbs, &lib, &dims, &config).unwrap(),
-        SearchBounds::with_comm_floor(bsbs, &lib, &dims, &config).unwrap(),
-    ];
-    let (counts, alloc) = allocation(&dims, digits);
+    let artifacts = SearchArtifacts::prepare(bsbs, &lib, &restr, &config).unwrap();
+    let bounds = artifacts
+        .bounds(bsbs, &lib, &StopSignal::never())
+        .unwrap()
+        .expect("a never-signal builds");
+    let (counts, alloc) = allocation(artifacts.dims(), digits);
     let datapath = alloc.area(&lib);
     let metrics = compute_metrics(bsbs, &lib, &alloc, &config).unwrap();
     let levels = extra_quanta as usize;
     // The DP's time at level `a` is its total under a controller
     // budget of `a` quanta.
-    let comm = CommCosts::priced(bsbs, &config.comm);
+    let comm = artifacts.comm();
     let mut scratch = DpScratch::new();
     let row: Vec<u64> = (0..=extra_quanta)
         .map(|a| {
             let ctl = Area::new(a * q + if a == extra_quanta { remainder } else { 0 });
-            partition_from_metrics(&metrics, &comm, &mut scratch, datapath, ctl, &config)
+            partition_from_metrics(&metrics, comm, &mut scratch, datapath, ctl, &config)
                 .total_time
                 .count()
         })
         .collect();
     let mut relax = BudgetRelaxation::new();
-    for (floored, bounds) in tables.iter().enumerate() {
-        relax.rebuild(&metrics, bounds.comm_floors());
-        for (a, lb) in relax.level_bounds(q, levels).enumerate() {
-            assert_eq!(lb, relax.lower_bound(a as u64 * q), "level {}", a);
-            assert!(
-                lb <= row[a],
-                "floors {}: level {} bound {} beats the DP time {} at {:?}",
-                floored,
-                a,
-                lb,
-                row[a],
-                counts
-            );
-        }
-        assert_eq!(
-            relax.lower_bound(u64::MAX),
-            bounds.prefix_bound(&counts, 0),
-            "floors {}: unbounded capacity is the leaf bound at {:?}",
-            floored,
+    relax.rebuild(&metrics, bounds.comm_floors());
+    for (a, lb) in relax.level_bounds(q, levels).enumerate() {
+        assert_eq!(lb, relax.lower_bound(a as u64 * q), "level {}", a);
+        assert!(
+            lb <= row[a],
+            "level {} bound {} beats the DP time {} at {:?}",
+            a,
+            lb,
+            row[a],
             counts
         );
     }
+    assert_eq!(
+        relax.lower_bound(u64::MAX),
+        bounds.prefix_bound(&counts, 0),
+        "unbounded capacity is the leaf bound at {:?}",
+        counts
+    );
 }
 
 proptest! {

@@ -15,7 +15,7 @@
 //!   consumed by
 //!   [`crate::search_best_with_stop`] / [`crate::search_pareto_with_stop`] /
 //!   [`crate::partition_with_artifacts`]. Bound tables stay lazy (built
-//!   on first bounded use); the traffic table is full from the start
+//!   on first bounded use, [`SearchArtifacts::bounds`]); the traffic table is full from the start
 //!   ([`CommCosts::priced`] prices every run in one pass, well under a
 //!   millisecond on the largest bundled app) and read-only, so every
 //!   engine borrows it and none ever prices a run itself.
@@ -57,6 +57,10 @@
 //!   filled or not; every other block starts with empty slots. No
 //!   communication floor enters a length, so this rule is simpler than
 //!   the bound tables'.
+//! * **Lowest digits** — each block's lowest odometer digit, which the
+//!   sweep's carry watermark is compared against — depend only on the
+//!   block's kinds and the dimensions, and are recomputed on every
+//!   build in one pass over the statics.
 //! * **Traffic table** ([`CommCosts`]) prices runs over the whole block
 //!   sequence — reused wholesale iff no block's I/O content
 //!   (reads/writes/profile) changed and the block count is unchanged;
@@ -84,7 +88,7 @@ use crate::comm::CommCosts;
 use crate::config::PaceConfig;
 use crate::error::PaceError;
 use crate::exhaustive::{search_space, space_size};
-use crate::metrics::{block_statics, BsbStatics, ScheduleTable};
+use crate::metrics::{block_statics, lowest_digit, BsbStatics, ScheduleTable};
 use crate::search::StoredFront;
 use crate::stop::StopSignal;
 use crate::{BsbMetrics, DpScratch, MetricsCache, SearchResult};
@@ -389,6 +393,10 @@ impl BlockKey {
 pub struct SearchArtifacts {
     key: ArtifactKey,
     pub(crate) statics: Arc<[BsbStatics]>,
+    /// Per block, the lowest odometer digit holding one of its kinds
+    /// ([`lowest_digit`]): a walk step re-derives the block's metrics
+    /// exactly when its carry reaches that digit.
+    pub(crate) lowest_digits: Arc<[usize]>,
     /// Every block's list-schedule length per projection, filled on
     /// first use and read by the bound tables, every sweep worker and
     /// every request over these artifacts.
@@ -583,10 +591,15 @@ impl SearchArtifacts {
         // donor's slots, filled or not.
         let schedules =
             ScheduleTable::new(&statics, &dims, donor.map(|d| (&d.schedules, &matched[..])));
+        let lowest_digits = statics
+            .iter()
+            .map(|stat| lowest_digit(stat, &dims))
+            .collect();
 
         let artifacts = SearchArtifacts {
             key,
             statics: statics.into(),
+            lowest_digits,
             schedules,
             comm,
             dims,
@@ -698,16 +711,19 @@ impl SearchArtifacts {
         MetricsCache::from_artifacts(bsbs, lib, config, self).metrics(allocation)
     }
 
-    /// The admissible bound tables, with the communication floor
-    /// folded in, built on first use and shared afterwards — seeded
-    /// from this artifact set's traffic table. The build polls `stop`
-    /// between blocks; `Ok(None)` means it tripped, and nothing was
-    /// cached (the next caller builds from scratch).
+    /// The admissible bound tables of a bounded search over these
+    /// artifacts, built on first use and shared afterwards. They read
+    /// and fill the artifacts' schedule table, and fold in the
+    /// communication floor priced off the artifacts' own traffic
+    /// table. The build polls `stop` between blocks; `Ok(None)` means
+    /// it tripped, and nothing was cached (the next caller builds from
+    /// scratch).
     ///
     /// # Errors
     ///
-    /// [`PaceError::Hw`] from the per-block projection enumeration.
-    pub(crate) fn bounds_for(
+    /// [`PaceError::Sched`] if a block cannot be list-scheduled under
+    /// one of its projections.
+    pub fn bounds(
         &self,
         bsbs: &BsbArray,
         lib: &HwLibrary,
@@ -722,7 +738,7 @@ impl SearchArtifacts {
             &self.dims,
             &self.statics,
             &self.schedules,
-            Some(&self.comm),
+            &self.comm,
             stop,
         )?
         else {
@@ -1413,7 +1429,7 @@ mod tests {
         let restr = Restrictions::from_asap(&bsbs, &lib).unwrap();
         let artifacts = SearchArtifacts::prepare(&bsbs, &lib, &restr, &config).unwrap();
         let cancelled = StopSignal::never().with_cancel(Arc::new(AtomicBool::new(true)));
-        let stopped = artifacts.bounds_for(&bsbs, &lib, &cancelled);
+        let stopped = artifacts.bounds(&bsbs, &lib, &cancelled);
         assert!(
             stopped.unwrap().is_none(),
             "the build stops at its first poll"
@@ -1423,11 +1439,13 @@ mod tests {
             "no partial table is cached"
         );
         // The next caller builds the full tables from scratch.
+        let never = StopSignal::never();
         let built = artifacts
-            .bounds_for(&bsbs, &lib, &StopSignal::never())
+            .bounds(&bsbs, &lib, &never)
             .unwrap()
             .expect("a never-signal builds");
-        let fresh = SearchBounds::with_comm_floor(&bsbs, &lib, artifacts.dims(), &config).unwrap();
+        let other = SearchArtifacts::prepare(&bsbs, &lib, &restr, &config).unwrap();
+        let fresh = other.bounds(&bsbs, &lib, &never).unwrap().unwrap();
         assert_eq!(built.relaxed_bound(), fresh.relaxed_bound());
         assert_eq!(built.comm_floors(), fresh.comm_floors());
     }

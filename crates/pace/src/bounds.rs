@@ -43,10 +43,9 @@
 //! # Communication floors
 //!
 //! Flooring communication at zero is admissible but loose on
-//! applications whose runs pay real bus traffic.
-//! [`SearchBounds::with_comm_floor`] tightens every hardware
-//! contribution to `hw_b + floor_b`, where `floor_b` is the
-//! [`crate::comm`] *segmented floor*: the minimum per-block share of
+//! applications whose runs pay real bus traffic, so the tables carry
+//! every hardware contribution as `hw_b + floor_b`, where `floor_b` is
+//! the [`crate::comm`] *segmented floor*: the minimum per-block share of
 //! any run that could contain `b`, restricted to `b`'s maximal
 //! segment of blocks that are hardware-feasible *somewhere* in the
 //! space — runs the DP can actually form never span a block that is
@@ -87,11 +86,11 @@
 //! the relaxation is never weaker than the leaf check it follows.
 
 use crate::comm::{comm_floors, CommCosts};
-use crate::metrics::{bsb_statics, BsbMetrics, BsbStatics, ScheduleTable};
+use crate::metrics::{BsbMetrics, BsbStatics, ScheduleTable};
 use crate::stop::StopSignal;
-use crate::{PaceConfig, PaceError};
+use crate::PaceError;
 use lycos_core::kind_positions;
-use lycos_hwlib::{CommModel, Cycles, FuId, HwLibrary};
+use lycos_hwlib::{Cycles, FuId, HwLibrary};
 use lycos_ir::{Bsb, BsbArray};
 
 /// Sentinel for a projection that cannot execute its block.
@@ -111,7 +110,7 @@ struct BlockBound {
     /// Executions per application run: hardware time is
     /// `length × profile`.
     profile: u64,
-    /// The block's communication floor (0 when none was requested).
+    /// The block's communication floor.
     floor: u64,
     /// Per count of the most-significant kind: minimum hardware time
     /// over all feasible projections holding that count. Empty when
@@ -198,7 +197,7 @@ impl BlockBound {
 
 /// Once-per-artifact-set admissible bound tables over an allocation space —
 /// see the module docs for the construction and the admissibility
-/// argument.
+/// argument. Built by [`crate::SearchArtifacts::bounds`].
 ///
 /// # Examples
 ///
@@ -206,7 +205,7 @@ impl BlockBound {
 /// use lycos_core::Restrictions;
 /// use lycos_hwlib::{Area, HwLibrary};
 /// use lycos_ir::{extract_bsbs, Cdfg, CdfgNode, DfgBuilder, OpKind, TripCount};
-/// use lycos_pace::{exhaustive_best, search_space, PaceConfig, SearchBounds};
+/// use lycos_pace::{exhaustive_best, PaceConfig, SearchArtifacts, StopSignal};
 ///
 /// let mut b = DfgBuilder::new();
 /// let m = b.binary(OpKind::Mul, "a".into(), "b".into());
@@ -224,9 +223,11 @@ impl BlockBound {
 /// let lib = HwLibrary::standard();
 /// let restr = Restrictions::from_asap(&bsbs, &lib)?;
 /// let config = PaceConfig::standard();
-/// let dims = search_space(&restr);
 ///
-/// let bounds = SearchBounds::new(&bsbs, &lib, &dims, &config)?;
+/// let artifacts = SearchArtifacts::prepare(&bsbs, &lib, &restr, &config)?;
+/// let bounds = artifacts
+///     .bounds(&bsbs, &lib, &StopSignal::never())?
+///     .expect("a never-signal cannot stop the build");
 /// let best = exhaustive_best(&bsbs, &lib, Area::new(6000), &restr, &config, None)?;
 /// // Admissible: no allocation can beat the relaxed floor.
 /// assert!(bounds.relaxed_bound() <= best.best_partition.total_time.count());
@@ -242,8 +243,7 @@ pub struct SearchBounds {
     marginal_at: Vec<Vec<usize>>,
     /// Σ relaxed contributions — the bound with nothing fixed.
     relaxed_total: u64,
-    /// The per-block communication floor each table was built with
-    /// (all zeros without a comm model).
+    /// The per-block communication floor each table was built with.
     floors: Vec<u64>,
     /// The schedule lengths behind every exact contribution, shared
     /// with the artifacts the tables were built over.
@@ -253,70 +253,11 @@ pub struct SearchBounds {
 
 impl SearchBounds {
     /// Builds the bound tables for `bsbs` over the allocation space
-    /// spanned by `dims` (from [`crate::search_space`]).
-    ///
-    /// # Errors
-    ///
-    /// [`PaceError::Hw`] / [`PaceError::Sched`] exactly where
-    /// [`crate::compute_metrics`] would fail on the same application.
-    pub fn new(
-        bsbs: &BsbArray,
-        lib: &HwLibrary,
-        dims: &[(FuId, u32)],
-        config: &PaceConfig,
-    ) -> Result<Self, PaceError> {
-        Self::standalone(bsbs, lib, dims, config, None)
-    }
-
-    /// [`SearchBounds::new`] with the admissible communication floor
-    /// folded in: every hardware contribution additionally carries the
-    /// minimum run-communication share the block cannot avoid (see the
-    /// module docs). Strictly at least as tight as [`SearchBounds::new`]
-    /// and still admissible — software contributions are unchanged.
-    ///
-    /// # Errors
-    ///
-    /// As [`SearchBounds::new`].
-    pub fn with_comm_floor(
-        bsbs: &BsbArray,
-        lib: &HwLibrary,
-        dims: &[(FuId, u32)],
-        config: &PaceConfig,
-    ) -> Result<Self, PaceError> {
-        Self::standalone(bsbs, lib, dims, config, Some(&config.comm))
-    }
-
-    /// The two public builds: fresh statics, schedule table and
-    /// (with a floor) full traffic table, nothing to stop them.
-    fn standalone(
-        bsbs: &BsbArray,
-        lib: &HwLibrary,
-        dims: &[(FuId, u32)],
-        config: &PaceConfig,
-        comm: Option<&CommModel>,
-    ) -> Result<Self, PaceError> {
-        let statics = bsb_statics(bsbs, lib, config)?;
-        let schedules = ScheduleTable::new(&statics, dims, None);
-        let costs = comm.map(|model| CommCosts::priced(bsbs, model));
-        let never = StopSignal::never();
-        let built = Self::from_statics(
-            bsbs,
-            lib,
-            dims,
-            &statics,
-            &schedules,
-            costs.as_ref(),
-            &never,
-        )?;
-        Ok(built.expect("a never-signal cannot stop the build"))
-    }
-
-    /// [`SearchBounds::new`] over statics and a schedule table already
-    /// built elsewhere — the artifact seam derives them once for the
-    /// whole sweep, and the tables read every length from
-    /// `schedules`, filling what is missing. A traffic table (the
-    /// artifacts' own, so the floors and the DP price runs off the
-    /// same entries) folds the communication floor into the tables.
+    /// spanned by `dims`, from the statics, schedule table and traffic
+    /// table of one artifact set ([`crate::SearchArtifacts::bounds`]).
+    /// The tables read every length from `schedules`, filling what is
+    /// missing, and fold in the communication floor priced off `comm`,
+    /// so the floors and the DP price runs off the same entries.
     ///
     /// The per-block tables run list schedules for every projection a
     /// block's slots do not hold yet, so `stop` is polled between
@@ -328,7 +269,7 @@ impl SearchBounds {
         dims: &[(FuId, u32)],
         statics: &[BsbStatics],
         schedules: &ScheduleTable,
-        comm: Option<&CommCosts>,
+        comm: &CommCosts,
         stop: &StopSignal,
     ) -> Result<Option<Self>, PaceError> {
         let dim_fus: Vec<FuId> = dims.iter().map(|&(fu, _)| fu).collect();
@@ -383,9 +324,9 @@ impl SearchBounds {
         self.relaxed_total
     }
 
-    /// The per-block communication floors folded into the tables (all
-    /// zeros for [`SearchBounds::new`]) — the `floor_b` a
-    /// [`BudgetRelaxation`] subtracts from each block's saving.
+    /// The per-block communication floors folded into the tables — the
+    /// `floor_b` a [`BudgetRelaxation`] subtracts from each block's
+    /// saving.
     pub fn comm_floors(&self) -> &[u64] {
         &self.floors
     }
@@ -554,7 +495,7 @@ fn floors_for(
     dims: &[(FuId, u32)],
     dim_fus: &[FuId],
     statics: &[BsbStatics],
-    comm: Option<&CommCosts>,
+    comm: &CommCosts,
 ) -> Vec<u64> {
     // Static barriers — blocks hardware-infeasible under EVERY
     // allocation of this space (immovable, a kind outside the
@@ -576,10 +517,7 @@ fn floors_for(
             }
         })
         .collect();
-    match comm {
-        Some(costs) => comm_floors(&barrier, costs),
-        None => vec![0u64; statics.len()],
-    }
+    comm_floors(&barrier, comm)
 }
 
 /// Builds one block's bound tables from the block's content (DFG and
@@ -652,22 +590,32 @@ fn block_bound(
 }
 
 /// Incrementally-maintained per-level bounds of one branch-and-bound
-/// walk: `lb[pos]` is [`SearchBounds::prefix_bound`] at `pos` for the
-/// walk's current digits, re-derived lazily from the level above after
-/// each carry.
+/// walk over the tables it borrows: `lb[pos]` is
+/// [`SearchBounds::prefix_bound`] at `pos` for the walk's current
+/// digits, re-derived lazily from the level above after each carry.
 #[derive(Clone, Debug)]
-pub(crate) struct LevelState {
+pub(crate) struct LevelState<'a> {
+    bounds: &'a SearchBounds,
     lb: Vec<u64>,
     /// Levels `>= valid_from` hold current values.
     valid_from: usize,
 }
 
-impl LevelState {
-    pub(crate) fn new(bounds: &SearchBounds) -> Self {
+impl<'a> LevelState<'a> {
+    pub(crate) fn new(bounds: &'a SearchBounds) -> Self {
         let n = bounds.dims_len;
         let mut lb = vec![0; n + 1];
         lb[n] = bounds.relaxed_total;
-        LevelState { lb, valid_from: n }
+        LevelState {
+            bounds,
+            lb,
+            valid_from: n,
+        }
+    }
+
+    /// The tables the chain reads.
+    pub(crate) fn bounds(&self) -> &'a SearchBounds {
+        self.bounds
     }
 
     /// The walk changed digits at positions `..=pos`: every level at
@@ -677,18 +625,12 @@ impl LevelState {
         self.valid_from = self.valid_from.max(pos + 1).min(self.lb.len() - 1);
     }
 
-    /// Every digit may have changed — a work-stealing worker jumping
-    /// to a fresh odometer chunk. Only the (digit-independent) top
-    /// level survives.
-    pub(crate) fn invalidate_all(&mut self) {
-        self.valid_from = self.lb.len() - 1;
-    }
-
     /// The bound at `pos` for the current `counts`, re-deriving stale
     /// levels top-down. Each level adjusts only the blocks whose
     /// contribution class changes there, so a full walk costs O(class
     /// changes), not O(levels × blocks).
-    pub(crate) fn bound_at(&mut self, bounds: &SearchBounds, pos: usize, counts: &[u32]) -> u64 {
+    pub(crate) fn bound_at(&mut self, pos: usize, counts: &[u32]) -> u64 {
+        let bounds = self.bounds;
         while self.valid_from > pos {
             let q = self.valid_from - 1;
             let mut v = self.lb[q + 1];
@@ -719,7 +661,9 @@ impl LevelState {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{compute_metrics, partition_from_metrics, search_space, CommCosts, DpScratch};
+    use crate::{
+        compute_metrics, partition_from_metrics, CommCosts, DpScratch, PaceConfig, SearchArtifacts,
+    };
     use lycos_core::{RMap, Restrictions};
     use lycos_hwlib::Area;
     use lycos_ir::{Bsb, BsbId, BsbOrigin, Dfg, OpKind};
@@ -773,6 +717,25 @@ mod tests {
             .count()
     }
 
+    /// The bound tables of `bsbs` over `restr`, built through the
+    /// artifacts a bounded search reads them from, and the space's
+    /// dimensions.
+    fn tables(bsbs: &BsbArray, restr: &Restrictions) -> (SearchBounds, Vec<(FuId, u32)>) {
+        let lib = lib();
+        let artifacts =
+            SearchArtifacts::prepare(bsbs, &lib, restr, &PaceConfig::standard()).unwrap();
+        let bounds = artifacts
+            .bounds(bsbs, &lib, &StopSignal::never())
+            .unwrap()
+            .expect("a never-signal builds");
+        (bounds.clone(), artifacts.dims().to_vec())
+    }
+
+    /// [`tables`] over the application's ASAP restrictions.
+    fn asap_tables(bsbs: &BsbArray) -> (SearchBounds, Vec<(FuId, u32)>) {
+        tables(bsbs, &Restrictions::from_asap(bsbs, &lib()).unwrap())
+    }
+
     /// Walks every allocation of the space, returning `(counts, time)`
     /// pairs (skipping area-infeasible points).
     fn all_times(
@@ -811,14 +774,12 @@ mod tests {
     fn every_prefix_bound_is_admissible() {
         // For every point and every level: the bound with positions
         // `pos..` fixed must not exceed the time of ANY allocation
-        // sharing those fixed counts.
+        // sharing those fixed counts — communication included
+        // (`dp_time` charges the full run traffic).
         let bsbs = app();
         let lib = lib();
-        let cfg = PaceConfig::standard();
-        let restr = Restrictions::from_asap(&bsbs, &lib).unwrap();
-        let dims = search_space(&restr);
+        let (bounds, dims) = asap_tables(&bsbs);
         let total = Area::new(9_000);
-        let bounds = SearchBounds::new(&bsbs, &lib, &dims, &cfg).unwrap();
         let times = all_times(&bsbs, &lib, &dims, total);
         assert!(!times.is_empty());
         for (counts, time) in &times {
@@ -841,11 +802,8 @@ mod tests {
         // time IS min(sw, hw), so the level-0 bound must be exact.
         let bsbs = BsbArray::from_bsbs("t", vec![bsb(0, OpKind::Add, 4, 1000, &[], &[])]);
         let lib = lib();
-        let cfg = PaceConfig::standard();
-        let restr = Restrictions::from_asap(&bsbs, &lib).unwrap();
-        let dims = search_space(&restr);
+        let (bounds, dims) = asap_tables(&bsbs);
         let total = Area::new(100_000);
-        let bounds = SearchBounds::new(&bsbs, &lib, &dims, &cfg).unwrap();
         for (counts, time) in all_times(&bsbs, &lib, &dims, total) {
             assert_eq!(bounds.prefix_bound(&counts, 0), time, "at {counts:?}");
         }
@@ -855,18 +813,16 @@ mod tests {
     fn level_state_matches_the_reference_recompute() {
         // Walk the space in odometer order with the incremental chain
         // and compare every level against the direct prefix_bound.
+        // The floors are per-block constants, so every class
+        // transition still only tightens.
         let bsbs = app();
-        let lib = lib();
-        let cfg = PaceConfig::standard();
-        let restr = Restrictions::from_asap(&bsbs, &lib).unwrap();
-        let dims = search_space(&restr);
-        let bounds = SearchBounds::new(&bsbs, &lib, &dims, &cfg).unwrap();
+        let (bounds, dims) = asap_tables(&bsbs);
         let mut state = LevelState::new(&bounds);
         let mut counts = vec![0u32; dims.len()];
         loop {
             for pos in 0..=dims.len() {
                 assert_eq!(
-                    state.bound_at(&bounds, pos, &counts),
+                    state.bound_at(pos, &counts),
                     bounds.prefix_bound(&counts, pos),
                     "level {pos} at {counts:?}"
                 );
@@ -894,9 +850,7 @@ mod tests {
         let bsbs = app();
         let lib = lib();
         let cfg = PaceConfig::standard();
-        let restr = Restrictions::from_asap(&bsbs, &lib).unwrap();
-        let dims = search_space(&restr);
-        let bounds = SearchBounds::new(&bsbs, &lib, &dims, &cfg).unwrap();
+        let (bounds, dims) = asap_tables(&bsbs);
         let div = lib.fu_for(OpKind::Div).unwrap();
         let div_pos = dims.iter().position(|&(fu, _)| fu == div).unwrap();
         // All caps at maximum except the divider at zero, fixed from
@@ -936,24 +890,18 @@ mod tests {
             "t",
             vec![
                 bsb(0, OpKind::Add, 2, 100, &[], &[]),
-                Bsb {
-                    id: BsbId(1),
-                    name: "empty".into(),
-                    dfg: Dfg::new(),
-                    reads: BTreeSet::new(),
-                    writes: BTreeSet::new(),
-                    profile: 9,
-                    origin: BsbOrigin::Body,
-                },
+                bsb(1, OpKind::Add, 0, 9, &[], &[]), // empty
                 bsb(2, OpKind::Div, 1, 30, &[], &[]),
             ],
         );
         let lib = lib();
         let cfg = PaceConfig::standard();
         let adder = lib.fu_for(OpKind::Add).unwrap();
-        // Dimension list without the divider: block 2 can never move.
-        let dims = vec![(adder, 2u32)];
-        let bounds = SearchBounds::new(&bsbs, &lib, &dims, &cfg).unwrap();
+        // The divider capped at zero: block 2 can never move.
+        let mut restr = Restrictions::from_asap(&bsbs, &lib).unwrap();
+        restr.tighten(lib.fu_for(OpKind::Div).unwrap(), 0);
+        let (bounds, dims) = tables(&bsbs, &restr);
+        assert_eq!(dims, vec![(adder, 2u32)]);
         let metrics = compute_metrics(&bsbs, &lib, &RMap::new(), &cfg).unwrap();
         let sw_div = metrics[2].sw_time.count();
         assert!(sw_div > 0);
@@ -974,38 +922,6 @@ mod tests {
     }
 
     #[test]
-    fn comm_floor_bounds_stay_admissible() {
-        // The tightened constructor must still never beat the DP time
-        // of any consistent allocation, at any level — communication
-        // included (dp_time charges the full run comm).
-        let bsbs = app();
-        let lib = lib();
-        let cfg = PaceConfig::standard();
-        let restr = Restrictions::from_asap(&bsbs, &lib).unwrap();
-        let dims = search_space(&restr);
-        let total = Area::new(9_000);
-        let relaxed = SearchBounds::new(&bsbs, &lib, &dims, &cfg).unwrap();
-        let comm = SearchBounds::with_comm_floor(&bsbs, &lib, &dims, &cfg).unwrap();
-        let times = all_times(&bsbs, &lib, &dims, total);
-        assert!(!times.is_empty());
-        for (counts, time) in &times {
-            for pos in 0..=dims.len() {
-                let lb = comm.prefix_bound(counts, pos);
-                assert!(
-                    lb <= *time,
-                    "level {pos} comm bound {lb} beats the DP time {time} at {counts:?}"
-                );
-                assert!(
-                    lb >= relaxed.prefix_bound(counts, pos),
-                    "the comm floor never loosens the bound"
-                );
-            }
-        }
-        let best = times.iter().map(|&(_, t)| t).min().unwrap();
-        assert!(comm.relaxed_bound() <= best);
-    }
-
-    #[test]
     fn comm_floor_tightens_across_barriers() {
         // An immovable block splits the app into two segments whose
         // single-block runs pay real traffic — the whole-application
@@ -1014,72 +930,22 @@ mod tests {
             "t",
             vec![
                 bsb(0, OpKind::Add, 6, 400, &[], &["x"]),
-                Bsb {
-                    id: BsbId(1),
-                    name: "barrier".into(),
-                    dfg: Dfg::new(),
-                    reads: BTreeSet::new(),
-                    writes: BTreeSet::new(),
-                    profile: 1,
-                    origin: BsbOrigin::Body,
-                },
+                bsb(1, OpKind::Add, 0, 1, &[], &[]), // empty: a barrier
                 bsb(2, OpKind::Add, 6, 400, &["x"], &[]),
             ],
         );
         let lib = lib();
-        let cfg = PaceConfig::standard();
-        let restr = Restrictions::from_asap(&bsbs, &lib).unwrap();
-        let dims = search_space(&restr);
-        let relaxed = SearchBounds::new(&bsbs, &lib, &dims, &cfg).unwrap();
-        let comm = SearchBounds::with_comm_floor(&bsbs, &lib, &dims, &cfg).unwrap();
+        let (bounds, dims) = asap_tables(&bsbs);
+        let floors = bounds.comm_floors();
         assert!(
-            comm.relaxed_bound() > relaxed.relaxed_bound(),
-            "cross-barrier traffic must tighten the floor ({} vs {})",
-            comm.relaxed_bound(),
-            relaxed.relaxed_bound()
+            floors[0] > 0 && floors[2] > 0,
+            "cross-barrier traffic must floor both segments ({floors:?})"
         );
-        // And tightened is still admissible on this app.
+        // And the floored tables are still admissible on this app.
         let total = Area::new(9_000);
         for (counts, time) in all_times(&bsbs, &lib, &dims, total) {
             for pos in 0..=dims.len() {
-                assert!(comm.prefix_bound(&counts, pos) <= time, "at {counts:?}");
-            }
-        }
-    }
-
-    #[test]
-    fn level_state_matches_the_reference_under_comm_floors() {
-        // The incremental chain re-derives the comm-floored bounds
-        // exactly (floors are per-block constants, so every class
-        // transition still only tightens).
-        let bsbs = app();
-        let lib = lib();
-        let cfg = PaceConfig::standard();
-        let restr = Restrictions::from_asap(&bsbs, &lib).unwrap();
-        let dims = search_space(&restr);
-        let bounds = SearchBounds::with_comm_floor(&bsbs, &lib, &dims, &cfg).unwrap();
-        let mut state = LevelState::new(&bounds);
-        let mut counts = vec![0u32; dims.len()];
-        loop {
-            for pos in 0..=dims.len() {
-                assert_eq!(
-                    state.bound_at(&bounds, pos, &counts),
-                    bounds.prefix_bound(&counts, pos),
-                    "level {pos} at {counts:?}"
-                );
-            }
-            let mut pos = 0;
-            loop {
-                if pos == dims.len() {
-                    return;
-                }
-                counts[pos] += 1;
-                state.invalidate_upto(pos);
-                if counts[pos] <= dims[pos].1 {
-                    break;
-                }
-                counts[pos] = 0;
-                pos += 1;
+                assert!(bounds.prefix_bound(&counts, pos) <= time, "at {counts:?}");
             }
         }
     }
@@ -1165,21 +1031,15 @@ mod tests {
 
     #[test]
     fn budget_relaxation_is_admissible_at_every_level() {
-        // Every allocation of the test app, with and without comm
-        // floors: the bound at `a` quanta never beats the DP's time at
+        // Every allocation of the test app: the bound at `a` quanta never beats the DP's time at
         // controller level `a`, the monotone pass agrees with the direct
         // lookup, and at unbounded capacity the relaxation is exactly
         // the tables' leaf bound.
         let bsbs = app();
         let lib = lib();
         let cfg = PaceConfig::standard();
-        let restr = Restrictions::from_asap(&bsbs, &lib).unwrap();
-        let dims = search_space(&restr);
+        let (bounds, dims) = asap_tables(&bsbs);
         let total = Area::new(9_000);
-        let tables = [
-            SearchBounds::new(&bsbs, &lib, &dims, &cfg).unwrap(),
-            SearchBounds::with_comm_floor(&bsbs, &lib, &dims, &cfg).unwrap(),
-        ];
         let mut scratch = DpScratch::new();
         let comm = CommCosts::priced(&bsbs, &cfg.comm);
         let mut relax = BudgetRelaxation::new();
@@ -1196,18 +1056,16 @@ mod tests {
                 let metrics = compute_metrics(&bsbs, &lib, &alloc, &cfg).unwrap();
                 let ctl = total.checked_sub(datapath).unwrap();
                 scratch.evaluate(&metrics, &comm, ctl, &cfg, &StopSignal::never());
-                for bounds in &tables {
-                    relax.rebuild(&metrics, bounds.comm_floors());
-                    for (a, lb) in relax
-                        .level_bounds(cfg.quantum, scratch.levels())
-                        .enumerate()
-                    {
-                        assert_eq!(lb, relax.lower_bound(a as u64 * cfg.quantum));
-                        let time = scratch.time_at_level(a);
-                        assert!(lb <= time, "level {a}: {lb} beats {time} at {counts:?}");
-                    }
-                    assert_eq!(relax.lower_bound(u64::MAX), bounds.prefix_bound(&counts, 0));
+                relax.rebuild(&metrics, bounds.comm_floors());
+                for (a, lb) in relax
+                    .level_bounds(cfg.quantum, scratch.levels())
+                    .enumerate()
+                {
+                    assert_eq!(lb, relax.lower_bound(a as u64 * cfg.quantum));
+                    let time = scratch.time_at_level(a);
+                    assert!(lb <= time, "level {a}: {lb} beats {time} at {counts:?}");
                 }
+                assert_eq!(relax.lower_bound(u64::MAX), bounds.prefix_bound(&counts, 0));
                 checked += 1;
             }
             let mut pos = 0;
@@ -1223,33 +1081,6 @@ mod tests {
                 counts[pos] = 0;
                 pos += 1;
             }
-        }
-    }
-
-    #[test]
-    fn invalidate_all_resets_the_chain_exactly() {
-        // A work-stealing worker jumps to an arbitrary chunk: after
-        // invalidate_all, every level must re-derive against the new
-        // digits with no residue from the old ones.
-        let bsbs = app();
-        let lib = lib();
-        let cfg = PaceConfig::standard();
-        let restr = Restrictions::from_asap(&bsbs, &lib).unwrap();
-        let dims = search_space(&restr);
-        let bounds = SearchBounds::with_comm_floor(&bsbs, &lib, &dims, &cfg).unwrap();
-        let mut state = LevelState::new(&bounds);
-        let zeros = vec![0u32; dims.len()];
-        for pos in 0..=dims.len() {
-            state.bound_at(&bounds, pos, &zeros); // warm the chain
-        }
-        let jump: Vec<u32> = dims.iter().map(|&(_, cap)| cap).collect();
-        state.invalidate_all();
-        for pos in 0..=dims.len() {
-            assert_eq!(
-                state.bound_at(&bounds, pos, &jump),
-                bounds.prefix_bound(&jump, pos),
-                "level {pos} after the jump"
-            );
         }
     }
 }

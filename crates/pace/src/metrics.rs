@@ -15,7 +15,6 @@ use lycos_core::{kind_positions, required_resources, RMap, Restrictions};
 use lycos_hwlib::{Area, Cycles, FuId, HwLibrary};
 use lycos_ir::{Bsb, BsbArray};
 use lycos_sched::{list_schedule, FuCounts};
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
 
@@ -302,6 +301,24 @@ fn block_radix(stat: &BsbStatics, dims: &[(FuId, u32)]) -> Option<Vec<u32>> {
     Some(positions.iter().map(|&p| dims[p].1 + 1).collect())
 }
 
+/// The dirty watermark of a from-scratch refresh: above every block's
+/// lowest digit, so [`MetricsCache::step_into`] re-derives every block
+/// — those no odometer digit reaches included.
+pub(crate) const FROM_SCRATCH: usize = usize::MAX;
+
+/// The lowest odometer digit (position in `dims`) holding one of the
+/// block's kinds: a walk step whose carry reaches that digit changes
+/// the block's projection, and no lower carry does. `dims.len()` when
+/// no kind of the block lies in the space (an immovable block, or one
+/// whose every kind is capped at zero), which no step ever reaches.
+pub(crate) fn lowest_digit(stat: &BsbStatics, dims: &[(FuId, u32)]) -> usize {
+    stat.kinds
+        .iter()
+        .filter_map(|&fu| dims.iter().position(|&(d, _)| d == fu))
+        .min()
+        .unwrap_or(dims.len())
+}
+
 /// Metrics of a block the allocation cannot (or need not) execute.
 pub(crate) fn infeasible_block_metrics(sw_time: Cycles) -> BsbMetrics {
     BsbMetrics {
@@ -378,9 +395,10 @@ pub(crate) fn metrics_from_statics(
 /// other worker and every later request; a standalone cache
 /// ([`MetricsCache::new`]) prepares its own artifacts over the
 /// application's ASAP restriction caps. The table does not ride
-/// [`crate::SearchOptions::warm`]: a filled slot changes no result. [`MetricsCache::step_into`] adds the
-/// incremental path a sweep lives on: only blocks touching a *dirty*
-/// kind are refreshed, through a per-kind → affected-block index.
+/// [`crate::SearchOptions::warm`]: a filled slot changes no result.
+/// A sweep worker refreshes its buffer incrementally instead: after an
+/// odometer step only the blocks holding a kind below the step's carry
+/// watermark are re-derived.
 ///
 /// # Examples
 ///
@@ -412,17 +430,13 @@ pub struct MetricsCache<'a> {
     bsbs: &'a BsbArray,
     lib: &'a HwLibrary,
     config: &'a PaceConfig,
-    // Handles to the artifacts' statics and shared schedule slots.
+    // Handles to the artifacts' statics, per-block lowest digits and
+    // shared schedule slots.
     statics: Arc<[BsbStatics]>,
+    lowest_digits: Arc<[usize]>,
     table: ScheduleTable,
     // Scratch projection: one count per kind of the block in hand.
     counts: Vec<u32>,
-    // Per-kind → affected-block index (built on the first step) plus
-    // generation stamps, so an incremental step touches exactly the
-    // dirty blocks.
-    by_kind: HashMap<FuId, Vec<usize>>,
-    touched: Vec<u64>,
-    generation: u64,
     hits: u64,
     misses: u64,
     fills: u64,
@@ -463,11 +477,9 @@ impl<'a> MetricsCache<'a> {
             lib,
             config,
             statics: Arc::clone(&artifacts.statics),
+            lowest_digits: Arc::clone(&artifacts.lowest_digits),
             table: artifacts.schedules().clone(),
             counts: Vec::new(),
-            by_kind: HashMap::new(),
-            touched: vec![0; bsbs.len()],
-            generation: 0,
             hits: 0,
             misses: 0,
             fills: 0,
@@ -483,35 +495,21 @@ impl<'a> MetricsCache<'a> {
     ///
     /// [`PaceError::Sched`] if a block's DFG cannot be scheduled at all.
     pub fn metrics(&mut self, allocation: &RMap) -> Result<Vec<BsbMetrics>, PaceError> {
-        let mut out = Vec::with_capacity(self.bsbs.len());
-        self.metrics_into(allocation, &mut out)?;
+        let mut out = vec![infeasible_block_metrics(Cycles::ZERO); self.bsbs.len()];
+        self.step_into(allocation, FROM_SCRATCH, &mut out)?;
         Ok(out)
     }
 
-    /// [`MetricsCache::metrics`] into a caller-owned buffer (cleared
-    /// first) — the sweep's from-scratch path, refreshing every block.
-    ///
-    /// # Errors
-    ///
-    /// [`PaceError::Sched`] if a block's DFG cannot be scheduled at all.
-    pub fn metrics_into(
-        &mut self,
-        allocation: &RMap,
-        out: &mut Vec<BsbMetrics>,
-    ) -> Result<(), PaceError> {
-        out.clear();
-        out.resize(self.bsbs.len(), infeasible_block_metrics(Cycles::ZERO));
-        self.refresh(allocation, None, out)
-    }
-
     /// Incrementally refreshes `out` — a previous candidate's complete
-    /// metrics — for `allocation`, re-deriving only the blocks whose
-    /// kind sets intersect `dirty_kinds` (the unit kinds whose counts
-    /// changed since the metrics in `out` were computed). Untouched
-    /// blocks are reused as-is: their projections cannot have changed,
-    /// so their entries are still exactly what [`compute_metrics`]
-    /// would return. The dirty/clean split is counted by
-    /// [`MetricsCache::dirty_probes`] and [`MetricsCache::clean_reuses`].
+    /// metrics — for `allocation`, where only odometer digits below
+    /// the watermark `below` changed since the metrics in `out` were
+    /// computed. A block is re-derived when its lowest digit (see
+    /// [`lowest_digit`]) lies below the watermark; every other block's
+    /// projection is unchanged, so its entry is still exactly what
+    /// [`compute_metrics`] would return and is reused as-is.
+    /// [`FROM_SCRATCH`] re-derives every block. The dirty/clean split
+    /// is counted by [`MetricsCache::dirty_probes`] and
+    /// [`MetricsCache::clean_reuses`].
     ///
     /// # Errors
     ///
@@ -519,47 +517,16 @@ impl<'a> MetricsCache<'a> {
     ///
     /// # Panics
     ///
-    /// Panics if `out` does not hold one entry per block — the buffer
-    /// must come from an earlier [`MetricsCache::metrics_into`] /
-    /// `step_into` over the same application.
-    pub fn step_into(
+    /// Panics if `out` does not hold one entry per block.
+    pub(crate) fn step_into(
         &mut self,
         allocation: &RMap,
-        dirty_kinds: &[FuId],
+        below: usize,
         out: &mut [BsbMetrics],
     ) -> Result<(), PaceError> {
-        assert_eq!(
-            out.len(),
-            self.bsbs.len(),
-            "step_into refreshes a previous candidate's metrics"
-        );
-        if self.by_kind.is_empty() {
-            for (i, stat) in self.statics.iter().enumerate() {
-                for &fu in &stat.kinds {
-                    self.by_kind.entry(fu).or_default().push(i);
-                }
-            }
-        }
-        self.generation += 1;
-        for fu in dirty_kinds {
-            for &b in self.by_kind.get(fu).into_iter().flatten() {
-                self.touched[b] = self.generation;
-            }
-        }
-        self.refresh(allocation, Some(self.generation), out)
-    }
-
-    /// The shared refresh loop: `stamp == None` re-derives every block
-    /// (from-scratch), `Some(generation)` only the blocks a dirty kind
-    /// stamped.
-    fn refresh(
-        &mut self,
-        allocation: &RMap,
-        stamp: Option<u64>,
-        out: &mut [BsbMetrics],
-    ) -> Result<(), PaceError> {
+        assert_eq!(out.len(), self.bsbs.len(), "one metrics entry per block");
         for (b, (bsb, stat)) in self.bsbs.iter().zip(self.statics.iter()).enumerate() {
-            if stamp.is_some_and(|g| self.touched[b] != g) {
+            if self.lowest_digits[b] >= below {
                 self.clean_reuses += 1;
                 continue;
             }
@@ -614,7 +581,7 @@ impl<'a> MetricsCache<'a> {
         self.dirty_probes
     }
 
-    /// Block entries reused untouched by [`MetricsCache::step_into`].
+    /// Block entries an incremental refresh reused untouched.
     pub fn clean_reuses(&self) -> u64 {
         self.clean_reuses
     }

@@ -16,10 +16,13 @@
 //!   never depend on the allocation at all: the artifacts price every
 //!   run once ([`CommCosts`]), and every worker reads that one table.
 //! * **Incremental frontier metrics** — one odometer step changes one
-//!   (occasionally a few) unit-kind counts, so the sweep keeps a
-//!   per-kind → affected-block index and re-derives only the *dirty*
-//!   metrics entries ([`MetricsCache::step_into`]); clean blocks are
-//!   reused without even probing the memo. The dirty/clean split is
+//!   (occasionally a few) unit-kind counts, and every change is a
+//!   carry into the digits below some position. The sweep keeps one
+//!   carry watermark between refreshes and re-derives only the blocks
+//!   whose lowest digit lies below it ([`MetricsCache::step_into`]),
+//!   each block's lowest digit computed once per artifact set; clean
+//!   blocks are reused without even probing the memo. A jump to a
+//!   stolen chunk refreshes from scratch. The dirty/clean split is
 //!   reported as [`SearchStats::dirty_ratio`].
 //! * **Branch-and-bound** — with [`SearchOptions::bound`] on, the walk
 //!   skips whole odometer subtrees whose admissible lower bound
@@ -27,13 +30,14 @@
 //!   under the strict `(time, area)` improvement rule — including a
 //!   leaf-level check that spares the DP for individually hopeless
 //!   candidates. The bound folds in each block's admissible
-//!   communication floor ([`crate::SearchBounds::with_comm_floor`])
-//!   instead of relaxing all traffic to zero, pruning harder on
-//!   communication-dominated applications. After a surviving
-//!   candidate's metrics refresh, a fractional knapsack over its
-//!   blocks' controller areas ([`crate::BudgetRelaxation`]) puts the
-//!   controller budget back into the bound and spares the DP of
-//!   candidates whose data path leaves too little controller area
+//!   communication floor, priced off the artifacts' traffic table
+//!   ([`SearchArtifacts::bounds`]), instead of relaxing all traffic to
+//!   zero, pruning harder on communication-dominated applications.
+//!   After a surviving candidate's metrics refresh, a fractional
+//!   knapsack over its blocks' controller areas
+//!   ([`crate::BudgetRelaxation`]) puts the controller budget back
+//!   into the bound and spares the DP of candidates whose data path
+//!   leaves too little controller area
 //!   ([`Objective::prune_candidate`]). Workers share their best
 //!   `(time, area)` through an [`AtomicU64`]-packed incumbent so one
 //!   worker's early optimum tightens every other worker's bound;
@@ -140,6 +144,7 @@
 
 use crate::artifacts::{AnswerKey, SearchArtifacts, WarmSeed};
 use crate::bounds::{BudgetRelaxation, LevelState};
+use crate::metrics::{infeasible_block_metrics, FROM_SCRATCH};
 use crate::stop::{Completion, StopReason, StopSignal, STOP_CHECK_INTERVAL};
 use crate::{
     BsbMetrics, CommCosts, DpScratch, MetricsCache, PaceConfig, PaceError, Partition, SearchBounds,
@@ -187,13 +192,15 @@ pub struct SearchOptions {
     /// against its own incumbent and the result is unchanged — only
     /// the cross-worker prune assist is lost for such pairs.
     ///
-    /// The bound folds in the admissible communication floor
-    /// ([`crate::SearchBounds::with_comm_floor`]): blocks forced to
-    /// hardware carry their minimum unavoidable run-traffic share
-    /// instead of relaxing communication to zero. Each surviving
-    /// candidate then meets the controller-budget relaxation
-    /// ([`crate::BudgetRelaxation`]) before its DP; the candidates it
-    /// prunes are counted in [`SearchStats::budget_pruned`] as well.
+    /// The bound tables are built once per artifact set
+    /// ([`crate::SearchArtifacts::bounds`]) and fold in the admissible
+    /// communication floor, priced off the artifacts' traffic table:
+    /// blocks forced to hardware carry their minimum unavoidable
+    /// run-traffic share instead of relaxing communication to zero.
+    /// Each surviving candidate then meets the controller-budget
+    /// relaxation ([`crate::BudgetRelaxation`]) before its DP; the
+    /// candidates it prunes are counted in
+    /// [`SearchStats::budget_pruned`] as well.
     pub bound: bool,
     /// Capacity of the cross-request [`crate::ArtifactStore`] in
     /// applications, for the layers that own one (the
@@ -581,11 +588,6 @@ impl Odometer {
         self.weight[pos]
     }
 
-    /// The unit kind of dimension `pos`.
-    fn kind_at(&self, pos: usize) -> FuId {
-        self.fus[pos]
-    }
-
     /// The current point as a resource map (test-only: the sweep
     /// itself reuses one map via [`Odometer::write_rmap`]).
     #[cfg(test)]
@@ -648,45 +650,6 @@ fn truncation_bound(
         }
     }
     (space, false)
-}
-
-/// Accumulated dirty unit-kind dimensions between two evaluated
-/// candidates — everything the odometer changed since the worker's
-/// metrics buffer was last refreshed.
-struct DirtyKinds {
-    flags: Vec<bool>,
-    /// Everything is dirty (no previous candidate to step from).
-    all: bool,
-}
-
-impl DirtyKinds {
-    fn new(dims: usize) -> Self {
-        DirtyKinds {
-            flags: vec![false; dims],
-            all: true,
-        }
-    }
-
-    /// An odometer advance changed digits `..=pos`.
-    fn mark_upto(&mut self, pos: usize) {
-        for f in &mut self.flags[..=pos] {
-            *f = true;
-        }
-    }
-
-    fn clear(&mut self) {
-        self.flags.fill(false);
-        self.all = false;
-    }
-
-    /// Forgets the stepping history: the next evaluated point
-    /// refreshes every block from scratch. A work-stealing worker
-    /// re-seeds like this at every stolen chunk — the chunk start is
-    /// not one odometer step from wherever the previous chunk ended.
-    fn reset(&mut self) {
-        self.flags.fill(false);
-        self.all = true;
-    }
 }
 
 /// "No shared incumbent yet" — also the packing of any `(time, area)`
@@ -1517,6 +1480,15 @@ struct WorkerOut<L> {
     stats: SearchStats,
 }
 
+/// A bounded walk's private state: the incremental level chain over
+/// the artifacts' bound tables, and the current candidate's
+/// controller-budget relaxation, rebuilt in place after each metrics
+/// refresh.
+struct BoundState<'a> {
+    levels: LevelState<'a>,
+    relax: BudgetRelaxation,
+}
+
 /// One sweep worker's whole private state: the metrics cache (over the
 /// artifacts' shared schedule table), the DP scratch, the metrics
 /// buffer, the candidate map and the bound chain — everything reused
@@ -1534,18 +1506,14 @@ struct SweepWorker<'a, O: Objective> {
     scratch: DpScratch,
     metrics: Vec<BsbMetrics>,
     candidate: RMap,
-    dirty: DirtyKinds,
-    dirty_fus: Vec<FuId>,
-    bounds: Option<&'a SearchBounds>,
-    levels: Option<LevelState>,
-    /// The current candidate's controller-budget relaxation, rebuilt
-    /// in place after each metrics refresh (bounded walks only).
-    relax: BudgetRelaxation,
+    /// The carry watermark since the last metrics refresh: only
+    /// digits below it changed ([`FROM_SCRATCH`] after a jump).
+    dirty_below: usize,
+    /// Branch-and-bound state; `None` on an unbounded walk, which
+    /// neither prunes nor advertises its candidates cross-worker.
+    bound: Option<BoundState<'a>>,
     objective: &'a O,
     shared: &'a O::Shared,
-    /// Whether improving candidates should be advertised cross-worker
-    /// — exactly when branch-and-bound is on.
-    publish: bool,
     /// The run's stop signal: polled before every DP, between DP rows,
     /// and every [`STOP_CHECK_INTERVAL`] subtree-skip rounds.
     stop: &'a StopSignal,
@@ -1562,7 +1530,6 @@ impl<'a, O: Objective> SweepWorker<'a, O> {
         lib: &'a HwLibrary,
         config: &'a PaceConfig,
         total_gates: u64,
-        dims: &'a [(FuId, u32)],
         artifacts: &'a SearchArtifacts,
         bounds: Option<&'a SearchBounds>,
         objective: &'a O,
@@ -1573,20 +1540,19 @@ impl<'a, O: Objective> SweepWorker<'a, O> {
             lib,
             config,
             total_gates,
-            dims,
+            dims: artifacts.dims(),
             cache: MetricsCache::from_artifacts(bsbs, lib, config, artifacts),
             comm: artifacts.comm(),
             scratch: DpScratch::new(),
-            metrics: Vec::with_capacity(bsbs.len()),
+            metrics: vec![infeasible_block_metrics(Cycles::ZERO); bsbs.len()],
             candidate: RMap::new(),
-            dirty: DirtyKinds::new(dims.len()),
-            dirty_fus: Vec::with_capacity(dims.len()),
-            bounds,
-            levels: bounds.map(LevelState::new),
-            relax: BudgetRelaxation::new(),
+            dirty_below: FROM_SCRATCH,
+            bound: bounds.map(|bounds| BoundState {
+                levels: LevelState::new(bounds),
+                relax: BudgetRelaxation::new(),
+            }),
             objective,
             shared,
-            publish: bounds.is_some(),
             stop,
             stop_countdown: STOP_CHECK_INTERVAL,
             out: WorkerOut {
@@ -1612,6 +1578,18 @@ impl<'a, O: Objective> SweepWorker<'a, O> {
         false
     }
 
+    /// [`Self::stop_tripped`] for the subtree-skip loop: skip rounds
+    /// are ~100 ns, so only every [`STOP_CHECK_INTERVAL`]-th call
+    /// reads the clock.
+    fn stop_tripped_throttled(&mut self) -> bool {
+        self.stop_countdown -= 1;
+        if self.stop_countdown > 0 {
+            return false;
+        }
+        self.stop_countdown = STOP_CHECK_INTERVAL;
+        self.stop_tripped()
+    }
+
     /// Forgets the incremental stepping state before jumping to a
     /// non-adjacent index: the metrics buffer refreshes from scratch
     /// and the bound chain re-derives every level. The memos,
@@ -1619,32 +1597,21 @@ impl<'a, O: Objective> SweepWorker<'a, O> {
     /// position independent (the objective merely refreshes its
     /// cross-worker view).
     fn reseed(&mut self) {
-        self.dirty.reset();
-        if let Some(levels) = self.levels.as_mut() {
-            levels.invalidate_all();
+        self.dirty_below = FROM_SCRATCH;
+        if let Some(bound) = self.bound.as_mut() {
+            bound.levels = LevelState::new(bound.levels.bounds());
         }
         self.objective.reseed(&mut self.out.local, self.shared);
     }
 
     /// Brings the metrics buffer up to the odometer's current point:
     /// a from-scratch refresh after a jump, otherwise only the blocks
-    /// touching a kind dirtied since the last refresh.
+    /// holding a kind below the carry watermark.
     fn refresh_metrics(&mut self, odo: &Odometer) -> Result<(), PaceError> {
         odo.write_rmap(&mut self.candidate);
-        if self.dirty.all {
-            self.cache
-                .metrics_into(&self.candidate, &mut self.metrics)?;
-        } else {
-            self.dirty_fus.clear();
-            for (pos, &flag) in self.dirty.flags.iter().enumerate() {
-                if flag {
-                    self.dirty_fus.push(odo.kind_at(pos));
-                }
-            }
-            self.cache
-                .step_into(&self.candidate, &self.dirty_fus, &mut self.metrics)?;
-        }
-        self.dirty.clear();
+        self.cache
+            .step_into(&self.candidate, self.dirty_below, &mut self.metrics)?;
+        self.dirty_below = 0;
         Ok(())
     }
 
@@ -1673,8 +1640,12 @@ impl<'a, O: Objective> SweepWorker<'a, O> {
             index,
             quantum: self.config.quantum,
         };
-        self.objective
-            .record(&mut self.out.local, self.shared, self.publish, &eval);
+        self.objective.record(
+            &mut self.out.local,
+            self.shared,
+            self.bound.is_some(),
+            &eval,
+        );
         true
     }
 
@@ -1682,14 +1653,47 @@ impl<'a, O: Objective> SweepWorker<'a, O> {
     /// refreshed candidate (data path `gates`) proves its DP hopeless
     /// to the objective. Always `false` on unbounded walks.
     fn budget_prunes(&mut self, gates: u64) -> bool {
-        let Some(bounds) = self.bounds else {
+        let Some(bound) = self.bound.as_mut() else {
             return false;
         };
-        self.relax.rebuild(&self.metrics, bounds.comm_floors());
+        let floors = bound.levels.bounds().comm_floors();
+        bound.relax.rebuild(&self.metrics, floors);
         let quantum = self.config.quantum;
         let levels = ((self.total_gates - gates) / quantum) as usize;
         self.objective
-            .prune_candidate(&self.out.local, &self.relax, gates, levels, quantum)
+            .prune_candidate(&self.out.local, &bound.relax, gates, levels, quantum)
+    }
+
+    /// The largest subtree rooted at the odometer's current point that
+    /// fits in the `room` points left of the range and that the
+    /// objective prunes, as `(digit, width)`; `None` when none does,
+    /// and always on an unbounded walk. A subtree prunes when its
+    /// whole area is infeasible, or when the admissible bound at its
+    /// level cannot improve the incumbents; digit 0 is the leaf check
+    /// sparing the DP for an individually hopeless candidate.
+    fn pruned_subtree(&mut self, odo: &Odometer, room: u128) -> Option<(usize, u128)> {
+        let bound = self.bound.as_mut()?;
+        let gates = odo.area_gates();
+        self.objective.observe(&mut self.out.local, self.shared);
+        for pos in (0..=odo.trailing_zeros()).rev() {
+            let width = odo.subtree_width(pos);
+            if width > room {
+                continue; // subtree leaks out of this range
+            }
+            let prune = if gates > self.total_gates {
+                // Every point of the subtree is area-infeasible (free
+                // digits only add area). Single points stay on the
+                // walk's `skipped` path.
+                pos > 0
+            } else {
+                let lb = bound.levels.bound_at(pos, &odo.counts);
+                self.objective.prune(&self.out.local, lb, gates)
+            };
+            if prune {
+                return Some((pos, width));
+            }
+        }
+        None
     }
 
     /// Evaluates every point of `range`, exactly as the sequential
@@ -1736,57 +1740,16 @@ impl<'a, O: Objective> SweepWorker<'a, O> {
                 return Ok(());
             }
             // Branch-and-bound: skip subtrees rooted here, largest
-            // first, until none prunes. A subtree prunes when its
-            // whole area is infeasible, or when the admissible bound
-            // at its level cannot improve the incumbents; `pos == 0`
-            // is the leaf check sparing the DP for an individually
-            // hopeless candidate.
-            if let (Some(bounds), Some(levels)) = (self.bounds, self.levels.as_mut()) {
-                loop {
-                    let gates = odo.area_gates();
-                    self.objective.observe(&mut self.out.local, self.shared);
-                    let mut skip = None;
-                    for pos in (0..=odo.trailing_zeros()).rev() {
-                        let width = odo.subtree_width(pos);
-                        if width > range.end - index {
-                            continue; // subtree leaks out of this range
-                        }
-                        let prune = if gates > self.total_gates {
-                            // Every point of the subtree is
-                            // area-infeasible (free digits only add
-                            // area). Single points stay on the
-                            // `skipped` path below.
-                            pos > 0
-                        } else {
-                            let lb = levels.bound_at(bounds, pos, &odo.counts);
-                            self.objective.prune(&self.out.local, lb, gates)
-                        };
-                        if prune {
-                            skip = Some((pos, width));
-                            break;
-                        }
-                    }
-                    let Some((pos, width)) = skip else { break };
-                    self.out.stats.bounded += width;
-                    index += width;
-                    if index >= range.end {
-                        break 'walk;
-                    }
-                    let changed = odo.advance(pos).expect("range ends within the space");
-                    self.dirty.mark_upto(changed);
-                    levels.invalidate_upto(changed);
-                    // Throttled stop poll: skip rounds are ~100 ns, so
-                    // only every STOP_CHECK_INTERVAL-th round reads
-                    // the clock (inlined — `levels` holds a field
-                    // borrow that rules out the helper method).
-                    self.stop_countdown -= 1;
-                    if self.stop_countdown == 0 {
-                        self.stop_countdown = STOP_CHECK_INTERVAL;
-                        if let Some(reason) = self.stop.check() {
-                            self.out.stats.completion = reason.into();
-                            return Ok(());
-                        }
-                    }
+            // first, until none prunes.
+            while let Some((pos, width)) = self.pruned_subtree(&odo, range.end - index) {
+                self.out.stats.bounded += width;
+                index += width;
+                if index >= range.end {
+                    break 'walk;
+                }
+                self.advance(&mut odo, pos);
+                if self.stop_tripped_throttled() {
+                    return Ok(());
                 }
             }
             // Evaluate or skip the surviving point, exactly as the
@@ -1816,13 +1779,13 @@ impl<'a, O: Objective> SweepWorker<'a, O> {
     }
 
     /// Steps the odometer past the subtree rooted at digit `pos`,
-    /// marking the changed digits dirty for the next metrics refresh
-    /// and the bound chain.
+    /// raising the carry watermark for the next metrics refresh and
+    /// invalidating the bound chain up to the highest changed digit.
     fn advance(&mut self, odo: &mut Odometer, pos: usize) {
         let changed = odo.advance(pos).expect("range ends within the space");
-        self.dirty.mark_upto(changed);
-        if let Some(levels) = self.levels.as_mut() {
-            levels.invalidate_upto(changed);
+        self.dirty_below = self.dirty_below.max(changed + 1);
+        if let Some(bound) = self.bound.as_mut() {
+            bound.levels.invalidate_upto(changed);
         }
     }
 
@@ -2387,7 +2350,7 @@ fn run_search<O: Objective>(
     // it trips there, the workers still run, unbounded, and stop right
     // after the all-software anchor.
     let bounds = if options.bound {
-        artifacts.bounds_for(bsbs, lib, stop)?
+        artifacts.bounds(bsbs, lib, stop)?
     } else {
         None
     };
@@ -2429,7 +2392,6 @@ fn run_search<O: Objective>(
             lib,
             config,
             total_gates,
-            dims,
             artifacts,
             bounds,
             objective,
@@ -2504,34 +2466,39 @@ mod tests {
     use super::*;
     use crate::{compute_metrics, exhaustive_best, partition, search_space, space_size};
     use lycos_ir::{Bsb, BsbId, BsbOrigin, Dfg, OpKind};
+    use proptest::prelude::*;
     use std::collections::BTreeSet;
 
     fn lib() -> HwLibrary {
         HwLibrary::standard()
     }
 
-    fn app() -> BsbArray {
-        let mk = |i: u32, kind: OpKind, n: usize, profile: u64| {
-            let mut dfg = Dfg::new();
+    /// Block `i` with `n` operations of each of `kinds`.
+    fn block(i: usize, kinds: &[OpKind], n: usize, profile: u64) -> Bsb {
+        let mut dfg = Dfg::new();
+        for &kind in kinds {
             for _ in 0..n {
                 dfg.add_op(kind);
             }
-            Bsb {
-                id: BsbId(i),
-                name: format!("b{i}"),
-                dfg,
-                reads: BTreeSet::new(),
-                writes: BTreeSet::new(),
-                profile,
-                origin: BsbOrigin::Body,
-            }
-        };
+        }
+        Bsb {
+            id: BsbId(i as u32),
+            name: format!("b{i}"),
+            dfg,
+            reads: BTreeSet::new(),
+            writes: BTreeSet::new(),
+            profile,
+            origin: BsbOrigin::Body,
+        }
+    }
+
+    fn app() -> BsbArray {
         BsbArray::from_bsbs(
             "t",
             vec![
-                mk(0, OpKind::Add, 3, 500),
-                mk(1, OpKind::Mul, 2, 500),
-                mk(2, OpKind::Add, 2, 90),
+                block(0, &[OpKind::Add], 3, 500),
+                block(1, &[OpKind::Mul], 2, 500),
+                block(2, &[OpKind::Add], 2, 90),
             ],
         )
     }
@@ -2806,25 +2773,20 @@ mod tests {
 
     #[test]
     fn step_into_matches_full_recompute() {
-        // Walk a few odometer steps by hand: stepping with exactly the
-        // changed kinds must equal a from-scratch refresh.
+        // Walk the odometer by hand: stepping with the carry watermark
+        // of each step must equal a from-scratch refresh.
         let bsbs = app();
         let lib = lib();
         let cfg = PaceConfig::standard();
         let dims = search_space(&restr(&bsbs, &lib));
         let mut stepped_cache = MetricsCache::new(&bsbs, &lib, &cfg).unwrap();
         let mut odo = Odometer::at(&dims, &lib, 0);
-        let mut candidate = RMap::new();
-        let mut stepped: Vec<BsbMetrics> = Vec::new();
-        odo.write_rmap(&mut candidate);
-        stepped_cache
-            .metrics_into(&candidate, &mut stepped)
-            .unwrap();
+        let mut candidate = odo.rmap();
+        let mut stepped = stepped_cache.metrics(&candidate).unwrap();
         while let Some(changed) = odo.advance(0) {
             odo.write_rmap(&mut candidate);
-            let dirty: Vec<FuId> = (0..=changed).map(|p| odo.kind_at(p)).collect();
             stepped_cache
-                .step_into(&candidate, &dirty, &mut stepped)
+                .step_into(&candidate, changed + 1, &mut stepped)
                 .unwrap();
             let fresh = compute_metrics(&bsbs, &lib, &candidate, &cfg).unwrap();
             assert_eq!(stepped, fresh, "at {:?}", odo.counts);
@@ -3335,25 +3297,12 @@ mod tests {
     /// and the winner is still field-exact.
     #[test]
     fn unpackable_incumbents_are_counted_not_lied_about() {
-        let mk = |i: u32, n: usize, profile: u64| {
-            let mut dfg = Dfg::new();
-            for _ in 0..n {
-                dfg.add_op(OpKind::Mul);
-            }
-            Bsb {
-                id: BsbId(i),
-                name: format!("b{i}"),
-                dfg,
-                reads: BTreeSet::new(),
-                writes: BTreeSet::new(),
-                profile,
-                origin: BsbOrigin::Body,
-            }
-        };
         // Profiles huge enough that every candidate's time tops 2³².
+        let huge = 2_000_000_000;
+        let mul = [OpKind::Mul];
         let bsbs = BsbArray::from_bsbs(
             "huge",
-            vec![mk(0, 3, 2_000_000_000), mk(1, 2, 2_000_000_000)],
+            vec![block(0, &mul, 3, huge), block(1, &mul, 2, huge)],
         );
         let lib = lib();
         let restr = restr(&bsbs, &lib);
@@ -3464,6 +3413,88 @@ mod tests {
                 assert_eq!((front.evaluated, front.points[0].index), (1, 0));
                 assert_eq!(front.completion(), completion, "bound={bound}");
                 assert_eq!(front.points_accounted(), front.space_size);
+            }
+        }
+    }
+
+    /// A synthetic application: one block per `(kinds, ops)` entry,
+    /// with `ops` operations of each kind the 4-bit `kinds` mask picks,
+    /// then an empty (immovable) block, a divider block and a
+    /// divider-and-adder block. The restrictions cap the divider at
+    /// zero, so the last two hold a kind outside the space.
+    fn synthetic(entries: &[(u32, usize)], lib: &HwLibrary) -> (BsbArray, Restrictions) {
+        let palette = [OpKind::Add, OpKind::Mul, OpKind::Shl, OpKind::Lt];
+        let mut kinds: Vec<(Vec<OpKind>, usize)> = entries
+            .iter()
+            .map(|&(mask, ops)| {
+                let picked = (0..4).filter(|k| mask & (1 << k) != 0);
+                (picked.map(|k| palette[k]).collect(), ops)
+            })
+            .collect();
+        kinds.extend([
+            (vec![], 0),
+            (vec![OpKind::Div], 1),
+            (vec![OpKind::Div, OpKind::Add], 1),
+        ]);
+        let blocks = kinds.iter().enumerate();
+        let blocks = blocks.map(|(i, (kinds, ops))| block(i, kinds, *ops, 50 + 70 * i as u64));
+        let bsbs = BsbArray::from_bsbs("synthetic", blocks.collect());
+        let mut restrictions = restr(&bsbs, lib);
+        restrictions.tighten(lib.fu_for(OpKind::Div).unwrap(), 0);
+        (bsbs, restrictions)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// Random bounded walks over synthetic spaces through the
+        /// worker's own `advance`, `reseed` and `refresh_metrics`:
+        /// plain steps, subtree skips and chunk jumps, refreshing at
+        /// random points so one watermark spans several moves. Every
+        /// refreshed buffer equals `compute_metrics` at the odometer's
+        /// point, and the bound chain equals the direct prefix bound at
+        /// every level.
+        #[test]
+        fn watermark_refreshes_match_compute_metrics(
+            entries in prop::collection::vec((1u32..16, 1usize..4), 1..6),
+            moves in prop::collection::vec((0u32..3, 0u32..1_000, any::<bool>()), 1..60),
+        ) {
+            let (lib, config) = (lib(), PaceConfig::standard());
+            let (bsbs, restrictions) = synthetic(&entries, &lib);
+            let artifacts = SearchArtifacts::prepare(&bsbs, &lib, &restrictions, &config).unwrap();
+            let never = StopSignal::never();
+            let bounds = artifacts.bounds(&bsbs, &lib, &never).unwrap();
+            let (dims, space) = (artifacts.dims(), artifacts.space_size());
+            let objective = BestUnderBudget;
+            let shared = objective.shared();
+            let mut worker = SweepWorker::new(
+                &bsbs, &lib, &config, 100_000, &artifacts, bounds, &objective, &shared, &never,
+            );
+            let (mut index, mut odo) = (0u128, Odometer::at(dims, &lib, 0));
+            for (kind, pick, refresh) in moves {
+                // 0: a plain step, 1: a subtree skip, 2: a chunk jump.
+                let pos = if kind == 0 { 0 } else { pick as usize % (odo.trailing_zeros() + 1) };
+                let width = odo.subtree_width(pos);
+                if kind == 2 {
+                    index = u128::from(pick) % space;
+                    odo = Odometer::at(dims, &lib, index);
+                    worker.reseed();
+                } else if index + width < space {
+                    worker.advance(&mut odo, pos);
+                    index += width;
+                }
+                if refresh {
+                    worker.refresh_metrics(&odo).unwrap();
+                    let fresh = compute_metrics(&bsbs, &lib, &odo.rmap(), &config).unwrap();
+                    prop_assert_eq!(&worker.metrics, &fresh, "at index {}", index);
+                    let bound = worker.bound.as_mut().unwrap();
+                    for pos in 0..=dims.len() {
+                        prop_assert_eq!(
+                            bound.levels.bound_at(pos, &odo.counts),
+                            bounds.unwrap().prefix_bound(&odo.counts, pos)
+                        );
+                    }
+                }
             }
         }
     }

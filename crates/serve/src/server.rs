@@ -882,12 +882,15 @@ fn compile_all(pipelines: Vec<Pipeline>) -> Result<Vec<(Pipeline, Restricted)>, 
 /// ASAP restrictions alone — Algorithm 1 does not change the space)
 /// crosses [`ServeConfig::big_job_threshold`] take a big-job slot from
 /// the admission gate before searching, waiting for one [`POLL`] at a
-/// time; everything else rides the fast lane untouched. `Err(busy)`
-/// only if the server starts draining while the job is queued for a
-/// slot.
+/// time; everything else rides the fast lane untouched. A job whose
+/// cancel flag flips while it waits skips the gate: its search stops
+/// at the first check, so it answers `cancelled` at once instead of
+/// after some other big job finishes. `Err(busy)` only if the server
+/// starts draining while the job is queued for a slot.
 fn admit<'a>(
     ctx: ServerCtx<'a>,
     jobs: &[(Pipeline, Restricted)],
+    cancel: &AtomicBool,
 ) -> Result<Option<Slot<'a>>, Response> {
     let widest = jobs
         .iter()
@@ -900,6 +903,9 @@ fn admit<'a>(
     loop {
         if let Some(slot) = ctx.gate.take(POLL) {
             return Ok(Some(slot));
+        }
+        if cancel.load(Ordering::Acquire) {
+            return Ok(None);
         }
         if ctx.shutdown.load(Ordering::Acquire) {
             return Err(Response::Busy("server shutting down".to_owned()));
@@ -939,7 +945,7 @@ fn admitted<'a>(
     let options = knobs.apply_to(&ctx.config.defaults);
     let pipelines = pipelines_for(verb, jobs, ctx.store, ctx.config.fault_injection)?;
     let compiled = compile_all(pipelines)?;
-    let permit = admit(ctx, &compiled)?;
+    let permit = admit(ctx, &compiled, cancel)?;
     hold_if_asked(jobs, ctx, cancel);
     Ok(Admitted {
         options,

@@ -654,6 +654,86 @@ fn big_jobs_queue_on_the_admission_gate_while_small_jobs_flow() {
 }
 
 #[test]
+fn a_job_cancelled_while_parked_at_the_gate_answers_before_the_slot_frees() {
+    // As above, job 1 (a `__hold` job) takes the only big-job slot and
+    // job 2 parks in the gate. Cancelling job 2 must let it skip the
+    // gate and answer `cancelled` while job 1 still holds the slot —
+    // not once some other big job finishes.
+    let (addr, handle) = spawn_server(ServeConfig {
+        workers: 3,
+        queue: 4,
+        big_job_threshold: 0,
+        big_jobs: 1,
+        fault_injection: true,
+        defaults: SearchOptions {
+            threads: 1,
+            limit: Some(400),
+            ..SearchOptions::default()
+        },
+        ..ServeConfig::default()
+    });
+
+    let hog = {
+        let addr = addr.clone();
+        std::thread::spawn(move || {
+            let mut client = Client::connect_with_retry(&addr, CONNECT_DEADLINE).expect("connect");
+            client
+                .send_line("table1 app=__hold limit=0 threads=1 timing job=1")
+                .expect("send")
+        })
+    };
+    let mut control = Client::connect_with_retry(&addr, CONNECT_DEADLINE).expect("connect");
+    std::thread::sleep(Duration::from_secs(2));
+
+    let (answered, answer) = std::sync::mpsc::channel();
+    {
+        let addr = addr.clone();
+        std::thread::spawn(move || {
+            let mut client = Client::connect_with_retry(&addr, CONNECT_DEADLINE).expect("connect");
+            let response = client
+                .send_line("table1 app=hal timing job=2")
+                .expect("send");
+            answered.send(response).expect("the test waits for job 2");
+        });
+    }
+    let deadline = std::time::Instant::now() + Duration::from_secs(60);
+    loop {
+        assert!(
+            std::time::Instant::now() < deadline,
+            "job 2 never became cancellable"
+        );
+        match control.send_line("cancel 2").expect("send cancel") {
+            Response::Ok(_) => break,
+            Response::Error(msg) => {
+                assert!(msg.contains("no running job"), "{msg}");
+                std::thread::sleep(Duration::from_millis(20));
+            }
+            other => panic!("unexpected response {other:?}"),
+        }
+    }
+    // Job 1 still holds the slot: job 2 must answer on its own.
+    let parked = answer.recv_timeout(Duration::from_secs(20));
+    match control.send_line("cancel 1").expect("send cancel") {
+        Response::Ok(_) => {}
+        other => panic!("unexpected response {other:?}"),
+    }
+    match parked.expect("job 2 answered while job 1 still held the slot") {
+        Response::Ok(lines) => assert_eq!(completion_of(&lines[1]), "cancelled", "{lines:?}"),
+        other => panic!("unexpected response {other:?}"),
+    }
+    match hog.join().expect("hog thread") {
+        Response::Ok(lines) => assert_eq!(completion_of(&lines[1]), "cancelled", "{lines:?}"),
+        other => panic!("unexpected response {other:?}"),
+    }
+
+    assert_eq!(
+        control.send(&Request::Shutdown).expect("send"),
+        Response::Bye
+    );
+    handle.join().expect("server thread");
+}
+
+#[test]
 fn soak_cancelled_panicked_and_deadlined_jobs_then_a_clean_deterministic_batch() {
     let options = Table1Options {
         search_limit: Some(400),
