@@ -201,7 +201,30 @@ pub fn allocate(
     config: &AllocConfig,
 ) -> Result<AllocOutcome, AllocError> {
     let furo = FuroTable::compute(bsbs, lib)?;
+    allocate_with_furo(bsbs, &furo, lib, eca, area, restrictions, config)
+}
+
+/// [`allocate`] over a FURO table already computed for `bsbs` under
+/// `lib` ([`FuroTable::compute`]). §4.4 computes the table once per
+/// application; only the urgencies change as the allocation grows, so
+/// a caller that runs Algorithm 1 for many budgets or restriction sets
+/// over one BSB array builds the table once and passes it here. The
+/// outcome is field-identical to [`allocate`]'s.
+///
+/// # Errors
+///
+/// As [`allocate`], minus the table build.
+pub fn allocate_with_furo(
+    bsbs: &BsbArray,
+    furo: &FuroTable,
+    lib: &HwLibrary,
+    eca: &EcaModel,
+    area: Area,
+    restrictions: &Restrictions,
+    config: &AllocConfig,
+) -> Result<AllocOutcome, AllocError> {
     let l = bsbs.len();
+    debug_assert_eq!(furo.len(), l, "FURO table built for another BSB array");
 
     // Controller state estimate per block, per the configured mode.
     let mut states = Vec::with_capacity(l);
@@ -226,7 +249,7 @@ pub fn allocate(
     let mut in_hw = vec![false; l];
     let mut controller_area = Area::ZERO;
     let mut trace = Vec::new();
-    let mut order = prioritize(bsbs, &furo, &in_hw, &allocation, lib);
+    let mut order = prioritize(bsbs, furo, &in_hw, &allocation, lib);
     let mut passes = 1usize;
     let mut steps = 0usize;
 
@@ -239,7 +262,7 @@ pub fn allocate(
 
         if in_hw[k] {
             // Some operation is urgent: try to add one more unit for it.
-            if let Some(fu) = most_urgent_resource(bsb, k, &furo, &allocation, lib)? {
+            if let Some(fu) = most_urgent_resource(bsb, k, furo, &allocation, lib)? {
                 let unit_area = lib.area_of(fu);
                 // Algorithm 1 verbatim: Area(R) ≤ RemainingArea and
                 // Allocation(R) + 1 ≤ Restrictions(R).
@@ -277,7 +300,7 @@ pub fn allocate(
         }
 
         if changed {
-            order = prioritize(bsbs, &furo, &in_hw, &allocation, lib);
+            order = prioritize(bsbs, furo, &in_hw, &allocation, lib);
             passes += 1;
             i = 0;
             if config.record_trace {

@@ -16,6 +16,8 @@
 //! * [`Restrictions`] — ASAP-parallelism allocation caps (§4.3);
 //! * [`allocate`] — Algorithm 1, with [`AllocConfig`] selecting the
 //!   controller state estimate (§4.2/§5.1) and optional tracing;
+//!   [`allocate_with_furo`] runs the same loop over a FURO table the
+//!   caller built once;
 //! * [`select_modules`] — the module-selection future-work extension
 //!   (§6) choosing among alternative units for the same operation;
 //! * [`allocate_multi_asic`] — the multi-ASIC future-work extension (§6).
@@ -64,8 +66,8 @@ mod rmap;
 mod selection;
 
 pub use algorithm::{
-    allocate, most_urgent_resource, required_resources, AllocConfig, AllocOutcome, StateEstimate,
-    TraceEvent,
+    allocate, allocate_with_furo, most_urgent_resource, required_resources, AllocConfig,
+    AllocOutcome, StateEstimate, TraceEvent,
 };
 pub use error::AllocError;
 pub use furo::FuroTable;

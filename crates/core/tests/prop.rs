@@ -1,6 +1,8 @@
 //! Property tests for the allocation algorithm's components.
 
-use lycos_core::{allocate, AllocConfig, FuroTable, RMap, Restrictions};
+use lycos_core::{
+    allocate, allocate_with_furo, AllocConfig, FuroTable, RMap, Restrictions, StateEstimate,
+};
 use lycos_hwlib::{Area, EcaModel, FuId, HwLibrary};
 use lycos_ir::{Bsb, BsbArray, BsbId, BsbOrigin, Dfg, OpKind};
 use proptest::prelude::*;
@@ -133,6 +135,50 @@ proptest! {
             let out = allocate(&app, &lib, &eca, area, &tighter, &AllocConfig::default())
                 .unwrap();
             prop_assert!(out.allocation.count(fu) <= 1);
+        }
+    }
+
+    /// One FURO table, built once, serves Algorithm 1 at any budget and
+    /// under any tightened restriction set exactly as a fresh
+    /// `allocate` (which builds its own table) does — the contract a
+    /// resident stage relies on when it reuses its table across
+    /// requests.
+    #[test]
+    fn a_reused_furo_table_matches_fresh_allocations(
+        app in arb_app(4, 8),
+        runs in prop::collection::vec(
+            (200u64..20_000, any::<(u8, u8)>(), 0u8..3, any::<bool>()),
+            1..6,
+        ),
+    ) {
+        let lib = HwLibrary::standard();
+        let eca = EcaModel::standard();
+        let furo = FuroTable::compute(&app, &lib).unwrap();
+        let asap = Restrictions::from_asap(&app, &lib).unwrap();
+        let caps: Vec<(FuId, u32)> = asap.iter().collect();
+        for (budget, (pick, cap), estimate, record_trace) in runs {
+            let mut restr = asap.clone();
+            let (fu, asap_cap) = caps[pick as usize % caps.len()];
+            restr.tighten(fu, u32::from(cap) % (asap_cap + 1));
+            let config = AllocConfig {
+                state_estimate: match estimate {
+                    0 => StateEstimate::Asap,
+                    1 => StateEstimate::Serial,
+                    _ => StateEstimate::Scaled(1.5),
+                },
+                record_trace,
+            };
+            let area = Area::new(budget);
+            let reused =
+                allocate_with_furo(&app, &furo, &lib, &eca, area, &restr, &config).unwrap();
+            let fresh = allocate(&app, &lib, &eca, area, &restr, &config).unwrap();
+            prop_assert_eq!(&reused.allocation, &fresh.allocation);
+            prop_assert_eq!(&reused.in_hw, &fresh.in_hw);
+            prop_assert_eq!(reused.remaining, fresh.remaining);
+            prop_assert_eq!(reused.controller_area, fresh.controller_area);
+            prop_assert_eq!(reused.passes, fresh.passes);
+            prop_assert_eq!(reused.steps, fresh.steps);
+            prop_assert_eq!(&reused.trace, &fresh.trace);
         }
     }
 

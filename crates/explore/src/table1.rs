@@ -16,10 +16,11 @@
 use crate::apply_iteration;
 use crate::flow::Fetched;
 use lycos_apps::{BenchmarkApp, IterationHint};
-use lycos_core::{allocate, AllocConfig, RMap, Restrictions};
+use lycos_core::{allocate_with_furo, AllocConfig, FuroTable, RMap, Restrictions};
 use lycos_hwlib::{Area, HwLibrary};
 use lycos_ir::BsbArray;
 use lycos_pace::{ArtifactStore, Completion, PaceConfig, PaceError, SearchOptions, StopSignal};
+use std::sync::OnceLock;
 use std::time::{Duration, Instant};
 
 /// One row of the reproduced Table 1.
@@ -40,7 +41,12 @@ pub struct Table1Row {
     pub size_fraction: f64,
     /// Static share of the application placed in hardware (`HW`).
     pub hw_fraction: f64,
-    /// Allocation-algorithm runtime (`CPU sec`).
+    /// Allocation-algorithm runtime (`CPU sec`): Algorithm 1 including
+    /// its FURO table build when the row builds the table — always for
+    /// a one-shot row, as in the paper. A row over a subject whose
+    /// table an earlier row already built ([`Table1Subject::furo`], a
+    /// resident stage) times only the allocation loop: the stage pays
+    /// the build once.
     pub alloc_time: Duration,
     /// The heuristic allocation.
     pub heuristic_allocation: RMap,
@@ -222,6 +228,12 @@ pub struct Table1Subject<'a> {
     pub bsbs: &'a BsbArray,
     /// The ASAP restriction caps of `bsbs` — the allocation space.
     pub restrictions: &'a Restrictions,
+    /// Algorithm 1's FURO table over `bsbs`, built on first use by
+    /// [`table1_row_for`] inside its allocator timer. A fresh cell makes
+    /// a one-shot row; a cell that outlives the row (a resident stage)
+    /// lets every later row over the same BSB array and library skip
+    /// the build.
+    pub furo: &'a OnceLock<FuroTable>,
     /// Total hardware area budget, in gate equivalents.
     pub budget: Area,
     /// The §5 design iteration, if one applies.
@@ -230,17 +242,19 @@ pub struct Table1Subject<'a> {
 
 impl<'a> Table1Subject<'a> {
     /// The subject a bundled benchmark defines, over its pre-extracted
-    /// BSB array and their restriction caps.
+    /// BSB array, their restriction caps and a FURO table cell.
     pub fn of_app(
         app: &'a BenchmarkApp,
         bsbs: &'a BsbArray,
         restrictions: &'a Restrictions,
+        furo: &'a OnceLock<FuroTable>,
     ) -> Self {
         Table1Subject {
             name: app.name,
             lines: app.lines,
             bsbs,
             restrictions,
+            furo,
             budget: Area::new(app.area_budget),
             iteration: app.iteration,
         }
@@ -261,7 +275,7 @@ pub fn table1_row(
     let bsbs = app.bsbs();
     let restrictions = Restrictions::from_asap(&bsbs, lib)?;
     table1_row_for(
-        &Table1Subject::of_app(app, &bsbs, &restrictions),
+        &Table1Subject::of_app(app, &bsbs, &restrictions, &OnceLock::new()),
         lib,
         pace,
         options,
@@ -305,9 +319,19 @@ pub fn table1_row_for(
     let mut fetched = Fetched::new(bsbs, lib, subject.restrictions, pace, store)?;
 
     // 1–2. The allocation algorithm (timed) and PACE on its result.
+    //    The FURO table is part of the algorithm, so its build (when
+    //    this row is the first over the subject's cell) is timed too.
     let started = Instant::now();
-    let outcome = allocate(
+    let furo = match subject.furo.get() {
+        Some(furo) => furo,
+        None => {
+            let built = FuroTable::compute(bsbs, lib)?;
+            subject.furo.get_or_init(|| built)
+        }
+    };
+    let outcome = allocate_with_furo(
         bsbs,
+        furo,
         lib,
         &pace.eca,
         area,
@@ -651,7 +675,8 @@ mod tests {
         let app = lycos_apps::hal();
         let bsbs = app.bsbs();
         let restrictions = Restrictions::from_asap(&bsbs, &HwLibrary::standard()).unwrap();
-        let s = Table1Subject::of_app(&app, &bsbs, &restrictions);
+        let furo = OnceLock::new();
+        let s = Table1Subject::of_app(&app, &bsbs, &restrictions, &furo);
         assert_eq!(s.name, "hal");
         assert_eq!(s.lines, app.lines);
         assert_eq!(s.budget, Area::new(app.area_budget));

@@ -10,6 +10,7 @@
 
 use crate::BlockCode;
 use std::fmt;
+use std::sync::Arc;
 
 /// A leaf block of straight-line computation inside the CDFG.
 #[derive(Clone, PartialEq, Debug)]
@@ -242,6 +243,10 @@ impl CdfgNode {
 
 /// A whole application: a named CDFG.
 ///
+/// The graph is immutable once built and shared: cloning a `Cdfg`
+/// bumps a reference count and never deep-copies the node tree, so a
+/// bundled application's CDFG can back any number of pipelines.
+///
 /// # Examples
 ///
 /// ```
@@ -264,16 +269,16 @@ impl CdfgNode {
 /// ```
 #[derive(Clone, PartialEq, Debug)]
 pub struct Cdfg {
-    name: String,
-    root: CdfgNode,
+    name: Arc<str>,
+    root: Arc<CdfgNode>,
 }
 
 impl Cdfg {
     /// Creates a named application from its root node.
     pub fn new(name: impl Into<String>, root: CdfgNode) -> Self {
         Cdfg {
-            name: name.into(),
-            root,
+            name: name.into().into(),
+            root: Arc::new(root),
         }
     }
 

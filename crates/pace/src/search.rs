@@ -2400,17 +2400,18 @@ fn run_search<O: Objective>(
         )
         .sweep_chunks(bound, width, &cursor)
     };
-    let outs: Vec<Result<WorkerOut<O::Local>, PaceError>> = if threads == 1 {
-        vec![sweep()]
-    } else {
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..threads).map(|_| scope.spawn(sweep)).collect();
+    // Worker 0 runs on the calling thread; only the others are spawned,
+    // so a sequential walk spawns none.
+    let outs: Vec<Result<WorkerOut<O::Local>, PaceError>> = std::thread::scope(|scope| {
+        let handles: Vec<_> = (1..threads).map(|_| scope.spawn(sweep)).collect();
+        let mut outs = vec![sweep()];
+        outs.extend(
             handles
                 .into_iter()
-                .map(|h| h.join().expect("search worker panicked"))
-                .collect()
-        })
-    };
+                .map(|h| h.join().expect("search worker panicked")),
+        );
+        outs
+    });
 
     let mut evaluated = 0usize;
     let mut skipped = 0usize;

@@ -19,12 +19,16 @@
 //!   the spot. One job is in flight per connection: responses stay in
 //!   order, and pipelined lines wait in the reader's buffer;
 //! * `workers` **scoped threads** run jobs and write their answers.
-//!   Every job builds fresh [`lycos::Pipeline`] values; the only state
-//!   jobs share is the server's [`ArtifactStore`] (one per server,
-//!   thread-safe), which caches per-application search precompute
-//!   across requests and connections and warm-starts repeat `bound`
-//!   searches. Results are field-identical warm or cold; the `stats`
-//!   verb reports the store's hit/miss/eviction counters;
+//!   Jobs share two kinds of state, both field-invisible in answers.
+//!   The server's [`ArtifactStore`] (one per server, thread-safe)
+//!   caches per-application search precompute across requests and
+//!   connections and warm-starts repeat `bound` searches; the `stats`
+//!   verb reports its hit/miss/eviction counters. Each bundled app
+//!   also has one **resident stage** ([`Restricted`]: its BSB array,
+//!   its ASAP caps and its FURO table), built by the app's first
+//!   request and shared by every later one, so an `app=` job runs no
+//!   frontend, no BSB extraction and no restriction pass. Inline
+//!   `src=` jobs build their stage per request and keep none;
 //! * idle keep-alive connections cost a reader each, never a worker,
 //!   so one client's open sockets cannot starve another client's jobs;
 //! * a `shutdown` request flips one flag and wakes the acceptor by
@@ -37,6 +41,7 @@ use crate::protocol::{
     Format, Job, JobSource, ParetoRequest, Request, Response, Table1Request, DEFAULT_ADDR,
 };
 use crate::ServeError;
+use lycos::apps::BenchmarkApp;
 use lycos::explore::{
     format_pareto, format_table1, format_table1_csv, pareto_csv_row, Table1Options,
     PARETO_CSV_HEADER,
@@ -51,7 +56,7 @@ use std::net::{Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream}
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{self, Receiver, Sender, SyncSender, TryRecvError};
-use std::sync::{Arc, Condvar, Mutex, PoisonError};
+use std::sync::{Arc, Condvar, Mutex, OnceLock, PoisonError};
 use std::time::{Duration, Instant};
 
 /// How often blocked reads and admission waits re-check the shutdown
@@ -189,6 +194,7 @@ impl Server {
         // One artifact store per server, shared by every worker and
         // connection: the cross-request cache the seam exists for.
         let store = Arc::new(ArtifactStore::new(config.defaults.store_cap));
+        let stages = Stages::default();
         let panics = AtomicU64::new(0);
         let registry = JobRegistry::default();
         let big_jobs = match config.big_jobs {
@@ -206,6 +212,7 @@ impl Server {
             let ctx = ServerCtx {
                 config: &config,
                 store: &store,
+                stages: &stages,
                 shutdown: &shutdown,
                 wake,
                 panics: &panics,
@@ -346,6 +353,7 @@ impl Drop for Slot<'_> {
 struct ServerCtx<'a> {
     config: &'a ServeConfig,
     store: &'a Arc<ArtifactStore>,
+    stages: &'a Stages,
     shutdown: &'a AtomicBool,
     wake: SocketAddr,
     panics: &'a AtomicU64,
@@ -791,53 +799,101 @@ fn run_stats(ctx: ServerCtx<'_>) -> Response {
     ])
 }
 
-/// The bundled benchmarks, compiled once per process: `apps::all()`
-/// runs the frontend over every bundled source, far too costly for a
-/// long-running service's per-request hot path.
-fn bundled_apps() -> &'static [lycos::apps::BenchmarkApp] {
-    static APPS: std::sync::OnceLock<Vec<lycos::apps::BenchmarkApp>> = std::sync::OnceLock::new();
-    APPS.get_or_init(lycos::apps::all)
+/// Compiles one bundled benchmark.
+type BuildApp = fn() -> BenchmarkApp;
+
+/// The bundled benchmarks an `app=` field can name, in Table 1 order.
+const BUNDLED: [(&str, BuildApp); 4] = [
+    ("straight", lycos::apps::straight),
+    ("hal", lycos::apps::hal),
+    ("man", lycos::apps::man),
+    ("eigen", lycos::apps::eigen),
+];
+
+/// One search job: its pipeline and the restricted stage it runs over.
+type StagedJob = (Pipeline, Arc<Restricted>);
+
+/// The server's resident stages, one cell per [`BUNDLED`] app. A cell
+/// holds the app's pipeline (bundled budget, the server's store) and
+/// its [`Restricted`] stage. It is filled by the app's first request —
+/// never at start-up and never by an inline source, so a server pays
+/// only for the apps it is asked about — and every later request
+/// clones the pipeline and shares the stage. The FURO table on the
+/// stage is filled by its first `table1` row.
+#[derive(Default)]
+struct Stages([OnceLock<StagedJob>; BUNDLED.len()]);
+
+impl Stages {
+    /// The resident stage of bundled app `index`, built on first use.
+    /// Two first requests racing may both build one; the first stored
+    /// wins and both run over it.
+    fn resident(&self, index: usize, store: &Arc<ArtifactStore>) -> Result<&StagedJob, Response> {
+        let cell = &self.0[index];
+        if let Some(staged) = cell.get() {
+            return Ok(staged);
+        }
+        let built = stage(Pipeline::for_app(&(BUNDLED[index].1)()), store)?;
+        Ok(cell.get_or_init(|| built))
+    }
 }
 
-/// Builds one pipeline per job — each wired to the server's shared
-/// artifact store — or the error response naming the first bad job.
-/// Shared by the `table1` and `pareto` verbs.
-fn pipelines_for(
+/// Wires `pipeline` to the server's store and runs its frontend and
+/// restriction pass: the stage its jobs run over.
+fn stage(pipeline: Pipeline, store: &Arc<ArtifactStore>) -> Result<StagedJob, Response> {
+    let pipeline = pipeline.with_artifact_store(store.clone());
+    match pipeline.compile_restricted() {
+        Ok(restricted) => Ok((pipeline, Arc::new(restricted))),
+        Err(e) => Err(Response::Error(e.to_string())),
+    }
+}
+
+/// Builds one pipeline and restricted stage per job — each pipeline
+/// wired to the server's shared artifact store — or the error response
+/// naming the first bad job. A bundled app borrows its resident stage
+/// ([`Stages`]); an inline source runs its frontend and restriction
+/// pass here, so the admission probe sizes the space from the same
+/// stage the row or frontier then runs over. Shared by the `table1`
+/// and `pareto` verbs.
+fn jobs_for(
     verb: &str,
     jobs: &[Job],
     store: &Arc<ArtifactStore>,
+    stages: &Stages,
     fault_injection: bool,
-) -> Result<Vec<Pipeline>, Response> {
+) -> Result<Vec<StagedJob>, Response> {
     if jobs.is_empty() {
         return Err(Response::Error(format!(
             "{verb} request names no jobs (add app=<name> or src=<encoded-lyc>)"
         )));
     }
-    let mut pipelines = Vec::with_capacity(jobs.len());
+    let mut staged = Vec::with_capacity(jobs.len());
     for job in jobs {
-        let mut pipeline = match &job.source {
+        let (mut pipeline, restricted) = match &job.source {
             JobSource::App(name) if fault_injection && name == "__panic" => {
                 panic!("injected fault: job `__panic`")
             }
-            JobSource::App(name) if fault_injection && name == HOLD_APP => {
-                Pipeline::for_app(&lycos::apps::straight())
-            }
-            JobSource::App(name) => match bundled_apps().iter().find(|a| a.name == *name) {
-                Some(app) => Pipeline::for_app(app),
-                None => {
+            JobSource::App(name) => {
+                // The held job searches `straight`.
+                let name = if fault_injection && name == HOLD_APP {
+                    "straight"
+                } else {
+                    name
+                };
+                let Some(index) = BUNDLED.iter().position(|(n, _)| *n == name) else {
                     return Err(Response::Error(format!(
                         "unknown app `{name}` (bundled: straight, hal, man, eigen)"
-                    )))
-                }
-            },
-            JobSource::Inline(source) => Pipeline::new(source.clone()),
+                    )));
+                };
+                stages.resident(index, store)?.clone()
+            }
+            JobSource::Inline(source) => stage(Pipeline::new(source.clone()), store)?,
         };
         if let Some(gates) = job.budget {
             pipeline = pipeline.with_budget(Area::new(gates));
         }
-        pipelines.push(pipeline.with_artifact_store(store.clone()));
+        staged.push((pipeline, restricted));
     }
-    Ok(pipelines)
+    Ok(staged)
 }
 
 /// The fault-injection app that holds its worker: see
@@ -865,19 +921,6 @@ fn hold_if_asked(jobs: &[Job], ctx: ServerCtx<'_>, cancel: &AtomicBool) {
     }
 }
 
-/// Runs each job's frontend and restriction pass once: the admission
-/// probe sizes the space from the same [`Restricted`] stage the row or
-/// frontier then runs over.
-fn compile_all(pipelines: Vec<Pipeline>) -> Result<Vec<(Pipeline, Restricted)>, Response> {
-    pipelines
-        .into_iter()
-        .map(|pipeline| match pipeline.compile_restricted() {
-            Ok(job) => Ok((pipeline, job)),
-            Err(e) => Err(Response::Error(e.to_string())),
-        })
-        .collect()
-}
-
 /// Pre-walk admission: jobs whose widest allocation space (from the
 /// ASAP restrictions alone — Algorithm 1 does not change the space)
 /// crosses [`ServeConfig::big_job_threshold`] take a big-job slot from
@@ -889,7 +932,7 @@ fn compile_all(pipelines: Vec<Pipeline>) -> Result<Vec<(Pipeline, Restricted)>, 
 /// starts draining while the job is queued for a slot.
 fn admit<'a>(
     ctx: ServerCtx<'a>,
-    jobs: &[(Pipeline, Restricted)],
+    jobs: &[StagedJob],
     cancel: &AtomicBool,
 ) -> Result<Option<Slot<'a>>, Response> {
     let widest = jobs
@@ -914,11 +957,11 @@ fn admit<'a>(
 }
 
 /// A search request past its shared prologue: merged options, one
-/// compiled pipeline per job, the big-job slot admission took (if
+/// staged pipeline per job, the big-job slot admission took (if
 /// any, released on drop) and the cancel flag as a stop signal.
 struct Admitted<'a> {
     options: SearchOptions,
-    jobs: Vec<(Pipeline, Restricted)>,
+    jobs: Vec<StagedJob>,
     stop: StopSignal,
     _permit: Option<Slot<'a>>,
 }
@@ -927,7 +970,7 @@ struct Admitted<'a> {
 /// configured defaults ([`lycos::pace::KnobOverrides::apply_to`]), with
 /// `store-cap` refused — the one store is sized at start-up, so a
 /// per-request cap could only be silently ignored. Each job is then
-/// compiled, admitted ([`admit`]) and held if it asks
+/// staged ([`jobs_for`]), admitted ([`admit`]) and held if it asks
 /// ([`hold_if_asked`]). The `deadline-ms` knob merges with the cancel
 /// flag inside the engine.
 fn admitted<'a>(
@@ -943,13 +986,18 @@ fn admitted<'a>(
         ));
     }
     let options = knobs.apply_to(&ctx.config.defaults);
-    let pipelines = pipelines_for(verb, jobs, ctx.store, ctx.config.fault_injection)?;
-    let compiled = compile_all(pipelines)?;
-    let permit = admit(ctx, &compiled, cancel)?;
+    let staged = jobs_for(
+        verb,
+        jobs,
+        ctx.store,
+        ctx.stages,
+        ctx.config.fault_injection,
+    )?;
+    let permit = admit(ctx, &staged, cancel)?;
     hold_if_asked(jobs, ctx, cancel);
     Ok(Admitted {
         options,
-        jobs: compiled,
+        jobs: staged,
         stop: StopSignal::never().with_cancel(cancel.clone()),
         _permit: permit,
     })
@@ -1018,8 +1066,54 @@ fn run_pareto(req: &ParetoRequest, ctx: ServerCtx<'_>, cancel: &Arc<AtomicBool>)
 
 #[cfg(test)]
 mod tests {
-    use super::wake_address;
+    use super::{jobs_for, wake_address, Stages};
+    use crate::protocol::{Job, JobSource};
+    use lycos::pace::ArtifactStore;
     use std::net::SocketAddr;
+    use std::sync::Arc;
+
+    fn built(stages: &Stages) -> usize {
+        stages.0.iter().filter(|cell| cell.get().is_some()).count()
+    }
+
+    #[test]
+    fn bundled_jobs_share_one_resident_stage_built_on_first_use() {
+        let store = Arc::new(ArtifactStore::new(4));
+        let stages = Stages::default();
+        let inline = [Job {
+            source: JobSource::Inline("app t;\nloop l times 9 {\n  y = y * x;\n}".into()),
+            budget: Some(6_000),
+        }];
+        for _ in 0..2 {
+            jobs_for("table1", &inline, &store, &stages, false).unwrap();
+        }
+        assert_eq!(built(&stages), 0, "inline sources build no stage");
+
+        let app = |name: &str, budget| Job {
+            source: JobSource::App(name.into()),
+            budget,
+        };
+        let first = jobs_for(
+            "table1",
+            &[app("eigen", Some(9_000))],
+            &store,
+            &stages,
+            false,
+        )
+        .unwrap()
+        .remove(0);
+        assert_eq!(built(&stages), 1, "only the named app is built");
+        let again = jobs_for(
+            "pareto",
+            &[app("eigen", None), app("hal", None)],
+            &store,
+            &stages,
+            false,
+        )
+        .unwrap();
+        assert!(Arc::ptr_eq(&first.1, &again[0].1), "one eigen stage");
+        assert_eq!(built(&stages), 2);
+    }
 
     #[test]
     fn wake_address_maps_unspecified_ips_to_loopback() {

@@ -1238,3 +1238,114 @@ fn a_stored_pareto_staircase_serves_lower_budgets_exactly() {
     );
     handle.join().expect("server thread");
 }
+
+#[test]
+fn resident_stages_answer_exactly_like_cold_storeless_pipelines() {
+    // Every row below must equal the stable CSV of a cold, storeless
+    // facade pipeline: the bundled apps run over the server's resident
+    // stages (and its store), the inline source over a fresh stage.
+    // `no-warm` keeps the effort columns comparable too: a warm
+    // reseed or a served answer legitimately changes them.
+    let knobs = "bound no-warm limit=5000 threads=1";
+    let options = SearchOptions::sequential().bound(true).limit(Some(5000));
+    let (addr, handle) = spawn_server(ServeConfig {
+        workers: 2,
+        queue: 4,
+        ..ServeConfig::default()
+    });
+    let src = "app hot;\nloop l times 500 {\n  y = y + u * dx;\n  u = u - 3 * y * dx;\n}";
+    let eigen = lycos::apps::eigen();
+    let hal = lycos::apps::hal();
+
+    let table1_ref = |pipeline: Pipeline| {
+        let row = pipeline
+            .table1_row(&Table1Options::from_search_options(&options))
+            .expect("storeless row");
+        format_table1_csv(&[row], false)
+            .lines()
+            .map(str::to_owned)
+            .collect::<Vec<_>>()
+    };
+    let pareto_ref = |pipeline: Pipeline, name: &str| {
+        let front = pipeline
+            .with_search_options(options.clone())
+            .allocate()
+            .expect("allocate")
+            .pareto()
+            .expect("pareto sweep");
+        let mut lines = vec![lycos::explore::PARETO_CSV_HEADER.to_owned()];
+        lines.extend(
+            front
+                .points
+                .iter()
+                .map(|p| lycos::explore::pareto_csv_row(name, p)),
+        );
+        lines
+    };
+
+    // (request, expected answer), interleaved: eigen at eight budgets
+    // through both verbs, with hal and the inline source between them.
+    let mut exchanges = Vec::new();
+    for (i, budget) in (7_000u64..=12_250).step_by(750).enumerate() {
+        let at = || Pipeline::for_app(&eigen).with_budget(lycos::hwlib::Area::new(budget));
+        exchanges.push((
+            format!("table1 app=eigen@{budget} {knobs} format=csv"),
+            table1_ref(at()),
+        ));
+        exchanges.push((
+            format!("pareto app=eigen@{budget} {knobs} format=csv"),
+            pareto_ref(at(), "eigen"),
+        ));
+        exchanges.push(match i % 3 {
+            0 => (
+                format!("table1 app=hal {knobs} format=csv"),
+                table1_ref(Pipeline::for_app(&hal)),
+            ),
+            1 => (
+                format!("pareto app=hal {knobs} format=csv"),
+                pareto_ref(Pipeline::for_app(&hal), "hal"),
+            ),
+            _ => (
+                format!(
+                    "table1 src={}@6000 {knobs} format=csv",
+                    lycos_serve::protocol::encode(src)
+                ),
+                table1_ref(Pipeline::new(src).with_budget(lycos::hwlib::Area::new(6_000))),
+            ),
+        });
+    }
+
+    // Two connections walk the list in opposite orders, so the first
+    // requests for each app race to build its stage.
+    let exchanges = std::sync::Arc::new(exchanges);
+    let clients: Vec<_> = [false, true]
+        .into_iter()
+        .map(|reversed| {
+            let (addr, exchanges) = (addr.clone(), exchanges.clone());
+            std::thread::spawn(move || {
+                let mut client =
+                    Client::connect_with_retry(&addr, CONNECT_DEADLINE).expect("connect");
+                let mut order: Vec<_> = exchanges.iter().collect();
+                if reversed {
+                    order.reverse();
+                }
+                for (line, expected) in order {
+                    match client.send_line(line).expect("send") {
+                        Response::Ok(lines) => assert_eq!(&lines, expected, "`{line}`"),
+                        other => panic!("`{line}`: unexpected response {other:?}"),
+                    }
+                }
+            })
+        })
+        .collect();
+    for client in clients {
+        client.join().expect("client thread");
+    }
+
+    let mut client = Client::connect_with_retry(&addr, CONNECT_DEADLINE).expect("connect");
+    assert_eq!(
+        client.send(&Request::Shutdown).expect("send"),
+        Response::Bye
+    );
+    handle.join().expect("server thread");
+}

@@ -10,7 +10,7 @@
 
 use crate::LycosError;
 use lycos_apps::{BenchmarkApp, IterationHint};
-use lycos_core::{allocate, AllocConfig, AllocOutcome, RMap, Restrictions};
+use lycos_core::{allocate, AllocConfig, AllocOutcome, FuroTable, RMap, Restrictions};
 use lycos_explore::{flow, table1_row_for, Table1Options, Table1Row, Table1Subject};
 use lycos_hwlib::{Area, HwLibrary};
 use lycos_ir::{extract_bsbs, BsbArray, Cdfg, ProfileOverrides};
@@ -18,7 +18,7 @@ use lycos_pace::{
     partition, ArtifactStore, PaceConfig, ParetoResult, Partition, SearchOptions, SearchResult,
     StopSignal, StoreStats,
 };
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// Builder for the full LYCOS flow.
 ///
@@ -46,6 +46,7 @@ use std::sync::Arc;
 pub struct Pipeline {
     source: String,
     // Pre-lowered CDFG (bundled apps ship one); skips re-parsing.
+    // Shared, never deep-copied: cloning a `Cdfg` bumps a count.
     precompiled: Option<Cdfg>,
     library: HwLibrary,
     pace: PaceConfig,
@@ -79,8 +80,8 @@ impl Pipeline {
     }
 
     /// A pipeline over a bundled benchmark, at its Table 1 budget.
-    /// Reuses the app's already-compiled CDFG and carries its §5
-    /// design-iteration hint.
+    /// Shares the app's already-compiled CDFG (no frontend pass, no
+    /// copy) and carries its §5 design-iteration hint.
     pub fn for_app(app: &BenchmarkApp) -> Self {
         let mut p = Pipeline::new(app.source).with_budget(Area::new(app.area_budget));
         p.precompiled = Some(app.cdfg.clone());
@@ -177,7 +178,11 @@ impl Pipeline {
     /// allocation service drives with its per-connection cancel flags.
     /// A caller that sized the job from [`Restricted`] first (the
     /// admission probe) runs the frontend and the restriction pass
-    /// once. The signal governs the exhaustive search stage; on a trip
+    /// once, and a caller that keeps the stage resident across rows
+    /// (the service does, per bundled app) runs them once for all of
+    /// them. The first row over a stage builds its FURO table inside
+    /// the row's allocator timer; later rows over the same stage reuse
+    /// it. The signal governs the exhaustive search stage; on a trip
     /// the row carries the best-so-far winner and a non-`Complete`
     /// [`lycos_pace::Completion`].
     ///
@@ -195,6 +200,7 @@ impl Pipeline {
             lines: lycos_frontend::line_count(&self.source),
             bsbs: &job.compiled.bsbs,
             restrictions: &job.restrictions,
+            furo: &job.furo,
             budget: self.budget,
             iteration: self.iteration,
         };
@@ -252,6 +258,7 @@ impl Pipeline {
         Ok(Restricted {
             compiled,
             restrictions,
+            furo: OnceLock::new(),
         })
     }
 
@@ -335,7 +342,12 @@ pub struct Compiled {
 }
 
 /// Output of [`Pipeline::compile_restricted`]: the frontend stage plus
-/// the allocation space the search stages walk.
+/// the allocation space the search stages walk — everything about a
+/// program that no budget or search knob changes. A caller that serves
+/// many requests over one program keeps one `Restricted` (behind an
+/// [`Arc`]) and passes it to every [`Pipeline::table1_row_restricted`]
+/// and [`Pipeline::pareto_restricted`] call of a pipeline with the
+/// same library.
 #[derive(Clone, Debug)]
 pub struct Restricted {
     /// The frontend stage.
@@ -343,6 +355,9 @@ pub struct Restricted {
     /// The ASAP-parallelism allocation caps of the BSB array under the
     /// pipeline's library.
     pub restrictions: Restrictions,
+    // Algorithm 1's FURO table over `compiled.bsbs`, built by the first
+    // Table 1 row over this stage (inside its allocator timer).
+    furo: OnceLock<FuroTable>,
 }
 
 impl Restricted {
@@ -745,6 +760,44 @@ mod tests {
         assert!(third.stats.warm_reseeded, "recorded winner must seed");
         let stats = warm.store_stats().unwrap();
         assert_eq!((stats.hits, stats.misses, stats.entries), (2, 1, 1));
+    }
+
+    #[test]
+    fn bundled_pipelines_share_the_app_cdfg() {
+        let app = lycos_apps::hal();
+        let job = Pipeline::for_app(&app).compile_restricted().unwrap();
+        assert!(std::ptr::eq(job.compiled.cdfg.root(), app.cdfg.root()));
+        let allocated = Pipeline::for_app(&app).allocate().unwrap();
+        assert!(std::ptr::eq(allocated.cdfg.root(), app.cdfg.root()));
+    }
+
+    #[test]
+    fn a_resident_stage_builds_its_furo_table_once_and_rows_stay_exact() {
+        let app = lycos_apps::hal();
+        let options = Table1Options {
+            search_limit: Some(300),
+            threads: 1,
+            ..Table1Options::default()
+        };
+        let job = Pipeline::for_app(&app).compile_restricted().unwrap();
+        assert!(
+            job.furo.get().is_none(),
+            "built by the first row, not before"
+        );
+        let mut first: Option<*const FuroTable> = None;
+        for budget in [5_000, 7_500, 6_000] {
+            let pipeline = Pipeline::for_app(&app).with_budget(Area::new(budget));
+            let resident = pipeline
+                .table1_row_restricted(&job, &options, &StopSignal::never())
+                .unwrap();
+            let table: *const FuroTable = job.furo.get().expect("the first row builds it");
+            assert_eq!(*first.get_or_insert(table), table, "later rows reuse it");
+            let one_shot = pipeline.table1_row(&options).unwrap();
+            assert_eq!(
+                lycos_explore::table1_csv_row(&resident, false),
+                lycos_explore::table1_csv_row(&one_shot, false),
+            );
+        }
     }
 
     #[test]
